@@ -9,8 +9,16 @@ l = 0 and as beta*r -> 0).
 
 Method: a fourth-order Runge-Kutta sweep outward from r_min and inward
 from r_max, matched at the classical turning point nearest r_max/3 (grid
-midpoint when no turning point exists).  Eigenvalues are bracketed by
-node count plus the sign of a Wronskian-normalized log-derivative
+midpoint when no turning point exists).  The ODE is linear, so one RK4
+step is a fixed 2x2 linear map of (phi, phi'), and a sweep of S steps runs
+as a two-level scan over about sqrt(S) chunks of L = ceil(sqrt(S)) steps:
+every chunk's transfer matrix is built at once (L passes over a chunk x
+energy array), the chunk start states follow by chaining the matrices,
+and all chunks are then re-run together from those starts to record phi
+at the grid nodes.  That is about 3*sqrt(S) NumPy passes per direction
+instead of S; states are rescaled by positive factors along the way,
+which keeps node signs and the log-derivative.  Eigenvalues are bracketed
+by node count plus the sign of a Wronskian-normalized log-derivative
 mismatch, then refined by safeguarded false position to
 |dE| < 1e-10 * m0.
 
@@ -34,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -60,9 +68,10 @@ class ApproxErrorRow:
     """One row of the centrifugal-approximation error table.
 
     ``status`` is "ok" when both modes produced the requested state,
-    "unmatched" when one side is missing or ambiguous, and
-    "invalid_regime" when the parameters admit no analysis at that beta.
-    Energy and error fields are None for non-"ok" rows.
+    "unmatched" when one side is missing or ambiguous, "invalid_regime"
+    when the parameters admit no analysis at that beta, and
+    "grid_resolution" when the default grid cannot resolve the states at
+    that beta.  Energy and error fields are None for non-"ok" rows.
     """
 
     beta: float
@@ -172,23 +181,139 @@ def _ladder(r_min, h, cells):
     return np.asarray(pts), mark
 
 
+class _Steps(NamedTuple):
+    """One sweep direction as a flat list of S RK4 steps, padded with
+    identity steps (h = 0) to C chunks of L = ceil(sqrt(S)) steps and stored
+    step-major, so row j holds step j of every chunk."""
+
+    h: np.ndarray        # (L, C) step lengths
+    w: np.ndarray        # (6, L, C) w0, w1 at each step's start, mid, end
+    node: np.ndarray     # (L, C) grid node a step reaches, or -1
+    reach: np.ndarray    # (K,) flat index of the step reaching each node
+    start: int           # the node the sweep starts from
+
+
+def _chunked(h, w, node, start):
+    """_Steps from flat per-step arrays: h (S,), w (6, S), node (S,)."""
+    S = h.size
+    L = math.isqrt(S - 1) + 1
+    C = -(-S // L)
+    pad = C * L - S
+    reach = np.full(max(start, node.max()) + 1, -1)
+    reach[node[node >= 0]] = np.flatnonzero(node >= 0)
+    h = np.concatenate([h, np.zeros(pad)])
+    w = np.concatenate([w, np.zeros((6, pad))], axis=1)
+    node = np.concatenate([node, np.full(pad, -1)])
+    return _Steps(np.ascontiguousarray(h.reshape(C, L).T),
+                  np.ascontiguousarray(w.reshape(6, C, L).transpose(0, 2, 1)),
+                  np.ascontiguousarray(node.reshape(C, L).T), reach, start)
+
+
 @lru_cache(maxsize=64)
 def _tables(system, l, mode, grid):
-    """Precomputed W samples for one channel: ladder + half-step main grid."""
+    """Step tables of one channel: (outward, inward).
+
+    Outward runs the geometric origin ladder over the first grid cells and
+    then the main grid; inward runs the main grid down from r_max.
+    """
     K = grid.points
     h = grid.spacing
     cells = min(300, K // 4)
     pts, mark = _ladder(grid.r_min, h, cells)
-    mids = 0.5 * (pts[:-1] + pts[1:])
     lw0a, lw1a = _w_parts(system, l, mode, pts)
-    lw0m, lw1m = _w_parts(system, l, mode, mids)
+    lw0m, lw1m = _w_parts(system, l, mode, 0.5 * (pts[:-1] + pts[1:]))
     rr = grid.r_min + 0.5 * h * np.arange(2 * K - 1)
     w0, w1 = _w_parts(system, l, mode, rr)
     if not (np.isfinite(w0[0]) and np.isfinite(w1[0])):
         raise InvalidRegime(
             f"ODE coefficient not finite at r_min={grid.r_min!r}; "
             "the origin offset is too small for these parameters")
-    return cells, pts, mark, lw0a, lw1a, lw0m, lw1m, w0, w1
+
+    lnode = np.full(len(pts) - 1, -1)
+    lnode[mark[1:] - 1] = np.arange(1, cells + 1)
+    i = 2 * np.arange(cells, K - 1)
+    outward = _chunked(
+        np.concatenate([np.diff(pts), np.full(i.size, h)]),
+        np.concatenate([[lw0a[:-1], lw1a[:-1], lw0m, lw1m, lw0a[1:], lw1a[1:]],
+                        [w0[i], w1[i], w0[i + 1], w1[i + 1], w0[i + 2],
+                         w1[i + 2]]], axis=1),
+        np.concatenate([lnode, np.arange(cells + 1, K)]), 0)
+    i = 2 * np.arange(K - 1, 0, -1)
+    inward = _chunked(
+        np.full(K - 1, -h),
+        np.array([w0[i], w1[i], w0[i - 1], w1[i - 1], w0[i - 2], w1[i - 2]]),
+        np.arange(K - 2, -1, -1), K - 1)
+    return outward, inward
+
+
+def _rescale(phi, p, axes=()):
+    """Divide (phi, p) by the positive factor max(|phi|, |p|), reduced over
+    ``axes`` (the columns of a transfer matrix share one factor).  Signs
+    and the log-derivative are unchanged."""
+    scale = np.maximum(np.abs(phi), np.abs(p)).max(axis=axes)
+    scale = np.where(scale > 0.0, scale, 1.0)
+    return phi / scale, p / scale
+
+
+def _sweep(steps, phi, p, E, E2, match_idx):
+    """Run one direction for a batch of energies from the start state
+    (phi, p), as a two-level scan over the chunks of ``steps``.
+
+    Returns (flips, phi_m, p_m): flips[k] marks a sign change of phi
+    between grid nodes k and k + 1, shape (K - 1, B), and (phi_m, p_m) is
+    the state at each energy's matching index, known up to a positive
+    factor (each chunk carries its own scale).
+    """
+    L, C = steps.h.shape
+    B = E.size
+
+    def W(j, k):            # W at sample k (start, mid, end) of step row j
+        return (steps.w[2 * k, j][:, None] + steps.w[2 * k + 1, j][:, None]
+                * E - E2)
+
+    # 1. transfer matrix of every chunk: both unit vectors at once
+    mphi = np.zeros((2, C, B))
+    mp = np.zeros((2, C, B))
+    mphi[0] = 1.0
+    mp[1] = 1.0
+    for j in range(L):
+        mphi, mp = _rk4_step(mphi, mp, steps.h[j][:, None], W(j, 0), W(j, 1),
+                             W(j, 2))
+        if (j & 63) == 63:
+            mphi, mp = _rescale(mphi, mp, 0)
+
+    # 2. start state of every chunk: chain the matrices
+    sphi = np.empty((C, B))
+    sp = np.empty((C, B))
+    for c in range(C):
+        sphi[c], sp[c] = phi, p
+        phi, p = _rescale(mphi[0, c] * phi + mphi[1, c] * p,
+                          mp[0, c] * phi + mp[1, c] * p)
+
+    # 3. trajectory: re-run all chunks from their start states
+    traj = np.empty((steps.reach.size, B))
+    traj[steps.start] = sphi[0]
+    s = steps.reach[match_idx]
+    mc, mj = np.divmod(s, L)
+    mj[s < 0] = -1
+    cols = np.arange(B)
+    phi_m = np.where(s < 0, sphi[0], 0.0)
+    p_m = np.where(s < 0, sp[0], 0.0)
+    phi, p = sphi, sp
+    for j in range(L):
+        phi, p = _rk4_step(phi, p, steps.h[j][:, None], W(j, 0), W(j, 1),
+                           W(j, 2))
+        node = steps.node[j]
+        hit = node >= 0
+        traj[node[hit]] = phi[hit]
+        cap = mj == j
+        phi_m = np.where(cap, phi[mc, cols], phi_m)
+        p_m = np.where(cap, p[mc, cols], p_m)
+        if (j & 63) == 63:
+            phi, p = _rescale(phi, p)
+    sgn = np.where(traj >= 0.0, 1.0, -1.0)
+    flips = (sgn[:-1] * sgn[1:] < 0) & (traj[1:] != 0.0) & (traj[:-1] != 0.0)
+    return flips, phi_m, p_m
 
 
 def _shoot(system, l, mode, E, grid, match_idx):
@@ -202,94 +327,25 @@ def _shoot(system, l, mode, E, grid, match_idx):
     B = E.size
     match_idx = np.broadcast_to(np.asarray(match_idx, int), (B,)).copy()
     K = grid.points
-    h = grid.spacing
-    cells, pts, mark, lw0a, lw1a, lw0m, lw1m, w0, w1 = _tables(
-        system, l, mode, grid)
+    outward, inward = _tables(system, l, mode, grid)
     E2 = (E / system.hbar_c) ** 2
 
     _, cm1c, cm1l, g = _origin_series(system, l)
     c1 = (cm1c + cm1l * E) / (2.0 * g)
 
-    # ---- outward sweep: series start, geometric ladder, then main grid
-    phi = 1.0 + c1 * grid.r_min
-    p = g / grid.r_min + c1 * (g + 1.0)
-    phi = np.broadcast_to(phi, (B,)).astype(float).copy()
-    p = np.broadcast_to(p, (B,)).astype(float).copy()
-    scale = np.maximum(np.abs(phi), np.abs(p))
-    phi /= scale
-    p /= scale
-
-    traj = np.empty((K, B))
-    traj[0] = phi
-    out_phi = np.where(match_idx == 0, phi, 0.0)
-    out_p = np.where(match_idx == 0, p, 0.0)
-
-    jnext = 1
-    for jj in range(len(pts) - 1):
-        Wa = lw0a[jj] + lw1a[jj] * E - E2
-        Wm = lw0m[jj] + lw1m[jj] * E - E2
-        Wb = lw0a[jj + 1] + lw1a[jj + 1] * E - E2
-        phi, p = _rk4_step(phi, p, pts[jj + 1] - pts[jj], Wa, Wm, Wb)
-        if jj + 1 == mark[jnext]:
-            cap = match_idx == jnext
-            out_phi = np.where(cap, phi, out_phi)
-            out_p = np.where(cap, p, out_p)
-            scale = np.maximum(np.abs(phi), np.abs(p))
-            scale = np.where(scale > 0.0, scale, 1.0)
-            phi /= scale
-            p /= scale
-            traj[jnext] = phi
-            jnext += 1
-
-    for i in range(cells, K - 1):
-        Wa = w0[2 * i] + w1[2 * i] * E - E2
-        Wm = w0[2 * i + 1] + w1[2 * i + 1] * E - E2
-        Wb = w0[2 * i + 2] + w1[2 * i + 2] * E - E2
-        phi, p = _rk4_step(phi, p, h, Wa, Wm, Wb)
-        traj[i + 1] = phi
-        cap = match_idx == i + 1
-        out_phi = np.where(cap, phi, out_phi)
-        out_p = np.where(cap, p, out_p)
-        if (i & 63) == 63:
-            scale = np.maximum(np.abs(phi), np.abs(p))
-            scale = np.where(scale > 0.0, scale, 1.0)
-            phi /= scale
-            p /= scale
-            traj[i + 1] = phi
-
-    sgn = np.where(traj >= 0.0, 1.0, -1.0)
-    flips = (sgn[:-1] * sgn[1:] < 0) & (traj[1:] != 0.0) & (traj[:-1] != 0.0)
+    # ---- outward sweep: series start at r_min
+    phi, p = _rescale(1.0 + c1 * grid.r_min, g / grid.r_min + c1 * (g + 1.0))
+    flips, out_phi, out_p = _sweep(outward, phi, p, E, E2, match_idx)
     cum = np.cumsum(flips, axis=0)
     cols = np.arange(B)
     n_out = np.where(match_idx > 0, cum[np.maximum(match_idx - 1, 0), cols], 0)
 
-    # ---- inward sweep: exponentially decaying start at r_max
-    traj_i = np.empty((K, B))
-    W_end = np.maximum(w0[-1] + w1[-1] * E - E2, 0.0)
-    phi = np.ones(B)
-    p = -np.sqrt(W_end)
-    traj_i[K - 1] = phi
-    in_phi = np.where(match_idx == K - 1, phi, 0.0)
-    in_p = np.where(match_idx == K - 1, p, 0.0)
-    for i in range(K - 1, 0, -1):
-        Wa = w0[2 * i] + w1[2 * i] * E - E2
-        Wm = w0[2 * i - 1] + w1[2 * i - 1] * E - E2
-        Wb = w0[2 * i - 2] + w1[2 * i - 2] * E - E2
-        phi, p = _rk4_step(phi, p, -h, Wa, Wm, Wb)
-        traj_i[i - 1] = phi
-        cap = match_idx == i - 1
-        in_phi = np.where(cap, phi, in_phi)
-        in_p = np.where(cap, p, in_p)
-        if (i & 63) == 63:
-            scale = np.maximum(np.abs(phi), np.abs(p))
-            scale = np.where(scale > 0.0, scale, 1.0)
-            phi /= scale
-            p /= scale
-            traj_i[i - 1] = phi
-    sgn_i = np.where(traj_i >= 0.0, 1.0, -1.0)
-    flips_i = (sgn_i[:-1] * sgn_i[1:] < 0) & (traj_i[1:] != 0.0) \
-        & (traj_i[:-1] != 0.0)
-    cum_i = np.cumsum(flips_i[::-1], axis=0)[::-1]
+    # ---- inward sweep: exponentially decaying start at r_max, where the
+    # first inward step starts
+    W_end = np.maximum(inward.w[0, 0, 0] + inward.w[1, 0, 0] * E - E2, 0.0)
+    flips, in_phi, in_p = _sweep(inward, np.ones(B), -np.sqrt(W_end), E, E2,
+                                 match_idx)
+    cum_i = np.cumsum(flips[::-1], axis=0)[::-1]
     n_in = cum_i[np.minimum(match_idx, K - 2), cols]
 
     # Wronskian-form mismatch: zero exactly when log-derivatives agree,
@@ -327,8 +383,8 @@ def _refine_batch(system, l, mode, brackets, grid, tol):
     hi = np.array([b[1] for b in brackets])
     nb = lo.size
     imr = _turning_indices(system, l, mode, 0.5 * (lo + hi), grid)
-    fa, _ = _shoot(system, l, mode, lo, grid, imr)
-    fb, _ = _shoot(system, l, mode, hi, grid, imr)
+    fa, fb = np.split(_shoot(system, l, mode, np.concatenate([lo, hi]), grid,
+                             np.concatenate([imr, imr]))[0], 2)
     ok = fa * fb < 0
     a, b = lo.copy(), hi.copy()
     side = np.zeros(nb, dtype=int)
@@ -349,6 +405,9 @@ def _refine_batch(system, l, mode, brackets, grid, tol):
         fa = np.where(pos, fc, fa)
         fb = np.where(pos & (side == +1), 0.5 * fb, fb)
         side = np.where(pos, +1, side)
+        # an exact zero is the root: collapse the bracket onto it, else
+        # false position keeps returning c = a and only creeps off it
+        b = np.where(pos & (fc == 0.0), c, b)
         active &= (b - a) >= tol
     e_final = 0.5 * (a + b)
     mism_f, nodes_f = _shoot(system, l, mode, e_final, grid, imr)
@@ -405,17 +464,23 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
             f"{int(nodes[where + 1])} near E={E[where]!r}: the grid is too "
             f"coarse to resolve these states; increase grid.points "
             f"(currently {grid.points})")
+    # every node-count jump is subdivided 16-fold, all in one sweep
+    jumps = np.flatnonzero(np.diff(nodes) != 0)
+    sub = np.linspace(E[jumps], E[jumps + 1], 17, axis=1)
+    if jumps.size:
+        im_s = _turning_indices(system, l, mode, sub.ravel(), grid)
+        ms, ns = (a.reshape(sub.shape) for a in _shoot(
+            system, l, mode, sub.ravel(), grid, im_s))
     brackets = []
+    k = 0
     for i in range(scan_points - 1):
         if nodes[i] == nodes[i + 1] and mism[i] * mism[i + 1] < 0:
             brackets.append((E[i], E[i + 1]))
         elif nodes[i + 1] != nodes[i]:
-            sub = np.linspace(E[i], E[i + 1], 17)
-            im_s = _turning_indices(system, l, mode, sub, grid)
-            ms, ns = _shoot(system, l, mode, sub, grid, im_s)
             for j in range(16):
-                if ns[j] == ns[j + 1] and ms[j] * ms[j + 1] < 0:
-                    brackets.append((sub[j], sub[j + 1]))
+                if ns[k, j] == ns[k, j + 1] and ms[k, j] * ms[k, j + 1] < 0:
+                    brackets.append((sub[k, j], sub[k, j + 1]))
+            k += 1
     tol = 1e-10 * system.m0
     states = _refine_batch(system, l, mode, brackets, grid, tol)
     states.sort(key=lambda d: d.energy)
@@ -433,8 +498,9 @@ def approximation_error(system: PhysicalSystem, n: int, l: int, betas):
     For each beta the (n, l) state is solved in both modes and the energies
     are compared.  Rows where either mode lacks a unique n-node state are
     flagged "unmatched"; betas whose parameters admit no analysis at all
-    are flagged "invalid_regime".  Rows are never dropped.  (For l = 0 the
-    two modes are the same equation, so the error is solver noise.)
+    are flagged "invalid_regime", and betas whose states the default grid
+    cannot resolve "grid_resolution".  Rows are never dropped.  (For l = 0
+    the two modes are the same equation, so the error is solver noise.)
     """
     if n < 0 or l < 0:
         raise ValueError("n and l must be >= 0")
@@ -450,14 +516,16 @@ def approximation_error(system: PhysicalSystem, n: int, l: int, betas):
                          if d.node_count == n]
                 per_mode[mode] = found
         except InvalidRegime:
+            status = "invalid_regime"
+        except GridResolution:
+            status = "grid_resolution"
+        else:
+            status = ("ok" if len(per_mode["approx"]) == 1
+                      and len(per_mode["exact"]) == 1 else "unmatched")
+        if status != "ok":
             rows.append(ApproxErrorRow(beta=float(beta), E_approx=None,
                                        E_exact=None, abs_err=None,
-                                       rel_err=None, status="invalid_regime"))
-            continue
-        if len(per_mode["approx"]) != 1 or len(per_mode["exact"]) != 1:
-            rows.append(ApproxErrorRow(beta=float(beta), E_approx=None,
-                                       E_exact=None, abs_err=None,
-                                       rel_err=None, status="unmatched"))
+                                       rel_err=None, status=status))
             continue
         e_a = per_mode["approx"][0].energy
         e_x = per_mode["exact"][0].energy

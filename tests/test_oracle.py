@@ -9,8 +9,9 @@ import scipy.optimize
 
 from kghulthen import (PhysicalSystem, RadialGrid, approximation_error,
                        coefficients_at, energy_closed_form, find_bound_states,
-                       ode_coefficient)
+                       ode_coefficient, oracle)
 from kghulthen.errors import GridResolution, InvalidRegime
+from kghulthen.model import default_grid
 
 from conftest import REFERENCE_TRUE
 
@@ -142,6 +143,132 @@ class TestFindBoundStates:
         assert "grid.points" in msg and "160" in msg
 
 
+def _rk4(phi, p, h, Wa, Wm, Wb):
+    k1 = Wa * phi
+    phi2, p2 = phi + 0.5 * h * p, p + 0.5 * h * k1
+    k2 = Wm * phi2
+    phi3, p3 = phi + 0.5 * h * p2, p + 0.5 * h * k2
+    k3 = Wm * phi3
+    phi4, p4 = phi + h * p3, p + h * k3
+    k4 = Wb * phi4
+    return (phi + h / 6.0 * (p + 2.0 * p2 + 2.0 * p3 + p4),
+            p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
+def _stepwise_shoot(system, l, mode, E, grid, match_idx):
+    """Reference for oracle._shoot: both sweeps one RK4 step at a time over
+    the same cells (origin ladder, then the main grid; the main grid back
+    from r_max), counting nodes on the recorded grid values."""
+    K, h = grid.points, grid.spacing
+    cells = min(300, K // 4)
+    pts, mark = oracle._ladder(grid.r_min, h, cells)
+    E2 = (E / system.hbar_c) ** 2
+
+    def W(r):
+        w0, w1 = oracle._w_parts(system, l, mode, r)
+        return w0[:, None] + w1[:, None] * E - E2
+
+    Wl, Wlm = W(pts), W(0.5 * (pts[:-1] + pts[1:]))
+    Wg = W(grid.r_min + 0.5 * h * np.arange(2 * K - 1))
+    node_at = dict(zip(mark[1:].tolist(), range(1, cells + 1)))
+    outward = [(pts[k + 1] - pts[k], Wl[k], Wlm[k], Wl[k + 1],
+                node_at.get(k + 1, -1)) for k in range(len(pts) - 1)]
+    outward += [(h, Wg[2 * i], Wg[2 * i + 1], Wg[2 * i + 2], i + 1)
+                for i in range(cells, K - 1)]
+    inward = [(-h, Wg[2 * i], Wg[2 * i - 1], Wg[2 * i - 2], i - 1)
+              for i in range(K - 1, 0, -1)]
+
+    def run(steps, phi, p, start):
+        traj = np.empty((K, E.size))
+        traj[start] = phi
+        at = match_idx == start
+        m_phi, m_p = np.where(at, phi, 0.0), np.where(at, p, 0.0)
+        for k, (hk, Wa, Wm, Wb, node) in enumerate(steps):
+            phi, p = _rk4(phi, p, hk, Wa, Wm, Wb)
+            if node >= 0:
+                traj[node] = phi
+                at = match_idx == node
+                m_phi, m_p = np.where(at, phi, m_phi), np.where(at, p, m_p)
+            if k % 64 == 63:
+                scale = np.maximum(np.abs(phi), np.abs(p))
+                phi, p = phi / scale, p / scale
+        flips = np.sign(traj[:-1]) * np.sign(traj[1:]) < 0
+        return flips, m_phi, m_p
+
+    _, cm1c, cm1l, g = oracle._origin_series(system, l)
+    c1 = (cm1c + cm1l * E) / (2.0 * g)
+    f_out, o_phi, o_p = run(outward, 1.0 + c1 * grid.r_min,
+                            g / grid.r_min + c1 * (g + 1.0), 0)
+    f_in, i_phi, i_p = run(inward, np.ones(E.size),
+                           -np.sqrt(np.maximum(Wg[-1], 0.0)), K - 1)
+    nodes = np.array([f_out[:m, b].sum() + f_in[m:, b].sum()
+                      for b, m in enumerate(match_idx)])
+    wr = o_p * i_phi - i_p * o_phi
+    return wr / (np.abs(o_p * i_phi) + np.abs(i_p * o_phi) + 1e-300), nodes
+
+
+class TestChunkedSweep:
+    @pytest.mark.parametrize("name", ["reference_system", "set_a"])
+    @pytest.mark.parametrize("points", [100, 120, 4000])
+    def test_matches_stepwise_sweep(self, name, points, request):
+        system = request.getfixturevalue(name)
+        span = default_grid(system)
+        grid = RadialGrid(r_min=span.r_min, r_max=span.r_max, points=points)
+        l, mode = (0, "approx") if name == "reference_system" else (1, "exact")
+        outward, inward = oracle._tables(system, l, mode, grid)
+        # K - 1 inward steps are not a multiple of the chunk length
+        assert inward.h[-1, -1] == 0.0
+        # match at node 2, at the ends of an outward and an inward chunk,
+        # and at node K - 2
+        out_end = outward.node[-1][outward.node[-1] >= 0][-1]
+        in_end = inward.node[-1, 0]
+        K = grid.points
+        m_inf = system.asymptotic_mass
+        E = np.linspace(-m_inf + 1e-6, m_inf - 1e-6, 240)
+        match = np.resize([2, out_end, in_end, K - 2], E.size)
+        want_m, want_n = _stepwise_shoot(system, l, mode, E, grid, match)
+        for sel in (slice(None), slice(0, 238, 14), slice(123, 124)):
+            got_m, got_n = oracle._shoot(system, l, mode, E[sel], grid,
+                                         match[sel])
+            assert got_m.size in (240, 17, 1)
+            assert np.max(np.abs(got_m - want_m[sel])) <= 1e-12
+            assert np.array_equal(got_n, want_n[sel])
+
+    @pytest.mark.parametrize("window, widths", [
+        # scan, both ends of the one bracket, 8 Illinois steps, final
+        ((0.7, 0.8), [60, 2] + [1] * 8 + [1]),
+        # scan, both node-count jumps subdivided in one sweep, both ends of
+        # two brackets, 8 Illinois steps, final
+        (None, [240, 34, 4] + [2] * 8 + [2])])
+    def test_sweep_count(self, reference_system, monkeypatch, window,
+                         widths):
+        shoot = oracle._shoot
+        seen = []
+
+        def counted(system, l, mode, E, grid, match_idx):
+            seen.append(np.size(E))
+            return shoot(system, l, mode, E, grid, match_idx)
+
+        monkeypatch.setattr(oracle, "_shoot", counted)
+        scan = 60 if window else 240
+        find_bound_states(reference_system, 0, window=window,
+                          scan_points=scan)
+        assert seen == widths
+
+    def test_exact_zero_mismatch_ends_refinement(self, reference_system,
+                                                 monkeypatch):
+        # false position lands exactly on the root of a linear mismatch;
+        # the refined energy must be that root, not a point beside it
+        monkeypatch.setattr(
+            oracle, "_shoot", lambda system, l, mode, E, grid, match_idx: (
+                np.asarray(E) - 0.5, np.zeros(np.size(E), dtype=int)))
+        (state,) = oracle._refine_batch(
+            reference_system, 0, "approx", [(0.0, 1.0)],
+            default_grid(reference_system), 1e-10)
+        assert state.energy == 0.5
+        assert state.converged
+
+
 class TestIndependentIntegratorAgreement:
     def test_ground_state_against_adaptive_integrator(self,
                                                       reference_system):
@@ -200,6 +327,19 @@ class TestApproximationError:
         assert ok.abs_err == pytest.approx(7.0452670988263577e-4, rel=1e-6)
         assert ok.rel_err == pytest.approx(ok.abs_err / ok.E_exact,
                                            rel=1e-12)
+
+    def test_unresolved_beta_reports_grid_resolution(self):
+        # halving beta deepens the effective well until the default grid
+        # no longer resolves the node ladder (design point 2 of the
+        # benchmark's oracle survey)
+        system = PhysicalSystem(V0=0.087, beta=0.364, m0=1.0, m1=0.12)
+        rows = approximation_error(system, 0, 0, [0.364, 0.182])
+        assert [row.status for row in rows] == ["ok", "grid_resolution"]
+        assert rows[0].abs_err <= 1e-12
+        last = rows[1]
+        assert last.beta == 0.182
+        assert last.E_approx is None and last.E_exact is None
+        assert last.abs_err is None and last.rel_err is None
 
     def test_s_channel_error_is_solver_noise(self, reference_system):
         rows = approximation_error(reference_system, 0, 0, [0.2])
