@@ -3,18 +3,15 @@ position-dependent mass: closed-form spectra via a hypergeometric-type
 reduction, a numerical root solver for the quantization condition, Jacobi
 wavefunctions, and an independent shooting-method oracle."""
 
-from .errors import (BranchMismatch, ComplexRegime, ConfigError,
-                     GridResolution, InvalidK, InvalidRegime, KGHulthenError,
-                     NoAdmissibleBranch, NoBoundState, NonNormalizable,
-                     NoRealK)
-from .model import (EnergyLevel, PhysicalSystem, QuantumNumbers, RadialGrid,
-                    default_grid)
+from .errors import (ComplexRegime, ConfigError, GridResolution, InvalidK,
+                     InvalidRegime, KGHulthenError, NoAdmissibleBranch,
+                     NoBoundState, NonNormalizable, NoRealK)
+from .model import EnergyLevel, PhysicalSystem, RadialGrid, default_grid
 from .nu_engine import (NUCandidate, NUProblem, NUSolution, all_candidates,
                         closure_functions, eigen_pair, k_candidates,
                         pi_from_k, select_candidate)
-from .specfun import (JacobiParams, QuadratureRule, endpoint_power_integral,
-                      gauss_jacobi_rule, gauss_legendre_rule, integrate,
-                      jacobi_derivative, jacobi_eval)
+from .specfun import (JacobiParams, endpoint_power_integral,
+                      gauss_jacobi_rule, jacobi_derivative, jacobi_eval)
 from .hulthen_analytic import (CoefficientSet, RadialWavefunction,
                                build_nu_problem, coefficients_at,
                                energy_closed_form, energy_constant_mass_s,
@@ -30,20 +27,18 @@ from .cli import RunConfig, execute, main, parse_config, serialize
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproxErrorRow", "BranchMismatch", "CoefficientSet", "ComplexRegime",
-    "ConfigError", "EnergyLevel", "GridResolution", "InvalidK",
-    "InvalidRegime", "JacobiParams", "KGHulthenError", "NUCandidate",
-    "NUProblem", "NUSolution", "NoAdmissibleBranch", "NoBoundState",
-    "NoRealK", "NonNormalizable", "PhysicalSystem", "QuadratureRule",
-    "QuantumNumbers", "RadialGrid", "RadialWavefunction", "RunConfig",
-    "ShootingDiagnostics", "ValidationCheck", "all_candidates",
+    "ApproxErrorRow", "CoefficientSet", "ComplexRegime", "ConfigError",
+    "EnergyLevel", "GridResolution", "InvalidK", "InvalidRegime",
+    "JacobiParams", "KGHulthenError", "NUCandidate", "NUProblem",
+    "NUSolution", "NoAdmissibleBranch", "NoBoundState", "NoRealK",
+    "NonNormalizable", "PhysicalSystem", "RadialGrid", "RadialWavefunction",
+    "RunConfig", "ShootingDiagnostics", "ValidationCheck", "all_candidates",
     "approximation_error", "build_nu_problem", "closure_functions",
     "coefficients_at", "default_grid", "eigen_pair", "energy_closed_form",
     "energy_constant_mass_s", "energy_root_solve", "execute",
     "find_bound_states", "endpoint_power_integral", "gauss_jacobi_rule",
-    "gauss_legendre_rule", "integrate", "jacobi_derivative", "jacobi_eval",
-    "k_candidates", "level_midpoint", "main", "ode_coefficient",
-    "origin_exponent_discriminant", "parse_config", "pi_from_k",
-    "quantization_residual", "run_validation", "satisfies_quantization",
-    "select_candidate", "serialize", "wavefunction",
+    "jacobi_derivative", "jacobi_eval", "k_candidates", "level_midpoint",
+    "main", "ode_coefficient", "origin_exponent_discriminant", "parse_config",
+    "pi_from_k", "quantization_residual", "run_validation",
+    "satisfies_quantization", "select_candidate", "serialize", "wavefunction",
 ]

@@ -19,7 +19,8 @@ import numpy as np
 from . import hulthen_analytic as ha
 from . import nu_engine as nu
 from . import oracle
-from .errors import ComplexRegime, InvalidRegime, NoBoundState
+from .errors import (ComplexRegime, GridResolution, InvalidRegime,
+                     NoBoundState)
 from .model import PhysicalSystem, RadialGrid, default_grid
 from .specfun import JacobiParams, jacobi_derivative, jacobi_eval
 
@@ -237,7 +238,7 @@ def run_validation(system: PhysicalSystem,
                 mode_diff = max(mode_diff, abs(da.energy - de.energy)
                                 / max(abs(de.energy), 1e-300))
             add("mode_agreement_l0", mode_diff, 1e-9)
-        except InvalidRegime:
+        except (InvalidRegime, GridResolution):
             add("oracle_agreement_l0", float("inf"), 1e-6)
 
     # 11-13. wavefunctions of the genuine states

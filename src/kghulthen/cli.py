@@ -279,20 +279,12 @@ def _oracle_rows(config: RunConfig, n: int, l: int, cache: dict):
                      key=lambda d: d.energy)
     rows = {b: (None, "no_bound_state") for b in ("lower", "upper")}
     if len(matches) == 1:
-        label = _nearest_branch(system, n, l, matches[0].energy)
+        label = ha.nearest_branch(system, n, l, matches[0].energy)
         rows[label] = (matches[0].energy, "ok")
     elif len(matches) >= 2:
         rows["lower"] = (matches[0].energy, "ok")
         rows["upper"] = (matches[-1].energy, "ok")
     return rows
-
-
-def _nearest_branch(system, n, l, E) -> str:
-    try:
-        lower, upper = ha.energy_closed_form(system, n, l)
-    except (InvalidRegime, NoBoundState):
-        return "upper"
-    return "lower" if abs(E - lower.value) < abs(E - upper.value) else "upper"
 
 
 def _spectrum_records(config: RunConfig):
@@ -379,7 +371,8 @@ def _approx_error_records(config: RunConfig):
              "E_approx": row.E_approx,
              "E_exact": row.E_exact,
              "abs_err": row.abs_err,
-             "rel_err": row.rel_err} for row in rows]
+             "rel_err": row.rel_err,
+             "status": row.status} for row in rows]
 
 
 def execute(config: RunConfig):

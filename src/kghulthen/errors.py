@@ -27,10 +27,6 @@ class NoAdmissibleBranch(KGHulthenError):
     normalizable weight exponents."""
 
 
-class BranchMismatch(KGHulthenError):
-    """A specific branch shape was requested but no candidate matches it."""
-
-
 class ComplexRegime(KGHulthenError):
     """Coefficients leave the real domain (a square root of a negative
     quantity would be needed), so real-valued analysis cannot proceed."""

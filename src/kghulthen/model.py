@@ -123,20 +123,6 @@ def _check_radius(r):
 
 
 @dataclass(frozen=True)
-class QuantumNumbers:
-    """Radial quantum number n (node count) and orbital momentum l."""
-
-    n: int
-    l: int
-
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 0):
-            raise ValueError("n must be a non-negative integer")
-        if not (isinstance(self.l, int) and self.l >= 0):
-            raise ValueError("l must be a non-negative integer")
-
-
-@dataclass(frozen=True)
 class EnergyLevel:
     """One solved energy.
 

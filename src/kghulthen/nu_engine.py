@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BranchMismatch, InvalidK, NoAdmissibleBranch, NoRealK
+from .errors import InvalidK, NoAdmissibleBranch, NoRealK
 
 _SIGMA = (0.0, 1.0, -1.0)          # z*(1-z), fixed for this engine
 _TOL = 1e-10
@@ -92,9 +92,6 @@ class NUCandidate:
     tau_slope: float
     weight_exponents: tuple
     xi_exponents: tuple
-
-    def tau_at_zero(self) -> float:
-        return self.tau[0]
 
 
 @dataclass(frozen=True)
@@ -190,51 +187,29 @@ def all_candidates(problem: NUProblem):
 def select_candidate(problem: NUProblem, candidates, policy: str = "default"):
     """Pick the branch used for bound states.
 
-    policy="default"
-        Keep candidates with decreasing tau and integrable weight
-        (both exponents > -1); among them prefer the largest tau(0),
-        breaking remaining ties by steeper slope.  Sort keys are rounded
-        to 12 significant digits so that mathematically equal values do
-        not tie-break on rounding noise.  Raises NoAdmissibleBranch when
-        nothing qualifies.
-    policy="nonprincipal"
-        Select the branch whose tau matches the shape built on the
-        *subdominant* origin exponent, tau(0) = 1 - 2*s with
-        s = sqrt(1/4 - u0); raises BranchMismatch when no candidate
-        agrees within 1e-10.
+    Keep candidates with decreasing tau and integrable weight (both
+    exponents > -1); among them prefer the largest tau(0), breaking
+    remaining ties by steeper slope.  Sort keys are rounded to 12
+    significant digits so that mathematically equal values do not
+    tie-break on rounding noise.  Raises NoAdmissibleBranch when nothing
+    qualifies, and ValueError for any ``policy`` but "default".
     """
-    if policy == "default":
-        keep = [c for c in candidates
-                if c.tau_slope < 0.0
-                and c.weight_exponents[0] > -1.0
-                and c.weight_exponents[1] > -1.0]
-        if not keep:
-            raise NoAdmissibleBranch(
-                "no branch with decreasing tau and integrable weight")
+    if policy != "default":
+        raise ValueError(f"unknown selection policy: {policy!r}")
+    keep = [c for c in candidates
+            if c.tau_slope < 0.0
+            and c.weight_exponents[0] > -1.0
+            and c.weight_exponents[1] > -1.0]
+    if not keep:
+        raise NoAdmissibleBranch(
+            "no branch with decreasing tau and integrable weight")
 
-        def _quant(x: float) -> float:
-            return float(f"{x:.12e}")
+    def _quant(x: float) -> float:
+        return float(f"{x:.12e}")
 
-        keep.sort(key=lambda c: (-_quant(c.tau_at_zero()),
-                                 _quant(c.tau_slope), _quant(c.k), c.sign))
-        return keep[0]
-    if policy == "nonprincipal":
-        u0, u1, u2 = problem.sigma_tilde
-        s_sq = 0.25 - u0
-        a_sq = -(u0 + u1 + u2)
-        if s_sq < 0.0 or a_sq < 0.0:
-            raise BranchMismatch("target branch shape is complex for this "
-                                 "coefficient set")
-        s_val = math.sqrt(s_sq)
-        a_val = math.sqrt(a_sq)
-        target = (1.0 - 2.0 * s_val, -2.0 * (a_val - s_val + 1.0))
-        for cand in candidates:
-            if (abs(cand.tau[0] - target[0]) <= _TOL * max(1.0, abs(target[0]))
-                    and abs(cand.tau[1] - target[1]) <= _TOL * max(1.0, abs(target[1]))):
-                return cand
-        raise BranchMismatch(
-            f"no candidate tau matches the target ({target[0]!r}, {target[1]!r})")
-    raise ValueError(f"unknown selection policy: {policy!r}")
+    keep.sort(key=lambda c: (-_quant(c.tau[0]),
+                             _quant(c.tau_slope), _quant(c.k), c.sign))
+    return keep[0]
 
 
 def eigen_pair(problem: NUProblem, candidate: NUCandidate, n: int):

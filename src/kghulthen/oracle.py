@@ -99,23 +99,12 @@ def ode_coefficient(system: PhysicalSystem, l: int, E: float, r,
 
 
 def _w_parts(system, l, mode, r):
-    """W split as w0(r) + w1(r)*E - (E/hbar_c)**2; returns (w0, w1)."""
-    if mode not in ("approx", "exact"):
-        raise ValueError(f"unknown mode: {mode!r}")
-    if l < 0:
-        raise ValueError("angular momentum l must be >= 0")
+    """W split as w0(r) + w1(r)*E - (E/hbar_c)**2; returns (w0, w1), built
+    on the system's own potential, mass and centrifugal profiles."""
     hc2 = system.hbar_c**2
-    r = np.asarray(r, dtype=float)
-    u = np.exp(-system.beta * r)
-    z = -np.expm1(-system.beta * r)
-    V = -system.V0 * u / z
-    m = system.m0 - system.m1 / z
-    if l == 0:
-        cf = np.zeros_like(z)
-    elif mode == "exact":
-        cf = l * (l + 1) / r**2
-    else:
-        cf = system.beta**2 * l * (l + 1) * u / z**2
+    V = np.asarray(system.potential_at(r))
+    m = np.asarray(system.mass_at(r))
+    cf = np.asarray(system.centrifugal_at(l, r, mode))
     return cf + (m * m - V * V) / hc2, 2.0 * V / hc2
 
 

@@ -2,10 +2,8 @@
 
 Jacobi polynomials are evaluated by the standard three-term recurrence,
 which is numerically stable for the degrees used here (well beyond n = 100).
-Three integration schemes are provided:
+Two integration schemes are provided:
 
-* composite Gauss-Legendre (``gauss_legendre_rule`` + ``integrate``) for
-  smooth integrands,
 * Gauss-Jacobi (``gauss_jacobi_rule``) for integrands that are a Jacobi
   weight times a polynomial — exact up to rounding,
 * a double-exponential rule (``endpoint_power_integral``) for integrals
@@ -17,7 +15,7 @@ Three integration schemes are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,49 +67,6 @@ def jacobi_derivative(params: JacobiParams, x):
         return float(z) if z.ndim == 0 else z
     lowered = JacobiParams(alpha=a + 1.0, beta=b + 1.0, n=n - 1)
     return 0.5 * (n + a + b + 1.0) * jacobi_eval(lowered, x)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Composite Gauss-Legendre rule: reference nodes/weights x panel count."""
-
-    nodes: tuple = field(repr=False)
-    weights: tuple = field(repr=False)
-    panels: int = 64
-
-    def __post_init__(self):
-        if len(self.nodes) != len(self.weights) or len(self.nodes) == 0:
-            raise ValueError("nodes and weights must be non-empty and equal length")
-        if self.panels < 1:
-            raise ValueError("panel count must be >= 1")
-
-
-def gauss_legendre_rule(points: int = 16, panels: int = 64) -> QuadratureRule:
-    """Build the default composite rule (16-point Gauss-Legendre x 64 panels)."""
-    nodes, weights = np.polynomial.legendre.leggauss(points)
-    return QuadratureRule(nodes=tuple(nodes), weights=tuple(weights),
-                          panels=panels)
-
-
-def integrate(f, interval, rule: QuadratureRule) -> float:
-    """Integrate f over [lo, hi] with the composite rule.
-
-    ``f`` must accept a numpy array of abscissae and return values of the
-    same shape; the rule is exact for polynomials of degree
-    2 * len(nodes) - 1 on each panel.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not hi > lo:
-        raise ValueError("integration interval must have hi > lo")
-    width = (hi - lo) / rule.panels
-    half = 0.5 * width
-    nodes = np.asarray(rule.nodes)
-    weights = np.asarray(rule.weights)
-    # all quadrature points in one flat array so f is called exactly once
-    mids = lo + width * (np.arange(rule.panels) + 0.5)
-    pts = (mids[:, None] + half * nodes[None, :]).ravel()
-    vals = np.asarray(f(pts), dtype=float).reshape(rule.panels, nodes.size)
-    return float(half * np.sum(vals @ weights))
 
 
 def gauss_jacobi_rule(alpha: float, beta: float, points: int):

@@ -239,6 +239,20 @@ class TestValidateRecords:
         assert all(tuple(r.keys()) == ("check", "status", "value",
                                        "tolerance") for r in records)
 
+    def test_unresolved_oracle_grid_is_a_failing_row(self, capsys):
+        # the default grid cannot resolve this system's l=0 oracle states
+        # (GridResolution): the battery reports it as one failing row
+        # instead of dying with a traceback
+        system = ["--V0", "0.1748", "--beta", "0.2458", "--m0", "1",
+                  "--m1", "0.2767"]
+        records = execute(_cfg("", command="validate", V0=0.1748,
+                               beta=0.2458, m0=1.0, m1=0.2767))
+        failing = [r for r in records if r["status"] == "fail"]
+        assert [(r["check"], r["value"]) for r in failing] \
+            == [("oracle_agreement_l0", float("inf"))]
+        assert main(["validate"] + system) == 1
+        assert "oracle_agreement_l0,fail,inf" in capsys.readouterr().out
+
 
 class TestSerialize:
     def test_csv_cells(self):
@@ -318,12 +332,24 @@ class TestMain:
         assert rc == 0
         out = capsys.readouterr().out
         lines = out.strip().split("\n")
-        assert lines[0] == "beta,E_approx,E_exact,abs_err,rel_err"
+        assert lines[0] == "beta,E_approx,E_exact,abs_err,rel_err,status"
         cells = lines[1].split(",")
         assert float(cells[1]) == pytest.approx(0.89679496494864397,
                                                 rel=1e-9)
         assert float(cells[2]) == pytest.approx(0.8974994916585266,
                                                 rel=1e-9)
+
+    def test_approx_error_status_tokens(self, capsys):
+        # at beta=0.4 neither mode binds an n=0, l=1 state; at beta=0.05
+        # the l=1 origin is over-attractive
+        rc = main(["approx-error", "--config", "configs/reference.json",
+                   "--l-max", "1", "--betas", "0.4,0.1,0.05"])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert [line.split(",")[-1] for line in lines] \
+            == ["status", "unmatched", "ok", "invalid_regime"]
+        assert lines[1].split(",")[1:5] == ["", "", "", ""]
+        assert lines[3].split(",")[1:5] == ["", "", "", ""]
 
     def test_json_format_flag(self, capsys):
         assert main(self.ARGS + ["--format", "json"]) == 0

@@ -5,15 +5,18 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from kghulthen import (PhysicalSystem, RadialGrid, coefficients_at,
+from kghulthen import (PhysicalSystem, RadialGrid, all_candidates,
+                       build_nu_problem, coefficients_at, eigen_pair,
                        energy_closed_form, energy_constant_mass_s,
                        energy_root_solve, level_midpoint,
                        origin_exponent_discriminant, quantization_residual,
                        satisfies_quantization, wavefunction)
 from kghulthen.checks import wavefunction_ode_residual
-from kghulthen.errors import (ComplexRegime, InvalidRegime, NoBoundState,
-                              NonNormalizable)
+from kghulthen.errors import (ComplexRegime, InvalidK, InvalidRegime,
+                              NoBoundState, NonNormalizable, NoRealK)
 
 from conftest import (REFERENCE_ALL_SPURIOUS, REFERENCE_PAIRS, REFERENCE_TRUE,
                       SET_A_TRUE, SET_B_TRUE, SET_C_TRUE)
@@ -194,6 +197,127 @@ class TestQuantizationResidual:
         m_inf = reference_system.asymptotic_mass
         assert not satisfies_quantization(reference_system, 0, 0, m_inf)
         assert not satisfies_quantization(reference_system, 0, 0, 1.5)
+
+
+def _engine_pair(system, n, l, E):
+    """(lambda, lambda_n) from the reduction engine on the branch whose
+    factor exponents are the decaying pair (s + 1/2, A); None where the
+    engine cannot build the branches or none matches."""
+    coeffs = coefficients_at(system, l, E)
+    problem = build_nu_problem(coeffs)
+    s = 0.5 * math.sqrt(1.0 + 4.0 * coeffs.a3_sq)
+    target = (s + 0.5, coeffs.A)
+    try:
+        candidates = all_candidates(problem)
+    except (InvalidK, NoRealK):
+        return None
+
+    def err(cand):
+        return max(abs(cand.xi_exponents[0] - target[0]),
+                   abs(cand.xi_exponents[1] - target[1]))
+
+    best = min(candidates, key=err)
+    if err(best) > 1e-8 * max(1.0, abs(target[0]), abs(target[1])):
+        return None
+    return eigen_pair(problem, best, n)
+
+
+def _lattice(system):
+    """The default 2001-point scan lattice of energy_root_solve."""
+    m_inf, eps = system.asymptotic_mass, 1e-9 * system.m0
+    return np.linspace(-m_inf + eps, m_inf - eps, 2001)
+
+
+def _scalar_roots(system, n, l):
+    """Point-by-point scan and bisection over quantization_residual: the
+    root solver's rule, one scalar residual call at a time."""
+    def f(E):
+        try:
+            return quantization_residual(system, n, l, E)
+        except ComplexRegime:
+            return None
+
+    grid = _lattice(system)
+    vals = [f(float(E)) for E in grid]
+    tol = 1e-12 * system.m0
+    roots = []
+    for i in range(grid.size - 1):
+        fa, fb = vals[i], vals[i + 1]
+        if fa is None or fb is None:
+            continue
+        if fa == 0.0:
+            roots.append(float(grid[i]))
+            continue
+        if fa * fb < 0.0:
+            a, b = float(grid[i]), float(grid[i + 1])
+            while b - a > tol:
+                mid = 0.5 * (a + b)
+                fm = f(mid)
+                if fm is None:
+                    break
+                if fa * fm <= 0.0:
+                    b = mid
+                else:
+                    a, fa = mid, fm
+            roots.append(0.5 * (a + b))
+    if vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    return sorted(roots)
+
+
+class TestResidualAgainstEngine:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(V0=st.floats(0.0, 0.3), beta=st.floats(0.05, 0.6),
+           m1=st.floats(0.0, 0.5), n=st.integers(0, 3), l=st.integers(0, 2),
+           u=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_closed_form_residual_matches_engine(self, V0, beta, m1, n, l,
+                                                 u):
+        system = PhysicalSystem(V0=V0, beta=beta, m0=1.0, m1=m1)
+        assume(origin_exponent_discriminant(system, l) >= 0.0)
+        E = u * system.asymptotic_mass
+        pair = _engine_pair(system, n, l, E)
+        assume(pair is not None)
+        lam, lam_n = pair
+        F = quantization_residual(system, n, l, E)
+        assert abs(F - (lam - lam_n)) <= 1e-10 * max(1.0, abs(lam_n))
+
+    # at some lattice energy of these systems a non-physical engine branch
+    # is degenerate and pi_from_k raises InvalidK; the residual never
+    # builds those branches
+    @pytest.mark.parametrize("V0,beta,m1,l", [(0.1666, 0.2659, 0.2771, 0),
+                                              (0.0795, 0.1591, 0.1464, 2)])
+    def test_degenerate_engine_branch_does_not_break_solver(self, V0, beta,
+                                                            m1, l):
+        system = PhysicalSystem(V0=V0, beta=beta, m0=1.0, m1=m1)
+        raised = False
+        for E in _lattice(system):
+            try:
+                all_candidates(build_nu_problem(
+                    coefficients_at(system, l, float(E))))
+            except InvalidK:
+                raised = True
+                break
+        assert raised
+        for n in range(4):
+            roots = {r.branch: r.value
+                     for r in energy_root_solve(system, n, l)}
+            closed = {lv.branch: lv.value
+                      for lv in energy_closed_form(system, n, l)
+                      if not lv.unbound
+                      and satisfies_quantization(system, n, l, lv.value)}
+            assert roots.keys() == closed.keys()
+            for branch, E in closed.items():
+                assert abs(roots[branch] - E) <= 1e-9 * abs(E)
+
+    @pytest.mark.parametrize("fixture", ["reference_system", "set_a",
+                                         "set_b", "set_c"])
+    def test_root_solve_matches_scalar_scan_bitwise(self, fixture, request):
+        system = request.getfixturevalue(fixture)
+        for n in range(3):
+            for l in range(2):
+                got = [r.value for r in energy_root_solve(system, n, l)]
+                assert got == _scalar_roots(system, n, l), (n, l)
 
 
 class TestMidpoint:

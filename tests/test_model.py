@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kghulthen import (EnergyLevel, PhysicalSystem, QuantumNumbers,
-                       RadialGrid, default_grid)
+from kghulthen import EnergyLevel, PhysicalSystem, RadialGrid, default_grid
 
 
 class TestPhysicalSystemValidation:
@@ -117,20 +116,6 @@ class TestProfiles:
             reference_system.centrifugal_at(-1, 1.0)
         with pytest.raises(ValueError, match="mode"):
             reference_system.centrifugal_at(1, 1.0, mode="wild")
-
-
-class TestQuantumNumbers:
-    def test_accepts_valid(self):
-        qn = QuantumNumbers(n=2, l=1)
-        assert (qn.n, qn.l) == (2, 1)
-
-    def test_rejects_negative_or_non_integer(self):
-        with pytest.raises(ValueError):
-            QuantumNumbers(n=-1, l=0)
-        with pytest.raises(ValueError):
-            QuantumNumbers(n=0, l=-2)
-        with pytest.raises(ValueError):
-            QuantumNumbers(n=1.5, l=0)
 
 
 class TestEnergyLevel:

@@ -9,8 +9,7 @@ from kghulthen import (JacobiParams, NUProblem, all_candidates,
                        build_nu_problem, closure_functions, coefficients_at,
                        eigen_pair, jacobi_derivative, jacobi_eval,
                        k_candidates, pi_from_k, select_candidate)
-from kghulthen.errors import (BranchMismatch, InvalidK, NoAdmissibleBranch,
-                              NoRealK)
+from kghulthen.errors import InvalidK, NoAdmissibleBranch, NoRealK
 
 SQRT2 = math.sqrt(2.0)
 
@@ -148,33 +147,6 @@ class TestSelection:
             cands = cands[rolled:] + cands[:rolled]
             again = select_candidate(prob, cands)
             assert again.xi_exponents[1] == pytest.approx(coeffs.A, rel=1e-12)
-
-    def test_nonprincipal_matches_subdominant_shape(self, fixture_system):
-        coeffs = coefficients_at(fixture_system, 1, 0.5)
-        prob = build_nu_problem(coeffs)
-        sel = select_candidate(prob, all_candidates(prob),
-                               policy="nonprincipal")
-        s = 0.5 * math.sqrt(1.0 + 4.0 * coeffs.a3_sq)
-        assert sel.tau[0] == pytest.approx(1.0 - 2.0 * s, rel=1e-10)
-        assert sel.tau[1] == pytest.approx(-2.0 * (coeffs.A - s + 1.0),
-                                           rel=1e-10)
-        # it differs from the default branch
-        default = select_candidate(prob, all_candidates(prob))
-        assert sel.tau[0] != pytest.approx(default.tau[0])
-
-    def test_nonprincipal_complex_shape_raises(self):
-        prob = NUProblem(sigma_tilde=(0.5, 0.0, 0.0))     # s^2 < 0
-        with pytest.raises(BranchMismatch, match="complex"):
-            select_candidate(prob, [], policy="nonprincipal")
-        prob = NUProblem(sigma_tilde=(0.2, 0.5, 0.0))     # tail^2 < 0
-        with pytest.raises(BranchMismatch, match="complex"):
-            select_candidate(prob, [], policy="nonprincipal")
-
-    def test_nonprincipal_no_matching_candidate_raises(self):
-        prob = NUProblem()                        # target tau is (0, -1)
-        only_minus = [c for c in all_candidates(prob) if c.sign == "minus"]
-        with pytest.raises(BranchMismatch, match="no candidate"):
-            select_candidate(prob, only_minus, policy="nonprincipal")
 
     def test_unknown_policy(self):
         prob = NUProblem()

@@ -1,4 +1,4 @@
-"""Special functions and quadrature: Jacobi polynomials, three rules."""
+"""Special functions and quadrature: Jacobi polynomials, two rules."""
 
 import math
 from fractions import Fraction
@@ -8,9 +8,8 @@ import pytest
 import scipy.special
 import sympy
 
-from kghulthen import (JacobiParams, QuadratureRule, endpoint_power_integral,
-                       gauss_jacobi_rule, gauss_legendre_rule, integrate,
-                       jacobi_derivative, jacobi_eval)
+from kghulthen import (JacobiParams, endpoint_power_integral,
+                       gauss_jacobi_rule, jacobi_derivative, jacobi_eval)
 
 
 def _beta_fn(a, b):
@@ -97,31 +96,6 @@ class TestJacobiDerivative:
         assert jacobi_derivative(params, 0.7) == 0.0
         out = jacobi_derivative(params, np.array([0.1, 0.2]))
         assert np.all(out == 0.0)
-
-
-class TestCompositeGaussLegendre:
-    def test_polynomial_exact(self):
-        rule = gauss_legendre_rule()
-        got = integrate(lambda x: x ** 3, (0.0, 1.0), rule)
-        assert got == pytest.approx(0.25, rel=1e-14)
-
-    def test_exponential_tail(self):
-        rule = gauss_legendre_rule()
-        got = integrate(np.exp, (-40.0, 0.0), rule)
-        assert got == pytest.approx(1.0 - math.exp(-40.0), rel=1e-13)
-
-    def test_interval_validation(self):
-        rule = gauss_legendre_rule()
-        with pytest.raises(ValueError):
-            integrate(np.exp, (1.0, 1.0), rule)
-
-    def test_rule_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=(), weights=(), panels=4)
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=(0.0,), weights=(1.0, 1.0), panels=4)
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=(0.0,), weights=(2.0,), panels=0)
 
 
 class TestGaussJacobiRule:
