@@ -32,6 +32,9 @@ _BRANCHES = ("lower", "upper", "both")
 _METHODS = ("closed_form", "quantization_root", "oracle")
 _FORMATS = ("csv", "json")
 _DEFAULT_BETAS = (0.4, 0.2, 0.1, 0.05)
+# an oracle sweep holds (points, energies) arrays: at 240 scan energies
+# this many points takes about 80 MB, five times the default grid
+_MAX_GRID_POINTS = 20_000
 # command -> default (n_max, l_max)
 _DEFAULT_RANGES = {"spectrum": (2, 1), "wavefunction": (0, 0),
                    "validate": (0, 0), "approx_error": (0, 1)}
@@ -187,6 +190,10 @@ def parse_config(source: str, overrides: dict) -> RunConfig:
         r_min = _require_number("grid.r_min", r_min, positive=True)
         r_max = _require_number("grid.r_max", r_max, positive=True)
         points = _require_index("grid.points", points)
+        if points > _MAX_GRID_POINTS:
+            raise ConfigError(
+                f"config key 'grid.points': at most {_MAX_GRID_POINTS} "
+                f"points are supported, got {points!r}")
         try:
             grid = RadialGrid(r_min=r_min, r_max=r_max, points=points)
         except ValueError as exc:

@@ -184,7 +184,7 @@ def all_candidates(problem: NUProblem):
     return out
 
 
-def select_candidate(problem: NUProblem, candidates, policy: str = "default"):
+def select_candidate(problem: NUProblem, candidates):
     """Pick the branch used for bound states.
 
     Keep candidates with decreasing tau and integrable weight (both
@@ -192,10 +192,8 @@ def select_candidate(problem: NUProblem, candidates, policy: str = "default"):
     remaining ties by steeper slope.  Sort keys are rounded to 12
     significant digits so that mathematically equal values do not
     tie-break on rounding noise.  Raises NoAdmissibleBranch when nothing
-    qualifies, and ValueError for any ``policy`` but "default".
+    qualifies.
     """
-    if policy != "default":
-        raise ValueError(f"unknown selection policy: {policy!r}")
     keep = [c for c in candidates
             if c.tau_slope < 0.0
             and c.weight_exponents[0] > -1.0

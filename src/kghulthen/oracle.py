@@ -11,16 +11,17 @@ Method: a fourth-order Runge-Kutta sweep outward from r_min and inward
 from r_max, matched at the classical turning point nearest r_max/3 (grid
 midpoint when no turning point exists).  The ODE is linear, so one RK4
 step is a fixed 2x2 linear map of (phi, phi'), and a sweep of S steps runs
-as a two-level scan over about sqrt(S) chunks of L = ceil(sqrt(S)) steps:
-every chunk's transfer matrix is built at once (L passes over a chunk x
-energy array), the chunk start states follow by chaining the matrices,
-and all chunks are then re-run together from those starts to record phi
-at the grid nodes.  That is about 3*sqrt(S) NumPy passes per direction
-instead of S; states are rescaled by positive factors along the way,
-which keeps node signs and the log-derivative.  Eigenvalues are bracketed
-by node count plus the sign of a Wronskian-normalized log-derivative
-mismatch, then refined by safeguarded false position to
-|dE| < 1e-10 * m0.
+as a two-level scan over about sqrt(S) chunks of L = ceil(sqrt(S)) steps,
+in one pass: every chunk's transfer matrix is built at once (L passes
+over a chunk x energy array, four map coefficients per pass), keeping the
+matrix's first row at each step that reaches a grid node and the whole
+matrix at each energy's matching step.  The chunk start states follow by
+chaining the matrices, and phi at a node is its kept first row applied
+to its chunk's start state.  States are rescaled by positive factors
+along the way, which keeps node signs and the log-derivative.
+Eigenvalues are bracketed by node count plus the sign of a
+Wronskian-normalized log-derivative mismatch, then refined by safeguarded
+false position to |dE| < 1e-10 * m0.
 
 Two implementation notes, both measured necessities rather than choices:
 
@@ -130,23 +131,6 @@ def _origin_series(system, l):
     return c2, cm1_const, cm1_lin, g
 
 
-def _rk4_step(phi, p, h, Wa, Wm, Wb):
-    """One RK4 step of (phi, p)' = (p, W phi) with W sampled at the step's
-    start, midpoint and end."""
-    k1p = Wa * phi
-    phi2 = phi + 0.5 * h * p
-    p2 = p + 0.5 * h * k1p
-    k2p = Wm * phi2
-    phi3 = phi + 0.5 * h * p2
-    p3 = p + 0.5 * h * k2p
-    k3p = Wm * phi3
-    phi4 = phi + h * p3
-    p4 = p + h * k3p
-    k4p = Wb * phi4
-    return (phi + h / 6.0 * (p + 2.0 * p2 + 2.0 * p3 + p4),
-            p + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
-
-
 def _ladder(r_min, h, cells):
     """Geometric node ladder covering the first ``cells`` grid cells.
 
@@ -173,17 +157,24 @@ def _ladder(r_min, h, cells):
 class _Steps(NamedTuple):
     """One sweep direction as a flat list of S RK4 steps, padded with
     identity steps (h = 0) to C chunks of L = ceil(sqrt(S)) steps and stored
-    step-major, so row j holds step j of every chunk."""
+    step-major, so row j holds step j of every chunk.
+
+    W is sampled at each step's start, midpoint and end; a step starts on
+    the sample the one before it ended on.  Sample tables hold rows
+    (w0, w1, 1), so that ``table @ (1, E, -E**2/hbar_c**2)`` is W."""
 
     h: np.ndarray        # (L, C) step lengths
-    w: np.ndarray        # (6, L, C) w0, w1 at each step's start, mid, end
+    first: np.ndarray    # (C, 3) sample at the start of every chunk
+    w: np.ndarray        # (L, 2C, 3) samples at every step's midpoint, end
     node: np.ndarray     # (L, C) grid node a step reaches, or -1
     reach: np.ndarray    # (K,) flat index of the step reaching each node
     start: int           # the node the sweep starts from
+    spans: tuple         # (chunk, lo, hi): chunk reaches nodes lo .. hi - 1
 
 
 def _chunked(h, w, node, start):
-    """_Steps from flat per-step arrays: h (S,), w (6, S), node (S,)."""
+    """_Steps from flat arrays: h (S,), w (2, 2S + 1) = (w0, w1) at the
+    start, midpoint, end, midpoint, end, ... of the steps, node (S,)."""
     S = h.size
     L = math.isqrt(S - 1) + 1
     C = -(-S // L)
@@ -191,11 +182,18 @@ def _chunked(h, w, node, start):
     reach = np.full(max(start, node.max()) + 1, -1)
     reach[node[node >= 0]] = np.flatnonzero(node >= 0)
     h = np.concatenate([h, np.zeros(pad)])
-    w = np.concatenate([w, np.zeros((6, pad))], axis=1)
-    node = np.concatenate([node, np.full(pad, -1)])
-    return _Steps(np.ascontiguousarray(h.reshape(C, L).T),
-                  np.ascontiguousarray(w.reshape(6, C, L).transpose(0, 2, 1)),
-                  np.ascontiguousarray(node.reshape(C, L).T), reach, start)
+    w = np.concatenate([w, np.zeros((2, 2 * pad))], axis=1)
+    node = np.concatenate([node, np.full(pad, -1)]).reshape(C, L)
+    # a chunk's nodes are contiguous: steps visit the nodes in order
+    spans = tuple((c, int(row[row >= 0].min()), int(row.max()) + 1)
+                  for c, row in enumerate(node) if row.max() >= 0)
+    first = np.ones((C, 3))
+    first[:, :2] = w[:, :-1:2 * L].T
+    mid_end = np.ones((L, 2, C, 3))
+    mid_end[..., :2] = w[:, 1:].reshape(2, C, L, 2).transpose(2, 3, 1, 0)
+    return _Steps(np.ascontiguousarray(h.reshape(C, L).T), first,
+                  mid_end.reshape(L, 2 * C, 3), np.ascontiguousarray(node.T),
+                  reach, start, spans)
 
 
 @lru_cache(maxsize=64)
@@ -209,28 +207,24 @@ def _tables(system, l, mode, grid):
     h = grid.spacing
     cells = min(300, K // 4)
     pts, mark = _ladder(grid.r_min, h, cells)
-    lw0a, lw1a = _w_parts(system, l, mode, pts)
-    lw0m, lw1m = _w_parts(system, l, mode, 0.5 * (pts[:-1] + pts[1:]))
     rr = grid.r_min + 0.5 * h * np.arange(2 * K - 1)
-    w0, w1 = _w_parts(system, l, mode, rr)
-    if not (np.isfinite(w0[0]) and np.isfinite(w1[0])):
+    ladder = np.empty(2 * pts.size - 1)
+    ladder[::2] = pts
+    ladder[1::2] = 0.5 * (pts[:-1] + pts[1:])
+    w_out = np.array(_w_parts(system, l, mode,
+                              np.concatenate([ladder, rr[2 * cells + 1:]])))
+    if not np.all(np.isfinite(w_out[:, 0])):
         raise InvalidRegime(
             f"ODE coefficient not finite at r_min={grid.r_min!r}; "
             "the origin offset is too small for these parameters")
 
     lnode = np.full(len(pts) - 1, -1)
     lnode[mark[1:] - 1] = np.arange(1, cells + 1)
-    i = 2 * np.arange(cells, K - 1)
     outward = _chunked(
-        np.concatenate([np.diff(pts), np.full(i.size, h)]),
-        np.concatenate([[lw0a[:-1], lw1a[:-1], lw0m, lw1m, lw0a[1:], lw1a[1:]],
-                        [w0[i], w1[i], w0[i + 1], w1[i + 1], w0[i + 2],
-                         w1[i + 2]]], axis=1),
+        np.concatenate([np.diff(pts), np.full(K - 1 - cells, h)]), w_out,
         np.concatenate([lnode, np.arange(cells + 1, K)]), 0)
-    i = 2 * np.arange(K - 1, 0, -1)
     inward = _chunked(
-        np.full(K - 1, -h),
-        np.array([w0[i], w1[i], w0[i - 1], w1[i - 1], w0[i - 2], w1[i - 2]]),
+        np.full(K - 1, -h), np.array(_w_parts(system, l, mode, rr[::-1])),
         np.arange(K - 2, -1, -1), K - 1)
     return outward, inward
 
@@ -244,9 +238,29 @@ def _rescale(phi, p, axes=()):
     return phi / scale, p / scale
 
 
-def _sweep(steps, phi, p, E, E2, match_idx):
+def _rk4_map(h, Wa, Wm, Wb):
+    """One RK4 step of (phi, p)' = (p, W phi), W sampled at the step's
+    start, midpoint and end, as its 2x2 matrix (m11, m12, m21, m22):
+
+        m11 = 1 + h^2/6 (Wa + 2 Wm) + h^4/24 Wm Wa
+        m12 = h + h^3/6 Wm
+        m21 = h/6 [Wa + 4 Wm + Wb + h^2/2 Wm (Wa + Wb)]
+        m22 = 1 + h^2/6 (2 Wm + Wb) + h^4/24 Wb Wm
+    """
+    q = h * h / 6.0
+    a, m, b = q * Wa, q * Wm, q * Wb
+    m2 = m + m
+    ab = Wa + Wb
+    return (1.0 + (a + m2 + 1.5 * (m * a)),
+            h + h * m,
+            h / 6.0 * (ab + 4.0 * Wm + 3.0 * (m * ab)),
+            1.0 + (b + m2 + 1.5 * (m * b)))
+
+
+def _sweep(steps, phi, p, EX, match_idx):
     """Run one direction for a batch of energies from the start state
-    (phi, p), as a two-level scan over the chunks of ``steps``.
+    (phi, p), as a two-level scan over the chunks of ``steps``; EX holds
+    the rows (1, E, -E**2/hbar_c**2).
 
     Returns (flips, phi_m, p_m): flips[k] marks a sign change of phi
     between grid nodes k and k + 1, shape (K - 1, B), and (phi_m, p_m) is
@@ -254,22 +268,41 @@ def _sweep(steps, phi, p, E, E2, match_idx):
     factor (each chunk carries its own scale).
     """
     L, C = steps.h.shape
-    B = E.size
+    B = EX.shape[1]
+    K = steps.reach.size
+    h = steps.h[..., None]
 
-    def W(j, k):            # W at sample k (start, mid, end) of step row j
-        return (steps.w[2 * k, j][:, None] + steps.w[2 * k + 1, j][:, None]
-                * E - E2)
-
-    # 1. transfer matrix of every chunk: both unit vectors at once
+    # 1. transfer matrix of every chunk, its columns the images of (1, 0)
+    # and (0, 1); its first row is kept at every node-reaching step, the
+    # whole matrix at each energy's match step
     mphi = np.zeros((2, C, B))
     mp = np.zeros((2, C, B))
     mphi[0] = 1.0
     mp[1] = 1.0
+    rows = np.empty((2, K, B))
+    s = steps.reach[match_idx]
+    mc = np.where(s < 0, 0, s // L)
+    mj = np.where(s < 0, -1, s % L)
+    cap = {j: np.flatnonzero(mj == j) for j in set(mj.tolist())}
+    cphi = np.zeros((2, B))
+    cp = np.zeros((2, B))
+    cphi[0] = 1.0
+    cp[1] = 1.0
+    Wa = steps.first @ EX
     for j in range(L):
-        mphi, mp = _rk4_step(mphi, mp, steps.h[j][:, None], W(j, 0), W(j, 1),
-                             W(j, 2))
+        Wm, Wb = (steps.w[j] @ EX).reshape(2, C, B)
+        m11, m12, m21, m22 = _rk4_map(h[j], Wa, Wm, Wb)
+        Wa = Wb
+        mphi, mp = m11 * mphi + m12 * mp, m21 * mphi + m22 * mp
         if (j & 63) == 63:
             mphi, mp = _rescale(mphi, mp, 0)
+        node = steps.node[j]
+        hit = node >= 0
+        rows[:, node[hit]] = mphi[:, hit]
+        if j in cap:
+            cols = cap[j]
+            cphi[:, cols] = mphi[:, mc[cols], cols]
+            cp[:, cols] = mp[:, mc[cols], cols]
 
     # 2. start state of every chunk: chain the matrices
     sphi = np.empty((C, B))
@@ -279,30 +312,19 @@ def _sweep(steps, phi, p, E, E2, match_idx):
         phi, p = _rescale(mphi[0, c] * phi + mphi[1, c] * p,
                           mp[0, c] * phi + mp[1, c] * p)
 
-    # 3. trajectory: re-run all chunks from their start states
-    traj = np.empty((steps.reach.size, B))
+    # 3. phi at the nodes: each chunk's kept first rows applied to its
+    # start state, in place
+    traj, tail = rows
     traj[steps.start] = sphi[0]
-    s = steps.reach[match_idx]
-    mc, mj = np.divmod(s, L)
-    mj[s < 0] = -1
-    cols = np.arange(B)
-    phi_m = np.where(s < 0, sphi[0], 0.0)
-    p_m = np.where(s < 0, sp[0], 0.0)
-    phi, p = sphi, sp
-    for j in range(L):
-        phi, p = _rk4_step(phi, p, steps.h[j][:, None], W(j, 0), W(j, 1),
-                           W(j, 2))
-        node = steps.node[j]
-        hit = node >= 0
-        traj[node[hit]] = phi[hit]
-        cap = mj == j
-        phi_m = np.where(cap, phi[mc, cols], phi_m)
-        p_m = np.where(cap, p[mc, cols], p_m)
-        if (j & 63) == 63:
-            phi, p = _rescale(phi, p)
-    sgn = np.where(traj >= 0.0, 1.0, -1.0)
-    flips = (sgn[:-1] * sgn[1:] < 0) & (traj[1:] != 0.0) & (traj[:-1] != 0.0)
-    return flips, phi_m, p_m
+    for c, lo, hi in steps.spans:
+        traj[lo:hi] *= sphi[c]
+        tail[lo:hi] *= sp[c]
+        traj[lo:hi] += tail[lo:hi]
+    neg = ~(traj >= 0.0)
+    nonzero = traj != 0.0
+    flips = (neg[:-1] != neg[1:]) & nonzero[1:] & nonzero[:-1]
+    phi, p = sphi[mc, np.arange(B)], sp[mc, np.arange(B)]
+    return flips, cphi[0] * phi + cphi[1] * p, cp[0] * phi + cp[1] * p
 
 
 def _shoot(system, l, mode, E, grid, match_idx):
@@ -317,31 +339,30 @@ def _shoot(system, l, mode, E, grid, match_idx):
     match_idx = np.broadcast_to(np.asarray(match_idx, int), (B,)).copy()
     K = grid.points
     outward, inward = _tables(system, l, mode, grid)
-    E2 = (E / system.hbar_c) ** 2
+    EX = np.array([np.ones(B), E, -(E / system.hbar_c) ** 2])
+    row = np.arange(K - 1)[:, None]
 
     _, cm1c, cm1l, g = _origin_series(system, l)
     c1 = (cm1c + cm1l * E) / (2.0 * g)
 
     # ---- outward sweep: series start at r_min
     phi, p = _rescale(1.0 + c1 * grid.r_min, g / grid.r_min + c1 * (g + 1.0))
-    flips, out_phi, out_p = _sweep(outward, phi, p, E, E2, match_idx)
-    cum = np.cumsum(flips, axis=0)
-    cols = np.arange(B)
-    n_out = np.where(match_idx > 0, cum[np.maximum(match_idx - 1, 0), cols], 0)
+    flips, out_phi, out_p = _sweep(outward, phi, p, EX, match_idx)
+    nodes = np.count_nonzero(flips & (row < match_idx), axis=0)
 
     # ---- inward sweep: exponentially decaying start at r_max, where the
     # first inward step starts
-    W_end = np.maximum(inward.w[0, 0, 0] + inward.w[1, 0, 0] * E - E2, 0.0)
-    flips, in_phi, in_p = _sweep(inward, np.ones(B), -np.sqrt(W_end), E, E2,
+    W_end = np.maximum(inward.first[0] @ EX, 0.0)
+    flips, in_phi, in_p = _sweep(inward, np.ones(B), -np.sqrt(W_end), EX,
                                  match_idx)
-    cum_i = np.cumsum(flips[::-1], axis=0)[::-1]
-    n_in = cum_i[np.minimum(match_idx, K - 2), cols]
+    nodes += np.count_nonzero(
+        flips & (row >= np.minimum(match_idx, K - 2)), axis=0)
 
     # Wronskian-form mismatch: zero exactly when log-derivatives agree,
     # free of poles at nodes of either sweep
     wr = out_p * in_phi - in_p * out_phi
     mism = wr / (np.abs(out_p * in_phi) + np.abs(in_p * out_phi) + 1e-300)
-    return mism, n_out + n_in
+    return mism, nodes
 
 
 def _turning_indices(system, l, mode, E, grid):

@@ -112,6 +112,12 @@ class TestParseConfigErrors:
         assert "expected an object" in self._err(
             '{"V0": 0.1, "beta": 0.2, "m0": 1.0, "grid": 7}')
         assert "at least 100" in self._err(grid_points=50)
+        # rejected while parsing, before any grid-sized array exists
+        assert "at most 20000 points" in self._err(grid_points=20_001)
+        assert "at most 20000 points" in self._err(
+            '{"V0": 0.1, "beta": 0.2, "m0": 1.0, "grid": {"points": '
+            '1000000000000}}')
+        assert _cfg(grid_points=20_000).grid.points == 20_000
         assert "must be positive" in self._err(grid_r_min=-1.0)
 
     def test_betas_errors(self):
@@ -364,3 +370,17 @@ class TestMain:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert proc.stdout == GOLDEN_SPECTRUM
+
+    def test_package_entry_point(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kghulthen"] + self.ARGS,
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout == GOLDEN_SPECTRUM
+        assert proc.stderr == ""
+        proc = subprocess.run(
+            [sys.executable, "-m", "kghulthen", "spectrum", "--V0", "0.1",
+             "--beta", "0.2", "--m0", "1.0", "--grid-points", "10000000"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "at most 20000 points" in proc.stderr

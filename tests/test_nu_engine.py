@@ -148,11 +148,6 @@ class TestSelection:
             again = select_candidate(prob, cands)
             assert again.xi_exponents[1] == pytest.approx(coeffs.A, rel=1e-12)
 
-    def test_unknown_policy(self):
-        prob = NUProblem()
-        with pytest.raises(ValueError, match="policy"):
-            select_candidate(prob, all_candidates(prob), policy="best")
-
 
 class TestSpectralData:
     def test_eigen_pair_values(self):

@@ -208,6 +208,26 @@ def _stepwise_shoot(system, l, mode, E, grid, match_idx):
 
 
 class TestChunkedSweep:
+    def test_rk4_map_is_one_rk4_step(self):
+        # the four coefficients are the images of (1, 0) and (0, 1) under
+        # one reference RK4 step, to 1e-14 of each coefficient's own scale
+        rng = np.random.default_rng(7)
+        h = rng.uniform(-0.5, 0.5, 2000)
+        h[:20] = 0.0
+        Wa, Wm, Wb = rng.uniform(-20.0, 20.0, (3, h.size))
+        one, zero = np.ones(h.size), np.zeros(h.size)
+        (m11, m21), (m12, m22) = (_rk4(one, zero, h, Wa, Wm, Wb),
+                                  _rk4(zero, one, h, Wa, Wm, Wb))
+        got = oracle._rk4_map(h, Wa, Wm, Wb)
+        scale = (1.0, np.abs(h),
+                 np.abs(h) * (np.abs(Wa) + 4.0 * np.abs(Wm) + np.abs(Wb))
+                 / 6.0, 1.0)
+        for g, want, s in zip(got, (m11, m12, m21, m22), scale):
+            assert np.all(np.abs(g - want) <= 1e-14 * s)
+        # h = 0 is the identity, exactly
+        assert np.all(got[0][:20] == 1.0) and np.all(got[3][:20] == 1.0)
+        assert np.all(got[1][:20] == 0.0) and np.all(got[2][:20] == 0.0)
+
     @pytest.mark.parametrize("name", ["reference_system", "set_a"])
     @pytest.mark.parametrize("points", [100, 120, 4000])
     def test_matches_stepwise_sweep(self, name, points, request):
@@ -235,8 +255,8 @@ class TestChunkedSweep:
             assert np.array_equal(got_n, want_n[sel])
 
     @pytest.mark.parametrize("window, widths", [
-        # scan, both ends of the one bracket, 8 Illinois steps, final
-        ((0.7, 0.8), [60, 2] + [1] * 8 + [1]),
+        # scan, both ends of the one bracket, 7 Illinois steps, final
+        ((0.7, 0.8), [60, 2] + [1] * 7 + [1]),
         # scan, both node-count jumps subdivided in one sweep, both ends of
         # two brackets, 8 Illinois steps, final
         (None, [240, 34, 4] + [2] * 8 + [2])])
