@@ -21,7 +21,8 @@ from . import nu_engine as nu
 from . import oracle
 from .errors import (ComplexRegime, GridResolution, InvalidRegime,
                      NoBoundState)
-from .model import PhysicalSystem, RadialGrid, default_grid
+from .model import (PhysicalSystem, RadialGrid, binding_window,
+                    default_grid)
 from .specfun import JacobiParams, jacobi_derivative, jacobi_eval
 
 _N_MAX, _L_MAX = 2, 1      # quantum-number range the battery sweeps
@@ -35,22 +36,6 @@ class ValidationCheck:
     passed: bool
     value: float
     tolerance: float
-
-
-def _genuine_levels(system):
-    """Closed-form levels that actually satisfy the quantization condition."""
-    out = []
-    for l in range(_L_MAX + 1):
-        for n in range(_N_MAX + 1):
-            try:
-                lower, upper = ha.energy_closed_form(system, n, l)
-            except (InvalidRegime, NoBoundState):
-                continue
-            for level in (lower, upper):
-                if not level.unbound and ha.satisfies_quantization(
-                        system, n, l, level.value):
-                    out.append(level)
-    return out
 
 
 def wavefunction_ode_residual(system, n, l, E, points: int = 50) -> float:
@@ -115,7 +100,8 @@ def run_validation(system: PhysicalSystem,
     add("coefficient_energy_independence", drift, 0.0)
 
     # 2. every reduction constant k squares the radicand (discriminant zero)
-    worst = 0.0
+    # 3. tau = tau_tilde + 2*pi on the selected branch, coefficientwise
+    disc_worst = shape_worst = 0.0
     for l in range(_L_MAX + 1):
         coeffs = ha.coefficients_at(system, l, 0.25 * system.asymptotic_mass)
         if coeffs.A is None or 1.0 + 4.0 * coeffs.a3_sq < 0.0:
@@ -124,49 +110,45 @@ def run_validation(system: PhysicalSystem,
         for k in nu.k_candidates(problem):
             c0, c1, c2 = nu._radicand_coeffs(problem, k)
             scale = max(1.0, abs(c0), abs(c1), abs(c2)) ** 2
-            worst = max(worst, abs(c1 * c1 - 4.0 * c0 * c2) / scale)
-    add("reduction_discriminant_zero", worst, 1e-10)
-
-    # 3. tau = tau_tilde + 2*pi on the selected branch, coefficientwise
-    worst = 0.0
-    for l in range(_L_MAX + 1):
-        coeffs = ha.coefficients_at(system, l, 0.25 * system.asymptotic_mass)
-        if coeffs.A is None or 1.0 + 4.0 * coeffs.a3_sq < 0.0:
-            continue
-        problem = ha.build_nu_problem(coeffs)
+            disc_worst = max(disc_worst, abs(c1 * c1 - 4.0 * c0 * c2) / scale)
         cand = nu.select_candidate(problem, nu.all_candidates(problem))
         for got, t, p in zip(cand.tau, problem.tau_tilde, cand.pi):
-            worst = max(worst, abs(got - (t + 2.0 * p)))
-    add("branch_shape_consistency", worst, 1e-12)
+            shape_worst = max(shape_worst, abs(got - (t + 2.0 * p)))
+    add("reduction_discriminant_zero", disc_worst, 1e-10)
+    add("branch_shape_consistency", shape_worst, 1e-12)
 
-    genuine = _genuine_levels(system)
+    # the real closed-form pairs, (n, l) -> (lower, upper), and the levels
+    # among them that are bound and satisfy the condition
+    pairs = {}
+    for l in range(_L_MAX + 1):
+        for n in range(_N_MAX + 1):
+            try:
+                pairs[n, l] = ha.energy_closed_form(system, n, l)
+            except (InvalidRegime, NoBoundState):
+                pass
+    levels = [level for pair in pairs.values() for level in pair]
+    genuine = [level for level in levels if not level.unbound
+               and ha.satisfies_quantization(system, level.n, level.l,
+                                             level.value)]
     add("bound_states_found", 1.0 if not genuine else 0.0, 0.0)
 
     # 4. closed-form energies sit on the quantization condition
     #    (or carry the reflected-root signature of the squaring step)
     worst = 0.0
-    for l in range(_L_MAX + 1):
-        for n in range(_N_MAX + 1):
-            try:
-                pair = ha.energy_closed_form(system, n, l)
-            except (InvalidRegime, NoBoundState):
-                continue
-            for level in pair:
-                if level.unbound:
-                    continue
-                E = level.value
-                try:
-                    res = ha.quantization_residual(system, n, l, E)
-                except ComplexRegime:
-                    continue
-                coeffs = ha.coefficients_at(system, l, E)
-                s = 0.5 * math.sqrt(1.0 + 4.0 * coeffs.a3_sq)
-                N = 2.0 * n + 1.0 + 2.0 * s
-                lam_n = 2.0 * n * (coeffs.A + s + 1.0) + n * (n - 1)
-                scale = max(1.0, abs(lam_n))
-                direct = abs(res) / scale
-                reflected = abs(res + 2.0 * coeffs.A * N) / scale
-                worst = max(worst, min(direct, reflected))
+    for level in levels:
+        if level.unbound:
+            continue
+        n, l, E = level.n, level.l, level.value
+        try:
+            res = ha.quantization_residual(system, n, l, E)
+        except ComplexRegime:
+            continue
+        A = ha.coefficients_at(system, l, E).A
+        s = ha._origin_half_exponent(system, l)
+        scale = ha.residual_scale(n, A, s)
+        direct = abs(res) / scale
+        reflected = abs(res + 2.0 * A * (2.0 * n + 1.0 + 2.0 * s)) / scale
+        worst = max(worst, min(direct, reflected))
     add("quantization_at_closed_form", worst, 1e-8)
 
     # 5. closed form vs independent root finding
@@ -181,9 +163,10 @@ def run_validation(system: PhysicalSystem,
     # 6. constant-mass reduction (only defined for m1 = 0)
     if system.m1 == 0.0:
         worst = 0.0
-        for n in range(_N_MAX + 1):
+        for (n, l), general in pairs.items():
+            if l != 0:
+                continue
             try:
-                general = ha.energy_closed_form(system, n, 0)
                 special = ha.energy_constant_mass_s(system, n)
             except (InvalidRegime, NoBoundState):
                 continue
@@ -195,26 +178,22 @@ def run_validation(system: PhysicalSystem,
     # 7. the two branches are mirror partners about the closed form's
     #    E-independent midpoint
     worst = 0.0
-    for l in range(_L_MAX + 1):
-        for n in range(_N_MAX + 1):
-            try:
-                lower, upper = ha.energy_closed_form(system, n, l)
-            except (InvalidRegime, NoBoundState):
-                continue
-            mid = ha.level_midpoint(system, n, l)
-            total = lower.value + upper.value
-            worst = max(worst, abs(total - 2.0 * mid) / max(1.0, abs(total)))
+    for lower, upper in pairs.values():
+        mid = ha.level_midpoint(system, lower.n, lower.l)
+        total = lower.value + upper.value
+        worst = max(worst, abs(total - 2.0 * mid) / max(1.0, abs(total)))
     add("branch_midpoint_identity", worst, 1e-12)
 
-    # 8-10. shooting oracle: agreement, node counts, mode independence at l=0
+    # 8-10. shooting oracle: agreement, node counts, mode independence at
+    # l=0; oracle states are labelled by node count and branch_labels, so
+    # a Klein-Gordon pair sharing n meets its lower and upper levels
     targets = sorted((lv for lv in genuine if lv.l == 0),
                      key=lambda lv: lv.value)
     if targets:
         pad = 0.01 * system.asymptotic_mass
-        window = (max(targets[0].value - pad,
-                      -system.asymptotic_mass + 1e-9 * system.m0),
-                  min(targets[-1].value + pad,
-                      system.asymptotic_mass - 1e-9 * system.m0))
+        lo, hi = binding_window(system)
+        window = (max(targets[0].value - pad, lo),
+                  min(targets[-1].value + pad, hi))
         try:
             approx = oracle.find_bound_states(system, 0, window=window,
                                               mode="approx", grid=grid,
@@ -222,14 +201,20 @@ def run_validation(system: PhysicalSystem,
             exact = oracle.find_bound_states(system, 0, window=window,
                                              mode="exact", grid=grid,
                                              scan_points=60)
+            labelled = {}
+            for n in sorted({d.node_count for d in approx}):
+                same = [d.energy for d in approx if d.node_count == n]
+                for E, branch in zip(same, ha.branch_labels(system, n, 0,
+                                                            same)):
+                    labelled.setdefault((n, branch), []).append(E)
             worst = 0.0
             node_bad = 0.0
             for level in targets:
-                match = [d for d in approx if d.node_count == level.n]
+                match = labelled.get((level.n, level.branch), [])
                 if len(match) != 1:
                     node_bad += 1.0
                     continue
-                worst = max(worst, abs(match[0].energy - level.value)
+                worst = max(worst, abs(match[0] - level.value)
                             / max(abs(level.value), 1e-300))
             add("oracle_agreement_l0", worst, 1e-6)
             add("oracle_node_counts", node_bad, 0.0)

@@ -20,6 +20,8 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import checks as checks_mod
 from . import hulthen_analytic as ha
 from . import oracle
@@ -35,6 +37,9 @@ _DEFAULT_BETAS = (0.4, 0.2, 0.1, 0.05)
 # an oracle sweep holds (points, energies) arrays: at 240 scan energies
 # this many points takes about 80 MB, five times the default grid
 _MAX_GRID_POINTS = 20_000
+# every (n, l) up to these costs a solve, every beta two oracle scans
+_MAX_QUANTUM_NUMBER = 100
+_MAX_BETAS = 64
 # command -> default (n_max, l_max)
 _DEFAULT_RANGES = {"spectrum": (2, 1), "wavefunction": (0, 0),
                    "validate": (0, 0), "approx_error": (0, 1)}
@@ -75,14 +80,14 @@ def _require_number(key: str, value, positive: bool = False) -> float:
     return out
 
 
-def _require_index(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+def _require_index(key: str, value, most: Optional[int] = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ConfigError(
             f"config key '{key}': expected a non-negative integer, "
             f"got {value!r}")
-    if value < 0:
+    if most is not None and value > most:
         raise ConfigError(
-            f"config key '{key}': expected a non-negative integer, "
+            f"config key '{key}': at most {most} is supported, "
             f"got {value!r}")
     return value
 
@@ -149,8 +154,10 @@ def parse_config(source: str, overrides: dict) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
     default_n, default_l = _DEFAULT_RANGES[command]
-    n_max = _require_index("n_max", merged.get("n_max", default_n))
-    l_max = _require_index("l_max", merged.get("l_max", default_l))
+    n_max = _require_index("n_max", merged.get("n_max", default_n),
+                           _MAX_QUANTUM_NUMBER)
+    l_max = _require_index("l_max", merged.get("l_max", default_l),
+                           _MAX_QUANTUM_NUMBER)
     branch = _require_choice("branch", merged.get("branch", "both"),
                              _BRANCHES)
     method = _require_choice("method", merged.get("method",
@@ -210,6 +217,10 @@ def parse_config(source: str, overrides: dict) -> RunConfig:
     if not isinstance(betas_spec, (list, tuple)) or not betas_spec:
         raise ConfigError("config key 'betas': expected a non-empty list "
                           "of screening parameters")
+    if len(betas_spec) > _MAX_BETAS:
+        raise ConfigError(
+            f"config key 'betas': at most {_MAX_BETAS} screening parameters "
+            f"are supported, got {len(betas_spec)}")
     betas = tuple(_require_number(f"betas[{i}]", b, positive=True)
                   for i, b in enumerate(betas_spec))
 
@@ -267,31 +278,31 @@ def _root_rows(config: RunConfig, n: int, l: int):
     return rows
 
 
-def _oracle_states(config: RunConfig, l: int, cache: dict):
-    if l not in cache:
-        cache[l] = oracle.find_bound_states(
-            config.system, l, mode="approx", grid=config.grid)
-    return cache[l]
-
-
 def _oracle_rows(config: RunConfig, n: int, l: int, cache: dict):
-    system = config.system
     try:
-        states = _oracle_states(config, l, cache)
+        if l not in cache:
+            cache[l] = oracle.find_bound_states(
+                config.system, l, mode="approx", grid=config.grid)
     except InvalidRegime:
         return {b: (None, "invalid_regime") for b in ("lower", "upper")}
     except GridResolution:
         return {b: (None, "grid_resolution") for b in ("lower", "upper")}
-    matches = sorted((d for d in states if d.node_count == n),
-                     key=lambda d: d.energy)
+    energies = [d.energy for d in cache[l] if d.node_count == n]
     rows = {b: (None, "no_bound_state") for b in ("lower", "upper")}
-    if len(matches) == 1:
-        label = ha.nearest_branch(system, n, l, matches[0].energy)
-        rows[label] = (matches[0].energy, "ok")
-    elif len(matches) >= 2:
-        rows["lower"] = (matches[0].energy, "ok")
-        rows["upper"] = (matches[-1].energy, "ok")
+    for energy, branch in zip(energies, ha.branch_labels(config.system, n, l,
+                                                         energies)):
+        rows[branch] = (energy, "ok")
     return rows
+
+
+def _state_rows(config: RunConfig, n: int, l: int, cache: dict):
+    """{branch: (energy, status)} of (n, l) under the configured method;
+    ``cache`` keeps the oracle's states per l."""
+    if config.method == "closed_form":
+        return _closed_rows(config, n, l)
+    if config.method == "quantization_root":
+        return _root_rows(config, n, l)
+    return _oracle_rows(config, n, l, cache)
 
 
 def _spectrum_records(config: RunConfig):
@@ -302,12 +313,7 @@ def _spectrum_records(config: RunConfig):
     records = []
     for n in range(config.n_max + 1):
         for l in range(config.l_max + 1):
-            if config.method == "closed_form":
-                rows = _closed_rows(config, n, l)
-            elif config.method == "quantization_root":
-                rows = _root_rows(config, n, l)
-            else:
-                rows = _oracle_rows(config, n, l, cache)
+            rows = _state_rows(config, n, l, cache)
             for branch in _requested_branches(config):
                 energy, status = rows[branch]
                 records.append({
@@ -324,15 +330,8 @@ def _pick_state_energy(config: RunConfig, n: int, l: int):
 
     Returns None when no such bound state exists.
     """
-    system = config.system
-    wanted = _requested_branches(config)
-    if config.method == "oracle":
-        rows = _oracle_rows(config, n, l, {})
-    elif config.method == "closed_form":
-        rows = _closed_rows(config, n, l)
-    else:
-        rows = _root_rows(config, n, l)
-    found = [(rows[b][0], b) for b in wanted
+    rows = _state_rows(config, n, l, {})
+    found = [(rows[b][0], b) for b in _requested_branches(config)
              if rows[b][1] == "ok" and rows[b][0] is not None]
     if not found:
         return None
@@ -356,13 +355,10 @@ def _wavefunction_records(config: RunConfig):
               file=sys.stderr)
         return []
     radii = wf.grid.radii()
-    zvals = config.system.z_at(radii)
-    records = []
-    for r, z, v in zip(radii, zvals, wf.values):
-        records.append({"r": float(r), "z": float(z),
-                        "phi": float(wf.amplitude * v),
-                        "phi_normalized": float(v)})
-    return records
+    table = np.column_stack((radii, config.system.z_at(radii),
+                             wf.amplitude * wf.values, wf.values))
+    return [dict(zip(("r", "z", "phi", "phi_normalized"), row))
+            for row in table.tolist()]
 
 
 def _validate_records(config: RunConfig):

@@ -30,6 +30,12 @@ The quadratic closed form squares the condition once, which introduces
 reflected roots that do not satisfy the original condition.  Use
 ``satisfies_quantization`` to tell genuine eigenvalues from such
 reflections; the root solver never produces them.
+
+Because the energy relation is a quadratic, each (n, l) has a "lower" and
+an "upper" branch.  ``branch_labels`` is the one rule that names solver
+energies: the root solver's here, and the oracle's in the CLI and the
+validation battery.  A pair is labelled by energy order, any other count
+by the nearer closed-form branch.
 """
 
 from __future__ import annotations
@@ -43,7 +49,8 @@ import numpy as np
 
 from .errors import (ComplexRegime, InvalidRegime, NoBoundState,
                      NonNormalizable)
-from .model import EnergyLevel, PhysicalSystem, RadialGrid, default_grid
+from .model import (EnergyLevel, PhysicalSystem, RadialGrid, binding_window,
+                    default_grid)
 # all_candidates and eigen_pair are unused here but stay importable from this
 # module: the benchmark's tracer wraps them at these names
 from .nu_engine import NUProblem, all_candidates, eigen_pair
@@ -154,10 +161,15 @@ def satisfies_quantization(system: PhysicalSystem, n: int, l: int, E: float,
         res = quantization_residual(system, n, l, E)
     except ComplexRegime:
         return False
-    coeffs = coefficients_at(system, l, E)
-    lam_n = 2.0 * n * (coeffs.A + _origin_half_exponent(system, l) + 1.0) \
-        + n * (n - 1)
-    return abs(res) <= tol * max(1.0, abs(lam_n))
+    A = coefficients_at(system, l, E).A
+    return abs(res) <= tol * residual_scale(n, A,
+                                            _origin_half_exponent(system, l))
+
+
+def residual_scale(n: int, A: float, s: float) -> float:
+    """max(1, |lambda_n|) with lambda_n = 2n(A + s + 1) + n(n - 1): the scale
+    that tolerances on the residual F are relative to."""
+    return max(1.0, abs(2.0 * n * (A + s + 1.0) + n * (n - 1)))
 
 
 def _origin_half_exponent(system: PhysicalSystem, l: int) -> float:
@@ -216,14 +228,17 @@ def energy_closed_form(system: PhysicalSystem, n: int, l: int):
             f"closed-form energy is complex for n={n}, l={l} "
             f"(radicand {rad!r})")
     root = math.sqrt(rad)
-    e_lo = (-b - root) / (2.0 * a)
-    e_hi = (-b + root) / (2.0 * a)
+    return _closed_pair(system, n, l, (-b - root) / (2.0 * a),
+                        (-b + root) / (2.0 * a))
+
+
+def _closed_pair(system, n, l, e_lo, e_hi):
+    """(lower, upper) closed-form EnergyLevels, unbound at or beyond the
+    binding window."""
     m_inf = system.asymptotic_mass
-    lower = EnergyLevel(value=e_lo, branch="lower", n=n, l=l,
-                        method="closed_form", unbound=abs(e_lo) >= m_inf)
-    upper = EnergyLevel(value=e_hi, branch="upper", n=n, l=l,
-                        method="closed_form", unbound=abs(e_hi) >= m_inf)
-    return lower, upper
+    return tuple(EnergyLevel(value=E, branch=branch, n=n, l=l,
+                             method="closed_form", unbound=abs(E) >= m_inf)
+                 for E, branch in ((e_lo, "lower"), (e_hi, "upper")))
 
 
 def energy_constant_mass_s(system: PhysicalSystem, n: int):
@@ -255,14 +270,8 @@ def energy_constant_mass_s(system: PhysicalSystem, n: int):
         raise NoBoundState(
             f"constant-mass radicand negative for n={n} ({inner!r})")
     half_split = Np * math.sqrt(inner)
-    m_inf = system.asymptotic_mass
-    e_lo = system.V0 / 2.0 - half_split
-    e_hi = system.V0 / 2.0 + half_split
-    lower = EnergyLevel(value=e_lo, branch="lower", n=n, l=0,
-                        method="closed_form", unbound=abs(e_lo) >= m_inf)
-    upper = EnergyLevel(value=e_hi, branch="upper", n=n, l=0,
-                        method="closed_form", unbound=abs(e_hi) >= m_inf)
-    return lower, upper
+    return _closed_pair(system, n, 0, system.V0 / 2.0 - half_split,
+                        system.V0 / 2.0 + half_split)
 
 
 def energy_root_solve(system: PhysicalSystem, n: int, l: int,
@@ -271,19 +280,13 @@ def energy_root_solve(system: PhysicalSystem, n: int, l: int,
 
     Scans the window on a uniform 2000-interval lattice, brackets sign
     changes of the residual F and bisects all brackets together to
-    |dE| < 1e-12 * m0.  Windows default to the full binding range.  Energies
-    where the residual is undefined are skipped (with a log diagnostic);
-    if that removes everything the result is an empty list, not an error.
+    |dE| < 1e-12 * m0.  Windows default to the full binding range
+    (``binding_window``), and roots are labelled by ``branch_labels``.
+    Energies where the residual is undefined are skipped (with a log
+    diagnostic); if that removes everything the result is an empty list,
+    not an error.
     """
-    m_inf = system.asymptotic_mass
-    eps = 1e-9 * system.m0
-    if window is None:
-        window = (-m_inf + eps, m_inf - eps)
-    lo, hi = float(window[0]), float(window[1])
-    if not (-m_inf <= lo < hi <= m_inf):
-        raise ValueError("window must lie inside the binding range "
-                         f"(-{m_inf!r}, {m_inf!r})")
-
+    lo, hi = binding_window(system, window)
     grid = np.linspace(lo, hi, 2001)
     vals = _residual(system, n, l, grid)
     undefined = np.isnan(vals)
@@ -312,32 +315,31 @@ def energy_root_solve(system: PhysicalSystem, n: int, l: int,
         active &= b - a > tol
     roots = grid[exact].tolist() + (0.5 * (a + b)).tolist()
     roots.sort()
-    return [EnergyLevel(value=E, branch=_branch_label(system, n, l, E, i,
-                                                      len(roots)),
-                        n=n, l=l, method="quantization_root",
-                        unbound=abs(E) >= m_inf)
-            for i, E in enumerate(roots)]
+    m_inf = system.asymptotic_mass
+    return [EnergyLevel(value=E, branch=label, n=n, l=l,
+                        method="quantization_root", unbound=abs(E) >= m_inf)
+            for E, label in zip(roots, branch_labels(system, n, l, roots))]
 
 
-def _branch_label(system, n, l, E, index, count):
-    """Branch label for a solver-found root.
+def branch_labels(system, n, l, energies: list) -> list:
+    """Labels ("lower"/"upper") of one (n, l)'s solver energies, ascending.
 
-    With two roots the labels follow energy order; a single root gets
-    ``nearest_branch``.
+    The one labelling rule: a pair follows energy order; any other count
+    takes the nearer closed-form branch one by one ("upper" when the closed
+    form is not real), and more than two are named in a warning.
     """
-    if count == 2:
-        return "lower" if index == 0 else "upper"
-    return nearest_branch(system, n, l, E)
-
-
-def nearest_branch(system, n, l, E) -> str:
-    """The closed-form branch ("lower"/"upper") nearer to E; "upper" when
-    the closed form is not real."""
+    if len(energies) == 2:
+        return ["lower", "upper"]
+    if len(energies) > 2:
+        log.warning("%d energies for n=%d, l=%d, where the energy relation "
+                    "has two branches: %s", len(energies), n, l,
+                    ", ".join(map(repr, energies)))
     try:
         lower, upper = energy_closed_form(system, n, l)
     except (InvalidRegime, NoBoundState):
-        return "upper"
-    return "lower" if abs(E - lower.value) < abs(E - upper.value) else "upper"
+        return ["upper"] * len(energies)
+    return ["lower" if abs(E - lower.value) < abs(E - upper.value)
+            else "upper" for E in energies]
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,8 +378,7 @@ def wavefunction(system: PhysicalSystem, n: int, l: int, E: float,
             f"(got {coeffs.A!r})")
     s = _origin_half_exponent(system, l)
     res = quantization_residual(system, n, l, E)
-    lam_n = 2.0 * n * (coeffs.A + s + 1.0) + n * (n - 1)
-    if abs(res) > 1e-6 * max(1.0, abs(lam_n)):
+    if abs(res) > 1e-6 * residual_scale(n, coeffs.A, s):
         raise ValueError(
             f"E={E!r} does not satisfy the quantization condition for "
             f"n={n}, l={l} (residual {res!r})")

@@ -176,6 +176,20 @@ class RadialGrid:
         return (self.r_max - self.r_min) / (self.points - 1)
 
 
+def binding_window(system: PhysicalSystem, window=None):
+    """(lo, hi) of a bound-state search: by default the binding range pulled
+    in by 1e-9*m0 at each end; a given window must lie inside the range."""
+    m_inf = system.asymptotic_mass
+    if window is None:
+        eps = 1e-9 * system.m0
+        return -m_inf + eps, m_inf - eps
+    lo, hi = float(window[0]), float(window[1])
+    if not (-m_inf <= lo < hi <= m_inf):
+        raise ValueError("window must lie inside the binding range "
+                         f"(-{m_inf!r}, {m_inf!r})")
+    return lo, hi
+
+
 def default_grid(system: PhysicalSystem) -> RadialGrid:
     """Grid spanning the region where bound states have support.
 

@@ -48,7 +48,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import GridResolution, InvalidRegime
-from .model import PhysicalSystem, RadialGrid, default_grid
+from .model import PhysicalSystem, RadialGrid, binding_window, default_grid
 
 _LADDER_RATIO = 1.006       # geometric refinement ratio of the origin ladder
 _MISMATCH_TOL = 1e-3        # converged roots must have |tail_mismatch| below
@@ -87,9 +87,9 @@ def ode_coefficient(system: PhysicalSystem, l: int, E: float, r,
                     mode: str = "approx"):
     """Coefficient W(r, E) of the radial equation phi'' = W phi.
 
-    Accepts a scalar or array of radii (all > 0).  Both modes share the
-    full mass and potential terms; they differ only in the centrifugal
-    piece.
+    Accepts a scalar or array of radii (all > 0); an array E broadcasts
+    against them.  Both modes share the full mass and potential terms;
+    they differ only in the centrifugal piece.
     """
     arr = np.asarray(r, dtype=float)
     if np.any(arr <= 0.0):
@@ -369,12 +369,8 @@ def _turning_indices(system, l, mode, E, grid):
     """Matching index per energy: sign change of W nearest index K//3
     (about r_max/3), falling back to the grid midpoint."""
     K = grid.points
-    r = grid.radii()
-    w0, w1 = _w_parts(system, l, mode, r)
     E = np.atleast_1d(np.asarray(E, dtype=float))
-    W = w0[:, None] + w1[:, None] * E[None, :] \
-        - ((E / system.hbar_c) ** 2)[None, :]
-    S = np.sign(W)
+    S = np.sign(ode_coefficient(system, l, E, grid.radii()[:, None], mode))
     cross = S[:-1, :] * S[1:, :] <= 0
     idx = np.arange(K - 1)
     target = K // 3
@@ -451,14 +447,7 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
     node counts decrease along the scan (the grid cannot resolve the
     states), and returns an empty list when nothing brackets.
     """
-    m_inf = system.asymptotic_mass
-    eps = 1e-9 * system.m0
-    if window is None:
-        window = (-m_inf + eps, m_inf - eps)
-    lo, hi = float(window[0]), float(window[1])
-    if not (-m_inf <= lo < hi <= m_inf):
-        raise ValueError("window must lie inside the binding range "
-                         f"(-{m_inf!r}, {m_inf!r})")
+    lo, hi = binding_window(system, window)
     if grid is None:
         grid = default_grid(system)
     _origin_series(system, l)          # fail fast on a supercritical origin

@@ -120,6 +120,22 @@ class TestParseConfigErrors:
         assert _cfg(grid_points=20_000).grid.points == 20_000
         assert "must be positive" in self._err(grid_r_min=-1.0)
 
+    def test_range_bounds(self):
+        # bounded while parsing, so no request can ask for unbounded work;
+        # checked here, never by running a solve
+        assert "'n_max': at most 100" in self._err(n_max=101)
+        assert "'l_max': at most 100" in self._err(l_max=100_000_000)
+        assert "'n_max': at most 100" in self._err(
+            '{"V0": 0.1, "beta": 0.2, "m0": 1.0, "n_max": 1000}')
+        cfg = _cfg(n_max=100, l_max=100)
+        assert (cfg.n_max, cfg.l_max) == (100, 100)
+        assert "at most 64 screening" in self._err(
+            betas=",".join(["0.1"] * 65))
+        assert "at most 64 screening" in self._err(
+            json.dumps({"V0": 0.1, "beta": 0.2, "m0": 1.0,
+                        "betas": [0.1] * 1000}))
+        assert len(_cfg(betas=[0.1] * 64).betas) == 64
+
     def test_betas_errors(self):
         assert "comma-separated" in self._err(betas="a,b")
         assert "non-empty" in self._err(
@@ -244,6 +260,13 @@ class TestValidateRecords:
         assert all(r["status"] == "pass" for r in records)
         assert all(tuple(r.keys()) == ("check", "status", "value",
                                        "tolerance") for r in records)
+
+    def test_kg_pair_sharing_n_passes(self, capsys):
+        # both n=0 levels are genuine and the oracle finds a 0-node state
+        # for each: they pair by branch, not as two rivals for one level
+        assert main(["validate", "--V0", "0.1632", "--beta", "0.1459",
+                     "--m0", "1", "--m1", "0.1806"]) == 0
+        assert ",fail," not in capsys.readouterr().out
 
     def test_unresolved_oracle_grid_is_a_failing_row(self, capsys):
         # the default grid cannot resolve this system's l=0 oracle states

@@ -1,11 +1,12 @@
 """Closed-form spectrum, root solver, and wavefunction construction."""
 
+import logging
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from kghulthen import (PhysicalSystem, RadialGrid, all_candidates,
@@ -15,6 +16,7 @@ from kghulthen import (PhysicalSystem, RadialGrid, all_candidates,
                        origin_exponent_discriminant, quantization_residual,
                        satisfies_quantization, wavefunction)
 from kghulthen.checks import wavefunction_ode_residual
+from kghulthen.hulthen_analytic import branch_labels
 from kghulthen.errors import (ComplexRegime, InvalidK, InvalidRegime,
                               NoBoundState, NonNormalizable, NoRealK)
 
@@ -37,6 +39,26 @@ class TestCoefficients:
         assert len({c.a3_sq for c in sets}) == 1          # identical bits
         assert len({c.a1_sq for c in sets}) == 4
         assert len({c.a2_sq for c in sets}) == 4
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(V0=st.floats(0.0, 2.0), beta=st.floats(0.01, 2.0),
+           m0=st.floats(0.1, 10.0), m1_share=st.floats(0.0, 0.999),
+           hbar_c=st.floats(0.1, 10.0), l=st.integers(0, 8),
+           u=st.floats(-1.0, 1.0))
+    def test_coefficient_sum_is_energy_gap(self, V0, beta, m0, m1_share,
+                                           hbar_c, l, u):
+        # a1 + a2 + a3 = ((m0 - m1)**2 - E**2) / (beta*hbar_c)**2, so A is
+        # real throughout the binding window and the residual can be
+        # undefined there only where s is complex, which is E-free
+        system = PhysicalSystem(V0=V0, beta=beta, m0=m0, m1=m1_share * m0,
+                                hbar_c=hbar_c)
+        E = u * system.asymptotic_mass
+        co = coefficients_at(system, l, E)
+        se2 = system.screening_energy ** 2
+        want = (system.asymptotic_mass ** 2 - E * E) / se2
+        scale = (m0 + abs(E) + V0) ** 2 / se2 + l * (l + 1)
+        assert abs(co.a1_sq + co.a2_sq + co.a3_sq - want) <= 1e-14 * scale
 
     def test_tail_coefficient_none_beyond_window(self, reference_system):
         assert coefficients_at(reference_system, 0, 1.5).A is None
@@ -385,6 +407,53 @@ class TestRootSolve:
             energy_root_solve(reference_system, 0, 0, window=(-2.0, 2.0))
         with pytest.raises(ValueError, match="window"):
             energy_root_solve(reference_system, 0, 0, window=(0.5, 0.5))
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(V0=st.floats(0.0, 0.3), beta=st.floats(0.05, 0.6),
+           m1=st.floats(0.0, 0.5), n=st.integers(0, 3), l=st.integers(0, 2))
+    def test_regular_origin_logs_nothing(self, caplog, V0, beta, m1, n, l):
+        # with a real origin exponent the residual is defined on the whole
+        # default window: no lattice point is skipped
+        system = PhysicalSystem(V0=V0, beta=beta, m0=1.0, m1=m1)
+        assume(origin_exponent_discriminant(system, l) >= 0.0)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING,
+                             logger="kghulthen.hulthen_analytic"):
+            energy_root_solve(system, n, l)
+        assert not caplog.records
+
+
+class TestBranchLabels:
+    def test_pair_is_labelled_by_energy_order(self, reference_system, caplog):
+        with caplog.at_level(logging.WARNING,
+                             logger="kghulthen.hulthen_analytic"):
+            assert branch_labels(reference_system, 0, 0, [-0.9, -0.8]) \
+                == ["lower", "upper"]
+        assert not caplog.records
+
+    def test_single_energy_takes_nearest_closed_form_branch(
+            self, reference_system):
+        lower, upper = energy_closed_form(reference_system, 1, 0)
+        assert branch_labels(reference_system, 1, 0,
+                             [lower.value + 1e-3]) == ["lower"]
+        assert branch_labels(reference_system, 1, 0,
+                             [upper.value - 1e-3]) == ["upper"]
+        assert branch_labels(reference_system, 1, 0, []) == []
+
+    def test_more_than_two_energies_warn_once(self, reference_system,
+                                              caplog):
+        lower, upper = energy_closed_form(reference_system, 1, 0)
+        energies = [lower.value, 0.75 * lower.value + 0.25 * upper.value,
+                    upper.value]
+        with caplog.at_level(logging.WARNING,
+                             logger="kghulthen.hulthen_analytic"):
+            labels = branch_labels(reference_system, 1, 0, energies)
+        assert labels == ["lower", "lower", "upper"]
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        assert all(repr(E) in message for E in energies)
 
 
 def _bare_norm_mp(system, n, l, E, dps=50):
