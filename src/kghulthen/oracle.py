@@ -19,9 +19,10 @@ matrix at each energy's matching step.  The chunk start states follow by
 chaining the matrices, and phi at a node is its kept first row applied
 to its chunk's start state.  States are rescaled by positive factors
 along the way, which keeps node signs and the log-derivative.
-Eigenvalues are bracketed by node count plus the sign of a
-Wronskian-normalized log-derivative mismatch, then refined by safeguarded
-false position to |dE| < 1e-10 * m0.
+Eigenvalues are bracketed by one rule at every level of an energy scan
+(flat node count, sign change of a Wronskian-normalized log-derivative
+mismatch; pieces where the node count jumps are split and tested again),
+then refined by safeguarded false position to |dE| < 1e-10 * m0.
 
 Two implementation notes, both measured necessities rather than choices:
 
@@ -40,6 +41,7 @@ Two implementation notes, both measured necessities rather than choices:
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -52,6 +54,8 @@ from .model import PhysicalSystem, RadialGrid, binding_window, default_grid
 
 _LADDER_RATIO = 1.006       # geometric refinement ratio of the origin ladder
 _MISMATCH_TOL = 1e-3        # converged roots must have |tail_mismatch| below
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -382,7 +386,8 @@ def _turning_indices(system, l, mode, E, grid):
 
 def _refine_batch(system, l, mode, brackets, grid, tol):
     """Safeguarded false position (Illinois) on each bracket, matching index
-    frozen per bracket; brackets without a sign change there are dropped."""
+    frozen per bracket; brackets without a sign change there are dropped,
+    with a warning that names them."""
     if not brackets:
         return []
     lo = np.array([b[0] for b in brackets])
@@ -392,6 +397,10 @@ def _refine_batch(system, l, mode, brackets, grid, tol):
     fa, fb = np.split(_shoot(system, l, mode, np.concatenate([lo, hi]), grid,
                              np.concatenate([imr, imr]))[0], 2)
     ok = fa * fb < 0
+    if not ok.all():
+        log.warning("dropped brackets with no mismatch sign change at the "
+                    "frozen matching index: %s",
+                    list(zip(lo[~ok].tolist(), hi[~ok].tolist())))
     a, b = lo.copy(), hi.copy()
     side = np.zeros(nb, dtype=int)
     active = ok.copy()
@@ -437,11 +446,14 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
                       scan_points: int = 240):
     """All bound states of one (l, mode) channel inside the energy window.
 
-    Scans ``scan_points`` energies, brackets eigenvalues where the node
-    count is flat and the matching mismatch changes sign (node-count jumps
-    are subdivided first), then refines each bracket to
-    |dE| < 1e-10 * m0.  Results are sorted by energy with node counts
-    attached.
+    Scans ``scan_points`` energies and applies one bracket rule at every
+    level: a flat node count with a mismatch sign change is a bracket; a
+    node-count jump is split 16-fold and tested again, always on the scan
+    (a root pair can straddle a jump) and below it only with a sign change
+    (the mismatch is continuous through a jump).  A piece still jumping
+    below the tolerance is named in a warning and refined as a bracket.
+    Brackets are refined to |dE| < 1e-10 * m0; results are sorted by
+    energy with node counts attached.
 
     Raises InvalidRegime for an over-attractive origin, GridResolution if
     node counts decrease along the scan (the grid cannot resolve the
@@ -452,35 +464,34 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
         grid = default_grid(system)
     _origin_series(system, l)          # fail fast on a supercritical origin
 
-    E = np.linspace(lo, hi, scan_points)
-    im = _turning_indices(system, l, mode, E, grid)
-    mism, nodes = _shoot(system, l, mode, E, grid, im)
-    drops = np.diff(nodes) < 0
-    if np.any(drops):
-        where = int(np.argmax(drops))
-        raise GridResolution(
-            f"node count drops from {int(nodes[where])} to "
-            f"{int(nodes[where + 1])} near E={E[where]!r}: the grid is too "
-            f"coarse to resolve these states; increase grid.points "
-            f"(currently {grid.points})")
-    # every node-count jump is subdivided 16-fold, all in one sweep
-    jumps = np.flatnonzero(np.diff(nodes) != 0)
-    sub = np.linspace(E[jumps], E[jumps + 1], 17, axis=1)
-    if jumps.size:
-        im_s = _turning_indices(system, l, mode, sub.ravel(), grid)
-        ms, ns = (a.reshape(sub.shape) for a in _shoot(
-            system, l, mode, sub.ravel(), grid, im_s))
-    brackets = []
-    k = 0
-    for i in range(scan_points - 1):
-        if nodes[i] == nodes[i + 1] and mism[i] * mism[i + 1] < 0:
-            brackets.append((E[i], E[i + 1]))
-        elif nodes[i + 1] != nodes[i]:
-            for j in range(16):
-                if ns[k, j] == ns[k, j + 1] and ms[k, j] * ms[k, j + 1] < 0:
-                    brackets.append((sub[k, j], sub[k, j + 1]))
-            k += 1
     tol = 1e-10 * system.m0
+    brackets, first = [], True
+    E = np.linspace(lo, hi, scan_points)[None]
+    while E.size:                      # one row of energies per piece
+        im = _turning_indices(system, l, mode, E.ravel(), grid)
+        mism, nodes = (x.reshape(E.shape) for x in _shoot(
+            system, l, mode, E.ravel(), grid, im))
+        drops = np.diff(nodes[0]) < 0
+        if first and drops.any():
+            where = int(np.argmax(drops))
+            raise GridResolution(
+                f"node count drops from {int(nodes[0, where])} to "
+                f"{int(nodes[0, where + 1])} near E={E[0, where]!r}: the grid "
+                f"is too coarse to resolve these states; increase grid.points "
+                f"(currently {grid.points})")
+        a, b = E[:, :-1], E[:, 1:]
+        sign = mism[:, :-1] * mism[:, 1:] < 0
+        jump = nodes[:, :-1] != nodes[:, 1:]
+        split = jump & (sign | first)
+        stuck = split & (b - a < tol)
+        if stuck.any():
+            log.warning("node count still jumps in pieces narrower than %g, "
+                        "refined as brackets: %s", tol,
+                        list(zip(a[stuck].tolist(), b[stuck].tolist())))
+        bracket = sign & ~jump | stuck
+        brackets += zip(a[bracket], b[bracket])
+        split ^= stuck
+        E, first = np.linspace(a[split], b[split], 17, axis=1), False
     states = _refine_batch(system, l, mode, brackets, grid, tol)
     states.sort(key=lambda d: d.energy)
     deduped = []

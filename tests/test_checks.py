@@ -1,14 +1,15 @@
 """Validation battery: how oracle states meet the closed-form levels."""
 
-from kghulthen import PhysicalSystem, energy_root_solve, find_bound_states
+from kghulthen import (PhysicalSystem, energy_root_solve, find_bound_states,
+                       main)
 from kghulthen.checks import run_validation
 from kghulthen.hulthen_analytic import branch_labels
+from kghulthen.model import binding_window
 
 
 def test_oracle_pair_sharing_n_meets_both_branches():
     # a Klein-Gordon pair with n=0 on both branches, plus an n=1 upper
-    # state just below threshold that the 60-point scan misses (the
-    # oracle half of ROADMAP direction 1)
+    # state just below threshold
     system = PhysicalSystem(V0=0.0702, beta=0.2794, m0=1.0, m1=0.2391)
     roots = energy_root_solve(system, 0, 0)
     assert [r.branch for r in roots] == ["lower", "upper"]
@@ -21,5 +22,24 @@ def test_oracle_pair_sharing_n_meets_both_branches():
         assert abs(E - root.value) <= 1e-6 * abs(root.value)
     rows = {c.name: c for c in run_validation(system)}
     assert rows["oracle_agreement_l0"].passed
-    # only the n=1 state can be unmatched, not the two n=0 ones
-    assert rows["oracle_node_counts"].value <= 1.0
+    # the n=1 state beside the threshold is found too: none unmatched
+    assert rows["oracle_node_counts"].value == 0.0
+
+
+def test_state_beside_threshold_jump_is_found():
+    # the n=1 upper state sits 0.0008 below threshold, in the last piece of
+    # a split scan jump that jumps again; validate's 60-point scan finds
+    # all three l=0 levels
+    system = PhysicalSystem(V0=0.0675, beta=0.2785, m0=1.0, m1=0.2429)
+    levels = sorted((lv.value, lv.n) for n in range(8)
+                    for lv in energy_root_solve(system, n, 0))
+    assert [n for _, n in levels] == [0, 0, 1]
+    pad = 0.01 * system.asymptotic_mass
+    lo, hi = binding_window(system)
+    window = (max(levels[0][0] - pad, lo), min(levels[-1][0] + pad, hi))
+    states = find_bound_states(system, 0, window=window, scan_points=60)
+    assert [d.node_count for d in states] == [0, 0, 1]
+    for d, (E, _) in zip(states, levels):
+        assert abs(d.energy - E) <= 1e-6
+    assert main(["validate", "--V0", "0.0675", "--beta", "0.2785",
+                 "--m0", "1", "--m1", "0.2429"]) == 0

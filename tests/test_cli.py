@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from kghulthen import ConfigError, execute, main, parse_config, serialize
+from kghulthen import main, parse_config
+from kghulthen.cli import execute, serialize
+from kghulthen.errors import ConfigError
 
 from conftest import REFERENCE_TRUE
 

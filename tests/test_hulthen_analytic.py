@@ -10,13 +10,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from kghulthen import (PhysicalSystem, RadialGrid, all_candidates,
-                       build_nu_problem, coefficients_at, eigen_pair,
-                       energy_closed_form, energy_constant_mass_s,
-                       energy_root_solve, level_midpoint,
-                       origin_exponent_discriminant, quantization_residual,
-                       satisfies_quantization, wavefunction)
+                       coefficients_at, eigen_pair, energy_closed_form,
+                       energy_constant_mass_s, energy_root_solve,
+                       level_midpoint, origin_exponent_discriminant,
+                       quantization_residual, satisfies_quantization,
+                       wavefunction)
 from kghulthen.checks import wavefunction_ode_residual
-from kghulthen.hulthen_analytic import branch_labels
+from kghulthen.hulthen_analytic import branch_labels, build_nu_problem
 from kghulthen.errors import (ComplexRegime, InvalidK, InvalidRegime,
                               NoBoundState, NonNormalizable, NoRealK)
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from kghulthen import EnergyLevel, PhysicalSystem, RadialGrid, default_grid
+from kghulthen import PhysicalSystem, RadialGrid, default_grid
+from kghulthen.model import EnergyLevel
 
 
 class TestPhysicalSystemValidation:

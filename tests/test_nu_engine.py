@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from kghulthen import (JacobiParams, NUProblem, all_candidates,
-                       build_nu_problem, closure_functions, coefficients_at,
-                       eigen_pair, jacobi_derivative, jacobi_eval,
-                       k_candidates, pi_from_k, select_candidate)
+                       closure_functions, coefficients_at, eigen_pair,
+                       jacobi_derivative, jacobi_eval, k_candidates,
+                       select_candidate)
 from kghulthen.errors import InvalidK, NoAdmissibleBranch, NoRealK
+from kghulthen.hulthen_analytic import build_nu_problem
+from kghulthen.nu_engine import pi_from_k
 
 SQRT2 = math.sqrt(2.0)
 

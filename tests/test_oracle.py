@@ -1,5 +1,6 @@
 """Shooting oracle: ODE coefficient, bound-state search, error table."""
 
+import logging
 import math
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 
-from kghulthen import (PhysicalSystem, RadialGrid, approximation_error,
-                       coefficients_at, energy_closed_form, find_bound_states,
-                       ode_coefficient, oracle)
+from kghulthen import (PhysicalSystem, RadialGrid, coefficients_at,
+                       energy_closed_form, energy_root_solve,
+                       find_bound_states, oracle)
 from kghulthen.errors import GridResolution, InvalidRegime
-from kghulthen.model import default_grid
+from kghulthen.model import binding_window, default_grid
+from kghulthen.oracle import approximation_error, ode_coefficient
 
 from conftest import REFERENCE_TRUE
 
@@ -134,6 +136,39 @@ class TestFindBoundStates:
         grid = RadialGrid(r_min=1e-300, r_max=200.0, points=100)
         with pytest.raises(InvalidRegime, match="finite"):
             find_bound_states(set_a, 0, grid=grid)
+
+    @pytest.mark.parametrize("V0, beta, m1, l, scan_points", [
+        # each holds a root that shares a split piece of a scan jump with
+        # a further node-count jump, which a one-level split dropped
+        (0.0973, 0.2469, 0.024, 0, 240),
+        (0.1071, 0.1878, 0.0718, 2, 240),
+        (0.1, 0.2, 0.0, 1, 60)])
+    def test_states_equal_root_solved_levels(self, V0, beta, m1, l,
+                                             scan_points):
+        system = PhysicalSystem(V0=V0, beta=beta, m0=1.0, m1=m1)
+        states = find_bound_states(system, l, window=binding_window(system),
+                                   scan_points=scan_points)
+        levels = sorted((lv.value, lv.n) for n in range(8)
+                        for lv in energy_root_solve(system, n, l))
+        assert [d.node_count for d in states] == [n for _, n in levels]
+        for d, (E, _) in zip(states, levels):
+            assert abs(d.energy - E) <= 1e-6
+
+    def test_jump_at_a_root_is_split_down_to_tolerance(
+            self, reference_system, monkeypatch, caplog):
+        # node count and mismatch both switch at one energy: the piece
+        # holding it is split until narrower than the refinement tolerance,
+        # then named in a warning and refined as a bracket, not dropped
+        root = 0.3 + math.pi * 1e-4
+        monkeypatch.setattr(
+            oracle, "_shoot", lambda system, l, mode, E, grid, match_idx: (
+                np.asarray(E) - root, (np.asarray(E) > root).astype(int)))
+        with caplog.at_level(logging.WARNING, logger="kghulthen.oracle"):
+            (state,) = find_bound_states(reference_system, 0,
+                                         window=(0.1, 0.9))
+        assert len(caplog.records) == 1
+        assert "still jumps" in caplog.records[0].getMessage()
+        assert abs(state.energy - root) < 1e-10
 
     def test_coarse_grid_raises_grid_resolution(self, shallow_long_system):
         grid = RadialGrid(r_min=1e-6 / 0.02, r_max=40.0 / 0.02, points=160)
@@ -287,6 +322,18 @@ class TestChunkedSweep:
             default_grid(reference_system), 1e-10)
         assert state.energy == 0.5
         assert state.converged
+
+    def test_bracket_without_sign_change_is_named(self, reference_system,
+                                                  monkeypatch, caplog):
+        monkeypatch.setattr(
+            oracle, "_shoot", lambda system, l, mode, E, grid, match_idx: (
+                np.asarray(E) + 1.0, np.zeros(np.size(E), dtype=int)))
+        with caplog.at_level(logging.WARNING, logger="kghulthen.oracle"):
+            assert oracle._refine_batch(
+                reference_system, 0, "approx", [(0.0, 1.0)],
+                default_grid(reference_system), 1e-10) == []
+        assert len(caplog.records) == 1
+        assert "(0.0, 1.0)" in caplog.records[0].getMessage()
 
 
 class TestIndependentIntegratorAgreement:

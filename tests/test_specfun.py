@@ -8,8 +8,8 @@ import pytest
 import scipy.special
 import sympy
 
-from kghulthen import (JacobiParams, endpoint_power_integral,
-                       gauss_jacobi_rule, jacobi_derivative, jacobi_eval)
+from kghulthen import JacobiParams, jacobi_derivative, jacobi_eval
+from kghulthen.specfun import endpoint_power_integral, gauss_jacobi_rule
 
 
 def _beta_fn(a, b):
