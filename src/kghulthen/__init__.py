@@ -13,7 +13,6 @@ from .hulthen_analytic import (coefficients_at, energy_closed_form,
                                quantization_residual, satisfies_quantization,
                                wavefunction)
 from .oracle import find_bound_states
-from .cli import main, parse_config
 
 __version__ = "0.1.0"
 
@@ -26,3 +25,12 @@ __all__ = [
     "origin_exponent_discriminant", "parse_config", "quantization_residual",
     "satisfies_quantization", "select_candidate", "wavefunction",
 ]
+
+
+def __getattr__(name):
+    # the CLI loads on first use, so `python -m kghulthen.cli` runs a
+    # module that the package import has not already put in sys.modules
+    if name in ("main", "parse_config"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,8 +3,10 @@
 A run is described by a RunConfig: the physical system, the command, and
 command options.  Options come from an optional JSON config file merged
 with command-line flags (flags win).  Results are emitted as CSV or JSON,
-byte-deterministically: floats are formatted with 17 significant digits,
-line endings are '\\n', and no timestamps or environment details are
+byte-deterministically.  CSV types each column once: floats carry 17
+significant digits ('.17g'), a missing value is an empty cell, booleans
+are true/false, and every row of a table is rendered by one format string.
+Line endings are '\\n', and no timestamps or environment details are
 written.
 
 Exit status: 0 on success (including an empty result), 1 when `validate`
@@ -357,8 +359,8 @@ def _wavefunction_records(config: RunConfig):
     radii = wf.grid.radii()
     table = np.column_stack((radii, config.system.z_at(radii),
                              wf.amplitude * wf.values, wf.values))
-    return [dict(zip(("r", "z", "phi", "phi_normalized"), row))
-            for row in table.tolist()]
+    return [{"r": r, "z": z, "phi": phi, "phi_normalized": phi_n}
+            for r, z, phi, phi_n in table.tolist()]
 
 
 def _validate_records(config: RunConfig):
@@ -406,30 +408,39 @@ def _csv_cell(value) -> str:
 def serialize(records, output_format: str) -> str:
     """Render records as CSV or JSON text, byte-deterministically.
 
-    All records must share one schema (same keys, same order); CSV floats
-    carry 17 significant digits, missing values are empty cells, and line
-    endings are '\\n'.  JSON output round-trips: serializing the parsed
-    JSON reproduces the bytes.
+    All records must share one schema (same keys, same order).  CSV types
+    each column once: a column of plain floats is printed with '%.17g';
+    any other column is turned into text cell by cell (empty for None,
+    true/false for booleans, 17 significant digits for floats, str()
+    otherwise).  One format string per schema then renders every row;
+    line endings are '\\n'.  JSON output round-trips: serializing the
+    parsed JSON reproduces the bytes.
     """
     if output_format not in _FORMATS:
         raise ValueError(f"unknown output format {output_format!r}")
     records = list(records)
-    if records:
-        first = tuple(records[0].keys())
-        for rec in records:
-            if tuple(rec.keys()) != first:
-                raise ValueError(
-                    "records with mixed schemas cannot be serialized: "
-                    f"{tuple(rec.keys())!r} != {first!r}")
+    keys = tuple(records[0]) if records else ()
+    cells = []
+    for rec in records:
+        if tuple(rec) != keys:
+            raise ValueError(
+                "records with mixed schemas cannot be serialized: "
+                f"{tuple(rec)!r} != {keys!r}")
+        cells += rec.values()
     if output_format == "json":
         return json.dumps(records, indent=2, ensure_ascii=False) + "\n"
     if not records:
         return ""
-    header = ",".join(records[0].keys())
-    lines = [header]
-    for rec in records:
-        lines.append(",".join(_csv_cell(v) for v in rec.values()))
-    return "\n".join(lines) + "\n"
+    width, formats = len(keys), []
+    for j in range(width):
+        column = cells[j::width]
+        if set(map(type, column)) == {float}:
+            formats.append("%.17g")
+        else:
+            cells[j::width] = map(_csv_cell, column)
+            formats.append("%s")
+    row = ",".join(formats) + "\n"
+    return ",".join(keys) + "\n" + (row * len(records)) % tuple(cells)
 
 
 def _build_parser() -> argparse.ArgumentParser:

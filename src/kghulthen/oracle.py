@@ -476,8 +476,9 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
             where = int(np.argmax(drops))
             raise GridResolution(
                 f"node count drops from {int(nodes[0, where])} to "
-                f"{int(nodes[0, where + 1])} near E={E[0, where]!r}: the grid "
-                f"is too coarse to resolve these states; increase grid.points "
+                f"{int(nodes[0, where + 1])} near "
+                f"E={float(E[0, where])!r}: the grid is too coarse to "
+                f"resolve these states; increase grid.points "
                 f"(currently {grid.points})")
         a, b = E[:, :-1], E[:, 1:]
         sign = mism[:, :-1] * mism[:, 1:] < 0

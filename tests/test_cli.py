@@ -1,10 +1,14 @@
 """Command-line layer: config parsing, record building, serialization."""
 
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kghulthen import main, parse_config
 from kghulthen.cli import execute, serialize
@@ -237,7 +241,6 @@ class TestWavefunctionRecords:
                                             "phi_normalized")
         radii = [r["r"] for r in records]
         assert radii == sorted(radii)
-        import math
         mid = records[150]
         assert mid["z"] == pytest.approx(1.0 - math.exp(-0.2 * mid["r"]),
                                          rel=1e-12)
@@ -285,6 +288,51 @@ class TestValidateRecords:
         assert "oracle_agreement_l0,fail,inf" in capsys.readouterr().out
 
 
+def _reference_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def _reference_csv(records) -> str:
+    """CSV as one call per cell and one join per row: the rule whose bytes
+    the column-typed serializer must reproduce."""
+    if not records:
+        return ""
+    lines = [",".join(records[0].keys())]
+    for rec in records:
+        lines.append(",".join(_reference_cell(v) for v in rec.values()))
+    return "\n".join(lines) + "\n"
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                     1e300, 0.1]),
+    st.floats(allow_nan=True, allow_infinity=True))
+_CELLS = {
+    "float": _FLOATS,
+    "np.float64": _FLOATS.map(np.float64),
+    "None": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(),
+    "str": st.text(alphabet=st.sampled_from("ab,%sd 1.-\u00e9"), max_size=8),
+}
+_CELLS["mixed"] = st.one_of(*_CELLS.values())
+
+
+@st.composite
+def _one_schema_records(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1,
+                          max_size=6))
+    rows = draw(st.integers(min_value=0, max_value=12))
+    return [{f"c{j}": draw(_CELLS[kind]) for j, kind in enumerate(kinds)}
+            for _ in range(rows)]
+
+
 class TestSerialize:
     def test_csv_cells(self):
         records = [{"a": 1.0, "b": None, "c": True, "d": "x"},
@@ -303,6 +351,26 @@ class TestSerialize:
             serialize([{"a": 1}, {"b": 2}], "csv")
         with pytest.raises(ValueError, match="format"):
             serialize([], "tsv")
+
+    def test_mixed_schema_needs_key_order_and_every_record(self):
+        with pytest.raises(ValueError, match="mixed"):
+            serialize([{"a": 1, "b": 2}, {"b": 2, "a": 1}], "csv")
+        with pytest.raises(ValueError, match="mixed"):
+            serialize([{"a": 1.0}, {"a": 2.0}, {"a": 3.0, "b": None}], "csv")
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=_one_schema_records())
+    def test_csv_matches_per_cell_rule(self, records):
+        assert serialize(records, "csv") == _reference_csv(records)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_reference_wavefunction_matches_per_cell_rule(self, n):
+        with open("configs/reference.json", encoding="utf-8") as handle:
+            source = handle.read()
+        records = execute(_cfg(source, command="wavefunction", n_max=n,
+                               l_max=0))
+        assert len(records) == 4000
+        assert serialize(records, "csv") == _reference_csv(records)
 
     def test_json_round_trip(self):
         records = [{"n": 0, "energy": 0.1 + 0.2, "status": "ok"},
@@ -395,6 +463,7 @@ class TestMain:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert proc.stdout == GOLDEN_SPECTRUM
+        assert proc.stderr == ""
 
     def test_package_entry_point(self):
         proc = subprocess.run(

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -176,6 +177,16 @@ class TestFindBoundStates:
             find_bound_states(shallow_long_system, 0, grid=grid)
         msg = str(exc.value)
         assert "grid.points" in msg and "160" in msg
+
+    def test_grid_resolution_names_a_plain_energy(self):
+        # this system's node count drops just below its lowest negative
+        # level; the message names that energy as a plain float
+        system = PhysicalSystem(V0=0.0702, beta=0.2794, m0=1.0, m1=0.2391)
+        with pytest.raises(GridResolution) as exc:
+            find_bound_states(system, 0)
+        msg = str(exc.value)
+        assert re.search(r"near E=-0\.75\d+:", msg)
+        assert "np.float64" not in msg
 
 
 def _rk4(phi, p, h, Wa, Wm, Wb):
