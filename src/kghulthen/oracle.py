@@ -10,15 +10,18 @@ l = 0 and as beta*r -> 0).
 Method: a fourth-order Runge-Kutta sweep outward from r_min and inward
 from r_max, matched at the classical turning point nearest r_max/3 (grid
 midpoint when no turning point exists).  The ODE is linear, so one RK4
-step is a fixed 2x2 linear map of (phi, phi'), and a sweep of S steps runs
-as a two-level scan over about sqrt(S) chunks of L = ceil(sqrt(S)) steps,
-in one pass: every chunk's transfer matrix is built at once (L passes
-over a chunk x energy array, four map coefficients per pass), keeping the
+step is a fixed 2x2 linear map of (phi, phi'), and a sweep runs as a
+two-level scan over chunks of L steps, L a power of two from 16 to 128
+chosen from the batch width so that one chunk x energy pass stays within
+a fixed cell budget (a one-energy sweep runs 16-step chunks).  Every
+chunk's transfer matrix is built at once in L row passes, keeping the
 matrix's first row at each step that reaches a grid node and the whole
-matrix at each energy's matching step.  The chunk start states follow by
-chaining the matrices, and phi at a node is its kept first row applied
-to its chunk's start state.  States are rescaled by positive factors
-along the way, which keeps node signs and the log-derivative.
+matrix at each energy's matching step.  The chunk start states follow
+from the prefix products of the chunk matrices, formed by recursive
+doubling in log2(chunks) passes, and phi at a node is its kept first row
+applied to its chunk's start state, gathered block by block.  States and
+products are rescaled by positive factors along the way, which keeps node
+signs and the log-derivative.
 Eigenvalues are bracketed by one rule at every level of an energy scan
 (flat node count, sign change of a Wronskian-normalized log-derivative
 mismatch; pieces where the node count jumps are split and tested again),
@@ -54,6 +57,10 @@ from .model import PhysicalSystem, RadialGrid, binding_window, default_grid
 
 _LADDER_RATIO = 1.006       # geometric refinement ratio of the origin ladder
 _MISMATCH_TOL = 1e-3        # converged roots must have |tail_mismatch| below
+_MAX_CHUNK = 128            # longest sweep chunk; step tables pad to it
+_CHUNK_CELLS = 6144         # chunk x energy cells per sweep pass; fewer slow
+                            # 60-energy sweeps, more raise peak memory
+_NODE_BLOCK = 256           # grid nodes combined per gather
 
 log = logging.getLogger(__name__)
 
@@ -160,44 +167,33 @@ def _ladder(r_min, h, cells):
 
 class _Steps(NamedTuple):
     """One sweep direction as a flat list of S RK4 steps, padded with
-    identity steps (h = 0) to C chunks of L = ceil(sqrt(S)) steps and stored
-    step-major, so row j holds step j of every chunk.
+    identity steps (h = 0) to a multiple of _MAX_CHUNK, so that every
+    power-of-two chunk length up to _MAX_CHUNK splits it into whole chunks
+    by reshaping alone.
 
     W is sampled at each step's start, midpoint and end; a step starts on
-    the sample the one before it ended on.  Sample tables hold rows
-    (w0, w1, 1), so that ``table @ (1, E, -E**2/hbar_c**2)`` is W."""
+    the sample the one before it ended on, so step j runs over samples 2j,
+    2j + 1, 2j + 2.  Sample rows are (w0, w1, 1), so that
+    ``w @ (1, E, -E**2/hbar_c**2)`` is W."""
 
-    h: np.ndarray        # (L, C) step lengths
-    first: np.ndarray    # (C, 3) sample at the start of every chunk
-    w: np.ndarray        # (L, 2C, 3) samples at every step's midpoint, end
-    node: np.ndarray     # (L, C) grid node a step reaches, or -1
-    reach: np.ndarray    # (K,) flat index of the step reaching each node
+    h: np.ndarray        # (S,) step lengths
+    w: np.ndarray        # (2S + 1, 3) samples
+    node: np.ndarray     # (S,) grid node a step reaches, or -1
+    reach: np.ndarray    # (K,) index of the step reaching each node, or -1
     start: int           # the node the sweep starts from
-    spans: tuple         # (chunk, lo, hi): chunk reaches nodes lo .. hi - 1
 
 
-def _chunked(h, w, node, start):
+def _padded(h, w, node, start):
     """_Steps from flat arrays: h (S,), w (2, 2S + 1) = (w0, w1) at the
     start, midpoint, end, midpoint, end, ... of the steps, node (S,)."""
-    S = h.size
-    L = math.isqrt(S - 1) + 1
-    C = -(-S // L)
-    pad = C * L - S
+    pad = -h.size % _MAX_CHUNK
     reach = np.full(max(start, node.max()) + 1, -1)
     reach[node[node >= 0]] = np.flatnonzero(node >= 0)
-    h = np.concatenate([h, np.zeros(pad)])
-    w = np.concatenate([w, np.zeros((2, 2 * pad))], axis=1)
-    node = np.concatenate([node, np.full(pad, -1)]).reshape(C, L)
-    # a chunk's nodes are contiguous: steps visit the nodes in order
-    spans = tuple((c, int(row[row >= 0].min()), int(row.max()) + 1)
-                  for c, row in enumerate(node) if row.max() >= 0)
-    first = np.ones((C, 3))
-    first[:, :2] = w[:, :-1:2 * L].T
-    mid_end = np.ones((L, 2, C, 3))
-    mid_end[..., :2] = w[:, 1:].reshape(2, C, L, 2).transpose(2, 3, 1, 0)
-    return _Steps(np.ascontiguousarray(h.reshape(C, L).T), first,
-                  mid_end.reshape(L, 2 * C, 3), np.ascontiguousarray(node.T),
-                  reach, start, spans)
+    samples = np.zeros((w.shape[1] + 2 * pad, 3))
+    samples[:, 2] = 1.0
+    samples[:w.shape[1], :2] = w.T
+    return _Steps(np.concatenate([h, np.zeros(pad)]), samples,
+                  np.concatenate([node, np.full(pad, -1)]), reach, start)
 
 
 @lru_cache(maxsize=64)
@@ -224,10 +220,10 @@ def _tables(system, l, mode, grid):
 
     lnode = np.full(len(pts) - 1, -1)
     lnode[mark[1:] - 1] = np.arange(1, cells + 1)
-    outward = _chunked(
+    outward = _padded(
         np.concatenate([np.diff(pts), np.full(K - 1 - cells, h)]), w_out,
         np.concatenate([lnode, np.arange(cells + 1, K)]), 0)
-    inward = _chunked(
+    inward = _padded(
         np.full(K - 1, -h), np.array(_w_parts(system, l, mode, rr[::-1])),
         np.arange(K - 2, -1, -1), K - 1)
     return outward, inward
@@ -261,29 +257,60 @@ def _rk4_map(h, Wa, Wm, Wb):
             1.0 + (b + m2 + 1.5 * (m * b)))
 
 
+def _chunk_length(S, B):
+    """Chunk length of a sweep of S padded steps for B energies: the
+    shortest power of two from 16 to _MAX_CHUNK whose chunk x energy pass
+    holds at most _CHUNK_CELLS cells, else _MAX_CHUNK."""
+    L = 16
+    while L < _MAX_CHUNK and S // L * B > _CHUNK_CELLS:
+        L *= 2
+    return L
+
+
 def _sweep(steps, phi, p, EX, match_idx):
     """Run one direction for a batch of energies from the start state
-    (phi, p), as a two-level scan over the chunks of ``steps``; EX holds
-    the rows (1, E, -E**2/hbar_c**2).
+    (phi, p), as a two-level scan over chunks of ``steps``; EX holds the
+    rows (1, E, -E**2/hbar_c**2).
+
+    The chunk length L comes from the batch width B (_chunk_length): a
+    narrow batch runs 16 rows over many chunks, a wide one longer, fewer
+    chunks.  Every chunk's transfer matrix is built in L row passes, taken
+    in blocks of R rows so that W and the RK4 maps of a block are one
+    _CHUNK_CELLS-sized pass each.  The chunk start states come from the
+    inclusive prefix products M_c ... M_0 of the chunk matrices, by
+    recursive doubling (log2 C passes over C chunks, each rescaled per
+    chunk), and phi at each node is its kept first row applied to its
+    chunk's start state, gathered _NODE_BLOCK nodes at a time.  How the
+    arithmetic is grouped depends on B (the BLAS path of the W products,
+    L and R), so an energy's result depends on the batch it shares, at
+    rounding level only.
 
     Returns (flips, phi_m, p_m): flips[k] marks a sign change of phi
     between grid nodes k and k + 1, shape (K - 1, B), and (phi_m, p_m) is
     the state at each energy's matching index, known up to a positive
     factor (each chunk carries its own scale).
     """
-    L, C = steps.h.shape
+    S = steps.h.size
     B = EX.shape[1]
     K = steps.reach.size
-    h = steps.h[..., None]
+    L = _chunk_length(S, B)
+    C = S // L
+    R = max(1, min(L, _CHUNK_CELLS // (C * B)))
+    h = steps.h.reshape(C, L).T[..., None]
+    w = steps.w[1:].reshape(C, L, 2, 3).transpose(1, 2, 0, 3)
+    node = steps.node.reshape(C, L).T
 
     # 1. transfer matrix of every chunk, its columns the images of (1, 0)
-    # and (0, 1); its first row is kept at every node-reaching step, the
-    # whole matrix at each energy's match step
+    # and (0, 1), over blocks of R rows: W and the RK4 maps of a block in
+    # one pass each, then the rows in order.  The matrix's first row is
+    # kept at every node-reaching step (row K of traj and tail takes the
+    # steps that reach none), the whole matrix at each energy's match step
     mphi = np.zeros((2, C, B))
     mp = np.zeros((2, C, B))
     mphi[0] = 1.0
     mp[1] = 1.0
-    rows = np.empty((2, K, B))
+    traj = np.empty((K + 1, B))
+    tail = np.empty((K + 1, B))
     s = steps.reach[match_idx]
     mc = np.where(s < 0, 0, s // L)
     mj = np.where(s < 0, -1, s % L)
@@ -292,38 +319,55 @@ def _sweep(steps, phi, p, EX, match_idx):
     cp = np.zeros((2, B))
     cphi[0] = 1.0
     cp[1] = 1.0
-    Wa = steps.first @ EX
-    for j in range(L):
-        Wm, Wb = (steps.w[j] @ EX).reshape(2, C, B)
-        m11, m12, m21, m22 = _rk4_map(h[j], Wa, Wm, Wb)
-        Wa = Wb
-        mphi, mp = m11 * mphi + m12 * mp, m21 * mphi + m22 * mp
-        if (j & 63) == 63:
-            mphi, mp = _rescale(mphi, mp, 0)
-        node = steps.node[j]
-        hit = node >= 0
-        rows[:, node[hit]] = mphi[:, hit]
-        if j in cap:
-            cols = cap[j]
-            cphi[:, cols] = mphi[:, mc[cols], cols]
-            cp[:, cols] = mp[:, mc[cols], cols]
+    Wb = (steps.w[:-1:2 * L] @ EX)[None]    # W where each chunk starts
+    for j0 in range(0, L, R):
+        blk = slice(j0, j0 + R)
+        Wmb = (w[blk].reshape(-1, 3) @ EX).reshape(-1, 2, C, B)
+        Wa = np.concatenate([Wb[-1:], Wmb[:-1, 1]])
+        Wm, Wb = Wmb[:, 0], Wmb[:, 1]
+        maps = _rk4_map(h[blk], Wa, Wm, Wb)
+        kept = np.empty((2, len(Wm), C, B))
+        for i, (m11, m12, m21, m22) in enumerate(zip(*maps)):
+            j = j0 + i
+            mphi, mp = m11 * mphi + m12 * mp, m21 * mphi + m22 * mp
+            if (j & 63) == 63:
+                mphi, mp = _rescale(mphi, mp, 0)
+            kept[:, i] = mphi
+            if j in cap:
+                cols = cap[j]
+                cphi[:, cols] = mphi[:, mc[cols], cols]
+                cp[:, cols] = mp[:, mc[cols], cols]
+        traj[node[blk]], tail[node[blk]] = kept
 
-    # 2. start state of every chunk: chain the matrices
+    # 2. start state of every chunk: the products P_c = M_c ... M_0 of the
+    # chunk matrices by recursive doubling, P_c <- P_c P_(c-n) for n = 1,
+    # 2, 4, ..., each pass rescaled per chunk
+    n = 1
+    while n < C:
+        top, bot = mphi[:, n:], mp[:, n:]
+        mphi[:, n:], mp[:, n:] = _rescale(
+            top[0] * mphi[:, :-n] + top[1] * mp[:, :-n],
+            bot[0] * mphi[:, :-n] + bot[1] * mp[:, :-n], 0)
+        n *= 2
     sphi = np.empty((C, B))
     sp = np.empty((C, B))
-    for c in range(C):
-        sphi[c], sp[c] = phi, p
-        phi, p = _rescale(mphi[0, c] * phi + mphi[1, c] * p,
-                          mp[0, c] * phi + mp[1, c] * p)
+    sphi[0], sp[0] = phi, p
+    sphi[1:] = mphi[0, :-1] * phi + mphi[1, :-1] * p
+    sp[1:] = mp[0, :-1] * phi + mp[1, :-1] * p
 
-    # 3. phi at the nodes: each chunk's kept first rows applied to its
-    # start state, in place
-    traj, tail = rows
-    traj[steps.start] = sphi[0]
-    for c, lo, hi in steps.spans:
-        traj[lo:hi] *= sphi[c]
-        tail[lo:hi] *= sp[c]
-        traj[lo:hi] += tail[lo:hi]
+    # 3. phi at the nodes: each node's kept first row applied to its
+    # chunk's start state, in place, one block of nodes at a time (the
+    # start node keeps the row (1, 0) of chunk 0)
+    traj, tail = traj[:K], tail[:K]
+    traj[steps.start] = 1.0
+    tail[steps.start] = 0.0
+    chunk = np.maximum(steps.reach, 0) // L
+    for lo in range(0, K, _NODE_BLOCK):
+        blk = slice(lo, lo + _NODE_BLOCK)
+        traj[blk] *= sphi[chunk[blk]]
+        tail[blk] *= sp[chunk[blk]]
+        traj[blk] += tail[blk]
+    del tail            # free it before the sign test, which needs phi alone
     neg = ~(traj >= 0.0)
     nonzero = traj != 0.0
     flips = (neg[:-1] != neg[1:]) & nonzero[1:] & nonzero[:-1]
@@ -356,7 +400,7 @@ def _shoot(system, l, mode, E, grid, match_idx):
 
     # ---- inward sweep: exponentially decaying start at r_max, where the
     # first inward step starts
-    W_end = np.maximum(inward.first[0] @ EX, 0.0)
+    W_end = np.maximum(inward.w[0] @ EX, 0.0)
     flips, in_phi, in_p = _sweep(inward, np.ones(B), -np.sqrt(W_end), EX,
                                  match_idx)
     nodes += np.count_nonzero(

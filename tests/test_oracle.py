@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.optimize
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from kghulthen import (PhysicalSystem, RadialGrid, coefficients_at,
                        energy_closed_form, energy_root_solve,
@@ -283,22 +285,61 @@ class TestChunkedSweep:
         l, mode = (0, "approx") if name == "reference_system" else (1, "exact")
         outward, inward = oracle._tables(system, l, mode, grid)
         # K - 1 inward steps are not a multiple of the chunk length
-        assert inward.h[-1, -1] == 0.0
-        # match at node 2, at the ends of an outward and an inward chunk,
-        # and at node K - 2
-        out_end = outward.node[-1][outward.node[-1] >= 0][-1]
-        in_end = inward.node[-1, 0]
+        assert inward.h[-1] == 0.0
+        # widths that make the chunk-length rule pick each of its lengths on
+        # the 4000-point grid; each batch matches at node 2, at the last node
+        # of an outward and of an inward chunk of its own length (the chunk's
+        # last step, where that reaches a node), and at node K - 2
+        widths = [240, 60, 34, 17, 1]
         K = grid.points
         m_inf = system.asymptotic_mass
-        E = np.linspace(-m_inf + 1e-6, m_inf - 1e-6, 240)
-        match = np.resize([2, out_end, in_end, K - 2], E.size)
+        E = np.linspace(-m_inf + 1e-6, m_inf - 1e-6, sum(widths))
+        batches = np.split(np.random.default_rng(0).permutation(E.size),
+                           np.cumsum(widths)[:-1])
+        match = np.empty(E.size, dtype=int)
+        lengths = set()
+        for sel in batches:
+            L_out = oracle._chunk_length(outward.h.size, sel.size)
+            L_in = oracle._chunk_length(inward.h.size, sel.size)
+            lengths |= {L_out, L_in}
+            ends = outward.node.reshape(-1, L_out).max(axis=1)
+            match[sel] = np.resize(
+                [2, ends[ends >= 0][-2], inward.node[L_in - 1], K - 2],
+                sel.size)
+        if points == 4000:
+            assert lengths == {16, 32, 64, 128}
         want_m, want_n = _stepwise_shoot(system, l, mode, E, grid, match)
-        for sel in (slice(None), slice(0, 238, 14), slice(123, 124)):
+        for sel in batches:
             got_m, got_n = oracle._shoot(system, l, mode, E[sel], grid,
                                          match[sel])
-            assert got_m.size in (240, 17, 1)
             assert np.max(np.abs(got_m - want_m[sel])) <= 1e-12
             assert np.array_equal(got_n, want_n[sel])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(V0=st.floats(0.05, 0.20), beta=st.floats(0.10, 0.50),
+           m1=st.floats(0.0, 0.30), l=st.integers(0, 2),
+           mode=st.sampled_from(["approx", "exact"]),
+           width=st.integers(1, 240), seed=st.integers(0, 2**32 - 1))
+    def test_matches_stepwise_sweep_over_the_domain(self, V0, beta, m1, l,
+                                                    mode, width, seed):
+        # the chunk products must not lose the subdominant solution on any
+        # system of the benchmark's box; half the batch matches at the
+        # turning index the solver would use, half at a random node
+        system = PhysicalSystem(V0=V0, beta=beta, m0=1.0, m1=m1)
+        span = default_grid(system)
+        grid = RadialGrid(r_min=span.r_min, r_max=span.r_max, points=150)
+        rng = np.random.default_rng(seed)
+        E = rng.uniform(*binding_window(system), width)
+        match = np.where(rng.random(width) < 0.5,
+                         oracle._turning_indices(system, l, mode, E, grid),
+                         rng.integers(2, grid.points - 1, width))
+        try:
+            got_m, got_n = oracle._shoot(system, l, mode, E, grid, match)
+        except InvalidRegime:
+            reject()
+        want_m, want_n = _stepwise_shoot(system, l, mode, E, grid, match)
+        assert np.max(np.abs(got_m - want_m)) <= 1e-12
+        assert np.array_equal(got_n, want_n)
 
     @pytest.mark.parametrize("window, widths", [
         # scan, both ends of the one bracket, 7 Illinois steps, final
@@ -345,6 +386,22 @@ class TestChunkedSweep:
                 default_grid(reference_system), 1e-10) == []
         assert len(caplog.records) == 1
         assert "(0.0, 1.0)" in caplog.records[0].getMessage()
+
+    def test_refined_energy_does_not_depend_on_the_batch(self):
+        # the sweep's rounding depends on the batch width, and false
+        # position amplifies it; a bracket refined alone and next to the
+        # channel's other bracket still meets one root within the tolerance
+        system = PhysicalSystem(V0=0.1065, beta=0.185, m0=1.0, m1=0.0703)
+        grid = default_grid(system)
+        tol = 1e-10 * system.m0
+        bracket = (0.8666694905932205, 0.8981847447966104)
+        other = (0.929330679614804, 0.9294537860765361)
+        (alone,) = oracle._refine_batch(system, 1, "approx", [bracket], grid,
+                                        tol)
+        together, _ = oracle._refine_batch(system, 1, "approx",
+                                           [bracket, other], grid, tol)
+        assert abs(alone.energy - together.energy) <= tol
+        assert alone.converged and together.converged
 
 
 class TestIndependentIntegratorAgreement:
