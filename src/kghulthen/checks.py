@@ -19,8 +19,7 @@ import numpy as np
 from . import hulthen_analytic as ha
 from . import nu_engine as nu
 from . import oracle
-from .errors import (ComplexRegime, GridResolution, InvalidRegime,
-                     NoBoundState)
+from .errors import GridResolution, InvalidRegime, NoBoundState
 from .model import (PhysicalSystem, RadialGrid, binding_window,
                     default_grid)
 from .specfun import JacobiParams, jacobi_derivative, jacobi_eval
@@ -50,15 +49,14 @@ def wavefunction_ode_residual(system, n, l, E, points: int = 50) -> float:
     s_half, A = wf.exponents          # z-power at origin, tail power
     s = s_half - 0.5
     params = wf.jacobi_params
-    d_params = JacobiParams(alpha=params.alpha, beta=params.beta, n=params.n)
     r_lo, r_hi = wf.grid.r_min, wf.grid.r_max
     # interior points clear of both endpoints, log-spaced over the support
     r = np.exp(np.linspace(math.log(r_lo * 20.0),
                            math.log(r_hi * 0.5), points))
     z = system.z_at(r)
     x = 1.0 - 2.0 * z
-    P = jacobi_eval(d_params, x)
-    dP = jacobi_derivative(d_params, x)
+    P = jacobi_eval(params, x)
+    dP = jacobi_derivative(params, x)
     d2P = (jacobi_derivative(
         JacobiParams(alpha=params.alpha + 1.0, beta=params.beta + 1.0,
                      n=params.n - 1), x)
@@ -138,13 +136,10 @@ def run_validation(system: PhysicalSystem,
     for level in levels:
         if level.unbound:
             continue
-        n, l, E = level.n, level.l, level.value
-        try:
-            res = ha.quantization_residual(system, n, l, E)
-        except ComplexRegime:
+        n = level.n
+        res, s, A = ha._condition(system, n, level.l, level.value)
+        if math.isnan(res):
             continue
-        A = ha.coefficients_at(system, l, E).A
-        s = ha._origin_half_exponent(system, l)
         scale = ha.residual_scale(n, A, s)
         direct = abs(res) / scale
         reflected = abs(res + 2.0 * A * (2.0 * n + 1.0 + 2.0 * s)) / scale

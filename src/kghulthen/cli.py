@@ -27,8 +27,8 @@ import numpy as np
 from . import checks as checks_mod
 from . import hulthen_analytic as ha
 from . import oracle
-from .errors import (ComplexRegime, ConfigError, GridResolution,
-                     InvalidRegime, NoBoundState, NonNormalizable)
+from .errors import (ConfigError, GridResolution, InvalidRegime,
+                     NoBoundState, NonNormalizable)
 from .model import PhysicalSystem, RadialGrid, default_grid
 
 _COMMANDS = ("spectrum", "wavefunction", "validate", "approx_error")
@@ -45,6 +45,11 @@ _MAX_BETAS = 64
 # command -> default (n_max, l_max)
 _DEFAULT_RANGES = {"spectrum": (2, 1), "wavefunction": (0, 0),
                    "validate": (0, 0), "approx_error": (0, 1)}
+
+# solver error -> the status token of the rows it leaves empty
+_ERROR_STATUS = {InvalidRegime: "invalid_regime",
+                 NoBoundState: "no_bound_state",
+                 GridResolution: "grid_resolution"}
 
 _FILE_KEYS = {"V0", "beta", "m0", "m1", "hbar_c", "report_in_rest_units",
               "betas", "grid", "n_max", "l_max", "branch", "method",
@@ -250,61 +255,36 @@ def _energy_out(config: RunConfig, value: Optional[float]) -> Optional[float]:
     return value
 
 
-def _closed_rows(config: RunConfig, n: int, l: int):
-    system = config.system
-    rows = {}
-    try:
-        lower, upper = ha.energy_closed_form(system, n, l)
-    except InvalidRegime:
-        return {b: (None, "invalid_regime") for b in ("lower", "upper")}
-    except NoBoundState:
-        return {b: (None, "no_bound_state") for b in ("lower", "upper")}
-    for level in (lower, upper):
-        if level.unbound:
-            status = "unbound"
-        elif ha.satisfies_quantization(system, n, l, level.value):
-            status = "ok"
-        else:
-            status = "spurious"
-        rows[level.branch] = (level.value, status)
-    return rows
-
-
-def _root_rows(config: RunConfig, n: int, l: int):
-    system = config.system
-    if ha.origin_exponent_discriminant(system, l) < 0.0:
-        return {b: (None, "invalid_regime") for b in ("lower", "upper")}
-    rows = {b: (None, "no_bound_state") for b in ("lower", "upper")}
-    for level in ha.energy_root_solve(system, n, l):
-        rows[level.branch] = (level.value, "ok")
-    return rows
-
-
-def _oracle_rows(config: RunConfig, n: int, l: int, cache: dict):
-    try:
-        if l not in cache:
-            cache[l] = oracle.find_bound_states(
-                config.system, l, mode="approx", grid=config.grid)
-    except InvalidRegime:
-        return {b: (None, "invalid_regime") for b in ("lower", "upper")}
-    except GridResolution:
-        return {b: (None, "grid_resolution") for b in ("lower", "upper")}
-    energies = [d.energy for d in cache[l] if d.node_count == n]
-    rows = {b: (None, "no_bound_state") for b in ("lower", "upper")}
-    for energy, branch in zip(energies, ha.branch_labels(config.system, n, l,
-                                                         energies)):
-        rows[branch] = (energy, "ok")
-    return rows
-
-
 def _state_rows(config: RunConfig, n: int, l: int, cache: dict):
     """{branch: (energy, status)} of (n, l) under the configured method;
-    ``cache`` keeps the oracle's states per l."""
-    if config.method == "closed_form":
-        return _closed_rows(config, n, l)
-    if config.method == "quantization_root":
-        return _root_rows(config, n, l)
-    return _oracle_rows(config, n, l, cache)
+    ``cache`` keeps the oracle's states per l.  A solver error makes both
+    rows carry its status token."""
+    system = config.system
+    rows = dict.fromkeys(("lower", "upper"), (None, "no_bound_state"))
+    try:
+        if config.method == "closed_form":
+            for level in ha.energy_closed_form(system, n, l):
+                if level.unbound:
+                    status = "unbound"
+                elif ha.satisfies_quantization(system, n, l, level.value):
+                    status = "ok"
+                else:
+                    status = "spurious"
+                rows[level.branch] = (level.value, status)
+        elif config.method == "quantization_root":
+            for level in ha.energy_root_solve(system, n, l):
+                rows[level.branch] = (level.value, "ok")
+        else:
+            if l not in cache:
+                cache[l] = oracle.find_bound_states(
+                    system, l, mode="approx", grid=config.grid)
+            energies = [d.energy for d in cache[l] if d.node_count == n]
+            for energy, branch in zip(energies, ha.branch_labels(
+                    system, n, l, energies)):
+                rows[branch] = (energy, "ok")
+    except (InvalidRegime, NoBoundState, GridResolution) as exc:
+        return dict.fromkeys(rows, (None, _ERROR_STATUS[type(exc)]))
+    return rows
 
 
 def _spectrum_records(config: RunConfig):
@@ -352,7 +332,7 @@ def _wavefunction_records(config: RunConfig):
     try:
         wf = ha.wavefunction(config.system, n, l, energy,
                              grid=config.grid)
-    except (NonNormalizable, InvalidRegime, ComplexRegime, ValueError) as exc:
+    except (NonNormalizable, InvalidRegime, ValueError) as exc:
         print(f"cannot build wavefunction for n={n}, l={l}: {exc}",
               file=sys.stderr)
         return []

@@ -24,7 +24,11 @@ reduce to
     F(E) = 1/4 + a1_sq - (s+A)**2 - (s+A+1/2) - 2n(1+s+A) - n(n-1),
 
 one NumPy expression over any array of trial energies; the tests pin it
-against the engine's branch-by-branch derivation.
+against the engine's branch-by-branch derivation.  That one evaluation
+(``_condition``) is the only place the solvers take the roots s and A: it
+returns F, s and A together, NaN where a root is complex.  s does not
+depend on E, so a complex s is a property of the channel: every solver
+raises InvalidRegime on it (an over-attractive origin).
 
 The quadratic closed form squares the condition once, which introduces
 reflected roots that do not satisfy the original condition.  Use
@@ -116,13 +120,28 @@ def origin_exponent_discriminant(system: PhysicalSystem, l: int) -> float:
     return 1.0 + 4.0 * coefficients_at(system, l, 0.0).a3_sq
 
 
-def _residual(system: PhysicalSystem, n: int, l: int, E):
-    """F(E) on the decaying branch for a scalar or array E (see the module
-    docstring); NaN where A or s is complex."""
+def _condition(system: PhysicalSystem, n: int, l: int, E):
+    """(F, s, A) at a scalar or array E: the condition F(E) on the decaying
+    branch (see the module docstring) with its origin power s and tail
+    power A; NaN where a root is complex.  s is E-free, so it is a scalar
+    at any E."""
     a1, a2, a3 = _coefficients(system, l, np.asarray(E, dtype=float))
     with np.errstate(invalid="ignore"):
-        t = 0.5 * np.sqrt(1.0 + 4.0 * a3) + np.sqrt(a1 + a2 + a3)
-    return 0.25 + a1 - t * t - (t + 0.5) - 2.0 * n * (1.0 + t) - n * (n - 1)
+        s, A = np.sqrt(0.25 + a3), np.sqrt(a1 + a2 + a3)
+    t = s + A
+    F = 0.25 + a1 - t * t - (t + 0.5) - 2.0 * n * (1.0 + t) - n * (n - 1)
+    return F, s, A
+
+
+def _real_origin(system: PhysicalSystem, l: int, s,
+                 error=InvalidRegime) -> float:
+    """The origin power s of ``_condition`` as a float; ``error`` when it
+    is complex (an over-attractive origin)."""
+    if math.isnan(s):
+        raise error(
+            "origin exponent is complex (over-attractive singularity): "
+            f"1 + 4*a3_sq = {origin_exponent_discriminant(system, l)!r}")
+    return float(s)
 
 
 def quantization_residual(system: PhysicalSystem, n: int, l: int, E: float) -> float:
@@ -133,18 +152,15 @@ def quantization_residual(system: PhysicalSystem, n: int, l: int, E: float) -> f
     both ends.  Raises ComplexRegime when the coefficients leave the real
     domain (A absent, or complex origin exponent).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    coeffs = coefficients_at(system, l, E)
-    if coeffs.A is None:
+    if n < 0 or l < 0:
+        raise ValueError("n and l must be >= 0")
+    F, s, A = _condition(system, n, l, E)
+    if math.isnan(A):
         raise ComplexRegime(
             f"tail coefficient is complex at E={E!r} (|E| exceeds the "
             "asymptotic rest energy)")
-    if 1.0 + 4.0 * coeffs.a3_sq < 0.0:
-        raise ComplexRegime(
-            "origin exponent is complex (over-attractive singularity): "
-            f"1 + 4*a3_sq = {1.0 + 4.0 * coeffs.a3_sq!r}")
-    return float(_residual(system, n, l, E))
+    _real_origin(system, l, s, ComplexRegime)
+    return float(F)
 
 
 def satisfies_quantization(system: PhysicalSystem, n: int, l: int, E: float,
@@ -153,33 +169,19 @@ def satisfies_quantization(system: PhysicalSystem, n: int, l: int, E: float,
 
     The closed-form quadratic also returns reflected roots (artifacts of
     squaring) whose residual is finite; they are reported as not satisfying
-    the condition.  Energies at or beyond the binding window are rejected.
+    the condition.  Energies at or beyond the binding window, and any E
+    where the condition is complex, are rejected.
     """
     if abs(E) >= system.asymptotic_mass:
         return False
-    try:
-        res = quantization_residual(system, n, l, E)
-    except ComplexRegime:
-        return False
-    A = coefficients_at(system, l, E).A
-    return abs(res) <= tol * residual_scale(n, A,
-                                            _origin_half_exponent(system, l))
+    F, s, A = _condition(system, n, l, E)
+    return bool(abs(F) <= tol * residual_scale(n, A, s))
 
 
 def residual_scale(n: int, A: float, s: float) -> float:
     """max(1, |lambda_n|) with lambda_n = 2n(A + s + 1) + n(n - 1): the scale
     that tolerances on the residual F are relative to."""
     return max(1.0, abs(2.0 * n * (A + s + 1.0) + n * (n - 1)))
-
-
-def _origin_half_exponent(system: PhysicalSystem, l: int) -> float:
-    """s = sqrt(1/4 + a3_sq); the regular solution behaves like z**(s+1/2)."""
-    disc = origin_exponent_discriminant(system, l)
-    if disc < 0.0:
-        raise InvalidRegime(
-            "origin exponent is complex (over-attractive singularity): "
-            f"1 + 4*a3_sq = {disc!r}")
-    return 0.5 * math.sqrt(disc)
 
 
 def level_midpoint(system: PhysicalSystem, n: int, l: int) -> float:
@@ -190,7 +192,7 @@ def level_midpoint(system: PhysicalSystem, n: int, l: int) -> float:
     with se the screening energy — the algebraic statement that the two
     branches are mirror partners.
     """
-    s = _origin_half_exponent(system, l)
+    s = _real_origin(system, l, _condition(system, n, l, 0.0)[1])
     N = 2.0 * n + 1.0 + 2.0 * s
     q2 = 1.0 / system.screening_energy**2
     V0, m0, m1 = system.V0, system.m0, system.m1
@@ -212,7 +214,7 @@ def energy_closed_form(system: PhysicalSystem, n: int, l: int):
     """
     if n < 0 or l < 0:
         raise ValueError("n and l must be >= 0")
-    s = _origin_half_exponent(system, l)
+    s = _real_origin(system, l, _condition(system, n, l, 0.0)[1])
     N = 2.0 * n + 1.0 + 2.0 * s
     q2 = 1.0 / system.screening_energy**2
     V0, m0, m1 = system.V0, system.m0, system.m1
@@ -282,38 +284,29 @@ def energy_root_solve(system: PhysicalSystem, n: int, l: int,
     changes of the residual F and bisects all brackets together to
     |dE| < 1e-12 * m0.  Windows default to the full binding range
     (``binding_window``), and roots are labelled by ``branch_labels``.
-    Energies where the residual is undefined are skipped (with a log
-    diagnostic); if that removes everything the result is an empty list,
-    not an error.
+    Raises InvalidRegime when the origin exponent is complex.  Inside the
+    binding range F is defined wherever the origin is regular; only a
+    window end at +-m_inf may round to an undefined (NaN) point, which
+    neither brackets nor counts as a zero.
     """
     lo, hi = binding_window(system, window)
     grid = np.linspace(lo, hi, 2001)
-    vals = _residual(system, n, l, grid)
-    undefined = np.isnan(vals)
-    skipped = int(undefined.sum())
-    if skipped:
-        log.warning("quantization residual undefined at %d of %d scan "
-                    "points for n=%d, l=%d; those subintervals skipped",
-                    skipped, grid.size, n, l)
-    # a lattice zero counts unless the point after it is undefined
-    exact = vals == 0.0
-    exact[:-1] &= ~undefined[1:]
-    # bisect every sign-change bracket at once, each one stopping at
-    # |dE| <= tol or at the first midpoint where F is undefined
+    vals, s, _ = _condition(system, n, l, grid)
+    _real_origin(system, l, s)
+    # bisect every sign-change bracket at once to |dE| <= tol
     j = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
     a, b, fa = grid[j], grid[j + 1], vals[j]
     tol = 1e-12 * system.m0
     active = b - a > tol
     while active.any():
         mid = 0.5 * (a + b)
-        fm = _residual(system, n, l, mid)
-        active &= ~np.isnan(fm)
+        fm = _condition(system, n, l, mid)[0]
         left = fa * fm <= 0.0
         b = np.where(active & left, mid, b)
         a = np.where(active & ~left, mid, a)
         fa = np.where(active & ~left, fm, fa)
         active &= b - a > tol
-    roots = grid[exact].tolist() + (0.5 * (a + b)).tolist()
+    roots = grid[vals == 0.0].tolist() + (0.5 * (a + b)).tolist()
     roots.sort()
     m_inf = system.asymptotic_mass
     return [EnergyLevel(value=E, branch=label, n=n, l=l,
@@ -368,30 +361,25 @@ def wavefunction(system: PhysicalSystem, n: int, l: int, E: float,
 
     phi(r) = z**(s + 1/2) * (1-z)**A * P_n^(2s, 2A)(1 - 2z), z = 1 - e^(-beta r),
     normalized so the integral of phi**2 over r equals one.  E must satisfy
-    the quantization condition (checked to 1e-6 scaled); A must be positive
-    and both Jacobi exponents > -1, otherwise NonNormalizable is raised.
+    the quantization condition (checked to 1e-6 scaled) with a positive
+    tail power A, otherwise ValueError or NonNormalizable is raised;
+    InvalidRegime means an over-attractive origin.
     """
-    coeffs = coefficients_at(system, l, E)
-    if coeffs.A is None or coeffs.A <= 0.0:
+    F, s, A = map(float, _condition(system, n, l, E))
+    if not A > 0.0:
         raise NonNormalizable(
-            "tail exponent A must be positive for a bound state "
-            f"(got {coeffs.A!r})")
-    s = _origin_half_exponent(system, l)
-    res = quantization_residual(system, n, l, E)
-    if abs(res) > 1e-6 * residual_scale(n, coeffs.A, s):
+            f"tail exponent A must be positive for a bound state (got {A!r})")
+    s = _real_origin(system, l, s)
+    if abs(F) > 1e-6 * residual_scale(n, A, s):
         raise ValueError(
             f"E={E!r} does not satisfy the quantization condition for "
-            f"n={n}, l={l} (residual {res!r})")
-    alpha, beta_j = 2.0 * s, 2.0 * coeffs.A
-    if alpha <= -1.0 or beta_j <= -1.0:
-        raise NonNormalizable(
-            f"Jacobi exponents ({alpha!r}, {beta_j!r}) not integrable")
+            f"n={n}, l={l} (residual {F!r})")
     if grid is None:
         grid = default_grid(system)
-    params = JacobiParams(alpha=alpha, beta=beta_j, n=n)
+    params = JacobiParams(alpha=2.0 * s, beta=2.0 * A, n=n)
 
     def bare(z):
-        return z**(s + 0.5) * (1.0 - z)**coeffs.A \
+        return z**(s + 0.5) * (1.0 - z)**A \
             * jacobi_eval(params, 1.0 - 2.0 * z)
 
     # norm integral: phi^2 dr = z^(2s+1) (1-z)^(2A-1) P^2 dz / beta, which
@@ -399,7 +387,7 @@ def wavefunction(system: PhysicalSystem, n: int, l: int, E: float,
     # Gauss-Jacobi rule with n+4 points integrates it exactly.  Mapping
     # z = (1+x)/2 sends the weight exponents to (2A-1, 2s+1) on [-1, 1]
     # and the polynomial argument 1-2z to -x.
-    p_exp, q_exp = 2.0 * s + 1.0, 2.0 * coeffs.A - 1.0
+    p_exp, q_exp = 2.0 * s + 1.0, 2.0 * A - 1.0
     gj_nodes, gj_weights = gauss_jacobi_rule(q_exp, p_exp, n + 4)
     poly_sq = jacobi_eval(params, -gj_nodes) ** 2
     norm_sq = float(np.sum(gj_weights * poly_sq)) \
@@ -422,5 +410,5 @@ def wavefunction(system: PhysicalSystem, n: int, l: int, E: float,
     ) / system.beta / norm_sq
     return RadialWavefunction(grid=grid, values=vals, node_count=node_count,
                               norm=measured, jacobi_params=params,
-                              exponents=(s + 0.5, coeffs.A),
+                              exponents=(s + 0.5, A),
                               amplitude=amplitude)

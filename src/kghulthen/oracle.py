@@ -375,6 +375,12 @@ def _sweep(steps, phi, p, EX, match_idx):
     return flips, cphi[0] * phi + cphi[1] * p, cp[0] * phi + cp[1] * p
 
 
+def _energy_rows(system, E):
+    """The rows (1, E, -E**2/hbar_c**2) of a batch E, so that a sample row
+    (w0, w1, 1) of a step table times them is W."""
+    return np.array([np.ones(E.size), E, -(E / system.hbar_c) ** 2])
+
+
 def _shoot(system, l, mode, E, grid, match_idx):
     """Two-sided sweep for a batch of energies.
 
@@ -387,7 +393,7 @@ def _shoot(system, l, mode, E, grid, match_idx):
     match_idx = np.broadcast_to(np.asarray(match_idx, int), (B,)).copy()
     K = grid.points
     outward, inward = _tables(system, l, mode, grid)
-    EX = np.array([np.ones(B), E, -(E / system.hbar_c) ** 2])
+    EX = _energy_rows(system, E)
     row = np.arange(K - 1)[:, None]
 
     _, cm1c, cm1l, g = _origin_series(system, l)
@@ -418,7 +424,9 @@ def _turning_indices(system, l, mode, E, grid):
     (about r_max/3), falling back to the grid midpoint."""
     K = grid.points
     E = np.atleast_1d(np.asarray(E, dtype=float))
-    S = np.sign(ode_coefficient(system, l, E, grid.radii()[:, None], mode))
+    # the inward table samples W at every grid node, r_max first
+    nodes = _tables(system, l, mode, grid)[1].w[2 * K - 2::-2]
+    S = np.sign(nodes @ _energy_rows(system, E))
     cross = S[:-1, :] * S[1:, :] <= 0
     idx = np.arange(K - 1)
     target = K // 3
@@ -451,7 +459,10 @@ def _refine_batch(system, l, mode, brackets, grid, tol):
     for _ in range(120):
         if not active.any():
             break
-        c = (fa * b - fb * a) / (fa - fb)
+        # false position on the active brackets only: a dropped one may
+        # have fa == fb
+        c = np.divide(fa * b - fb * a, fa - fb, out=0.5 * (a + b),
+                      where=active)
         c = np.clip(c, a + 0.01 * (b - a), b - 0.01 * (b - a))
         fc, _ = _shoot(system, l, mode, c, grid, imr)
         neg = (fa * fc < 0) & active

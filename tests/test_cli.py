@@ -199,10 +199,12 @@ class TestSpectrumRecords:
         assert all(r["status"] == "no_bound_state" for r in records)
         assert all(r["energy"] is None for r in records)
 
-    def test_invalid_regime_rows_per_channel(self):
+    @pytest.mark.parametrize("method", ["closed_form", "quantization_root",
+                                        "oracle"])
+    def test_invalid_regime_rows_per_channel(self, method):
         cfg = parse_config(
             '{"V0": 0.3, "beta": 0.2, "m0": 1.0, "m1": 0.1}',
-            {"method": "closed_form", "n_max": 0, "l_max": 1})
+            {"method": method, "n_max": 0, "l_max": 1})
         records = execute(cfg)
         by_key = {(r["n"], r["l"], r["branch"]): r for r in records}
         # the s channel is over-attractive, the l=1 channel is not

@@ -402,6 +402,23 @@ class TestRootSolve:
                                   window=(-0.5, 0.0))
         assert empty == []
 
+    def test_over_attractive_origin_raises(self):
+        bad = PhysicalSystem(V0=0.3, beta=0.2, m0=1.0, m1=0.1)
+        with pytest.raises(InvalidRegime, match="origin"):
+            energy_root_solve(bad, 0, 0)
+
+    def test_window_at_the_binding_edges(self, reference_system, caplog):
+        # the ends at +-m_inf may round to an undefined residual; they
+        # neither bracket nor count as zeros, and nothing is logged
+        m_inf = reference_system.asymptotic_mass
+        (want,) = energy_root_solve(reference_system, 0, 0)
+        with caplog.at_level(logging.WARNING,
+                             logger="kghulthen.hulthen_analytic"):
+            (got,) = energy_root_solve(reference_system, 0, 0,
+                                       window=(-m_inf, m_inf))
+        assert got.value == pytest.approx(want.value, abs=1e-11)
+        assert not caplog.records
+
     def test_window_validation(self, reference_system):
         with pytest.raises(ValueError, match="window"):
             energy_root_solve(reference_system, 0, 0, window=(-2.0, 2.0))

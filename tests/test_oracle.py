@@ -3,6 +3,7 @@
 import logging
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -386,6 +387,27 @@ class TestChunkedSweep:
                 default_grid(reference_system), 1e-10) == []
         assert len(caplog.records) == 1
         assert "(0.0, 1.0)" in caplog.records[0].getMessage()
+
+    def test_dropped_bracket_takes_no_false_position_step(
+            self, reference_system, monkeypatch, caplog):
+        # the first bracket's mismatch is constant (fa == fb), the second
+        # changes sign at 2.5; only the second is refined, and the dropped
+        # one must not reach the false-position division
+        monkeypatch.setattr(
+            oracle, "_shoot", lambda system, l, mode, E, grid, match_idx: (
+                np.where(np.asarray(E) < 1.5, 1.0, np.asarray(E) - 2.5),
+                np.zeros(np.size(E), dtype=int)))
+        with warnings.catch_warnings(), \
+                caplog.at_level(logging.WARNING, logger="kghulthen.oracle"):
+            warnings.simplefilter("error")
+            (state,) = oracle._refine_batch(
+                reference_system, 0, "approx", [(0.0, 1.0), (2.0, 3.0)],
+                default_grid(reference_system), 1e-10)
+        assert state.energy == pytest.approx(2.5, abs=1e-10)
+        assert state.converged
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        assert "(0.0, 1.0)" in message and "(2.0, 3.0)" not in message
 
     def test_refined_energy_does_not_depend_on_the_batch(self):
         # the sweep's rounding depends on the batch width, and false
