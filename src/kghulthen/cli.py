@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -230,6 +230,11 @@ def parse_config(source: str, overrides: dict) -> RunConfig:
             f"are supported, got {len(betas_spec)}")
     betas = tuple(_require_number(f"betas[{i}]", b, positive=True)
                   for i, b in enumerate(betas_spec))
+    for i, b in enumerate(betas if command == "approx_error" else ()):
+        try:                            # each system it solves is in domain
+            replace(system, beta=b)
+        except ValueError as exc:
+            raise ConfigError(f"config key 'betas[{i}]': {exc}") from exc
 
     rest_units = merged.get("report_in_rest_units", False)
     if not isinstance(rest_units, bool):

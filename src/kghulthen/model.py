@@ -28,6 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# bounds of the domain rule: beta, hbar_c, m0 and beta*hbar_c within _SCALES,
+# where the squares of the scales and their products stay finite and
+# nonzero; |V0| and m0 at most _MAX_DEPTH screening energies beta*hbar_c,
+# near where the rounding of the quantization residual, about
+# 2e-16 * (m0/(beta*hbar_c))**2, reaches its 1e-8 tolerance
+_SCALES = (1e-100, 1e100)
+_MAX_DEPTH = 1e4
+
+
 @dataclass(frozen=True)
 class PhysicalSystem:
     """Parameter set defining one well + mass profile.
@@ -45,6 +54,10 @@ class PhysicalSystem:
         recovers a constant mass.  Must satisfy ``m1 < m0``.
     hbar_c : float, optional
         Value of hbar*c in (energy x length) units; defaults to 1.
+
+    One domain rule bounds the magnitudes: beta, hbar_c, m0 and the
+    screening energy beta*hbar_c lie in [1e-100, 1e100], and |V0| and m0
+    are at most 1e4 * beta*hbar_c.  A ValueError names the bound broken.
     """
 
     V0: float
@@ -54,12 +67,20 @@ class PhysicalSystem:
     hbar_c: float = 1.0
 
     def __post_init__(self):
-        if not (self.beta > 0.0):
-            raise ValueError("screening rate beta must be positive")
-        if not (self.hbar_c > 0.0):
-            raise ValueError("hbar_c must be positive")
-        if not (self.m0 > 0.0):
-            raise ValueError("rest energy m0 must be positive")
+        # the domain rule: the solvers square these scales and multiply the
+        # squares, which stays inside double precision only within bounds
+        lo, hi = _SCALES
+        se = self.beta * self.hbar_c
+        for name, value in (("screening rate beta", self.beta),
+                            ("hbar_c", self.hbar_c), ("rest energy m0", self.m0),
+                            ("screening energy beta*hbar_c", se)):
+            if not lo <= value <= hi:
+                raise ValueError(
+                    f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
+        if not max(abs(self.V0), self.m0) <= _MAX_DEPTH * se:
+            raise ValueError(
+                f"|V0| and m0 must be at most {_MAX_DEPTH:g} * beta*hbar_c "
+                f"= {_MAX_DEPTH * se!r}, got V0={self.V0!r}, m0={self.m0!r}")
         if self.m1 < 0.0:
             raise ValueError("mass-variation strength m1 must be >= 0")
         if self.m1 >= self.m0:

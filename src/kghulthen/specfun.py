@@ -79,6 +79,18 @@ def gauss_jacobi_rule(alpha: float, beta: float, points: int):
     rule integrates weight * polynomial exactly through degree
     2 * points - 1.
     """
+    nodes, shares = _golub_welsch(alpha, beta, points)
+    apb = alpha + beta
+    mass = math.exp((apb + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0)
+                    + math.lgamma(beta + 1.0) - math.lgamma(apb + 2.0))
+    return nodes, mass * shares
+
+
+def _golub_welsch(alpha: float, beta: float, points: int):
+    """Nodes and normalized weights (summing to one) of the Gauss-Jacobi
+    rule: the eigenvalues of the recurrence matrix and the squared first
+    components of its eigenvectors.  Free of the weight mass, so it holds
+    for exponents whose mass 2**(alpha+beta+1) * B(...) overflows."""
     if not (alpha > -1.0 and beta > -1.0):
         raise ValueError(
             f"weight exponents must exceed -1, got ({alpha!r}, {beta!r})")
@@ -99,10 +111,7 @@ def gauss_jacobi_rule(alpha: float, beta: float, points: int):
         off = np.sqrt(num / den)
         jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     nodes, vecs = np.linalg.eigh(jac)
-    mass = math.exp((apb + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0)
-                    + math.lgamma(beta + 1.0) - math.lgamma(apb + 2.0))
-    weights = mass * vecs[0, :] ** 2
-    return nodes, weights
+    return nodes, vecs[0, :] ** 2
 
 
 def endpoint_power_integral(p: float, q: float, f, h: float = 1.0 / 32.0,

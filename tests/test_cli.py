@@ -152,6 +152,97 @@ class TestParseConfigErrors:
             '"report_in_rest_units": "yes"}')
 
 
+def _records_or_config_error(V0, beta, m0, m1_share, hbar_c):
+    """Every parsed spectrum (closed form and root solve) and wavefunction
+    config of this system ends in records; the rest fail to parse."""
+    source = json.dumps({"V0": V0, "beta": beta, "m0": m0,
+                         "m1": m1_share * m0, "hbar_c": hbar_c})
+    for overrides in ({"command": "spectrum", "method": "closed_form"},
+                      {"command": "spectrum",
+                       "method": "quantization_root"},
+                      {"command": "wavefunction"}):
+        try:
+            cfg = parse_config(source, overrides)
+        except ConfigError:
+            continue
+        assert isinstance(execute(cfg), list)
+
+
+_MAGNITUDE = st.floats(1e-300, 1e300)
+_EXPONENT = st.floats(-110.0, 110.0)
+
+
+class TestDomainRule:
+    # configs that parsed and then crashed inside execute; the domain rule
+    # now rejects them while parsing
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--V0", "0.1", "--beta", "1e-300", "--m0", "1"],
+        ["spectrum", "--V0", "0.1", "--beta", "0.2", "--m0", "1",
+         "--hbar-c", "1e-170"],
+        ["spectrum", "--V0", "1e200", "--beta", "0.2", "--m0", "1"],
+        ["spectrum", "--V0", "0.1", "--beta", "0.2", "--m0", "1",
+         "--hbar-c", "1e300"],
+        ["spectrum", "--V0", "0.1", "--beta", "0.2", "--m0", "1e200",
+         "--method", "closed_form"],
+        ["approx-error", "--config", "configs/reference.json",
+         "--betas", "1e-300"],
+        ["approx-error", "--config", "configs/reference.json",
+         "--betas", "0.2,1e300"],
+    ])
+    def test_out_of_domain_is_a_config_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must" in captured.err
+
+    def test_domain_bounds(self):
+        # approx-error solves the system at every beta, so each one must
+        # meet the rule; the default betas do not bind the other commands
+        with pytest.raises(ConfigError, match="betas\\[1\\]"):
+            parse_config(REF_SOURCE, {"command": "approx_error",
+                                      "betas": "0.2,1e-300"})
+        # |V0| and m0 up to 1e4 screening energies
+        edge = '{"V0": -1000.0, "beta": 0.1, "m0": 1000.0, "hbar_c": 1.0}'
+        assert parse_config(edge, {}).system.m0 == 1000.0
+        with pytest.raises(ConfigError, match="at most 10000"):
+            parse_config(edge, {"hbar_c": 0.99})
+        with pytest.raises(ConfigError, match="betas\\[3\\]"):
+            parse_config(edge, {"command": "approx_error"})
+
+    def test_small_screening_wavefunction_returns_samples(self, capsys):
+        # 2A exceeds 1000 for this ground state, where the Gauss-Jacobi
+        # weight mass 2**(2s+2A+1) * B(...) overflows; the norm does not
+        argv = ["--V0", "0.0005", "--beta", "0.001", "--m0", "1"]
+        assert main(["wavefunction"] + argv) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == "r,z,phi,phi_normalized" and len(rows) == 4001
+        assert main(["validate"] + argv) in (0, 1)
+        out = capsys.readouterr().out
+        assert "wavefunction_norm,pass" in out
+        assert "norm_quadrature_cross_check,pass" in out
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(V0=_MAGNITUDE, beta=_MAGNITUDE, m0=_MAGNITUDE,
+           m1_share=st.floats(0.0, 1.0, exclude_max=True),
+           hbar_c=_MAGNITUDE)
+    def test_parsed_configs_end_in_records(self, V0, beta, m0, m1_share,
+                                           hbar_c):
+        _records_or_config_error(V0, beta, m0, m1_share, hbar_c)
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(beta=_EXPONENT, hbar_c=_EXPONENT, m0=st.floats(-12.0, 5.0),
+           V0=st.floats(-12.0, 5.0), sign=st.sampled_from([1.0, -1.0, 0.0]),
+           m1_share=st.floats(0.0, 1.0, exclude_max=True))
+    def test_parsed_configs_near_the_bounds_end_in_records(
+            self, beta, hbar_c, m0, V0, sign, m1_share):
+        # scales drawn by exponent, the well relative to beta*hbar_c, so
+        # that most draws parse and the bounds are crossed from both sides
+        se = 10.0 ** (beta + hbar_c)
+        _records_or_config_error(sign * se * 10.0 ** V0, 10.0 ** beta,
+                                 se * 10.0 ** m0, m1_share, 10.0 ** hbar_c)
+
+
 class TestSpectrumRecords:
     def test_closed_form_reference_table(self):
         cfg = _cfg(method="closed_form")

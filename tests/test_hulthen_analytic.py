@@ -539,6 +539,19 @@ class TestWavefunction:
         assert wf.amplitude ** 2 == pytest.approx(
             _bare_norm_mp(set_b, 1, 1, E), rel=1e-11)
 
+    @pytest.mark.parametrize("n,l", [(0, 0), (1, 1)])
+    def test_norm_beyond_the_weight_mass_overflow(self, n, l):
+        # 2A = 1414 for this ground state, where the Gauss-Jacobi weight
+        # mass 2**(2s+2A+1) * B(2A, 2s+2) overflows a double; the norm is
+        # B(2A, 2s+2) times a sum over the rule's normalized weights
+        system = PhysicalSystem(V0=0.0005, beta=0.001, m0=1.0)
+        (level,) = energy_root_solve(system, n, l)
+        wf = wavefunction(system, n, l, level.value)
+        assert wf.node_count == n
+        assert wf.norm == pytest.approx(1.0, abs=1e-11)
+        assert wf.amplitude ** 2 == pytest.approx(
+            _bare_norm_mp(system, n, l, level.value), rel=1e-11)
+
     def test_amplitude_restores_bare_construction(self, reference_system):
         from kghulthen import JacobiParams, jacobi_eval
         E = REFERENCE_TRUE[(1, 0)]

@@ -9,7 +9,8 @@ import scipy.special
 import sympy
 
 from kghulthen import JacobiParams, jacobi_derivative, jacobi_eval
-from kghulthen.specfun import endpoint_power_integral, gauss_jacobi_rule
+from kghulthen.specfun import (_golub_welsch, endpoint_power_integral,
+                               gauss_jacobi_rule)
 
 
 def _beta_fn(a, b):
@@ -138,6 +139,20 @@ class TestGaussJacobiRule:
                     assert inner > 0.0
                 else:
                     assert abs(inner) < 1e-13
+
+    def test_normalized_weights_carry_the_rule(self):
+        # the rule is its weight mass times the normalized weights, and
+        # those stay finite where the mass overflows
+        nodes, weights = gauss_jacobi_rule(2.4, 0.3, 6)
+        same, shares = _golub_welsch(2.4, 0.3, 6)
+        mass = 2.0 ** 3.7 * _beta_fn(3.4, 1.3)
+        assert np.array_equal(nodes, same)
+        assert np.allclose(weights, mass * shares, rtol=1e-13, atol=0.0)
+        with pytest.raises(OverflowError):
+            gauss_jacobi_rule(1413.0, 2.0, 4)
+        nodes, shares = _golub_welsch(1413.0, 2.0, 4)
+        assert float(np.sum(shares)) == pytest.approx(1.0, rel=1e-13)
+        assert np.all(np.abs(nodes) < 1.0)
 
     def test_single_point_rule(self):
         nodes, weights = gauss_jacobi_rule(0.0, 0.0, 1)
