@@ -387,9 +387,9 @@ def wavefunction(system: PhysicalSystem, n: int, l: int, E: float,
     # is exactly a Jacobi weight times a polynomial of degree 2n, so a
     # Gauss-Jacobi rule with n+4 points integrates it exactly.  Mapping
     # z = (1+x)/2 sends the weight exponents to (2A-1, 2s+1) on [-1, 1]
-    # and the polynomial argument 1-2z to -x; the rule's weight mass
-    # 2**(2s+2A+1) * B(2A, 2s+2) then loses its power of two, and the
-    # normalized weights leave B(2A, 2s+2) alone, taken through lgamma
+    # and the polynomial argument 1-2z to -x.  The rule's weights are its
+    # mass 2**(2s+2A+1) * B(2A, 2s+2) times normalized weights; the map's
+    # 2**-(2s+2A+1) cancels the power, and B alone stays finite (lgamma)
     p_exp, q_exp = 2.0 * s + 1.0, 2.0 * A - 1.0
     gj_nodes, shares = _golub_welsch(q_exp, p_exp, n + 4)
     poly_sq = jacobi_eval(params, -gj_nodes) ** 2

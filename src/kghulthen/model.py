@@ -28,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# bounds of the domain rule: beta, hbar_c, m0 and beta*hbar_c within _SCALES,
-# where the squares of the scales and their products stay finite and
-# nonzero; |V0| and m0 at most _MAX_DEPTH screening energies beta*hbar_c,
-# near where the rounding of the quantization residual, about
-# 2e-16 * (m0/(beta*hbar_c))**2, reaches its 1e-8 tolerance
+# the domain rule's bounds: within _SCALES the squares of beta, hbar_c, m0
+# and beta*hbar_c, and the products of those squares, stay finite and
+# nonzero; near _MAX_DEPTH screening energies the rounding of the
+# quantization residual, about 2e-16 * (m0/(beta*hbar_c))**2, reaches its
+# 1e-8 tolerance
 _SCALES = (1e-100, 1e100)
 _MAX_DEPTH = 1e4
 
@@ -67,12 +67,11 @@ class PhysicalSystem:
     hbar_c: float = 1.0
 
     def __post_init__(self):
-        # the domain rule: the solvers square these scales and multiply the
-        # squares, which stays inside double precision only within bounds
         lo, hi = _SCALES
         se = self.beta * self.hbar_c
         for name, value in (("screening rate beta", self.beta),
-                            ("hbar_c", self.hbar_c), ("rest energy m0", self.m0),
+                            ("hbar_c", self.hbar_c),
+                            ("rest energy m0", self.m0),
                             ("screening energy beta*hbar_c", se)):
             if not lo <= value <= hi:
                 raise ValueError(
