@@ -19,7 +19,8 @@ import numpy as np
 from . import hulthen_analytic as ha
 from . import nu_engine as nu
 from . import oracle
-from .errors import GridResolution, InvalidRegime, NoBoundState
+from .errors import (GridResolution, InvalidRegime, NoBoundState,
+                     NonNormalizable)
 from .model import (PhysicalSystem, RadialGrid, binding_window,
                     default_grid)
 from .specfun import JacobiParams, jacobi_derivative, jacobi_eval
@@ -179,9 +180,9 @@ def run_validation(system: PhysicalSystem,
         worst = max(worst, abs(total - 2.0 * mid) / max(1.0, abs(total)))
     add("branch_midpoint_identity", worst, 1e-12)
 
-    # 8-10. shooting oracle: agreement, node counts, mode independence at
-    # l=0; oracle states are labelled by node count and branch_labels, so
-    # a Klein-Gordon pair sharing n meets its lower and upper levels
+    # 8-10. shooting oracle: agreement and node counts of one l=0 scan, and
+    # the two modes' l=0 step tables; states are labelled by node count and
+    # branch_labels, so a Klein-Gordon pair sharing n meets both its levels
     targets = sorted((lv for lv in genuine if lv.l == 0),
                      key=lambda lv: lv.value)
     if targets:
@@ -193,9 +194,6 @@ def run_validation(system: PhysicalSystem,
             approx = oracle.find_bound_states(system, 0, window=window,
                                               mode="approx", grid=grid,
                                               scan_points=60)
-            exact = oracle.find_bound_states(system, 0, window=window,
-                                             mode="exact", grid=grid,
-                                             scan_points=60)
             labelled = {}
             for n in sorted({d.node_count for d in approx}):
                 same = [d.energy for d in approx if d.node_count == n]
@@ -213,25 +211,32 @@ def run_validation(system: PhysicalSystem,
                             / max(abs(level.value), 1e-300))
             add("oracle_agreement_l0", worst, 1e-6)
             add("oracle_node_counts", node_bad, 0.0)
-            mode_diff = 0.0 if len(approx) == len(exact) else float("inf")
-            for da, de in zip(approx, exact):
-                mode_diff = max(mode_diff, abs(da.energy - de.energy)
-                                / max(abs(de.energy), 1e-300))
+            mode_diff = max(
+                np.max(np.abs(a.w - e.w) / np.maximum(np.abs(e.w), 1e-300))
+                for a, e in zip(oracle._tables(system, 0, "approx", grid),
+                                oracle._tables(system, 0, "exact", grid)))
             add("mode_agreement_l0", mode_diff, 1e-9)
         except (InvalidRegime, GridResolution):
             add("oracle_agreement_l0", float("inf"), 1e-6)
 
-    # 11-13. wavefunctions of the genuine states
+    # 11-13. wavefunctions of the genuine states; one that cannot be
+    # normalized fails every wavefunction row
     norm_worst = 0.0
     node_bad = 0.0
     resid_worst = 0.0
     for level in genuine:
-        wf = ha.wavefunction(system, level.n, level.l, level.value)
+        try:
+            wf = ha.wavefunction(system, level.n, level.l, level.value)
+            resid = wavefunction_ode_residual(system, level.n, level.l,
+                                              level.value)
+        except NonNormalizable:
+            norm_worst = resid_worst = float("inf")
+            node_bad += 1.0
+            continue
         norm_worst = max(norm_worst, abs(wf.norm - 1.0))
         if wf.node_count != level.n:
             node_bad += 1.0
-        resid_worst = max(resid_worst, wavefunction_ode_residual(
-            system, level.n, level.l, level.value))
+        resid_worst = max(resid_worst, resid)
     add("wavefunction_norm", norm_worst, 1e-8)
     add("wavefunction_nodes", node_bad, 0.0)
     add("wavefunction_ode_residual", resid_worst, 1e-6)

@@ -39,7 +39,7 @@ _DEFAULT_BETAS = (0.4, 0.2, 0.1, 0.05)
 # an oracle sweep holds (points, energies) arrays: at 240 scan energies
 # this many points takes about 80 MB, five times the default grid
 _MAX_GRID_POINTS = 20_000
-# every (n, l) up to these costs a solve, every beta two oracle scans
+# each (n, l) costs a solve; each beta one oracle scan at l = 0, else two
 _MAX_QUANTUM_NUMBER = 100
 _MAX_BETAS = 64
 # command -> default (n_max, l_max)

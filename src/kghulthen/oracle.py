@@ -4,8 +4,9 @@ This module never touches the closed-form machinery: it integrates the
 radial equation phi'' = W(r, E) phi directly, so its eigenvalues are an
 independent check on the analytic spectrum.  ``mode`` selects the
 centrifugal term: "exact" keeps l(l+1)/r**2, "approx" uses the screened
-surrogate that the analytic treatment is built on (the two coincide for
-l = 0 and as beta*r -> 0).
+surrogate that the analytic treatment is built on.  The two coincide as
+beta*r -> 0, and for l = 0 they are the same equation, so
+``approximation_error`` solves an l = 0 channel once for both columns.
 
 Method: a fourth-order Runge-Kutta sweep outward from r_min and inward
 from r_max, matched at the classical turning point nearest r_max/3 (grid
@@ -267,6 +268,7 @@ def _chunk_length(S, B):
     return L
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sweep(steps, phi, p, EX, match_idx):
     """Run one direction for a batch of energies from the start state
     (phi, p), as a two-level scan over chunks of ``steps``; EX holds the
@@ -288,7 +290,8 @@ def _sweep(steps, phi, p, EX, match_idx):
     Returns (flips, phi_m, p_m): flips[k] marks a sign change of phi
     between grid nodes k and k + 1, shape (K - 1, B), and (phi_m, p_m) is
     the state at each energy's matching index, known up to a positive
-    factor (each chunk carries its own scale).
+    factor (each chunk carries its own scale).  Raises GridResolution when
+    a node value or the matched state overflows between rescalings.
     """
     S = steps.h.size
     B = EX.shape[1]
@@ -368,11 +371,17 @@ def _sweep(steps, phi, p, EX, match_idx):
         tail[blk] *= sp[chunk[blk]]
         traj[blk] += tail[blk]
     del tail            # free it before the sign test, which needs phi alone
+    phi, p = sphi[mc, np.arange(B)], sp[mc, np.arange(B)]
+    phi, p = cphi[0] * phi + cphi[1] * p, cp[0] * phi + cp[1] * p
+    if not (np.isfinite(traj).all() and np.isfinite([phi, p]).all()):
+        raise GridResolution(
+            "oracle sweep overflowed: phi is not finite; the grid is too "
+            "coarse for these parameters; increase grid.points "
+            f"(currently {K})")
     neg = ~(traj >= 0.0)
     nonzero = traj != 0.0
     flips = (neg[:-1] != neg[1:]) & nonzero[1:] & nonzero[:-1]
-    phi, p = sphi[mc, np.arange(B)], sp[mc, np.arange(B)]
-    return flips, cphi[0] * phi + cphi[1] * p, cp[0] * phi + cp[1] * p
+    return flips, phi, p
 
 
 def _energy_rows(system, E):
@@ -565,8 +574,9 @@ def approximation_error(system: PhysicalSystem, n: int, l: int, betas):
     are compared.  Rows where either mode lacks a unique n-node state are
     flagged "unmatched"; betas whose parameters admit no analysis at all
     are flagged "invalid_regime", and betas whose states the default grid
-    cannot resolve "grid_resolution".  Rows are never dropped.  (For l = 0
-    the two modes are the same equation, so the error is solver noise.)
+    cannot resolve "grid_resolution".  Rows are never dropped.  For l = 0
+    the two modes are the same equation, so each beta is solved once and
+    both columns share that solve: the error there is 0 by construction.
     """
     if n < 0 or l < 0:
         raise ValueError("n and l must be >= 0")
@@ -576,25 +586,21 @@ def approximation_error(system: PhysicalSystem, n: int, l: int, betas):
                                  m0=system.m0, m1=system.m1,
                                  hbar_c=system.hbar_c)
         try:
-            per_mode = {}
-            for mode in ("approx", "exact"):
-                found = [d for d in find_bound_states(variant, l, mode=mode)
-                         if d.node_count == n]
-                per_mode[mode] = found
+            modes = ("approx", "exact") if l else ("approx",)
+            found = [[d.energy for d in find_bound_states(variant, l, mode=m)
+                      if d.node_count == n] for m in modes]
         except InvalidRegime:
             status = "invalid_regime"
         except GridResolution:
             status = "grid_resolution"
         else:
-            status = ("ok" if len(per_mode["approx"]) == 1
-                      and len(per_mode["exact"]) == 1 else "unmatched")
+            status = "ok" if all(len(f) == 1 for f in found) else "unmatched"
         if status != "ok":
             rows.append(ApproxErrorRow(beta=float(beta), E_approx=None,
                                        E_exact=None, abs_err=None,
                                        rel_err=None, status=status))
             continue
-        e_a = per_mode["approx"][0].energy
-        e_x = per_mode["exact"][0].energy
+        e_a, e_x = found[0][0], found[-1][0]
         abs_err = abs(e_a - e_x)
         rel_err = abs_err / max(abs(e_x), 1e-300)
         rows.append(ApproxErrorRow(beta=float(beta), E_approx=e_a,

@@ -1,7 +1,7 @@
 """Validation battery: how oracle states meet the closed-form levels."""
 
 from kghulthen import (PhysicalSystem, energy_root_solve, find_bound_states,
-                       main)
+                       main, oracle)
 from kghulthen.checks import run_validation
 from kghulthen.hulthen_analytic import branch_labels
 from kghulthen.model import binding_window
@@ -43,3 +43,37 @@ def test_state_beside_threshold_jump_is_found():
         assert abs(d.energy - E) <= 1e-6
     assert main(["validate", "--V0", "0.0675", "--beta", "0.2785",
                  "--m0", "1", "--m1", "0.2429"]) == 0
+
+
+def test_one_l0_scan_serves_both_modes(reference_system, monkeypatch):
+    # at l=0 the two centrifugal modes are one equation: the battery scans
+    # once, and mode_agreement_l0 compares the two modes' step tables
+    modes = []
+    real = oracle.find_bound_states
+    monkeypatch.setattr(oracle, "find_bound_states", lambda *a, **k: (
+        modes.append(k["mode"]) or real(*a, **k)))
+    rows = {c.name: c for c in run_validation(reference_system)}
+    assert modes == ["approx"]
+    assert rows["oracle_agreement_l0"].passed
+    assert rows["mode_agreement_l0"].value == 0.0
+    assert rows["mode_agreement_l0"].passed
+
+
+def test_mode_agreement_fails_on_a_broken_l0_term(reference_system,
+                                                  monkeypatch):
+    # a centrifugal term that is not 0 at l=0 in approx mode: the step
+    # tables are cached per system, so they are rebuilt around the patch
+    real = PhysicalSystem.centrifugal_at
+
+    def broken(self, l, r, mode="exact"):
+        return real(self, l, r, mode) + (1e-3 if mode == "approx" else 0.0)
+
+    oracle._tables.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(PhysicalSystem, "centrifugal_at", broken)
+            rows = {c.name: c for c in run_validation(reference_system)}
+    finally:
+        oracle._tables.cache_clear()
+    assert not rows["mode_agreement_l0"].passed
+    assert rows["mode_agreement_l0"].value > 1e-9

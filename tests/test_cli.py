@@ -243,6 +243,48 @@ class TestDomainRule:
                                  se * 10.0 ** m0, m1_share, 10.0 ** hbar_c)
 
 
+_DEEP_WELL = {"V0": 3e5, "beta": 1e3, "m0": 1e7, "m1": 5e6}
+
+
+class TestOracleCommandsEndInRecords:
+    # fixed extreme configs, since an oracle scan is too dear for a
+    # property: m0 at its bound of 1e4 screening energies, |V0| at its
+    # bound, an empty well, an over-attractive origin and a mass profile
+    # that all but vanishes at infinity
+    @pytest.mark.parametrize("system", [
+        _DEEP_WELL,
+        {"V0": -1000.0, "beta": 0.1, "m0": 1000.0},
+        {"V0": 0.0, "beta": 0.2, "m0": 1.0},
+        {"V0": 5.0, "beta": 0.2, "m0": 1.0},
+        {"V0": 0.1, "beta": 0.2, "m0": 1.0, "m1": 0.999999},
+    ], ids=["deep_well", "V0_bound", "empty_well", "over_attractive",
+            "flat_mass"])
+    @pytest.mark.parametrize("command", ["validate", "approx_error"])
+    def test_fixed_configs(self, command, system):
+        records = execute(_cfg(json.dumps(system), command=command,
+                               l_max=0, betas=[system["beta"]]))
+        statuses = {r["status"] for r in records}
+        assert records and statuses <= {
+            "pass", "fail", "ok", "unmatched", "invalid_regime",
+            "grid_resolution"}
+
+    def test_deep_well(self, capsys):
+        # its wavefunctions cannot be normalized and its oracle sweeps
+        # overflow: failing rows and status tokens, not a traceback
+        argv = [f"--{k}={v}" for k, v in _DEEP_WELL.items()]
+        assert main(["validate"] + argv) == 1
+        out = capsys.readouterr().out
+        for row in ("wavefunction_norm,fail,inf", "wavefunction_nodes,fail,",
+                    "wavefunction_ode_residual,fail,inf",
+                    "norm_quadrature_cross_check,fail,inf",
+                    "oracle_agreement_l0,fail,inf"):
+            assert row in out
+        assert main(["spectrum", "--method", "oracle", "--l-max", "0"]
+                    + argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows and all(r.endswith(",grid_resolution") for r in rows)
+
+
 class TestSpectrumRecords:
     def test_closed_form_reference_table(self):
         cfg = _cfg(method="closed_form")

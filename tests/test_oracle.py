@@ -181,6 +181,15 @@ class TestFindBoundStates:
         msg = str(exc.value)
         assert "grid.points" in msg and "160" in msg
 
+    def test_sweep_overflow_raises_grid_resolution(self):
+        # m0 at the domain bound: one grid cell multiplies phi by more than
+        # the float range holds between rescalings; the scan names that
+        # instead of counting nodes of NaN values
+        system = PhysicalSystem(V0=3e5, beta=1e3, m0=1e7, m1=5e6)
+        with pytest.raises(GridResolution, match="overflowed") as exc:
+            find_bound_states(system, 0)
+        assert "grid.points (currently 4000)" in str(exc.value)
+
     def test_grid_resolution_names_a_plain_energy(self):
         # this system's node count drops just below its lowest negative
         # level; the message names that energy as a plain float
@@ -499,9 +508,22 @@ class TestApproximationError:
         assert last.abs_err is None and last.rel_err is None
 
     def test_s_channel_error_is_solver_noise(self, reference_system):
+        # at l = 0 the two modes are one equation: one solve fills both
+        # columns, so the gap is 0 by construction
         rows = approximation_error(reference_system, 0, 0, [0.2])
         assert rows[0].status == "ok"
-        assert rows[0].abs_err <= 1e-12
+        assert rows[0].abs_err == 0.0
+        assert rows[0].E_approx == rows[0].E_exact
+
+    @pytest.mark.parametrize("l, modes", [(0, ["approx"]),
+                                          (1, ["approx", "exact"])])
+    def test_solves_per_beta(self, reference_system, monkeypatch, l, modes):
+        calls = []
+        monkeypatch.setattr(oracle, "find_bound_states", lambda system, l, *,
+                            mode: calls.append((system.beta, mode)) or [])
+        rows = approximation_error(reference_system, 0, l, [0.4, 0.2])
+        assert calls == [(b, m) for b in (0.4, 0.2) for m in modes]
+        assert [row.status for row in rows] == ["unmatched"] * 2
 
     def test_input_validation(self, reference_system):
         with pytest.raises(ValueError):
