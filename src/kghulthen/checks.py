@@ -19,8 +19,7 @@ import numpy as np
 from . import hulthen_analytic as ha
 from . import nu_engine as nu
 from . import oracle
-from .errors import (GridResolution, InvalidRegime, NoBoundState,
-                     NonNormalizable)
+from .errors import NonNormalizable, SolverError
 from .model import (PhysicalSystem, RadialGrid, binding_window,
                     default_grid)
 from .specfun import JacobiParams, jacobi_derivative, jacobi_eval
@@ -123,7 +122,7 @@ def run_validation(system: PhysicalSystem,
         for n in range(_N_MAX + 1):
             try:
                 pairs[n, l] = ha.energy_closed_form(system, n, l)
-            except (InvalidRegime, NoBoundState):
+            except SolverError:
                 pass
     levels = [level for pair in pairs.values() for level in pair]
     genuine = [level for level in levels if not level.unbound
@@ -164,7 +163,7 @@ def run_validation(system: PhysicalSystem,
                 continue
             try:
                 special = ha.energy_constant_mass_s(system, n)
-            except (InvalidRegime, NoBoundState):
+            except SolverError:
                 continue
             for g, sp in zip(general, special):
                 worst = max(worst, abs(g.value - sp.value)
@@ -180,11 +179,13 @@ def run_validation(system: PhysicalSystem,
         worst = max(worst, abs(total - 2.0 * mid) / max(1.0, abs(total)))
     add("branch_midpoint_identity", worst, 1e-12)
 
-    # 8-10. shooting oracle: agreement and node counts of one l=0 scan, and
-    # the two modes' l=0 step tables; states are labelled by node count and
+    # 8-10. shooting oracle: agreement and node counts of one l=0 scan (0
+    # with no genuine l=0 level, inf when the scan fails), and the two
+    # modes' l=0 step tables; states are labelled by node count and
     # branch_labels, so a Klein-Gordon pair sharing n meets both its levels
     targets = sorted((lv for lv in genuine if lv.l == 0),
                      key=lambda lv: lv.value)
+    worst = node_bad = 0.0
     if targets:
         pad = 0.01 * system.asymptotic_mass
         lo, hi = binding_window(system)
@@ -200,8 +201,6 @@ def run_validation(system: PhysicalSystem,
                 for E, branch in zip(same, ha.branch_labels(system, n, 0,
                                                             same)):
                     labelled.setdefault((n, branch), []).append(E)
-            worst = 0.0
-            node_bad = 0.0
             for level in targets:
                 match = labelled.get((level.n, level.branch), [])
                 if len(match) != 1:
@@ -209,15 +208,18 @@ def run_validation(system: PhysicalSystem,
                     continue
                 worst = max(worst, abs(match[0] - level.value)
                             / max(abs(level.value), 1e-300))
-            add("oracle_agreement_l0", worst, 1e-6)
-            add("oracle_node_counts", node_bad, 0.0)
-            mode_diff = max(
-                np.max(np.abs(a.w - e.w) / np.maximum(np.abs(e.w), 1e-300))
-                for a, e in zip(oracle._tables(system, 0, "approx", grid),
-                                oracle._tables(system, 0, "exact", grid)))
-            add("mode_agreement_l0", mode_diff, 1e-9)
-        except (InvalidRegime, GridResolution):
-            add("oracle_agreement_l0", float("inf"), 1e-6)
+        except SolverError:
+            worst = node_bad = float("inf")
+    add("oracle_agreement_l0", worst, 1e-6)
+    add("oracle_node_counts", node_bad, 0.0)
+    try:
+        mode_diff = max(
+            np.max(np.abs(a.w - e.w) / np.maximum(np.abs(e.w), 1e-300))
+            for a, e in zip(oracle._tables(system, 0, "approx", grid),
+                            oracle._tables(system, 0, "exact", grid)))
+    except SolverError:
+        mode_diff = float("inf")
+    add("mode_agreement_l0", mode_diff, 1e-9)
 
     # 11-13. wavefunctions of the genuine states; one that cannot be
     # normalized fails every wavefunction row

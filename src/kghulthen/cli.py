@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -27,8 +27,8 @@ import numpy as np
 from . import checks as checks_mod
 from . import hulthen_analytic as ha
 from . import oracle
-from .errors import (ConfigError, GridResolution, InvalidRegime,
-                     NoBoundState, NonNormalizable)
+from .errors import (ConfigError, InvalidRegime, NoBoundState,
+                     NonNormalizable, SolverError)
 from .model import PhysicalSystem, RadialGrid, default_grid
 
 _COMMANDS = ("spectrum", "wavefunction", "validate", "approx_error")
@@ -46,14 +46,31 @@ _MAX_BETAS = 64
 _DEFAULT_RANGES = {"spectrum": (2, 1), "wavefunction": (0, 0),
                    "validate": (0, 0), "approx_error": (0, 1)}
 
-# solver error -> the status token of the rows it leaves empty
-_ERROR_STATUS = {InvalidRegime: "invalid_regime",
-                 NoBoundState: "no_bound_state",
-                 GridResolution: "grid_resolution"}
-
-_FILE_KEYS = {"V0", "beta", "m0", "m1", "hbar_c", "report_in_rest_units",
-              "betas", "grid", "n_max", "l_max", "branch", "method",
-              "format", "output"}
+# option -> its add_argument keywords.  Each is a flag of every subcommand,
+# "--" + option with "_" -> "-"; each is a config-file key too, except the
+# grid_* flags, which the file gives as one "grid" object
+_OPTIONS = {
+    "V0": dict(type=float, help="well depth"),
+    "beta": dict(type=float, help="screening parameter"),
+    "m0": dict(type=float, help="rest energy at the origin"),
+    "m1": dict(type=float, help="mass-profile offset (0 for constant mass)"),
+    "hbar_c": dict(type=float, help="unit conversion factor (default 1)"),
+    "n_max": dict(type=int, help="largest radial quantum number"),
+    "l_max": dict(type=int, help="largest orbital quantum number"),
+    "branch": dict(choices=_BRANCHES,
+                   help="energy branch selection (default both)"),
+    "method": dict(choices=_METHODS,
+                   help="solver (default quantization_root)"),
+    "format": dict(choices=_FORMATS, help="output format (default csv)"),
+    "output": dict(help="output file path (default stdout)"),
+    "betas": dict(help="comma-separated screening values (approx-error)"),
+    "grid_r_min": dict(type=float, help="inner radius of the evaluation grid"),
+    "grid_r_max": dict(type=float, help="outer radius of the evaluation grid"),
+    "grid_points": dict(type=int, help="number of radial grid points"),
+    "report_in_rest_units": dict(action="store_true", default=None,
+                                 help="report energies divided by m0"),
+}
+_FILE_KEYS = {k for k in _OPTIONS if not k.startswith("grid_")} | {"grid"}
 
 
 @dataclass(frozen=True)
@@ -116,7 +133,8 @@ def parse_config(source: str, overrides: dict) -> RunConfig:
     Raises ConfigError for unknown keys, missing required keys,
     non-numeric values, and parameter combinations outside the model's
     domain (for example an effective-mass offset with m1 >= m0, since
-    the mass profile requires m0 > m1).
+    the mass profile requires m0 > m1).  The grid_* overrides are fields
+    of the "grid" object.
     """
     if source:
         try:
@@ -150,10 +168,6 @@ def parse_config(source: str, overrides: dict) -> RunConfig:
     m1 = _require_number("m1", merged.get("m1", 0.0))
     hbar_c = _require_number("hbar_c", merged.get("hbar_c", 1.0),
                              positive=True)
-    if m1 >= m0:
-        raise ConfigError(
-            f"config key 'm1': the mass profile requires m0 > m1, "
-            f"got m1={m1!r} with m0={m0!r}")
     try:
         system = PhysicalSystem(V0=V0, beta=beta, m0=m0, m1=m1,
                                 hbar_c=hbar_c)
@@ -180,30 +194,22 @@ def parse_config(source: str, overrides: dict) -> RunConfig:
 
     grid = None
     grid_spec = merged.get("grid")
-    if grid_spec is not None or any(
-            merged.get(k) is not None
-            for k in ("grid_r_min", "grid_r_max", "grid_points")):
-        if grid_spec is None:
-            grid_spec = {}
+    flags = {key[5:]: value for key, value in merged.items()
+             if key.startswith("grid_")}
+    if grid_spec is not None or flags:
+        grid_spec = {} if grid_spec is None else grid_spec
         if not isinstance(grid_spec, dict):
             raise ConfigError("config key 'grid': expected an object with "
                               "r_min, r_max, points")
+        grid_spec = {**asdict(default_grid(system)), **grid_spec, **flags}
         bad = sorted(set(grid_spec) - {"r_min", "r_max", "points"})
         if bad:
             raise ConfigError(f"unknown config key 'grid.{bad[0]}'")
-        base = default_grid(system)
-        r_min = grid_spec.get("r_min", base.r_min)
-        r_max = grid_spec.get("r_max", base.r_max)
-        points = grid_spec.get("points", base.points)
-        if merged.get("grid_r_min") is not None:
-            r_min = merged["grid_r_min"]
-        if merged.get("grid_r_max") is not None:
-            r_max = merged["grid_r_max"]
-        if merged.get("grid_points") is not None:
-            points = merged["grid_points"]
-        r_min = _require_number("grid.r_min", r_min, positive=True)
-        r_max = _require_number("grid.r_max", r_max, positive=True)
-        points = _require_index("grid.points", points)
+        r_min = _require_number("grid.r_min", grid_spec["r_min"],
+                                positive=True)
+        r_max = _require_number("grid.r_max", grid_spec["r_max"],
+                                positive=True)
+        points = _require_index("grid.points", grid_spec["points"])
         if points > _MAX_GRID_POINTS:
             raise ConfigError(
                 f"config key 'grid.points': at most {_MAX_GRID_POINTS} "
@@ -265,7 +271,7 @@ def _state_rows(config: RunConfig, n: int, l: int, cache: dict):
     ``cache`` keeps the oracle's states per l.  A solver error makes both
     rows carry its status token."""
     system = config.system
-    rows = dict.fromkeys(("lower", "upper"), (None, "no_bound_state"))
+    rows = dict.fromkeys(("lower", "upper"), (None, NoBoundState.status))
     try:
         if config.method == "closed_form":
             for level in ha.energy_closed_form(system, n, l):
@@ -287,8 +293,8 @@ def _state_rows(config: RunConfig, n: int, l: int, cache: dict):
             for energy, branch in zip(energies, ha.branch_labels(
                     system, n, l, energies)):
                 rows[branch] = (energy, "ok")
-    except (InvalidRegime, NoBoundState, GridResolution) as exc:
-        return dict.fromkeys(rows, (None, _ERROR_STATUS[type(exc)]))
+    except SolverError as exc:
+        return dict.fromkeys(rows, (None, exc.status))
     return rows
 
 
@@ -355,14 +361,8 @@ def _validate_records(config: RunConfig):
 
 
 def _approx_error_records(config: RunConfig):
-    rows = oracle.approximation_error(config.system, config.n_max,
-                                      config.l_max, config.betas)
-    return [{"beta": row.beta,
-             "E_approx": row.E_approx,
-             "E_exact": row.E_exact,
-             "abs_err": row.abs_err,
-             "rel_err": row.rel_err,
-             "status": row.status} for row in rows]
+    return [asdict(row) for row in oracle.approximation_error(
+        config.system, config.n_max, config.l_max, config.betas)]
 
 
 def execute(config: RunConfig):
@@ -444,43 +444,15 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a JSON config file")
-        p.add_argument("--V0", type=float, help="well depth")
-        p.add_argument("--beta", type=float, help="screening parameter")
-        p.add_argument("--m0", type=float, help="rest energy at the origin")
-        p.add_argument("--m1", type=float,
-                       help="mass-profile offset (0 for constant mass)")
-        p.add_argument("--hbar-c", dest="hbar_c", type=float,
-                       help="unit conversion factor (default 1)")
-        p.add_argument("--n-max", dest="n_max", type=int,
-                       help="largest radial quantum number")
-        p.add_argument("--l-max", dest="l_max", type=int,
-                       help="largest orbital quantum number")
-        p.add_argument("--branch", choices=_BRANCHES,
-                       help="energy branch selection (default both)")
-        p.add_argument("--method", choices=_METHODS,
-                       help="solver (default quantization_root)")
-        p.add_argument("--format", dest="format", choices=_FORMATS,
-                       help="output format (default csv)")
-        p.add_argument("--output", help="output file path (default stdout)")
-        p.add_argument("--betas",
-                       help="comma-separated screening values "
-                            "(approx-error)")
-        p.add_argument("--grid-r-min", dest="grid_r_min", type=float,
-                       help="inner radius of the evaluation grid")
-        p.add_argument("--grid-r-max", dest="grid_r_max", type=float,
-                       help="outer radius of the evaluation grid")
-        p.add_argument("--grid-points", dest="grid_points", type=int,
-                       help="number of radial grid points")
-        p.add_argument("--report-in-rest-units", dest="report_in_rest_units",
-                       action="store_const", const=True, default=None,
-                       help="report energies divided by m0")
+        for key, kwargs in _OPTIONS.items():
+            p.add_argument("--" + key.replace("_", "-"), **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {key: value for key, value in vars(args).items()
-                 if key not in ("config",)}
+                 if key != "config"}
     overrides["command"] = args.command.replace("-", "_")
     source = ""
     try:

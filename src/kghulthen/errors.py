@@ -32,20 +32,31 @@ class ComplexRegime(KGHulthenError):
     quantity would be needed), so real-valued analysis cannot proceed."""
 
 
-class InvalidRegime(KGHulthenError):
+class SolverError(KGHulthenError):
+    """A solve has no answer for these parameters; each subclass's
+    ``status`` is the token that the result rows it leaves empty carry."""
+
+
+class InvalidRegime(SolverError):
     """Parameters put the model outside the regime where the requested
     computation is defined (e.g. an over-attractive origin)."""
 
+    status = "invalid_regime"
 
-class NoBoundState(KGHulthenError):
+
+class NoBoundState(SolverError):
     """The closed-form energy would be complex: no bound state exists for
     these quantum numbers."""
+
+    status = "no_bound_state"
 
 
 class NonNormalizable(KGHulthenError):
     """The candidate wavefunction is not square-integrable."""
 
 
-class GridResolution(KGHulthenError):
+class GridResolution(SolverError):
     """The integration grid is too coarse to resolve the states requested
     (node counts behave inconsistently under scanning)."""
+
+    status = "grid_resolution"

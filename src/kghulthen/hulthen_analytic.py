@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ComplexRegime, InvalidRegime, NoBoundState,
-                     NonNormalizable)
+                     NonNormalizable, SolverError)
 from .model import (EnergyLevel, PhysicalSystem, RadialGrid, binding_window,
                     default_grid)
 # all_candidates, eigen_pair and gauss_jacobi_rule are unused here but stay
@@ -61,6 +61,8 @@ from .model import (EnergyLevel, PhysicalSystem, RadialGrid, binding_window,
 from .nu_engine import NUProblem, all_candidates, eigen_pair
 from .specfun import (JacobiParams, _golub_welsch, endpoint_power_integral,
                       gauss_jacobi_rule, jacobi_eval)
+
+_QUANTIZATION_TOL = 1e-8    # largest |F| / residual_scale of a solution
 
 log = logging.getLogger(__name__)
 
@@ -164,8 +166,8 @@ def quantization_residual(system: PhysicalSystem, n: int, l: int, E: float) -> f
     return float(F)
 
 
-def satisfies_quantization(system: PhysicalSystem, n: int, l: int, E: float,
-                           tol: float = 1e-8) -> bool:
+def satisfies_quantization(system: PhysicalSystem, n: int, l: int,
+                           E: float) -> bool:
     """True when E actually solves the quantization condition.
 
     The closed-form quadratic also returns reflected roots (artifacts of
@@ -176,7 +178,7 @@ def satisfies_quantization(system: PhysicalSystem, n: int, l: int, E: float,
     if abs(E) >= system.asymptotic_mass:
         return False
     F, s, A = _condition(system, n, l, E)
-    return bool(abs(F) <= tol * residual_scale(n, A, s))
+    return bool(abs(F) <= _QUANTIZATION_TOL * residual_scale(n, A, s))
 
 
 def residual_scale(n: int, A: float, s: float) -> float:
@@ -330,7 +332,7 @@ def branch_labels(system, n, l, energies: list) -> list:
                     ", ".join(map(repr, energies)))
     try:
         lower, upper = energy_closed_form(system, n, l)
-    except (InvalidRegime, NoBoundState):
+    except SolverError:
         return ["upper"] * len(energies)
     return ["lower" if abs(E - lower.value) < abs(E - upper.value)
             else "upper" for E in energies]

@@ -83,8 +83,9 @@ class PhysicalSystem:
         if self.m1 < 0.0:
             raise ValueError("mass-variation strength m1 must be >= 0")
         if self.m1 >= self.m0:
-            raise ValueError("m1 must be smaller than m0 "
-                             "(asymptotic rest energy must stay positive)")
+            raise ValueError(
+                "the mass profile requires m0 > m1 (asymptotic rest energy "
+                f"must stay positive), got m1={self.m1!r} with m0={self.m0!r}")
 
     @property
     def asymptotic_mass(self) -> float:

@@ -53,7 +53,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import GridResolution, InvalidRegime
+from .errors import GridResolution, InvalidRegime, SolverError
 from .model import PhysicalSystem, RadialGrid, binding_window, default_grid
 
 _LADDER_RATIO = 1.006       # geometric refinement ratio of the origin ladder
@@ -103,10 +103,7 @@ def ode_coefficient(system: PhysicalSystem, l: int, E: float, r,
     against them.  Both modes share the full mass and potential terms;
     they differ only in the centrifugal piece.
     """
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("radius must be positive")
-    w0, w1 = _w_parts(system, l, mode, arr)
+    w0, w1 = _w_parts(system, l, mode, r)
     out = w0 + w1 * E - (E / system.hbar_c) ** 2
     return float(out) if out.ndim == 0 else out
 
@@ -520,8 +517,11 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
     energy with node counts attached.
 
     Raises InvalidRegime for an over-attractive origin, GridResolution if
-    node counts decrease along the scan (the grid cannot resolve the
-    states), and returns an empty list when nothing brackets.
+    the node count drops between scan energies above max V(r) over the
+    grid nodes (there dW/dE = -2(E - V)/hbar_c**2 < 0 at every node, so
+    the count cannot fall unless the grid fails to resolve the states;
+    below it the count need not be monotone, and a drop is split like any
+    other jump), and returns an empty list when nothing brackets.
     """
     lo, hi = binding_window(system, window)
     if grid is None:
@@ -529,13 +529,14 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
     _origin_series(system, l)          # fail fast on a supercritical origin
 
     tol = 1e-10 * system.m0
+    v_max = np.max(system.potential_at(grid.radii()))
     brackets, first = [], True
     E = np.linspace(lo, hi, scan_points)[None]
     while E.size:                      # one row of energies per piece
         im = _turning_indices(system, l, mode, E.ravel(), grid)
         mism, nodes = (x.reshape(E.shape) for x in _shoot(
             system, l, mode, E.ravel(), grid, im))
-        drops = np.diff(nodes[0]) < 0
+        drops = (np.diff(nodes[0]) < 0) & (E[0, :-1] > v_max)
         if first and drops.any():
             where = int(np.argmax(drops))
             raise GridResolution(
@@ -589,10 +590,8 @@ def approximation_error(system: PhysicalSystem, n: int, l: int, betas):
             modes = ("approx", "exact") if l else ("approx",)
             found = [[d.energy for d in find_bound_states(variant, l, mode=m)
                       if d.node_count == n] for m in modes]
-        except InvalidRegime:
-            status = "invalid_regime"
-        except GridResolution:
-            status = "grid_resolution"
+        except SolverError as exc:
+            status = exc.status
         else:
             status = "ok" if all(len(f) == 1 for f in found) else "unmatched"
         if status != "ok":

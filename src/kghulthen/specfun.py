@@ -19,6 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_DE_STEP = 1.0 / 32.0       # tanh-sinh step in the rule's variable
+_DE_HALF_RANGE = 10.0       # the rule's variable runs over [-10, 10]
+
 
 @dataclass(frozen=True)
 class JacobiParams:
@@ -114,8 +117,7 @@ def _golub_welsch(alpha: float, beta: float, points: int):
     return nodes, vecs[0, :] ** 2
 
 
-def endpoint_power_integral(p: float, q: float, f, h: float = 1.0 / 32.0,
-                            half_range: float = 10.0) -> float:
+def endpoint_power_integral(p: float, q: float, f) -> float:
     """Integral of z**p * (1-z)**q * f(z) over (0, 1) for p, q > -1.
 
     Double-exponential (tanh-sinh) rule with the endpoint powers folded
@@ -123,13 +125,13 @@ def endpoint_power_integral(p: float, q: float, f, h: float = 1.0 / 32.0,
     handled without overflow; ``f`` must accept a numpy array of z values
     and be bounded on [0, 1].  Accuracy is near machine precision for
     p, q bounded away from -1 and degrades gracefully as q -> -1 (tail
-    truncation ~ exp(-4 * (1+q) * sinh(half_range) * pi/4)).
+    truncation ~ exp(-4 * (1+q) * sinh(_DE_HALF_RANGE) * pi/4)).
     """
     if not (p > -1.0 and q > -1.0):
         raise ValueError(
             f"endpoint powers must exceed -1, got ({p!r}, {q!r})")
-    steps = int(math.ceil(half_range / h))
-    kh = h * np.arange(-steps, steps + 1)
+    steps = int(math.ceil(_DE_HALF_RANGE / _DE_STEP))
+    kh = _DE_STEP * np.arange(-steps, steps + 1)
     u = 0.5 * math.pi * np.sinh(kh)
     # z = 1/(1 + e^(-2u)), 1-z = 1/(1 + e^(2u)); logs via log1p of e^(-2|u|)
     common = np.log1p(np.exp(-2.0 * np.abs(u)))
@@ -137,7 +139,7 @@ def endpoint_power_integral(p: float, q: float, f, h: float = 1.0 / 32.0,
     ln_omz = np.where(u <= 0.0, -common, -2.0 * u - common)
     # dz/du = sech(u)^2 / 2; log cosh(u) = |u| + log1p(e^(-2|u|)) - log 2
     ln_sech2 = -2.0 * (np.abs(u) + common - math.log(2.0))
-    ln_w = math.log(0.25 * math.pi * h) + np.log(np.cosh(kh)) + ln_sech2
+    ln_w = math.log(0.25 * math.pi * _DE_STEP) + np.log(np.cosh(kh)) + ln_sech2
     z = np.exp(ln_z)
     expo = np.clip(ln_w + p * ln_z + q * ln_omz, -745.0, 700.0)
     vals = np.asarray(f(z), dtype=float)

@@ -1,5 +1,6 @@
 """Command-line layer: config parsing, record building, serialization."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kghulthen import main, parse_config
-from kghulthen.cli import execute, serialize
+from kghulthen.cli import (_FILE_KEYS, _OPTIONS, _build_parser, execute,
+                           serialize)
 from kghulthen.errors import ConfigError
 
 from conftest import REFERENCE_TRUE
@@ -76,6 +78,25 @@ class TestParseConfigDefaults:
         cfg = _cfg(grid_points=120)        # flag alone creates a grid
         assert cfg.grid.points == 120
         assert _cfg().grid is None
+
+
+class TestOptionTable:
+    def test_each_option_is_stated_once(self):
+        # every subcommand takes --config and one flag per table key
+        (subcommands,) = [a for a in _build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction)]
+        flags = {"--config"} | {"--" + key.replace("_", "-")
+                                for key in _OPTIONS}
+        assert set(subcommands.choices) == {"spectrum", "wavefunction",
+                                            "validate", "approx-error"}
+        for parser in subcommands.choices.values():
+            strings = {s for a in parser._actions for s in a.option_strings}
+            assert strings - {"-h", "--help"} == flags
+        # the config-file keys the README documents
+        assert _FILE_KEYS == {"V0", "beta", "m0", "m1", "hbar_c", "n_max",
+                              "l_max", "branch", "method", "format",
+                              "output", "betas", "grid",
+                              "report_in_rest_units"}
 
 
 class TestParseConfigErrors:
@@ -244,21 +265,34 @@ class TestDomainRule:
 
 
 _DEEP_WELL = {"V0": 3e5, "beta": 1e3, "m0": 1e7, "m1": 5e6}
+# the validate battery's rows, in order; all but constant_mass_reduction
+# when m1 != 0
+_BATTERY = ("coefficient_energy_independence", "reduction_discriminant_zero",
+            "branch_shape_consistency", "bound_states_found",
+            "quantization_at_closed_form", "closed_vs_root_solve",
+            "constant_mass_reduction", "branch_midpoint_identity",
+            "oracle_agreement_l0", "oracle_node_counts", "mode_agreement_l0",
+            "wavefunction_norm", "wavefunction_nodes",
+            "wavefunction_ode_residual", "norm_quadrature_cross_check",
+            "jacobi_endpoint_anchor")
 
 
 class TestOracleCommandsEndInRecords:
     # fixed extreme configs, since an oracle scan is too dear for a
     # property: m0 at its bound of 1e4 screening energies, |V0| at its
-    # bound, an empty well, an over-attractive origin and a mass profile
-    # that all but vanishes at infinity
+    # bound, an empty well, an over-attractive origin, a mass profile
+    # that all but vanishes at infinity and a screening too small for the
+    # default grid.  Whether the oracle scan fails or has no level to
+    # look for, validate prints every row of the battery
     @pytest.mark.parametrize("system", [
         _DEEP_WELL,
         {"V0": -1000.0, "beta": 0.1, "m0": 1000.0},
         {"V0": 0.0, "beta": 0.2, "m0": 1.0},
         {"V0": 5.0, "beta": 0.2, "m0": 1.0},
         {"V0": 0.1, "beta": 0.2, "m0": 1.0, "m1": 0.999999},
+        {"V0": 0.0005, "beta": 0.001, "m0": 1.0},
     ], ids=["deep_well", "V0_bound", "empty_well", "over_attractive",
-            "flat_mass"])
+            "flat_mass", "small_beta"])
     @pytest.mark.parametrize("command", ["validate", "approx_error"])
     def test_fixed_configs(self, command, system):
         records = execute(_cfg(json.dumps(system), command=command,
@@ -267,6 +301,10 @@ class TestOracleCommandsEndInRecords:
         assert records and statuses <= {
             "pass", "fail", "ok", "unmatched", "invalid_regime",
             "grid_resolution"}
+        if command == "validate":
+            assert [r["check"] for r in records] == [
+                name for name in _BATTERY if name != "constant_mass_reduction"
+                or system.get("m1", 0.0) == 0.0]
 
     def test_deep_well(self, capsys):
         # its wavefunctions cannot be normalized and its oracle sweeps
@@ -410,15 +448,16 @@ class TestValidateRecords:
 
     def test_unresolved_oracle_grid_is_a_failing_row(self, capsys):
         # the default grid cannot resolve this system's l=0 oracle states
-        # (GridResolution): the battery reports it as one failing row
-        # instead of dying with a traceback
-        system = ["--V0", "0.1748", "--beta", "0.2458", "--m0", "1",
-                  "--m1", "0.2767"]
-        records = execute(_cfg("", command="validate", V0=0.1748,
-                               beta=0.2458, m0=1.0, m1=0.2767))
-        failing = [r for r in records if r["status"] == "fail"]
-        assert [(r["check"], r["value"]) for r in failing] \
-            == [("oracle_agreement_l0", float("inf"))]
+        # (GridResolution): the battery reports the scan's two rows as
+        # failing instead of dying with a traceback, and still compares
+        # the step tables
+        system = ["--V0", "0.0005", "--beta", "0.001", "--m0", "1"]
+        records = execute(_cfg("", command="validate", V0=0.0005,
+                               beta=0.001, m0=1.0))
+        rows = {r["check"]: (r["status"], r["value"]) for r in records}
+        assert rows["oracle_agreement_l0"] == ("fail", float("inf"))
+        assert rows["oracle_node_counts"] == ("fail", float("inf"))
+        assert rows["mode_agreement_l0"] == ("pass", 0.0)
         assert main(["validate"] + system) == 1
         assert "oracle_agreement_l0,fail,inf" in capsys.readouterr().out
 

@@ -146,7 +146,12 @@ class TestFindBoundStates:
         # a further node-count jump, which a one-level split dropped
         (0.0973, 0.2469, 0.024, 0, 240),
         (0.1071, 0.1878, 0.0718, 2, 240),
-        (0.1, 0.2, 0.0, 1, 60)])
+        (0.1, 0.2, 0.0, 1, 60),
+        # below max V(r) the node count need not rise with E, and it falls
+        # at each one's lower-branch levels, where the scan once raised
+        # GridResolution (the first: -0.73947, 0.63687 and 0.75999)
+        (0.0702, 0.2794, 0.2391, 0, 240), (0.1333, 0.1118, 0.2509, 0, 240),
+        (0.0768, 0.1557, 0.1422, 0, 240), (0.0559, 0.1818, 0.2334, 0, 240)])
     def test_states_equal_root_solved_levels(self, V0, beta, m1, l,
                                              scan_points):
         system = PhysicalSystem(V0=V0, beta=beta, m0=1.0, m1=m1)
@@ -191,13 +196,14 @@ class TestFindBoundStates:
         assert "grid.points (currently 4000)" in str(exc.value)
 
     def test_grid_resolution_names_a_plain_energy(self):
-        # this system's node count drops just below its lowest negative
-        # level; the message names that energy as a plain float
-        system = PhysicalSystem(V0=0.0702, beta=0.2794, m0=1.0, m1=0.2391)
+        # the default grid cannot resolve this small-screening system: its
+        # node count drops above max V, where it must not fall; the message
+        # names that energy as a plain float
+        system = PhysicalSystem(V0=0.0005, beta=0.001, m0=1.0)
         with pytest.raises(GridResolution) as exc:
             find_bound_states(system, 0)
         msg = str(exc.value)
-        assert re.search(r"near E=-0\.75\d+:", msg)
+        assert re.search(r"near E=0\.966\d+:", msg)
         assert "np.float64" not in msg
 
 
@@ -495,15 +501,14 @@ class TestApproximationError:
                                            rel=1e-12)
 
     def test_unresolved_beta_reports_grid_resolution(self):
-        # halving beta deepens the effective well until the default grid
-        # no longer resolves the node ladder (design point 2 of the
-        # benchmark's oracle survey)
-        system = PhysicalSystem(V0=0.087, beta=0.364, m0=1.0, m1=0.12)
-        rows = approximation_error(system, 0, 0, [0.364, 0.182])
+        # halving beta stretches the states until the default grid no
+        # longer resolves the node ladder
+        system = PhysicalSystem(V0=0.0005, beta=0.002, m0=1.0)
+        rows = approximation_error(system, 0, 0, [0.002, 0.001])
         assert [row.status for row in rows] == ["ok", "grid_resolution"]
         assert rows[0].abs_err <= 1e-12
         last = rows[1]
-        assert last.beta == 0.182
+        assert last.beta == 0.001
         assert last.E_approx is None and last.E_exact is None
         assert last.abs_err is None and last.rel_err is None
 
