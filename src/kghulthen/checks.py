@@ -110,7 +110,7 @@ def run_validation(system: PhysicalSystem,
             scale = max(1.0, abs(c0), abs(c1), abs(c2)) ** 2
             disc_worst = max(disc_worst, abs(c1 * c1 - 4.0 * c0 * c2) / scale)
         cand = nu.select_candidate(problem, nu.all_candidates(problem))
-        for got, t, p in zip(cand.tau, problem.tau_tilde, cand.pi):
+        for got, t, p in zip(cand.tau, nu.TAU_TILDE, cand.pi):
             shape_worst = max(shape_worst, abs(got - (t + 2.0 * p)))
     add("reduction_discriminant_zero", disc_worst, 1e-10)
     add("branch_shape_consistency", shape_worst, 1e-12)

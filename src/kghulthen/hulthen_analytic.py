@@ -108,9 +108,7 @@ def coefficients_at(system: PhysicalSystem, l: int, E: float) -> CoefficientSet:
 def build_nu_problem(coeffs: CoefficientSet) -> NUProblem:
     """Assemble the hypergeometric-type problem for one coefficient set."""
     return NUProblem(
-        tau_tilde=(0.0, -1.0),
-        sigma_tilde=(-coeffs.a3_sq, -coeffs.a2_sq, -coeffs.a1_sq),
-    )
+        sigma_tilde=(-coeffs.a3_sq, -coeffs.a2_sq, -coeffs.a1_sq))
 
 
 def origin_exponent_discriminant(system: PhysicalSystem, l: int) -> float:

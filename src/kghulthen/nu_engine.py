@@ -4,11 +4,12 @@ The engine handles equations of the form
 
     u''(z) + (tau_tilde(z) / sigma(z)) u'(z) + (sigma_tilde(z) / sigma(z)**2) u(z) = 0
 
-with sigma(z) = z*(1-z), deg(tau_tilde) <= 1 and deg(sigma_tilde) <= 2.  A
-linear substitution u = xi(z) * y(z) turns this into the self-adjoint
-hypergeometric equation sigma*y'' + tau*y' + lambda*y = 0 whose polynomial
-solutions are Jacobi polynomials.  The reduction hinges on a constant k
-chosen so that the radicand
+with sigma(z) = z*(1-z) and tau_tilde(z) = -z, both fixed by the chart
+z = 1 - exp(-beta*r), and deg(sigma_tilde) <= 2.  A linear substitution
+u = xi(z) * y(z) turns this into the self-adjoint hypergeometric equation
+sigma*y'' + tau*y' + lambda*y = 0 whose polynomial solutions are Jacobi
+polynomials.  The reduction hinges on a constant k chosen so that the
+radicand
 
     ((sigma' - tau_tilde)/2)**2 - sigma_tilde + k*sigma
 
@@ -27,7 +28,11 @@ from dataclasses import dataclass
 
 from .errors import InvalidK, NoAdmissibleBranch, NoRealK
 
-_SIGMA = (0.0, 1.0, -1.0)          # z*(1-z), fixed for this engine
+SIGMA = (0.0, 1.0, -1.0)           # z*(1-z)
+TAU_TILDE = (0.0, -1.0)            # -z
+# (sigma'(z) - tau_tilde(z)) / 2 as (d0, d1)
+_HALF_DIFF = ((SIGMA[1] - TAU_TILDE[0]) / 2.0,
+              (2.0 * SIGMA[2] - TAU_TILDE[1]) / 2.0)
 _TOL = 1e-10
 
 
@@ -35,31 +40,17 @@ _TOL = 1e-10
 class NUProblem:
     """Coefficients of one hypergeometric-type equation.
 
-    ``sigma`` is pinned to z*(1-z); ``tau_tilde`` is (t0, t1) for t0 + t1*z;
-    ``sigma_tilde`` is (u0, u1, u2) for u0 + u1*z + u2*z**2.
+    ``sigma_tilde`` is (u0, u1, u2) for u0 + u1*z + u2*z**2; sigma and
+    tau_tilde are fixed by the z chart (``SIGMA``, ``TAU_TILDE``).
     """
 
-    sigma: tuple = _SIGMA
-    tau_tilde: tuple = (0.0, -1.0)
     sigma_tilde: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if tuple(float(c) for c in self.sigma) != _SIGMA:
-            raise ValueError("engine is specialized to sigma(z) = z*(1-z)")
-        if len(self.tau_tilde) != 2:
-            raise ValueError("tau_tilde must have exactly two coefficients")
         if len(self.sigma_tilde) != 3:
             raise ValueError("sigma_tilde must have exactly three coefficients")
-        object.__setattr__(self, "sigma", _SIGMA)
-        object.__setattr__(self, "tau_tilde",
-                           tuple(float(c) for c in self.tau_tilde))
         object.__setattr__(self, "sigma_tilde",
                            tuple(float(c) for c in self.sigma_tilde))
-
-    def _half_diff(self):
-        """Coefficients (d0, d1) of (sigma'(z) - tau_tilde(z)) / 2."""
-        t0, t1 = self.tau_tilde
-        return (1.0 - t0) / 2.0, (-2.0 - t1) / 2.0
 
 
 @dataclass(frozen=True)
@@ -108,7 +99,7 @@ class NUSolution:
 
 def _radicand_coeffs(problem: NUProblem, k: float):
     """Quadratic radicand d(z)**2 - sigma_tilde + k*sigma as (c0, c1, c2)."""
-    d0, d1 = problem._half_diff()
+    d0, d1 = _HALF_DIFF
     u0, u1, u2 = problem.sigma_tilde
     return (d0 * d0 - u0,
             2.0 * d0 * d1 - u1 + k,
@@ -122,7 +113,7 @@ def k_candidates(problem: NUProblem):
     real roots are returned in ascending order, a double root appearing
     twice.  Raises NoRealK when both roots are complex.
     """
-    d0, d1 = problem._half_diff()
+    d0, d1 = _HALF_DIFF
     u0, u1, u2 = problem.sigma_tilde
     # discriminant of the radicand, expanded as a monic quadratic in k
     b = 2.0 * (2.0 * d0 * d1 - u1) + 4.0 * (d0 * d0 - u0)
@@ -134,16 +125,18 @@ def k_candidates(problem: NUProblem):
                       f"(discriminant {disc:.3e})")
     disc = max(disc, 0.0)
     root = math.sqrt(disc)
-    pair = sorted(((-b - root) / 2.0, (-b + root) / 2.0))
-    return [pair[0], pair[1]]
+    return [(-b - root) / 2.0, (-b + root) / 2.0]
 
 
 def pi_from_k(problem: NUProblem, k: float, sign: str) -> NUCandidate:
     """Build the candidate branch for a given closure constant and sign.
 
     Validates that k really makes the radicand a perfect square (within
-    1e-10 relative) and extracts w(z) with non-negative leading coefficient,
-    so that pi = d + w for sign "plus" and pi = d - w for sign "minus".
+    1e-10 relative) of a real polynomial w(z) = w0 + w1*z, taken with
+    w1 = sqrt(c2) >= 0 and w0 = sqrt(c0) carrying the sign of c1, so that
+    pi = d + w for sign "plus" and pi = d - w for sign "minus".  Both
+    roots come from the radicand's own end coefficients, so w stays exact
+    when c2 and c1 vanish together.
     """
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
@@ -153,21 +146,15 @@ def pi_from_k(problem: NUProblem, k: float, sign: str) -> NUCandidate:
     if abs(disc) > _TOL * scale * scale:
         raise InvalidK(f"k={k!r} does not square the radicand "
                        f"(discriminant {disc:.3e})")
-    if c2 < -_TOL * scale:
-        raise InvalidK(f"k={k!r} gives a negative leading radicand coefficient")
-    if c2 > _TOL * scale:
-        w1 = math.sqrt(max(c2, 0.0))
-        w0 = c1 / (2.0 * w1)
-    else:
-        # degenerate square: w is a constant (then c1 must vanish too)
-        if abs(c1) > _TOL * scale:
-            raise InvalidK(f"k={k!r} leaves a non-square linear radicand")
-        w1 = 0.0
-        w0 = math.sqrt(max(c0, 0.0))
-    d0, d1 = problem._half_diff()
+    if min(c0, c2) < -_TOL * scale:
+        raise InvalidK(f"k={k!r} gives a negative leading or constant "
+                       "radicand coefficient")
+    w1 = math.sqrt(max(c2, 0.0))
+    w0 = math.copysign(math.sqrt(max(c0, 0.0)), c1)
+    d0, d1 = _HALF_DIFF
     s = 1.0 if sign == "plus" else -1.0
     p0, p1 = d0 + s * w0, d1 + s * w1
-    t0, t1 = problem.tau_tilde
+    t0, t1 = TAU_TILDE
     tau = (t0 + 2.0 * p0, t1 + 2.0 * p1)
     weight = (tau[0] - 1.0, -(tau[0] + tau[1] + 1.0))
     xi = (p0, -(p0 + p1))

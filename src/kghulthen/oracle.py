@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -194,7 +194,8 @@ def _padded(h, w, node, start):
                   np.concatenate([node, np.full(pad, -1)]), reach, start)
 
 
-@lru_cache(maxsize=64)
+# a solve reads one channel's tables and mode_agreement_l0 compares two
+@lru_cache(maxsize=2)
 def _tables(system, l, mode, grid):
     """Step tables of one channel: (outward, inward).
 
@@ -583,9 +584,7 @@ def approximation_error(system: PhysicalSystem, n: int, l: int, betas):
         raise ValueError("n and l must be >= 0")
     rows = []
     for beta in betas:
-        variant = PhysicalSystem(V0=system.V0, beta=float(beta),
-                                 m0=system.m0, m1=system.m1,
-                                 hbar_c=system.hbar_c)
+        variant = replace(system, beta=float(beta))
         try:
             modes = ("approx", "exact") if l else ("approx",)
             found = [[d.energy for d in find_bound_states(variant, l, mode=m)

@@ -103,16 +103,14 @@ def _golub_welsch(alpha: float, beta: float, points: int):
     apb = alpha + beta
     diag = np.empty(m)
     diag[0] = (beta - alpha) / (apb + 2.0)
-    jac = np.diag(diag) if m == 1 else None
-    if m > 1:
-        k = np.arange(1, m, dtype=float)
-        diag[1:] = (beta * beta - alpha * alpha) \
-            / ((2.0 * k + apb) * (2.0 * k + apb + 2.0))
-        num = 4.0 * k * (k + alpha) * (k + beta) * (k + apb)
-        den = (2.0 * k + apb) ** 2 * (2.0 * k + apb + 1.0) \
-            * (2.0 * k + apb - 1.0)
-        off = np.sqrt(num / den)
-        jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    k = np.arange(1, m, dtype=float)
+    diag[1:] = (beta * beta - alpha * alpha) \
+        / ((2.0 * k + apb) * (2.0 * k + apb + 2.0))
+    num = 4.0 * k * (k + alpha) * (k + beta) * (k + apb)
+    den = (2.0 * k + apb) ** 2 * (2.0 * k + apb + 1.0) \
+        * (2.0 * k + apb - 1.0)
+    off = np.sqrt(num / den)
+    jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     nodes, vecs = np.linalg.eigh(jac)
     return nodes, vecs[0, :] ** 2
 

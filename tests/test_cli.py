@@ -265,6 +265,7 @@ class TestDomainRule:
 
 
 _DEEP_WELL = {"V0": 3e5, "beta": 1e3, "m0": 1e7, "m1": 5e6}
+_EQUAL_POWERS = {"V0": 0.4394609, "beta": 0.5, "m0": 1.0, "m1": 0.3}
 # the validate battery's rows, in order; all but constant_mass_reduction
 # when m1 != 0
 _BATTERY = ("coefficient_energy_independence", "reduction_discriminant_zero",
@@ -282,8 +283,10 @@ class TestOracleCommandsEndInRecords:
     # property: m0 at its bound of 1e4 screening energies, |V0| at its
     # bound, an empty well, an over-attractive origin, a mass profile
     # that all but vanishes at infinity and a screening too small for the
-    # default grid.  Whether the oracle scan fails or has no level to
-    # look for, validate prints every row of the battery
+    # default grid, and two systems whose tail and origin powers A and s
+    # agree to about 1e-5 at the battery's energy.  Whether the oracle
+    # scan fails or has no level to look for, validate prints every row
+    # of the battery, and the reduction engine squares every radicand
     @pytest.mark.parametrize("system", [
         _DEEP_WELL,
         {"V0": -1000.0, "beta": 0.1, "m0": 1000.0},
@@ -291,8 +294,11 @@ class TestOracleCommandsEndInRecords:
         {"V0": 5.0, "beta": 0.2, "m0": 1.0},
         {"V0": 0.1, "beta": 0.2, "m0": 1.0, "m1": 0.999999},
         {"V0": 0.0005, "beta": 0.001, "m0": 1.0},
+        _EQUAL_POWERS,
+        {"V0": 0.010106729474781596, "beta": 0.017021687720744777,
+         "m0": 0.015337664538176738, "m1": 0.008543303515934275},
     ], ids=["deep_well", "V0_bound", "empty_well", "over_attractive",
-            "flat_mass", "small_beta"])
+            "flat_mass", "small_beta", "equal_powers", "equal_powers_small"])
     @pytest.mark.parametrize("command", ["validate", "approx_error"])
     def test_fixed_configs(self, command, system):
         records = execute(_cfg(json.dumps(system), command=command,
@@ -305,6 +311,13 @@ class TestOracleCommandsEndInRecords:
             assert [r["check"] for r in records] == [
                 name for name in _BATTERY if name != "constant_mass_reduction"
                 or system.get("m1", 0.0) == 0.0]
+            assert all(r["status"] == "pass" for r in records[1:3])
+
+    def test_equal_powers_validate_passes(self, capsys):
+        argv = [f"--{k}={v}" for k, v in _EQUAL_POWERS.items()]
+        assert main(["validate"] + argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 15 and all(",pass," in r for r in rows)
 
     def test_deep_well(self, capsys):
         # its wavefunctions cannot be normalized and its oracle sweeps

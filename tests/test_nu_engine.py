@@ -18,12 +18,13 @@ SQRT2 = math.sqrt(2.0)
 
 class TestProblemValidation:
     def test_sigma_is_pinned(self):
-        with pytest.raises(ValueError, match="sigma"):
+        # sigma and tau_tilde are module constants, not fields
+        with pytest.raises(TypeError, match="sigma"):
             NUProblem(sigma=(0.0, 1.0, 1.0))
+        with pytest.raises(TypeError, match="tau_tilde"):
+            NUProblem(tau_tilde=(0.0, -1.0))
 
     def test_coefficient_lengths(self):
-        with pytest.raises(ValueError):
-            NUProblem(tau_tilde=(0.0, -1.0, 0.0))
         with pytest.raises(ValueError):
             NUProblem(sigma_tilde=(0.0, 0.0))
 
@@ -81,10 +82,18 @@ class TestBranchBuilding:
         assert minus.pi == pytest.approx((0.0, -0.5))
 
     def test_residual_linear_radicand_is_rejected(self):
-        # c2 = 0 but c1 != 0 below the discriminant gate: not a square
-        prob = NUProblem(sigma_tilde=(0.0, -0.5 - 1e-6, 0.25))
-        with pytest.raises(InvalidK, match="linear"):
+        # c2 = 0 but c1 = 1e-4: the discriminant 1e-8 is above the gate
+        prob = NUProblem(sigma_tilde=(0.0, -0.5 - 1e-4, 0.25))
+        with pytest.raises(InvalidK, match="square"):
             pi_from_k(prob, 0.0, "plus")
+
+    def test_near_constant_square_root_branch(self):
+        # radicand == (1 + 2**-20 z)**2 for k = 0, exactly: c2 = 2**-40 and
+        # c1 = 2**-19 both lie below the 1e-10 gate, yet w is the true root
+        prob = NUProblem(sigma_tilde=(-0.75, -0.5 - 2.0 ** -19,
+                                      0.25 - 2.0 ** -40))
+        assert pi_from_k(prob, 0.0, "plus").pi == (1.5, -0.5 + 2.0 ** -20)
+        assert pi_from_k(prob, 0.0, "minus").pi == (-0.5, -0.5 - 2.0 ** -20)
 
     def test_sign_argument_validated(self):
         with pytest.raises(ValueError, match="sign"):

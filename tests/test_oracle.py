@@ -331,6 +331,13 @@ class TestChunkedSweep:
             assert np.max(np.abs(got_m - want_m[sel])) <= 1e-12
             assert np.array_equal(got_n, want_n[sel])
 
+    def test_step_table_cache_holds_two_channels(self, reference_system):
+        # one solve reads one channel's tables and validate compares two;
+        # more cached channels only hold memory
+        for l, mode in ((0, "approx"), (1, "approx"), (1, "exact")):
+            find_bound_states(reference_system, l, mode=mode, scan_points=8)
+        assert oracle._tables.cache_info().currsize <= 2
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(V0=st.floats(0.05, 0.20), beta=st.floats(0.10, 0.50),
            m1=st.floats(0.0, 0.30), l=st.integers(0, 2),
