@@ -11,18 +11,22 @@ beta*r -> 0, and for l = 0 they are the same equation, so
 Method: a fourth-order Runge-Kutta sweep outward from r_min and inward
 from r_max, matched at the classical turning point nearest r_max/3 (grid
 midpoint when no turning point exists).  The ODE is linear, so one RK4
-step is a fixed 2x2 linear map of (phi, phi'), and a sweep runs as a
-two-level scan over chunks of L steps, L a power of two from 16 to 128
-chosen from the batch width so that one chunk x energy pass stays within
-a fixed cell budget (a one-energy sweep runs 16-step chunks).  Every
-chunk's transfer matrix is built at once in L row passes, keeping the
-matrix's first row at each step that reaches a grid node and the whole
-matrix at each energy's matching step.  The chunk start states follow
-from the prefix products of the chunk matrices, formed by recursive
-doubling in log2(chunks) passes, and phi at a node is its kept first row
-applied to its chunk's start state, gathered block by block.  States and
-products are rescaled by positive factors along the way, which keeps node
-signs and the log-derivative.
+step is a fixed 2x2 linear map of (phi, phi').  W is quadratic in E, so
+each entry of a step's map is a polynomial in E of degree at most 4, and
+a channel's step table holds its 20 coefficients per step; the sweep
+forms the maps of many steps for a batch of energies as one matrix
+product of table rows with the powers (1, E, ..., E**4), never W itself.
+A sweep runs as a two-level scan over chunks of L steps, L a power of two
+from 16 to 128 chosen from the batch width so that one chunk x energy
+pass stays within a fixed cell budget (a one-energy sweep runs 16-step
+chunks).  Every chunk's transfer matrix is built at once in L row passes,
+keeping the matrix's first row at each step that reaches a grid node and
+the whole matrix at each energy's matching step.  The chunk start states
+follow from the prefix products of the chunk matrices, formed by
+recursive doubling in log2(chunks) passes, and phi at a node is its kept
+first row applied to its chunk's start state, gathered block by block.
+States and products are rescaled by positive factors along the way, which
+keeps node signs and the log-derivative.
 Eigenvalues are bracketed by one rule at every level of an energy scan
 (flat node count, sign change of a Wronskian-normalized log-derivative
 mismatch; pieces where the node count jumps are split and tested again),
@@ -167,40 +171,80 @@ class _Steps(NamedTuple):
     """One sweep direction as a flat list of S RK4 steps, padded with
     identity steps (h = 0) to a multiple of _MAX_CHUNK, so that every
     power-of-two chunk length up to _MAX_CHUNK splits it into whole chunks
-    by reshaping alone.
+    by reshaping alone.  Each step's RK4 map is a polynomial in E
+    (_map_table): row j of ``table`` times (1, E, E**2, E**3, E**4) is its
+    (m11, m12, m21, m22)."""
 
-    W is sampled at each step's start, midpoint and end; a step starts on
-    the sample the one before it ended on, so step j runs over samples 2j,
-    2j + 1, 2j + 2.  Sample rows are (w0, w1, 1), so that
-    ``w @ (1, E, -E**2/hbar_c**2)`` is W."""
-
-    h: np.ndarray        # (S,) step lengths
-    w: np.ndarray        # (2S + 1, 3) samples
+    table: np.ndarray    # (S, 4, 5) map coefficients in powers of E
     node: np.ndarray     # (S,) grid node a step reaches, or -1
     reach: np.ndarray    # (K,) index of the step reaching each node, or -1
     start: int           # the node the sweep starts from
 
 
-def _padded(h, w, node, start):
+def _map_table(h, c):
+    """One RK4 step of (phi, p)' = (p, W phi) per entry of h, as the
+    coefficients of its 2x2 matrix (m11, m12, m21, m22) in powers of E,
+    shape (S, 4, 5) for E**0 ... E**4.  With W sampled at the step's
+    start, midpoint and end,
+
+        m11 = 1 + h^2/6 (Wa + 2 Wm) + h^4/24 Wm Wa
+        m12 = h + h^3/6 Wm
+        m21 = h/6 [Wa + 4 Wm + Wb + h^2/2 Wm (Wa + Wb)]
+        m22 = 1 + h^2/6 (2 Wm + Wb) + h^4/24 Wb Wm
+
+    and each W is the quadratic c[i] @ (1, E, E**2) at sample i, step j
+    running over samples 2j, 2j + 1, 2j + 2, so each entry has degree at
+    most 4.  A step with h = 0 is exactly the identity."""
+    table = np.zeros((len(h), 4, 5))
+    m11, m12, m21, m22 = table.transpose(1, 0, 2)
+    h = h[:, None]
+    q = h * h / 6.0
+    Wa, Wm, Wb = c[:-1:2], c[1::2], c[2::2]
+
+    def add(m, f, a, b=None):        # m += f * a, or f * a * b
+        if b is None:
+            m[:, :3] += f * a
+        else:
+            for i in range(3):
+                m[:, i:i + 3] += (f * a[:, i:i + 1]) * b
+
+    m11[:, 0] = m22[:, 0] = 1.0
+    m12[:, 0] = h[:, 0]
+    add(m11, q, Wa + 2.0 * Wm)
+    add(m11, 1.5 * q * q, Wm, Wa)
+    add(m12, h * q, Wm)
+    add(m21, h / 6.0, Wa + 4.0 * Wm + Wb)
+    add(m21, h * q / 2.0, Wm, Wa + Wb)
+    add(m22, q, 2.0 * Wm + Wb)
+    add(m22, 1.5 * q * q, Wb, Wm)
+    return table
+
+
+def _padded(h, w, node, start, hbar_c):
     """_Steps from flat arrays: h (S,), w (2, 2S + 1) = (w0, w1) at the
-    start, midpoint, end, midpoint, end, ... of the steps, node (S,)."""
+    start, midpoint, end, midpoint, end, ... of the steps (W = w0 + w1 E
+    - (E/hbar_c)**2), node (S,)."""
     pad = -h.size % _MAX_CHUNK
     reach = np.full(max(start, node.max()) + 1, -1)
     reach[node[node >= 0]] = np.flatnonzero(node >= 0)
-    samples = np.zeros((w.shape[1] + 2 * pad, 3))
-    samples[:, 2] = 1.0
-    samples[:w.shape[1], :2] = w.T
-    return _Steps(np.concatenate([h, np.zeros(pad)]), samples,
+    coef = np.zeros((w.shape[1] + 2 * pad, 3))     # W in powers of E
+    coef[:w.shape[1], :2] = w.T
+    coef[:w.shape[1], 2] = -1.0 / hbar_c**2
+    return _Steps(_map_table(np.concatenate([h, np.zeros(pad)]), coef),
                   np.concatenate([node, np.full(pad, -1)]), reach, start)
 
 
-# a solve reads one channel's tables and mode_agreement_l0 compares two
-@lru_cache(maxsize=2)
+# a solve reads one channel's tables; at 20 map coefficients a step, a
+# second cached channel would only hold memory
+@lru_cache(maxsize=1)
 def _tables(system, l, mode, grid):
-    """Step tables of one channel: (outward, inward).
+    """Step tables of one channel and W at its grid nodes: (outward,
+    inward, w).
 
     Outward runs the geometric origin ladder over the first grid cells and
-    then the main grid; inward runs the main grid down from r_max.
+    then the main grid; inward runs the main grid down from r_max.  Row k
+    of w is (w0, w1, 1) at grid node k, so that ``w @ (1, E,
+    -E**2/hbar_c**2)`` is W there.
     """
     K = grid.points
     h = grid.spacing
@@ -221,11 +265,11 @@ def _tables(system, l, mode, grid):
     lnode[mark[1:] - 1] = np.arange(1, cells + 1)
     outward = _padded(
         np.concatenate([np.diff(pts), np.full(K - 1 - cells, h)]), w_out,
-        np.concatenate([lnode, np.arange(cells + 1, K)]), 0)
-    inward = _padded(
-        np.full(K - 1, -h), np.array(_w_parts(system, l, mode, rr[::-1])),
-        np.arange(K - 2, -1, -1), K - 1)
-    return outward, inward
+        np.concatenate([lnode, np.arange(cells + 1, K)]), 0, system.hbar_c)
+    w_in = np.array(_w_parts(system, l, mode, rr[::-1]))
+    inward = _padded(np.full(K - 1, -h), w_in, np.arange(K - 2, -1, -1),
+                     K - 1, system.hbar_c)
+    return outward, inward, np.column_stack([w_in[:, ::-2].T, np.ones(K)])
 
 
 def _rescale(phi, p, axes=()):
@@ -235,25 +279,6 @@ def _rescale(phi, p, axes=()):
     scale = np.maximum(np.abs(phi), np.abs(p)).max(axis=axes)
     scale = np.where(scale > 0.0, scale, 1.0)
     return phi / scale, p / scale
-
-
-def _rk4_map(h, Wa, Wm, Wb):
-    """One RK4 step of (phi, p)' = (p, W phi), W sampled at the step's
-    start, midpoint and end, as its 2x2 matrix (m11, m12, m21, m22):
-
-        m11 = 1 + h^2/6 (Wa + 2 Wm) + h^4/24 Wm Wa
-        m12 = h + h^3/6 Wm
-        m21 = h/6 [Wa + 4 Wm + Wb + h^2/2 Wm (Wa + Wb)]
-        m22 = 1 + h^2/6 (2 Wm + Wb) + h^4/24 Wb Wm
-    """
-    q = h * h / 6.0
-    a, m, b = q * Wa, q * Wm, q * Wb
-    m2 = m + m
-    ab = Wa + Wb
-    return (1.0 + (a + m2 + 1.5 * (m * a)),
-            h + h * m,
-            h / 6.0 * (ab + 4.0 * Wm + 3.0 * (m * ab)),
-            1.0 + (b + m2 + 1.5 * (m * b)))
 
 
 def _chunk_length(S, B):
@@ -267,23 +292,25 @@ def _chunk_length(S, B):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _sweep(steps, phi, p, EX, match_idx):
+def _sweep(steps, phi, p, EP, match_idx):
     """Run one direction for a batch of energies from the start state
-    (phi, p), as a two-level scan over chunks of ``steps``; EX holds the
-    rows (1, E, -E**2/hbar_c**2).
+    (phi, p), as a two-level scan over chunks of ``steps``; EP holds the
+    powers (1, E, E**2, E**3, E**4) of the batch's energies.
 
     The chunk length L comes from the batch width B (_chunk_length): a
     narrow batch runs 16 rows over many chunks, a wide one longer, fewer
     chunks.  Every chunk's transfer matrix is built in L row passes, taken
-    in blocks of R rows so that W and the RK4 maps of a block are one
-    _CHUNK_CELLS-sized pass each.  The chunk start states come from the
-    inclusive prefix products M_c ... M_0 of the chunk matrices, by
-    recursive doubling (log2 C passes over C chunks, each rescaled per
-    chunk), and phi at each node is its kept first row applied to its
-    chunk's start state, gathered _NODE_BLOCK nodes at a time.  How the
-    arithmetic is grouped depends on B (the BLAS path of the W products,
-    L and R), so an energy's result depends on the batch it shares, at
-    rounding level only.
+    in blocks of R rows: the RK4 maps of a block, about _CHUNK_CELLS
+    chunk x energy cells per entry, are one matrix product of the block's
+    table rows with EP, read in place from the step table (a stack of
+    (C, 5) x (5, B) products, one per row and map entry).  The chunk start
+    states come from the inclusive prefix products M_c ... M_0 of the
+    chunk matrices, by recursive doubling (log2 C passes over C chunks,
+    each rescaled per chunk), and phi at each node is its kept first row
+    applied to its chunk's start state, gathered _NODE_BLOCK nodes at a
+    time.  How the arithmetic is grouped depends on B (the BLAS path of the
+    map products, L and R), so an energy's result depends on the batch it
+    shares, at rounding level only.
 
     Returns (flips, phi_m, p_m): flips[k] marks a sign change of phi
     between grid nodes k and k + 1, shape (K - 1, B), and (phi_m, p_m) is
@@ -291,20 +318,19 @@ def _sweep(steps, phi, p, EX, match_idx):
     factor (each chunk carries its own scale).  Raises GridResolution when
     a node value or the matched state overflows between rescalings.
     """
-    S = steps.h.size
-    B = EX.shape[1]
+    S = len(steps.table)
+    B = EP.shape[1]
     K = steps.reach.size
     L = _chunk_length(S, B)
     C = S // L
     R = max(1, min(L, _CHUNK_CELLS // (C * B)))
-    h = steps.h.reshape(C, L).T[..., None]
-    w = steps.w[1:].reshape(C, L, 2, 3).transpose(1, 2, 0, 3)
+    table = steps.table.reshape(C, L, 4, 5).transpose(1, 2, 0, 3)  # a view
     node = steps.node.reshape(C, L).T
 
     # 1. transfer matrix of every chunk, its columns the images of (1, 0)
-    # and (0, 1), over blocks of R rows: W and the RK4 maps of a block in
-    # one pass each, then the rows in order.  The matrix's first row is
-    # kept at every node-reaching step (row K of traj and tail takes the
+    # and (0, 1), over blocks of R rows: the RK4 maps of a block in one
+    # product, then the rows in order.  The matrix's first row is kept at
+    # every node-reaching step (row K of traj and tail takes the
     # steps that reach none), the whole matrix at each energy's match step
     mphi = np.zeros((2, C, B))
     mp = np.zeros((2, C, B))
@@ -320,15 +346,11 @@ def _sweep(steps, phi, p, EX, match_idx):
     cp = np.zeros((2, B))
     cphi[0] = 1.0
     cp[1] = 1.0
-    Wb = (steps.w[:-1:2 * L] @ EX)[None]    # W where each chunk starts
     for j0 in range(0, L, R):
         blk = slice(j0, j0 + R)
-        Wmb = (w[blk].reshape(-1, 3) @ EX).reshape(-1, 2, C, B)
-        Wa = np.concatenate([Wb[-1:], Wmb[:-1, 1]])
-        Wm, Wb = Wmb[:, 0], Wmb[:, 1]
-        maps = _rk4_map(h[blk], Wa, Wm, Wb)
-        kept = np.empty((2, len(Wm), C, B))
-        for i, (m11, m12, m21, m22) in enumerate(zip(*maps)):
+        maps = np.matmul(table[blk], EP)
+        kept = np.empty((2, len(maps), C, B))
+        for i, (m11, m12, m21, m22) in enumerate(maps):
             j = j0 + i
             mphi, mp = m11 * mphi + m12 * mp, m21 * mphi + m22 * mp
             if (j & 63) == 63:
@@ -383,8 +405,8 @@ def _sweep(steps, phi, p, EX, match_idx):
 
 
 def _energy_rows(system, E):
-    """The rows (1, E, -E**2/hbar_c**2) of a batch E, so that a sample row
-    (w0, w1, 1) of a step table times them is W."""
+    """The rows (1, E, -E**2/hbar_c**2) of a batch E, so that a node row
+    (w0, w1, 1) of a channel's tables times them is W."""
     return np.array([np.ones(E.size), E, -(E / system.hbar_c) ** 2])
 
 
@@ -399,8 +421,8 @@ def _shoot(system, l, mode, E, grid, match_idx):
     B = E.size
     match_idx = np.broadcast_to(np.asarray(match_idx, int), (B,)).copy()
     K = grid.points
-    outward, inward = _tables(system, l, mode, grid)
-    EX = _energy_rows(system, E)
+    outward, inward, w = _tables(system, l, mode, grid)
+    EP = np.vander(E, 5, increasing=True).T.copy()
     row = np.arange(K - 1)[:, None]
 
     _, cm1c, cm1l, g = _origin_series(system, l)
@@ -408,13 +430,13 @@ def _shoot(system, l, mode, E, grid, match_idx):
 
     # ---- outward sweep: series start at r_min
     phi, p = _rescale(1.0 + c1 * grid.r_min, g / grid.r_min + c1 * (g + 1.0))
-    flips, out_phi, out_p = _sweep(outward, phi, p, EX, match_idx)
+    flips, out_phi, out_p = _sweep(outward, phi, p, EP, match_idx)
     nodes = np.count_nonzero(flips & (row < match_idx), axis=0)
 
     # ---- inward sweep: exponentially decaying start at r_max, where the
     # first inward step starts
-    W_end = np.maximum(inward.w[0] @ EX, 0.0)
-    flips, in_phi, in_p = _sweep(inward, np.ones(B), -np.sqrt(W_end), EX,
+    W_end = np.maximum(w[-1] @ _energy_rows(system, E), 0.0)
+    flips, in_phi, in_p = _sweep(inward, np.ones(B), -np.sqrt(W_end), EP,
                                  match_idx)
     nodes += np.count_nonzero(
         flips & (row >= np.minimum(match_idx, K - 2)), axis=0)
@@ -429,17 +451,29 @@ def _shoot(system, l, mode, E, grid, match_idx):
 def _turning_indices(system, l, mode, E, grid):
     """Matching index per energy: sign change of W nearest index K//3
     (about r_max/3), falling back to the grid midpoint."""
-    K = grid.points
     E = np.atleast_1d(np.asarray(E, dtype=float))
-    # the inward table samples W at every grid node, r_max first
-    nodes = _tables(system, l, mode, grid)[1].w[2 * K - 2::-2]
-    S = np.sign(nodes @ _energy_rows(system, E))
-    cross = S[:-1, :] * S[1:, :] <= 0
-    idx = np.arange(K - 1)
+    w = _tables(system, l, mode, grid)[2]
+    return _nearest_crossing(w @ _energy_rows(system, E))
+
+
+def _nearest_crossing(W):
+    """Per column of the finite W (K, B) at the grid nodes: the index i of
+    the sign change between nodes i and i + 1 nearest K//3, the lower one
+    on a tie, K//2 where none is found, clipped to [2, K - 2].  A zero
+    sample is a sign change with both its neighbours."""
+    K, B = W.shape
     target = K // 3
-    score = np.where(cross, np.abs(idx[:, None] - target), 10 * K)
-    im = np.argmin(score, axis=0)
-    im[~cross.any(axis=0)] = K // 2
+    pos, neg = W > 0.0, W < 0.0
+    same = pos[:-1] & pos[1:]
+    same |= neg[:-1] & neg[1:]
+    cross = np.logical_not(same, out=same)
+    # the first crossing going down from target and going up past it
+    down, up = cross[target::-1], cross[target + 1:]
+    d, u = down.argmax(axis=0), up.argmax(axis=0)
+    col = np.arange(B)
+    below, above = down[d, col], up[u, col]
+    im = np.where(below & ~(above & (u + 1 < d)), target - d, target + 1 + u)
+    im[~(below | above)] = K // 2
     return np.clip(im, 2, K - 2)
 
 

@@ -104,12 +104,13 @@ def _golub_welsch(alpha: float, beta: float, points: int):
     diag = np.empty(m)
     diag[0] = (beta - alpha) / (apb + 2.0)
     k = np.arange(1, m, dtype=float)
-    diag[1:] = (beta * beta - alpha * alpha) \
-        / ((2.0 * k + apb) * (2.0 * k + apb + 2.0))
-    num = 4.0 * k * (k + alpha) * (k + beta) * (k + apb)
-    den = (2.0 * k + apb) ** 2 * (2.0 * k + apb + 1.0) \
-        * (2.0 * k + apb - 1.0)
-    off = np.sqrt(num / den)
+    c = 2.0 * k + apb
+    diag[1:] = (beta * beta - alpha * alpha) / (c * (c + 2.0))
+    off2 = 4.0 * k * (k + alpha) * (k + beta) / (c * c * (c + 1.0))
+    # times (k + apb)/(c - 1), which is 1 at k = 1, where both vanish if
+    # apb = -1
+    off2[1:] *= (k[1:] + apb) / (c[1:] - 1.0)
+    off = np.sqrt(off2)
     jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     nodes, vecs = np.linalg.eigh(jac)
     return nodes, vecs[0, :] ** 2

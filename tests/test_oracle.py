@@ -3,6 +3,7 @@
 import logging
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -163,6 +164,25 @@ class TestFindBoundStates:
         for d, (E, _) in zip(states, levels):
             assert abs(d.energy - E) <= 1e-6
 
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(V0=st.floats(0.05, 0.20), beta=st.floats(0.10, 0.50),
+           m1=st.floats(0.0, 0.30))
+    def test_full_window_s_states_equal_root_solved_levels(self, V0, beta,
+                                                           m1):
+        # over the benchmark's box with a regular origin, the full-window
+        # l=0 scan finds the root-solved levels one to one, to criterion
+        # 3's 1e-6 relative
+        system = PhysicalSystem(V0=V0, beta=beta, m0=1.0, m1=m1)
+        try:
+            states = find_bound_states(system, 0)
+        except InvalidRegime:
+            reject()
+        levels = sorted((lv.value, lv.n) for n in range(8)
+                        for lv in energy_root_solve(system, n, 0))
+        assert [d.node_count for d in states] == [n for _, n in levels]
+        for d, (E, _) in zip(states, levels):
+            assert abs(d.energy - E) <= 1e-6 * abs(E)
+
     def test_jump_at_a_root_is_split_down_to_tolerance(
             self, reference_system, monkeypatch, caplog):
         # node count and mismatch both switch at one energy: the piece
@@ -271,26 +291,107 @@ def _stepwise_shoot(system, l, mode, E, grid, match_idx):
     return wr / (np.abs(o_p * i_phi) + np.abs(i_p * o_phi) + 1e-300), nodes
 
 
+def _argmin_crossing(W):
+    """Reference for oracle._nearest_crossing: the argmin over a distance
+    score, which the search replaced."""
+    K = W.shape[0]
+    S = np.sign(W)
+    cross = S[:-1, :] * S[1:, :] <= 0
+    idx = np.arange(K - 1)
+    score = np.where(cross, np.abs(idx[:, None] - K // 3), 10 * K)
+    im = np.argmin(score, axis=0)
+    im[~cross.any(axis=0)] = K // 2
+    return np.clip(im, 2, K - 2)
+
+
+class TestTurningIndices:
+    def test_matches_argmin_rule(self):
+        K = 120
+        t = K // 3
+        cols = []
+
+        def signs(*changes):
+            # +1 up to node c of the first change, flipping after each
+            col = np.ones(K)
+            for c in changes:
+                col[c + 1:] *= -1.0
+            return col
+
+        cols += [np.ones(K), -np.ones(K), np.zeros(K)]     # none, all cross
+        cols += [signs(t - 5, t + 5), signs(t - 6, t + 5),  # tie, nearer up
+                 signs(t), signs(t + 1), signs(t - 1),
+                 signs(0), signs(K - 2), signs(1, K - 3)]   # clipped ends
+        zero_up = np.ones(K)
+        zero_up[t + 7] = 0.0                                # a zero at a node
+        zero_tie = np.ones(K)
+        zero_tie[[t - 4, t + 5]] = 0.0                      # zeros tie
+        cols += [zero_up, zero_tie, -zero_up]
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            col = np.cumprod(np.where(rng.random(K) < 0.03, -1.0, 1.0))
+            col *= rng.uniform(0.5, 2.0, K)
+            col[rng.random(K) < 0.02] = 0.0
+            cols.append(col)
+        W = np.column_stack(cols)
+        assert np.array_equal(oracle._nearest_crossing(W),
+                              _argmin_crossing(W))
+
+    @pytest.mark.parametrize("name, l, mode", [
+        ("reference_system", 0, "approx"), ("set_a", 1, "exact")])
+    def test_matches_argmin_rule_on_a_channel(self, name, l, mode, request):
+        system = request.getfixturevalue(name)
+        grid = default_grid(system)
+        E = np.linspace(*binding_window(system), 240)
+        W = ode_coefficient(system, l, E[None], grid.radii()[:, None], mode)
+        assert np.array_equal(
+            oracle._turning_indices(system, l, mode, E, grid),
+            _argmin_crossing(W))
+
+    def test_search_memory(self, reference_system):
+        # W at the grid nodes for 240 energies is 7.7 MB; the argmin search
+        # held (K, B) float and integer scores beside it, 24 MB in all
+        grid = default_grid(reference_system)
+        E = np.linspace(*binding_window(reference_system), 240)
+        oracle._turning_indices(reference_system, 0, "approx", E, grid)
+        tracemalloc.start()
+        try:
+            oracle._turning_indices(reference_system, 0, "approx", E, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13e6
+
+
 class TestChunkedSweep:
     def test_rk4_map_is_one_rk4_step(self):
-        # the four coefficients are the images of (1, 0) and (0, 1) under
-        # one reference RK4 step, to 1e-14 of each coefficient's own scale
+        # the step table's coefficients times the powers of a random E are
+        # the images of (1, 0) and (0, 1) under one reference RK4 step, W
+        # sampled from the same quadratics, to 1e-14 of each entry's scale
         rng = np.random.default_rng(7)
         h = rng.uniform(-0.5, 0.5, 2000)
         h[:20] = 0.0
-        Wa, Wm, Wb = rng.uniform(-20.0, 20.0, (3, h.size))
+        c = np.column_stack([rng.uniform(-20.0, 20.0, 2 * h.size + 1),
+                             rng.uniform(-5.0, 5.0, 2 * h.size + 1),
+                             np.full(2 * h.size + 1, -1.0 / 0.9**2)])
+        table = oracle._map_table(h, c)
+        assert table.shape == (h.size, 4, 5)
+        E = rng.uniform(-1.2, 1.2, h.size)
+        powers = np.vander(E, 5, increasing=True)
+        got = np.einsum("sij,sj->is", table, powers)
+        Wa, Wm, Wb = (np.sum(c[i:i + 2 * h.size:2] * powers[:, :3], axis=1)
+                      for i in range(3))
         one, zero = np.ones(h.size), np.zeros(h.size)
         (m11, m21), (m12, m22) = (_rk4(one, zero, h, Wa, Wm, Wb),
                                   _rk4(zero, one, h, Wa, Wm, Wb))
-        got = oracle._rk4_map(h, Wa, Wm, Wb)
         scale = (1.0, np.abs(h),
                  np.abs(h) * (np.abs(Wa) + 4.0 * np.abs(Wm) + np.abs(Wb))
                  / 6.0, 1.0)
-        for g, want, s in zip(got, (m11, m12, m21, m22), scale):
-            assert np.all(np.abs(g - want) <= 1e-14 * s)
-        # h = 0 is the identity, exactly
-        assert np.all(got[0][:20] == 1.0) and np.all(got[3][:20] == 1.0)
-        assert np.all(got[1][:20] == 0.0) and np.all(got[2][:20] == 0.0)
+        for g, want, sc in zip(got, (m11, m12, m21, m22), scale):
+            assert np.all(np.abs(g - want) <= 1e-14 * sc)
+        # h = 0 is the identity, exactly, at every energy
+        identity = np.zeros((4, 5))
+        identity[[0, 3], 0] = 1.0
+        assert np.all(table[:20] == identity)
 
     @pytest.mark.parametrize("name", ["reference_system", "set_a"])
     @pytest.mark.parametrize("points", [100, 120, 4000])
@@ -299,15 +400,18 @@ class TestChunkedSweep:
         span = default_grid(system)
         grid = RadialGrid(r_min=span.r_min, r_max=span.r_max, points=points)
         l, mode = (0, "approx") if name == "reference_system" else (1, "exact")
-        outward, inward = oracle._tables(system, l, mode, grid)
-        # K - 1 inward steps are not a multiple of the chunk length
-        assert inward.h[-1] == 0.0
+        K = grid.points
+        outward, inward, _ = oracle._tables(system, l, mode, grid)
+        # K - 1 inward steps are not a multiple of the chunk length: the
+        # last is a padding step, the identity
+        assert len(inward.table) > K - 1
+        assert np.array_equal(inward.table[-1] @ [1.0, 2.0, 4.0, 8.0, 16.0],
+                              [1.0, 0.0, 0.0, 1.0])
         # widths that make the chunk-length rule pick each of its lengths on
         # the 4000-point grid; each batch matches at node 2, at the last node
         # of an outward and of an inward chunk of its own length (the chunk's
         # last step, where that reaches a node), and at node K - 2
         widths = [240, 60, 34, 17, 1]
-        K = grid.points
         m_inf = system.asymptotic_mass
         E = np.linspace(-m_inf + 1e-6, m_inf - 1e-6, sum(widths))
         batches = np.split(np.random.default_rng(0).permutation(E.size),
@@ -315,8 +419,8 @@ class TestChunkedSweep:
         match = np.empty(E.size, dtype=int)
         lengths = set()
         for sel in batches:
-            L_out = oracle._chunk_length(outward.h.size, sel.size)
-            L_in = oracle._chunk_length(inward.h.size, sel.size)
+            L_out = oracle._chunk_length(len(outward.table), sel.size)
+            L_in = oracle._chunk_length(len(inward.table), sel.size)
             lengths |= {L_out, L_in}
             ends = outward.node.reshape(-1, L_out).max(axis=1)
             match[sel] = np.resize(
@@ -331,12 +435,12 @@ class TestChunkedSweep:
             assert np.max(np.abs(got_m - want_m[sel])) <= 1e-12
             assert np.array_equal(got_n, want_n[sel])
 
-    def test_step_table_cache_holds_two_channels(self, reference_system):
-        # one solve reads one channel's tables and validate compares two;
-        # more cached channels only hold memory
+    def test_step_table_cache_holds_one_channel(self, reference_system):
+        # one solve reads one channel's tables; at 20 map coefficients a
+        # step, more cached channels only hold memory
         for l, mode in ((0, "approx"), (1, "approx"), (1, "exact")):
             find_bound_states(reference_system, l, mode=mode, scan_points=8)
-        assert oracle._tables.cache_info().currsize <= 2
+        assert oracle._tables.cache_info().currsize <= 1
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(V0=st.floats(0.05, 0.20), beta=st.floats(0.10, 0.50),

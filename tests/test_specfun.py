@@ -154,6 +154,18 @@ class TestGaussJacobiRule:
         assert float(np.sum(shares)) == pytest.approx(1.0, rel=1e-13)
         assert np.all(np.abs(nodes) < 1.0)
 
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_chebyshev_weight(self, m):
+        # alpha + beta = -1 makes the first off-diagonal 0/0 unless taken
+        # as its limit; the rule is Gauss-Chebyshev, with total mass pi
+        nodes, shares = _golub_welsch(-0.5, -0.5, m)
+        want = np.sort(np.cos((2 * np.arange(1, m + 1) - 1) * np.pi
+                              / (2 * m)))
+        assert np.allclose(nodes, want, rtol=0.0, atol=1e-14)
+        assert np.allclose(shares, 1.0 / m, rtol=1e-13, atol=0.0)
+        nodes, weights = gauss_jacobi_rule(-0.5, -0.5, m)
+        assert np.allclose(weights, np.pi / m, rtol=1e-13, atol=0.0)
+
     def test_single_point_rule(self):
         nodes, weights = gauss_jacobi_rule(0.0, 0.0, 1)
         assert nodes.shape == (1,) and weights.shape == (1,)
