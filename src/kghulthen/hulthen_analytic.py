@@ -26,9 +26,9 @@ reduce to
 one NumPy expression over any array of trial energies; the tests pin it
 against the engine's branch-by-branch derivation.  That one evaluation
 (``_condition``) is the only place the solvers take the roots s and A: it
-returns F, s and A together, NaN where a root is complex.  s does not
-depend on E, so a complex s is a property of the channel: every solver
-raises InvalidRegime on it (an over-attractive origin).
+returns F, s and A together, NaN where a root is complex (s by
+``model.origin_power``).  s does not depend on E, so a complex s is a
+property of the channel: every solver raises InvalidRegime on it.
 
 The quadratic closed form squares the condition once, which introduces
 reflected roots that do not satisfy the original condition.  Use
@@ -54,7 +54,7 @@ import numpy as np
 from .errors import (ComplexRegime, InvalidRegime, NoBoundState,
                      NonNormalizable, SolverError)
 from .model import (EnergyLevel, PhysicalSystem, RadialGrid, binding_window,
-                    default_grid)
+                    default_grid, origin_power)
 # all_candidates, eigen_pair and gauss_jacobi_rule are unused here but stay
 # importable from this module: the benchmark's tracer wraps them at these
 # names
@@ -112,12 +112,11 @@ def build_nu_problem(coeffs: CoefficientSet) -> NUProblem:
 
 
 def origin_exponent_discriminant(system: PhysicalSystem, l: int) -> float:
-    """1 + 4*a3_sq: positive when the origin exponent is real.
-
-    Negative values mean the effective origin singularity is over-attractive
-    (the power-law exponents turn complex) and no real-parameter bound-state
-    analysis applies.  a3_sq does not depend on E, so neither does this.
-    """
+    """1 + 4*a3_sq: the origin exponent is real where this is >= 0, or below
+    0 only within the rounding band of ``origin_power`` (there s = 0).
+    Below the band the origin is over-attractive (complex exponents) and no
+    real-parameter bound-state analysis applies.  a3_sq does not depend on
+    E, so neither does this."""
     return 1.0 + 4.0 * coefficients_at(system, l, 0.0).a3_sq
 
 
@@ -128,7 +127,7 @@ def _condition(system: PhysicalSystem, n: int, l: int, E):
     at any E."""
     a1, a2, a3 = _coefficients(system, l, np.asarray(E, dtype=float))
     with np.errstate(invalid="ignore"):
-        s, A = np.sqrt(0.25 + a3), np.sqrt(a1 + a2 + a3)
+        s, A = origin_power(a3), np.sqrt(a1 + a2 + a3)
     t = s + A
     F = 0.25 + a1 - t * t - (t + 0.5) - 2.0 * n * (1.0 + t) - n * (n - 1)
     return F, s, A
@@ -262,12 +261,12 @@ def energy_constant_mass_s(system: PhysicalSystem, n: int):
         raise ValueError("n must be >= 0")
     se = system.screening_energy
     qv = system.V0 / se                      # dimensionless well strength
-    disc = 1.0 - 4.0 * qv * qv
-    if disc < 0.0:
+    s = origin_power(-qv * qv)
+    if math.isnan(s):
         raise InvalidRegime(
             f"s-wave origin exponent is complex (4*(V0/se)**2 = "
             f"{4.0 * qv * qv!r} > 1)")
-    Np = (2.0 * n + 1.0) + math.sqrt(disc)
+    Np = (2.0 * n + 1.0) + 2.0 * s
     inner = system.m0**2 / (4.0 * qv * qv + Np * Np) - se * se / 16.0
     if inner < 0.0:
         raise NoBoundState(

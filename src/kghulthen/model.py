@@ -136,6 +136,15 @@ class PhysicalSystem:
         return float(out) if out.ndim == 0 else out
 
 
+def origin_power(c: float) -> float:
+    """s = sqrt(1/4 + c): phi'' = (c/r**2 + ...) phi has a regular solution
+    r**(1/2 + s) at the origin.  1/4 + c below 0 by rounding alone, at most
+    1e-12 * max(1, |c|), gives s = 0; beyond that s is NaN (complex)."""
+    disc = 0.25 + c
+    regular = disc >= -1e-12 * max(1.0, abs(c))
+    return math.sqrt(max(disc, 0.0)) if regular else math.nan
+
+
 def _check_radius(r):
     arr = np.asarray(r, dtype=float)
     if np.any(arr <= 0.0):

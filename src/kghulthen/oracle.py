@@ -35,16 +35,16 @@ then refined by safeguarded false position to |dE| < 1e-10 * m0.
 Two implementation notes, both measured necessities rather than choices:
 
 * Near the origin the regular solution behaves like r**g with fractional
-  g = 1/2 + sqrt(1/4 + c2); the sweep therefore starts on the two-term
-  series phi = r**g * (1 + c1*r) at r_min instead of the naive
-  (phi, phi') = (0, 1), and the first few hundred grid cells are
-  internally subdivided on a geometric ladder.  A (0, 1) start
+  g = 1/2 + sqrt(1/4 + c2) (``model.origin_power``); the sweep therefore
+  starts on the two-term series phi = r**g * (1 + c1*r) at r_min instead
+  of the naive (phi, phi') = (0, 1), and the first few hundred grid cells
+  are internally subdivided on a geometric ladder.  A (0, 1) start
   contaminates the sweep with the subdominant power and, for the
   parameter ranges exercised here, leaves an energy error floor well
   above the tolerances this solver must meet.
-* When c2 < -1/4 the origin exponents turn complex (the singularity is
-  over-attractive) and no self-adjoint bound-state problem remains; such
-  runs raise InvalidRegime instead of returning numbers.
+* Beyond that rule's rounding band the origin exponents are complex (the
+  singularity is over-attractive), no self-adjoint bound-state problem
+  remains, and such runs raise InvalidRegime instead of returning numbers.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import GridResolution, InvalidRegime, SolverError
-from .model import PhysicalSystem, RadialGrid, binding_window, default_grid
+from .model import (PhysicalSystem, RadialGrid, binding_window, default_grid,
+                    origin_power)
 
 _LADDER_RATIO = 1.006       # geometric refinement ratio of the origin ladder
 _MISMATCH_TOL = 1e-3        # converged roots must have |tail_mismatch| below
@@ -105,43 +106,42 @@ def ode_coefficient(system: PhysicalSystem, l: int, E: float, r,
 
     Accepts a scalar or array of radii (all > 0); an array E broadcasts
     against them.  Both modes share the full mass and potential terms;
-    they differ only in the centrifugal piece.
+    they differ only in the centrifugal piece, part of the E-free term.
     """
-    w0, w1 = _w_parts(system, l, mode, r)
-    out = w0 + w1 * E - (E / system.hbar_c) ** 2
+    w = _w_coefficients(system, l, mode, r)
+    out = w[..., 0] + w[..., 1] * E + w[..., 2] * E**2
     return float(out) if out.ndim == 0 else out
 
 
-def _w_parts(system, l, mode, r):
-    """W split as w0(r) + w1(r)*E - (E/hbar_c)**2; returns (w0, w1), built
-    on the system's own potential, mass and centrifugal profiles."""
+def _w_coefficients(system, l, mode, r):
+    """W's coefficients in powers of E at the radii r, shape r.shape +
+    (3,): the rows (w0, w1, -1/hbar_c**2), so that W = row @ (1, E, E**2);
+    built on the system's own potential, mass and centrifugal profiles."""
     hc2 = system.hbar_c**2
     V = np.asarray(system.potential_at(r))
     m = np.asarray(system.mass_at(r))
     cf = np.asarray(system.centrifugal_at(l, r, mode))
-    return cf + (m * m - V * V) / hc2, 2.0 * V / hc2
+    return np.stack(np.broadcast_arrays(
+        cf + (m * m - V * V) / hc2, 2.0 * V / hc2, -1.0 / hc2), axis=-1)
 
 
 def _origin_series(system, l):
     """Series data of the regular solution phi ~ r**g * (1 + c1 r) at r -> 0.
 
-    Returns (c2, cm1_const, cm1_lin, g) where the ODE coefficient behaves
-    like c2/r**2 + (cm1_const + cm1_lin*E)/r + O(1) and
-    g = 1/2 + sqrt(1/4 + c2).  Raises InvalidRegime when 1/4 + c2 < 0.
+    Returns (cm1_const, cm1_lin, g) where the ODE coefficient behaves like
+    c2/r**2 + (cm1_const + cm1_lin*E)/r + O(1) and g = 1/2 +
+    origin_power(c2).  Raises InvalidRegime when that is complex.
     """
     se = system.screening_energy
     q2 = 1.0 / (se * se)
     c2 = l * (l + 1) + q2 * (system.m1**2 - system.V0**2)
     P0 = q2 * (system.m1**2 - 2.0 * system.m0 * system.m1 + system.V0**2)
-    cm1_const = system.beta * P0
-    cm1_lin = -system.beta * 2.0 * q2 * system.V0
-    disc = 0.25 + c2
-    if disc < -1e-12 * max(1.0, abs(c2)):
+    s = origin_power(c2)
+    if math.isnan(s):
         raise InvalidRegime(
             "over-attractive origin: effective inverse-square strength "
             f"{c2!r} < -1/4, origin exponents complex")
-    g = 0.5 + math.sqrt(max(disc, 0.0))
-    return c2, cm1_const, cm1_lin, g
+    return system.beta * P0, -system.beta * 2.0 * q2 * system.V0, 0.5 + s
 
 
 def _ladder(r_min, h, cells):
@@ -220,17 +220,15 @@ def _map_table(h, c):
     return table
 
 
-def _padded(h, w, node, start, hbar_c):
-    """_Steps from flat arrays: h (S,), w (2, 2S + 1) = (w0, w1) at the
-    start, midpoint, end, midpoint, end, ... of the steps (W = w0 + w1 E
-    - (E/hbar_c)**2), node (S,)."""
+def _padded(h, w, node, start):
+    """_Steps from flat arrays: h (S,), w (2S + 1, 3) W's coefficients
+    (``_w_coefficients``) at the start, midpoint, end, midpoint, end, ...
+    of the steps, node (S,)."""
     pad = -h.size % _MAX_CHUNK
     reach = np.full(max(start, node.max()) + 1, -1)
     reach[node[node >= 0]] = np.flatnonzero(node >= 0)
-    coef = np.zeros((w.shape[1] + 2 * pad, 3))     # W in powers of E
-    coef[:w.shape[1], :2] = w.T
-    coef[:w.shape[1], 2] = -1.0 / hbar_c**2
-    return _Steps(_map_table(np.concatenate([h, np.zeros(pad)]), coef),
+    return _Steps(_map_table(np.concatenate([h, np.zeros(pad)]),
+                             np.pad(w, ((0, 2 * pad), (0, 0)))),
                   np.concatenate([node, np.full(pad, -1)]), reach, start)
 
 
@@ -242,9 +240,9 @@ def _tables(system, l, mode, grid):
     inward, w).
 
     Outward runs the geometric origin ladder over the first grid cells and
-    then the main grid; inward runs the main grid down from r_max.  Row k
-    of w is (w0, w1, 1) at grid node k, so that ``w @ (1, E,
-    -E**2/hbar_c**2)`` is W there.
+    then the main grid; inward runs the main grid down from r_max, on the
+    same samples of W.  Row k of w is W's coefficients at grid node k, so
+    that ``w @ (1, E, E**2)`` is W there.
     """
     K = grid.points
     h = grid.spacing
@@ -254,8 +252,9 @@ def _tables(system, l, mode, grid):
     ladder = np.empty(2 * pts.size - 1)
     ladder[::2] = pts
     ladder[1::2] = 0.5 * (pts[:-1] + pts[1:])
-    w_out = np.array(_w_parts(system, l, mode,
-                              np.concatenate([ladder, rr[2 * cells + 1:]])))
+    w = _w_coefficients(system, l, mode, rr)
+    w_out = np.concatenate([_w_coefficients(system, l, mode, ladder),
+                            w[2 * cells + 1:]])
     if not np.all(np.isfinite(w_out[:, 0])):
         raise InvalidRegime(
             f"ODE coefficient not finite at r_min={grid.r_min!r}; "
@@ -265,11 +264,10 @@ def _tables(system, l, mode, grid):
     lnode[mark[1:] - 1] = np.arange(1, cells + 1)
     outward = _padded(
         np.concatenate([np.diff(pts), np.full(K - 1 - cells, h)]), w_out,
-        np.concatenate([lnode, np.arange(cells + 1, K)]), 0, system.hbar_c)
-    w_in = np.array(_w_parts(system, l, mode, rr[::-1]))
-    inward = _padded(np.full(K - 1, -h), w_in, np.arange(K - 2, -1, -1),
-                     K - 1, system.hbar_c)
-    return outward, inward, np.column_stack([w_in[:, ::-2].T, np.ones(K)])
+        np.concatenate([lnode, np.arange(cells + 1, K)]), 0)
+    inward = _padded(np.full(K - 1, -h), w[::-1], np.arange(K - 2, -1, -1),
+                     K - 1)
+    return outward, inward, w[::2].copy()    # cache only the node rows
 
 
 def _rescale(phi, p, axes=()):
@@ -404,12 +402,6 @@ def _sweep(steps, phi, p, EP, match_idx):
     return flips, phi, p
 
 
-def _energy_rows(system, E):
-    """The rows (1, E, -E**2/hbar_c**2) of a batch E, so that a node row
-    (w0, w1, 1) of a channel's tables times them is W."""
-    return np.array([np.ones(E.size), E, -(E / system.hbar_c) ** 2])
-
-
 def _shoot(system, l, mode, E, grid, match_idx):
     """Two-sided sweep for a batch of energies.
 
@@ -425,7 +417,7 @@ def _shoot(system, l, mode, E, grid, match_idx):
     EP = np.vander(E, 5, increasing=True).T.copy()
     row = np.arange(K - 1)[:, None]
 
-    _, cm1c, cm1l, g = _origin_series(system, l)
+    cm1c, cm1l, g = _origin_series(system, l)
     c1 = (cm1c + cm1l * E) / (2.0 * g)
 
     # ---- outward sweep: series start at r_min
@@ -435,7 +427,7 @@ def _shoot(system, l, mode, E, grid, match_idx):
 
     # ---- inward sweep: exponentially decaying start at r_max, where the
     # first inward step starts
-    W_end = np.maximum(w[-1] @ _energy_rows(system, E), 0.0)
+    W_end = np.maximum(w[-1] @ EP[:3], 0.0)
     flips, in_phi, in_p = _sweep(inward, np.ones(B), -np.sqrt(W_end), EP,
                                  match_idx)
     nodes += np.count_nonzero(
@@ -453,7 +445,7 @@ def _turning_indices(system, l, mode, E, grid):
     (about r_max/3), falling back to the grid midpoint."""
     E = np.atleast_1d(np.asarray(E, dtype=float))
     w = _tables(system, l, mode, grid)[2]
-    return _nearest_crossing(w @ _energy_rows(system, E))
+    return _nearest_crossing(w @ np.vander(E, 3, increasing=True).T)
 
 
 def _nearest_crossing(W):

@@ -47,7 +47,7 @@ def test_state_beside_threshold_jump_is_found():
 
 def test_one_l0_scan_serves_both_modes(reference_system, monkeypatch):
     # at l=0 the two centrifugal modes are one equation: the battery scans
-    # once, and mode_agreement_l0 compares the two modes' step tables
+    # once, and mode_agreement_l0 compares the two modes' W at E=0
     modes = []
     real = oracle.find_bound_states
     monkeypatch.setattr(oracle, "find_bound_states", lambda *a, **k: (
@@ -57,6 +57,14 @@ def test_one_l0_scan_serves_both_modes(reference_system, monkeypatch):
     assert rows["oracle_agreement_l0"].passed
     assert rows["mode_agreement_l0"].value == 0.0
     assert rows["mode_agreement_l0"].passed
+
+
+def test_battery_builds_one_channel_of_step_tables(reference_system):
+    # the l=0 scan builds its channel's tables once; comparing the modes
+    # reads W, not a second channel's tables
+    oracle._tables.cache_clear()
+    run_validation(reference_system)
+    assert oracle._tables.cache_info().misses == 1
 
 
 def test_mode_agreement_fails_on_a_broken_l0_term(reference_system,

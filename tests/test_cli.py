@@ -266,6 +266,10 @@ class TestDomainRule:
 
 _DEEP_WELL = {"V0": 3e5, "beta": 1e3, "m0": 1e7, "m1": 5e6}
 _EQUAL_POWERS = {"V0": 0.4394609, "beta": 0.5, "m0": 1.0, "m1": 0.3}
+# critical coupling, V0 = sqrt(m1**2 + (beta*hbar_c)**2/4): the s-wave
+# origin power is 0
+_CRITICAL = {"V0": 0.2529802663774083, "beta": 0.49597989949748744,
+             "m0": 1.0, "m1": 0.05}
 # the validate battery's rows, in order; all but constant_mass_reduction
 # when m1 != 0
 _BATTERY = ("coefficient_energy_independence", "reduction_discriminant_zero",
@@ -315,6 +319,12 @@ class TestOracleCommandsEndInRecords:
 
     def test_equal_powers_validate_passes(self, capsys):
         argv = [f"--{k}={v}" for k, v in _EQUAL_POWERS.items()]
+        assert main(["validate"] + argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 15 and all(",pass," in r for r in rows)
+
+    def test_critical_coupling_validate_passes(self, capsys):
+        argv = [f"--{k}={v!r}" for k, v in _CRITICAL.items()]
         assert main(["validate"] + argv) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 15 and all(",pass," in r for r in rows)
@@ -396,6 +406,26 @@ class TestSpectrumRecords:
         assert by_key[(0, 0, "upper")]["energy"] is None
         assert by_key[(0, 1, "upper")]["status"] in ("ok", "spurious")
         assert by_key[(0, 1, "upper")]["energy"] is not None
+
+    def test_critical_coupling_methods_agree(self):
+        # 1/4 + a3_sq rounds to -5.6e-17 in the s channel, inside the
+        # origin rule's rounding band, so every method solves it with s = 0
+        uppers = []
+        for method in ("quantization_root", "closed_form", "oracle"):
+            records = execute(_cfg(json.dumps(_CRITICAL), method=method,
+                                   n_max=0, l_max=0, branch="upper"))
+            assert [r["status"] for r in records] == ["ok"]
+            uppers.append(records[0]["energy"])
+        assert max(uppers) - min(uppers) <= 1e-6
+
+    @pytest.mark.parametrize("method", ["closed_form", "quantization_root",
+                                        "oracle"])
+    def test_beyond_the_rounding_band_is_invalid_regime(self, method):
+        # 1e-6 relative deeper than critical coupling: over-attractive
+        deeper = dict(_CRITICAL, V0=0.2529805193576746)
+        records = execute(_cfg(json.dumps(deeper), method=method, n_max=0,
+                               l_max=0))
+        assert [r["status"] for r in records] == ["invalid_regime"] * 2
 
     def test_unbound_status(self):
         cfg = parse_config('{"V0": 0.2, "beta": 0.1, "m0": 1.0}',

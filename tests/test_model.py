@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kghulthen import PhysicalSystem, RadialGrid, default_grid
-from kghulthen.model import EnergyLevel
+from kghulthen.model import EnergyLevel, origin_power
 
 
 class TestPhysicalSystemValidation:
@@ -117,6 +117,20 @@ class TestProfiles:
             reference_system.centrifugal_at(-1, 1.0)
         with pytest.raises(ValueError, match="mode"):
             reference_system.centrifugal_at(1, 1.0, mode="wild")
+
+
+class TestOriginPower:
+    def test_regular_strengths(self):
+        assert origin_power(2.0) == 1.5
+        assert origin_power(-0.25) == 0.0
+        assert origin_power(-0.16) == pytest.approx(0.3, rel=1e-15)
+
+    def test_rounding_band_below_a_quarter(self):
+        # 1/4 + c negative by at most 1e-12 * max(1, |c|) is rounding: s = 0
+        assert origin_power(-0.25 - 1e-13) == 0.0
+        assert origin_power(-0.25 - 0.9e-12) == 0.0
+        assert math.isnan(origin_power(-0.25 - 1.1e-12))
+        assert math.isnan(origin_power(-7.0))
 
 
 class TestEnergyLevel:

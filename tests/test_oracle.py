@@ -31,6 +31,24 @@ class TestOdeCoefficient:
         assert got_exact == pytest.approx(0.55065259711936843, rel=1e-13)
         assert got_approx == pytest.approx(0.51098939422326461, rel=1e-13)
 
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_hand_checked_away_from_unit_hbar_c(self, mode):
+        # W = centrifugal + (m(r)**2 - (E - V(r))**2)/hbar_c**2 with the
+        # profiles written out by hand; -E**2/hbar_c**2 is one of W's
+        # coefficient rows, so hbar_c != 1 must reach every term
+        V0, beta, m0, m1, hbar_c, l, E = 0.25, 0.5, 1.0, 0.2, 0.7, 1, 0.5
+        system = PhysicalSystem(V0=V0, beta=beta, m0=m0, m1=m1,
+                                hbar_c=hbar_c)
+        for r in (0.3, 2.0, 7.0, 30.0):
+            e = math.exp(-beta * r)
+            z = 1.0 - e
+            V, m = -V0 * e / z, m0 - m1 / z
+            cf = (l * (l + 1) / r**2 if mode == "exact"
+                  else beta**2 * l * (l + 1) * e / z**2)
+            want = cf + (m * m - (E - V) ** 2) / hbar_c**2
+            got = ode_coefficient(system, l, E, r, mode=mode)
+            assert abs(got - want) <= 1e-13 * abs(want)
+
     def test_screened_mode_matches_quadratic_form(self, fixture_system):
         # W_approx(r) must equal beta^2 (a3 + a2 z + a1 z^2)/z^2 with the
         # same coefficients the analytic reduction uses: the two modules
@@ -246,11 +264,10 @@ def _stepwise_shoot(system, l, mode, E, grid, match_idx):
     K, h = grid.points, grid.spacing
     cells = min(300, K // 4)
     pts, mark = oracle._ladder(grid.r_min, h, cells)
-    E2 = (E / system.hbar_c) ** 2
 
     def W(r):
-        w0, w1 = oracle._w_parts(system, l, mode, r)
-        return w0[:, None] + w1[:, None] * E - E2
+        return oracle._w_coefficients(system, l, mode, r) @ [
+            np.ones_like(E), E, E * E]
 
     Wl, Wlm = W(pts), W(0.5 * (pts[:-1] + pts[1:]))
     Wg = W(grid.r_min + 0.5 * h * np.arange(2 * K - 1))
@@ -279,7 +296,7 @@ def _stepwise_shoot(system, l, mode, E, grid, match_idx):
         flips = np.sign(traj[:-1]) * np.sign(traj[1:]) < 0
         return flips, m_phi, m_p
 
-    _, cm1c, cm1l, g = oracle._origin_series(system, l)
+    cm1c, cm1l, g = oracle._origin_series(system, l)
     c1 = (cm1c + cm1l * E) / (2.0 * g)
     f_out, o_phi, o_p = run(outward, 1.0 + c1 * grid.r_min,
                             g / grid.r_min + c1 * (g + 1.0), 0)
