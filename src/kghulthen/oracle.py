@@ -9,13 +9,14 @@ beta*r -> 0, and for l = 0 they are the same equation, so
 ``approximation_error`` solves an l = 0 channel once for both columns.
 
 Method: a fourth-order Runge-Kutta sweep outward from r_min and inward
-from r_max, matched at the classical turning point nearest r_max/3 (grid
-midpoint when no turning point exists).  The ODE is linear, so one RK4
-step is a fixed 2x2 linear map of (phi, phi').  W is quadratic in E, so
-each entry of a step's map is a polynomial in E of degree at most 4, and
-a channel's step table holds its 20 coefficients per step; the sweep
-forms the maps of many steps for a batch of energies as one matrix
-product of table rows with the powers (1, E, ..., E**4), never W itself.
+from r_max, each energy matched at its own classical turning point
+nearest r_max/3 (grid midpoint when none exists).  The ODE is linear, so
+one RK4 step is a fixed 2x2 linear map of (phi, phi').  W is quadratic
+in E, so each entry of a step's map is a polynomial in E of degree at
+most 4, and a channel's step table holds its 20 coefficients per step;
+the sweep forms the maps of many steps for a batch of energies as one
+matrix product of table rows with the powers (1, E, ..., E**4), never W
+itself.
 A sweep runs as a two-level scan over chunks of L steps, L a power of two
 from 16 to 128 chosen from the batch width so that one chunk x energy
 pass stays within a fixed cell budget (a one-energy sweep runs 16-step
@@ -27,10 +28,16 @@ recursive doubling in log2(chunks) passes, and phi at a node is its kept
 first row applied to its chunk's start state, gathered block by block.
 States and products are rescaled by positive factors along the way, which
 keeps node signs and the log-derivative.
-Eigenvalues are bracketed by one rule at every level of an energy scan
-(flat node count, sign change of a Wronskian-normalized log-derivative
-mismatch; pieces where the node count jumps are split and tested again),
-then refined by safeguarded false position to |dE| < 1e-10 * m0.
+Eigenvalues are bracketed and refined in one loop of sweeps, each
+shooting the open rows of an energy scan beside one safeguarded
+false-position (Illinois) point per open bracket.  One rule brackets at
+every level of the scan (flat node count, sign change of a
+Wronskian-normalized log-derivative mismatch; pieces where the node count
+jumps are split and tested again, below the first row when the mismatch
+changes sign or the count jumps by 2 or more), and a bracket is refined
+to |dE| < 1e-10 * m0.  A state is its bracket's last refined point:
+``tail_mismatch`` is the mismatch there, and ``converged`` says the
+bracket closed below the tolerance with |tail_mismatch| <= 1e-3.
 
 Two implementation notes, both measured necessities rather than choices:
 
@@ -469,79 +476,31 @@ def _nearest_crossing(W):
     return np.clip(im, 2, K - 2)
 
 
-def _refine_batch(system, l, mode, brackets, grid, tol):
-    """Safeguarded false position (Illinois) on each bracket, matching index
-    frozen per bracket; brackets without a sign change there are dropped,
-    with a warning that names them."""
-    if not brackets:
-        return []
-    lo = np.array([b[0] for b in brackets])
-    hi = np.array([b[1] for b in brackets])
-    nb = lo.size
-    imr = _turning_indices(system, l, mode, 0.5 * (lo + hi), grid)
-    fa, fb = np.split(_shoot(system, l, mode, np.concatenate([lo, hi]), grid,
-                             np.concatenate([imr, imr]))[0], 2)
-    ok = fa * fb < 0
-    if not ok.all():
-        log.warning("dropped brackets with no mismatch sign change at the "
-                    "frozen matching index: %s",
-                    list(zip(lo[~ok].tolist(), hi[~ok].tolist())))
-    a, b = lo.copy(), hi.copy()
-    side = np.zeros(nb, dtype=int)
-    active = ok.copy()
-    for _ in range(120):
-        if not active.any():
-            break
-        # false position on the active brackets only: a dropped one may
-        # have fa == fb
-        c = np.divide(fa * b - fb * a, fa - fb, out=0.5 * (a + b),
-                      where=active)
-        c = np.clip(c, a + 0.01 * (b - a), b - 0.01 * (b - a))
-        fc, _ = _shoot(system, l, mode, c, grid, imr)
-        neg = (fa * fc < 0) & active
-        pos = ~neg & active
-        b = np.where(neg, c, b)
-        fb = np.where(neg, fc, fb)
-        fa = np.where(neg & (side == -1), 0.5 * fa, fa)
-        side = np.where(neg, -1, side)
-        a = np.where(pos, c, a)
-        fa = np.where(pos, fc, fa)
-        fb = np.where(pos & (side == +1), 0.5 * fb, fb)
-        side = np.where(pos, +1, side)
-        # an exact zero is the root: collapse the bracket onto it, else
-        # false position keeps returning c = a and only creeps off it
-        b = np.where(pos & (fc == 0.0), c, b)
-        active &= (b - a) >= tol
-    e_final = 0.5 * (a + b)
-    mism_f, nodes_f = _shoot(system, l, mode, e_final, grid, imr)
-    width = b - a
-    out = []
-    for i in range(nb):
-        if not ok[i]:
-            continue
-        converged = bool(width[i] <= tol
-                         and abs(mism_f[i]) <= _MISMATCH_TOL)
-        out.append(ShootingDiagnostics(energy=float(e_final[i]),
-                                       node_count=int(nodes_f[i]),
-                                       tail_mismatch=float(mism_f[i]),
-                                       converged=converged))
-    return out
-
-
 def find_bound_states(system: PhysicalSystem, l: int, window=None,
                       mode: str = "approx",
                       grid: Optional[RadialGrid] = None,
                       scan_points: int = 240):
     """All bound states of one (l, mode) channel inside the energy window.
 
-    Scans ``scan_points`` energies and applies one bracket rule at every
-    level: a flat node count with a mismatch sign change is a bracket; a
-    node-count jump is split 16-fold and tested again, always on the scan
-    (a root pair can straddle a jump) and below it only with a sign change
-    (the mismatch is continuous through a jump).  A piece still jumping
-    below the tolerance is named in a warning and refined as a bracket.
-    Brackets are refined to |dE| < 1e-10 * m0; results are sorted by
-    energy with node counts attached.
+    One loop of sweeps.  Each sweep shoots the current row(s) of scan
+    energies together with one false-position point per open bracket,
+    every energy matched at its own turning index.  The scan starts as
+    ``scan_points`` energies, and one bracket rule holds at every level: a
+    flat node count with a mismatch sign change is a bracket; a node-count
+    jump is split 16-fold and scanned again, on the first row always (a
+    root pair can straddle a jump), below it when the mismatch changes
+    sign (it is continuous through a jump) or the count jumps by 2 or more
+    (two states can share a piece).  A piece still jumping below the
+    tolerance is named in a warning and refined as a bracket.
+
+    A bracket starts from the mismatches its ends have from the scan and
+    is refined by Illinois false position (each point clipped 1% inside
+    the bracket, a retained end's mismatch halved when it is kept twice,
+    an exact zero collapsing the bracket) until it is narrower than
+    1e-10 * m0 or has taken 120 steps.  It reports its last point, with
+    that sweep's node count and mismatch; ``converged`` says it was
+    refined below 1e-10 * m0 with |mismatch| <= 1e-3.  Results are sorted
+    by energy.
 
     Raises InvalidRegime for an over-attractive origin, GridResolution if
     the node count drops between scan energies above max V(r) over the
@@ -557,42 +516,69 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
 
     tol = 1e-10 * system.m0
     v_max = np.max(system.potential_at(grid.radii()))
-    brackets, first = [], True
-    E = np.linspace(lo, hi, scan_points)[None]
-    while E.size:                      # one row of energies per piece
-        im = _turning_indices(system, l, mode, E.ravel(), grid)
-        mism, nodes = (x.reshape(E.shape) for x in _shoot(
-            system, l, mode, E.ravel(), grid, im))
-        drops = (np.diff(nodes[0]) < 0) & (E[0, :-1] > v_max)
-        if first and drops.any():
-            where = int(np.argmax(drops))
-            raise GridResolution(
-                f"node count drops from {int(nodes[0, where])} to "
-                f"{int(nodes[0, where + 1])} near "
-                f"E={float(E[0, where])!r}: the grid is too coarse to "
-                f"resolve these states; increase grid.points "
-                f"(currently {grid.points})")
-        a, b = E[:, :-1], E[:, 1:]
+    states = []
+    # open brackets: ends, their mismatches, the end last kept (-1 for a,
+    # +1 for b, 0 at the start) and the Illinois steps taken
+    a, b, fa, fb = np.empty((4, 0))
+    side, steps = np.empty((2, 0), dtype=int)
+    E, first = np.linspace(lo, hi, scan_points)[None], True
+    while E.size or a.size:            # one row of scan energies per piece
+        c = np.divide(fa * b - fb * a, fa - fb, out=0.5 * (a + b),
+                      where=fa != fb)
+        c = np.clip(c, a + 0.01 * (b - a), b - 0.01 * (b - a))
+        batch = np.concatenate([E.ravel(), c])
+        mism, nodes = _shoot(system, l, mode, batch, grid,
+                             _turning_indices(system, l, mode, batch, grid))
+        fc, nc = mism[E.size:], nodes[E.size:]
+        mism, nodes = (x[:E.size].reshape(E.shape) for x in (mism, nodes))
+
+        # one Illinois step on every open bracket; an exact zero is the
+        # root, so the bracket collapses onto it
+        neg = fa * fc < 0
+        fa = np.where(neg & (side < 0), 0.5 * fa, fa)
+        fb = np.where(~neg & (side > 0), 0.5 * fb, fb)
+        a, fa = np.where(neg, (a, fa), (c, fc))
+        b, fb = np.where(neg | (fc == 0.0), (c, fc), (b, fb))
+        side = np.where(neg, -1, 1)
+        steps += 1
+        done = (b - a < tol) | (steps == 120)
+        states += [ShootingDiagnostics(
+            energy=float(e), node_count=int(n), tail_mismatch=float(f),
+            converged=bool(w < tol and abs(f) <= _MISMATCH_TOL))
+            for e, n, f, w in zip(c[done], nc[done], fc[done],
+                                  (b - a)[done])]
+
+        if first:
+            drops = (np.diff(nodes[0]) < 0) & (E[0, :-1] > v_max)
+            if drops.any():
+                where = int(np.argmax(drops))
+                raise GridResolution(
+                    f"node count drops from {int(nodes[0, where])} to "
+                    f"{int(nodes[0, where + 1])} near "
+                    f"E={float(E[0, where])!r}: the grid is too coarse to "
+                    f"resolve these states; increase grid.points "
+                    f"(currently {grid.points})")
+        lo_e, hi_e = E[:, :-1], E[:, 1:]
         sign = mism[:, :-1] * mism[:, 1:] < 0
-        jump = nodes[:, :-1] != nodes[:, 1:]
-        split = jump & (sign | first)
-        stuck = split & (b - a < tol)
+        dn = np.abs(np.diff(nodes, axis=1))
+        split = (dn > 0) & (sign | first | (dn >= 2))
+        stuck = split & (hi_e - lo_e < tol)
         if stuck.any():
             log.warning("node count still jumps in pieces narrower than %g, "
                         "refined as brackets: %s", tol,
-                        list(zip(a[stuck].tolist(), b[stuck].tolist())))
-        bracket = sign & ~jump | stuck
-        brackets += zip(a[bracket], b[bracket])
+                        list(zip(lo_e[stuck].tolist(), hi_e[stuck].tolist())))
+        # the closed brackets leave, the new ones join with the scan's
+        # mismatches at their ends
+        new = sign & (dn == 0) | stuck
+        a, b, fa, fb, side, steps = (
+            np.append(x[~done], y[new]) for x, y in zip(
+                (a, b, fa, fb, side, steps),
+                (lo_e, hi_e, mism[:, :-1], mism[:, 1:], np.zeros_like(dn),
+                 np.zeros_like(dn))))
         split ^= stuck
-        E, first = np.linspace(a[split], b[split], 17, axis=1), False
-    states = _refine_batch(system, l, mode, brackets, grid, tol)
+        E, first = np.linspace(lo_e[split], hi_e[split], 17, axis=1), False
     states.sort(key=lambda d: d.energy)
-    deduped = []
-    for d in states:
-        if deduped and abs(d.energy - deduped[-1].energy) < 10.0 * tol:
-            continue
-        deduped.append(d)
-    return deduped
+    return states
 
 
 def approximation_error(system: PhysicalSystem, n: int, l: int, betas):

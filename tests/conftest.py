@@ -35,7 +35,7 @@ def set_c():
 
 @pytest.fixture(scope="session")
 def shallow_long_system():
-    """Weak well with slow screening: five l=0 bound states."""
+    """Weak well with slow screening: seven l=0 bound states."""
     return PhysicalSystem(V0=0.0098, beta=0.02, m0=1.0)
 
 

@@ -4,7 +4,6 @@ import logging
 import math
 import re
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -124,7 +123,7 @@ class TestFindBoundStates:
 
     def test_five_state_ladder(self, shallow_long_system):
         states = find_bound_states(shallow_long_system, 0)
-        assert [d.node_count for d in states] == [0, 1, 2, 3, 4]
+        assert [d.node_count for d in states] == [0, 1, 2, 3, 4, 5, 6]
         energies = [d.energy for d in states]
         assert energies == sorted(energies)
         for n, d in enumerate(states):
@@ -486,11 +485,13 @@ class TestChunkedSweep:
         assert np.array_equal(got_n, want_n)
 
     @pytest.mark.parametrize("window, widths", [
-        # scan, both ends of the one bracket, 7 Illinois steps, final
-        ((0.7, 0.8), [60, 2] + [1] * 7 + [1]),
-        # scan, both node-count jumps subdivided in one sweep, both ends of
-        # two brackets, 8 Illinois steps, final
-        (None, [240, 34, 4] + [2] * 8 + [2])])
+        # scan, then 7 Illinois points of its one bracket
+        ((0.7, 0.8), [60] + [1] * 7),
+        # scan; both node-count jumps split 16-fold beside the first
+        # Illinois points of the scan's two brackets; 7 more points each
+        (None, [240, 34 + 2] + [2] * 7),
+        # the same from a 60-point scan of (0.7, 0.999): 6 more points
+        ((0.7, 0.999), [60, 34 + 2] + [2] * 6)])
     def test_sweep_count(self, reference_system, monkeypatch, window,
                          widths):
         shoot = oracle._shoot
@@ -506,66 +507,66 @@ class TestChunkedSweep:
                           scan_points=scan)
         assert seen == widths
 
+    @staticmethod
+    def _mismatch(monkeypatch, f):
+        """Replace _shoot by the mismatch f(E) at a node count of 0,
+        recording each sweep's width."""
+        seen = []
+
+        def shoot(system, l, mode, E, grid, match_idx):
+            seen.append(np.size(E))
+            return f(np.asarray(E)), np.zeros(np.size(E), dtype=int)
+
+        monkeypatch.setattr(oracle, "_shoot", shoot)
+        return seen
+
     def test_exact_zero_mismatch_ends_refinement(self, reference_system,
                                                  monkeypatch):
         # false position lands exactly on the root of a linear mismatch;
         # the refined energy must be that root, not a point beside it
-        monkeypatch.setattr(
-            oracle, "_shoot", lambda system, l, mode, E, grid, match_idx: (
-                np.asarray(E) - 0.5, np.zeros(np.size(E), dtype=int)))
-        (state,) = oracle._refine_batch(
-            reference_system, 0, "approx", [(0.0, 1.0)],
-            default_grid(reference_system), 1e-10)
-        assert state.energy == 0.5
+        seen = self._mismatch(monkeypatch, lambda E: E - 0.5)
+        (state,) = find_bound_states(reference_system, 0, window=(0.0, 1.0),
+                                     scan_points=2)
+        assert state.energy == 0.5 and state.tail_mismatch == 0.0
         assert state.converged
+        assert seen == [2, 1]
 
-    def test_bracket_without_sign_change_is_named(self, reference_system,
-                                                  monkeypatch, caplog):
-        monkeypatch.setattr(
-            oracle, "_shoot", lambda system, l, mode, E, grid, match_idx: (
-                np.asarray(E) + 1.0, np.zeros(np.size(E), dtype=int)))
-        with caplog.at_level(logging.WARNING, logger="kghulthen.oracle"):
-            assert oracle._refine_batch(
-                reference_system, 0, "approx", [(0.0, 1.0)],
-                default_grid(reference_system), 1e-10) == []
-        assert len(caplog.records) == 1
-        assert "(0.0, 1.0)" in caplog.records[0].getMessage()
+    def test_sign_only_mismatch_refines_but_does_not_converge(
+            self, reference_system, monkeypatch):
+        # the bracket still narrows onto the sign change, but a mismatch
+        # of magnitude 1 there is not a matched solution
+        root = 0.3 + math.pi * 1e-4
+        self._mismatch(monkeypatch, lambda E: np.sign(E - root))
+        (state,) = find_bound_states(reference_system, 0, window=(0.1, 0.9))
+        assert abs(state.energy - root) < 1e-10
+        assert abs(state.tail_mismatch) == 1.0
+        assert not state.converged
 
-    def test_dropped_bracket_takes_no_false_position_step(
-            self, reference_system, monkeypatch, caplog):
-        # the first bracket's mismatch is constant (fa == fb), the second
-        # changes sign at 2.5; only the second is refined, and the dropped
-        # one must not reach the false-position division
-        monkeypatch.setattr(
-            oracle, "_shoot", lambda system, l, mode, E, grid, match_idx: (
-                np.where(np.asarray(E) < 1.5, 1.0, np.asarray(E) - 2.5),
-                np.zeros(np.size(E), dtype=int)))
-        with warnings.catch_warnings(), \
-                caplog.at_level(logging.WARNING, logger="kghulthen.oracle"):
-            warnings.simplefilter("error")
-            (state,) = oracle._refine_batch(
-                reference_system, 0, "approx", [(0.0, 1.0), (2.0, 3.0)],
-                default_grid(reference_system), 1e-10)
-        assert state.energy == pytest.approx(2.5, abs=1e-10)
-        assert state.converged
-        assert len(caplog.records) == 1
-        message = caplog.records[0].getMessage()
-        assert "(0.0, 1.0)" in message and "(2.0, 3.0)" not in message
+    def test_refinement_stops_at_the_step_cap(self, reference_system,
+                                              monkeypatch):
+        # a mismatch of -1e-300 below the root pins every false-position
+        # point to the 1% clip above the lower end; the bracket closes
+        # unconverged after 120 steps
+        root = 0.3 + math.pi * 1e-4
+        seen = self._mismatch(
+            monkeypatch, lambda E: np.where(E < root, -1e-300, 1.0))
+        (state,) = find_bound_states(reference_system, 0, window=(0.1, 0.9))
+        assert seen == [240] + [1] * 120
+        assert state.energy < root
+        assert not state.converged
 
     def test_refined_energy_does_not_depend_on_the_batch(self):
         # the sweep's rounding depends on the batch width, and false
-        # position amplifies it; a bracket refined alone and next to the
-        # channel's other bracket still meets one root within the tolerance
+        # position amplifies it; a root refined from a window that holds
+        # only it, and from the full window beside the channel's other
+        # states, still meets one root within the tolerance
         system = PhysicalSystem(V0=0.1065, beta=0.185, m0=1.0, m1=0.0703)
-        grid = default_grid(system)
-        tol = 1e-10 * system.m0
-        bracket = (0.8666694905932205, 0.8981847447966104)
-        other = (0.929330679614804, 0.9294537860765361)
-        (alone,) = oracle._refine_batch(system, 1, "approx", [bracket], grid,
-                                        tol)
-        together, _ = oracle._refine_batch(system, 1, "approx",
-                                           [bracket, other], grid, tol)
-        assert abs(alone.energy - together.energy) <= tol
+        window = (0.8666694905932205, 0.8981847447966104)
+        (alone,) = find_bound_states(system, 1, window=window,
+                                     scan_points=60)
+        (together,) = [d for d in find_bound_states(system, 1)
+                       if window[0] < d.energy < window[1]]
+        assert abs(alone.energy - together.energy) <= 1e-10 * system.m0
         assert alone.converged and together.converged
 
 
