@@ -27,7 +27,11 @@ follow from the prefix products of the chunk matrices, formed by
 recursive doubling in log2(chunks) passes, and phi at a node is its kept
 first row applied to its chunk's start state, gathered block by block.
 States and products are rescaled by positive factors along the way, which
-keeps node signs and the log-derivative.
+keeps node signs and the log-derivative.  The outward sweep is read only
+below each energy's matching node and the inward one only from it on, so
+each direction stops at the step reaching its batch's farthest matching
+node, rounded up to a multiple of 128 steps, and keeps phi only at the
+nodes it reaches.
 Eigenvalues are bracketed and refined in one loop of sweeps, each
 shooting the open rows of an energy scan beside one safeguarded
 false-position (Illinois) point per open bracket.  One rule brackets at
@@ -35,7 +39,9 @@ every level of the scan (flat node count, sign change of a
 Wronskian-normalized log-derivative mismatch; pieces where the node count
 jumps are split and tested again, below the first row when the mismatch
 changes sign or the count jumps by 2 or more), and a bracket is refined
-to |dE| < 1e-10 * m0.  A state is its bracket's last refined point:
+to |dE| < 1e-10 * m0, each point kept min(1% of the bracket, half that
+tolerance) inside it, so that an estimate within the tolerance closes its
+bracket on the next sweep.  A state is its bracket's last refined point:
 ``tail_mismatch`` is the mismatch there, and ``converged`` says the
 bracket closed below the tolerance with |tail_mismatch| <= 1e-3.
 
@@ -302,6 +308,9 @@ def _sweep(steps, phi, p, EP, match_idx):
     (phi, p), as a two-level scan over chunks of ``steps``; EP holds the
     powers (1, E, E**2, E**3, E**4) of the batch's energies.
 
+    It runs the S steps up to the one reaching the batch's farthest
+    matching node, S rounded up to a multiple of _MAX_CHUNK, and keeps phi
+    at the N nodes they reach; no node past a matching node is read.
     The chunk length L comes from the batch width B (_chunk_length): a
     narrow batch runs 16 rows over many chunks, a wide one longer, fewer
     chunks.  Every chunk's transfer matrix is built in L row passes, taken
@@ -314,36 +323,43 @@ def _sweep(steps, phi, p, EP, match_idx):
     each rescaled per chunk), and phi at each node is its kept first row
     applied to its chunk's start state, gathered _NODE_BLOCK nodes at a
     time.  How the arithmetic is grouped depends on B (the BLAS path of the
-    map products, L and R), so an energy's result depends on the batch it
-    shares, at rounding level only.
+    map products, L and R) and on S, so an energy's result depends on the
+    batch it shares, at rounding level only.
 
-    Returns (flips, phi_m, p_m): flips[k] marks a sign change of phi
-    between grid nodes k and k + 1, shape (K - 1, B), and (phi_m, p_m) is
-    the state at each energy's matching index, known up to a positive
+    Returns (flips, first, phi_m, p_m): flips[k] marks a sign change of
+    phi between grid nodes first + k and first + k + 1, shape (N - 1, B),
+    with ``first`` the lowest node kept, and (phi_m, p_m) is the state at
+    each energy's matching index, known up to a positive
     factor (each chunk carries its own scale).  Raises GridResolution when
     a node value or the matched state overflows between rescalings.
     """
-    S = len(steps.table)
     B = EP.shape[1]
-    K = steps.reach.size
+    s = steps.reach[match_idx]
+    S = (max(s.max(), 0) // _MAX_CHUNK + 1) * _MAX_CHUNK   # whole blocks
+    node = steps.node[:S]
+    reached = node[node >= 0]
+    first = reached.min(initial=steps.start)
+    N = reached.max(initial=steps.start) + 1 - first
     L = _chunk_length(S, B)
     C = S // L
     R = max(1, min(L, _CHUNK_CELLS // (C * B)))
-    table = steps.table.reshape(C, L, 4, 5).transpose(1, 2, 0, 3)  # a view
-    node = steps.node.reshape(C, L).T
+    table = steps.table[:S].reshape(C, L, 4, 5).transpose(1, 2, 0, 3)
+    node = np.where(node >= 0, node - first, N).reshape(C, L).T
 
     # 1. transfer matrix of every chunk, its columns the images of (1, 0)
     # and (0, 1), over blocks of R rows: the RK4 maps of a block in one
     # product, then the rows in order.  The matrix's first row is kept at
-    # every node-reaching step (row K of traj and tail takes the
+    # every node-reaching step (row N of traj and tail takes the
     # steps that reach none), the whole matrix at each energy's match step
     mphi = np.zeros((2, C, B))
     mp = np.zeros((2, C, B))
     mphi[0] = 1.0
     mp[1] = 1.0
-    traj = np.empty((K + 1, B))
-    tail = np.empty((K + 1, B))
-    s = steps.reach[match_idx]
+    # rows 0 ... N of blocks sized to the whole grid: every sweep asks the
+    # allocator for one size and reuses the last sweep's freed block
+    # (blocks sized to N left holes and raised the peak RSS of wide scans)
+    traj = np.empty((steps.reach.size + 1, B))[:N + 1]
+    tail = np.empty((steps.reach.size + 1, B))[:N + 1]
     mc = np.where(s < 0, 0, s // L)
     mj = np.where(s < 0, -1, s % L)
     cap = {j: np.flatnonzero(mj == j) for j in set(mj.tolist())}
@@ -386,11 +402,11 @@ def _sweep(steps, phi, p, EP, match_idx):
     # 3. phi at the nodes: each node's kept first row applied to its
     # chunk's start state, in place, one block of nodes at a time (the
     # start node keeps the row (1, 0) of chunk 0)
-    traj, tail = traj[:K], tail[:K]
-    traj[steps.start] = 1.0
-    tail[steps.start] = 0.0
-    chunk = np.maximum(steps.reach, 0) // L
-    for lo in range(0, K, _NODE_BLOCK):
+    traj, tail = traj[:N], tail[:N]
+    traj[steps.start - first] = 1.0
+    tail[steps.start - first] = 0.0
+    chunk = np.maximum(steps.reach[first:first + N], 0) // L
+    for lo in range(0, N, _NODE_BLOCK):
         blk = slice(lo, lo + _NODE_BLOCK)
         traj[blk] *= sphi[chunk[blk]]
         tail[blk] *= sp[chunk[blk]]
@@ -402,11 +418,11 @@ def _sweep(steps, phi, p, EP, match_idx):
         raise GridResolution(
             "oracle sweep overflowed: phi is not finite; the grid is too "
             "coarse for these parameters; increase grid.points "
-            f"(currently {K})")
+            f"(currently {steps.reach.size})")
     neg = ~(traj >= 0.0)
     nonzero = traj != 0.0
     flips = (neg[:-1] != neg[1:]) & nonzero[1:] & nonzero[:-1]
-    return flips, phi, p
+    return flips, first, phi, p
 
 
 def _shoot(system, l, mode, E, grid, match_idx):
@@ -422,21 +438,22 @@ def _shoot(system, l, mode, E, grid, match_idx):
     K = grid.points
     outward, inward, w = _tables(system, l, mode, grid)
     EP = np.vander(E, 5, increasing=True).T.copy()
-    row = np.arange(K - 1)[:, None]
 
     cm1c, cm1l, g = _origin_series(system, l)
     c1 = (cm1c + cm1l * E) / (2.0 * g)
 
     # ---- outward sweep: series start at r_min
     phi, p = _rescale(1.0 + c1 * grid.r_min, g / grid.r_min + c1 * (g + 1.0))
-    flips, out_phi, out_p = _sweep(outward, phi, p, EP, match_idx)
+    flips, first, out_phi, out_p = _sweep(outward, phi, p, EP, match_idx)
+    row = np.arange(first, first + len(flips))[:, None]
     nodes = np.count_nonzero(flips & (row < match_idx), axis=0)
 
     # ---- inward sweep: exponentially decaying start at r_max, where the
     # first inward step starts
     W_end = np.maximum(w[-1] @ EP[:3], 0.0)
-    flips, in_phi, in_p = _sweep(inward, np.ones(B), -np.sqrt(W_end), EP,
-                                 match_idx)
+    flips, first, in_phi, in_p = _sweep(inward, np.ones(B), -np.sqrt(W_end),
+                                        EP, match_idx)
+    row = np.arange(first, first + len(flips))[:, None]
     nodes += np.count_nonzero(
         flips & (row >= np.minimum(match_idx, K - 2)), axis=0)
 
@@ -452,20 +469,28 @@ def _turning_indices(system, l, mode, E, grid):
     (about r_max/3), falling back to the grid midpoint."""
     E = np.atleast_1d(np.asarray(E, dtype=float))
     w = _tables(system, l, mode, grid)[2]
-    return _nearest_crossing(w @ np.vander(E, 3, increasing=True).T)
+    return _nearest_crossing(w, np.vander(E, 3, increasing=True).T)
 
 
-def _nearest_crossing(W):
-    """Per column of the finite W (K, B) at the grid nodes: the index i of
-    the sign change between nodes i and i + 1 nearest K//3, the lower one
-    on a tie, K//2 where none is found, clipped to [2, K - 2].  A zero
-    sample is a sign change with both its neighbours."""
-    K, B = W.shape
+def _nearest_crossing(w, EP):
+    """Per column of the finite w @ EP (K, B), with w holding W's
+    coefficient rows at the grid nodes and EP the powers of each energy:
+    the index i of the sign change between nodes i and i + 1 nearest K//3,
+    the lower one on a tie, K//2 where none is found, clipped to
+    [2, K - 2].  A zero sample is a sign change with both its neighbours.
+    The product is formed a block of nodes at a time, at least _NODE_BLOCK
+    nodes and about _NODE_BLOCK**2 node x energy cells, so that only the
+    boolean mask of sign changes is whole."""
+    K, B = len(w), EP.shape[1]
     target = K // 3
-    pos, neg = W > 0.0, W < 0.0
-    same = pos[:-1] & pos[1:]
-    same |= neg[:-1] & neg[1:]
-    cross = np.logical_not(same, out=same)
+    cross = np.empty((K - 1, B), dtype=bool)
+    n = _NODE_BLOCK * max(1, _NODE_BLOCK // B)
+    for lo in range(0, K - 1, n):
+        Wb = w[lo:lo + n + 1] @ EP
+        pos, neg = Wb > 0.0, Wb < 0.0
+        same = pos[:-1] & pos[1:]
+        same |= neg[:-1] & neg[1:]
+        np.logical_not(same, out=cross[lo:lo + n])
     # the first crossing going down from target and going up past it
     down, up = cross[target::-1], cross[target + 1:]
     d, u = down.argmax(axis=0), up.argmax(axis=0)
@@ -493,14 +518,22 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
     (two states can share a piece).  A piece still jumping below the
     tolerance is named in a warning and refined as a bracket.
 
-    A bracket starts from the mismatches its ends have from the scan and
-    is refined by Illinois false position (each point clipped 1% inside
-    the bracket, a retained end's mismatch halved when it is kept twice,
-    an exact zero collapsing the bracket) until it is narrower than
-    1e-10 * m0 or has taken 120 steps.  It reports its last point, with
-    that sweep's node count and mismatch; ``converged`` says it was
-    refined below 1e-10 * m0 with |mismatch| <= 1e-3.  Results are sorted
-    by energy.
+    A bracket (a, b) starts from the mismatches its ends have from the
+    scan and is refined by Illinois false position (each point kept
+    min(0.01 * (b - a), tol/2) inside the bracket, a retained end's
+    mismatch halved when it is kept twice, an exact zero collapsing the
+    bracket) until it is narrower than tol = 1e-10 * m0 or has taken 120
+    steps.  The tol/2 bound is Brent's minimum step: an estimate already
+    within tol of the root closes its bracket on the next sweep instead
+    of being pushed past the root by 1% of a wide bracket.  On a bracket
+    wider than 50 * tol the clip is tol/2 and does not narrow it, so a
+    point moves off a retained end by Illinois halving alone; the 1% term
+    acts only below 50 * tol, where it keeps the last point near its
+    estimate (a tol/2 clip there moves it up to tol/2 off a steep root's
+    estimate, which can leave its mismatch above 1e-3).  A bracket
+    reports its last point, with that sweep's node count and mismatch;
+    ``converged`` says it was refined below tol with |mismatch| <= 1e-3.
+    Results are sorted by energy.
 
     Raises InvalidRegime for an over-attractive origin, GridResolution if
     the node count drops between scan energies above max V(r) over the
@@ -525,7 +558,8 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
     while E.size or a.size:            # one row of scan energies per piece
         c = np.divide(fa * b - fb * a, fa - fb, out=0.5 * (a + b),
                       where=fa != fb)
-        c = np.clip(c, a + 0.01 * (b - a), b - 0.01 * (b - a))
+        d = np.minimum(0.01 * (b - a), 0.5 * tol)
+        c = np.clip(c, a + d, b - d)
         batch = np.concatenate([E.ravel(), c])
         mism, nodes = _shoot(system, l, mode, batch, grid,
                              _turning_indices(system, l, mode, batch, grid))

@@ -349,7 +349,9 @@ class TestTurningIndices:
             col[rng.random(K) < 0.02] = 0.0
             cols.append(col)
         W = np.column_stack(cols)
-        assert np.array_equal(oracle._nearest_crossing(W),
+        # an identity product of a finite W is exact (a zero may turn
+        # into -0, which is neither > 0 nor < 0 either)
+        assert np.array_equal(oracle._nearest_crossing(W, np.eye(W.shape[1])),
                               _argmin_crossing(W))
 
     @pytest.mark.parametrize("name, l, mode", [
@@ -364,8 +366,10 @@ class TestTurningIndices:
             _argmin_crossing(W))
 
     def test_search_memory(self, reference_system):
-        # W at the grid nodes for 240 energies is 7.7 MB; the argmin search
-        # held (K, B) float and integer scores beside it, 24 MB in all
+        # W at the grid nodes for 240 energies would be 7.7 MB; it is
+        # formed in blocks of nodes and only the 1 MB mask of its sign
+        # changes is kept whole, so the search peaks at 2.1 MB (the argmin
+        # search held (K, B) float and integer scores beside W, 24 MB)
         grid = default_grid(reference_system)
         E = np.linspace(*binding_window(reference_system), 240)
         oracle._turning_indices(reference_system, 0, "approx", E, grid)
@@ -375,7 +379,7 @@ class TestTurningIndices:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 13e6
+        assert peak < 3e6
 
 
 class TestChunkedSweep:
@@ -451,6 +455,52 @@ class TestChunkedSweep:
             assert np.max(np.abs(got_m - want_m[sel])) <= 1e-12
             assert np.array_equal(got_n, want_n[sel])
 
+    @pytest.mark.parametrize("name", ["reference_system", "set_a"])
+    def test_truncated_sweeps_match_stepwise_sweep(self, name, request,
+                                                   monkeypatch):
+        # a sweep runs the steps up to the one reaching its batch's
+        # farthest matching node, rounded up to whole 128-step blocks:
+        # batches matching at node 2 or at node K - 2 cut one direction
+        # to a block or a few, and a batch matching between two nodes whose
+        # steps fall mid-block cuts both inside the grid
+        system = request.getfixturevalue(name)
+        span = default_grid(system)
+        grid = RadialGrid(r_min=span.r_min, r_max=span.r_max, points=4000)
+        l, mode = (0, "approx") if name == "reference_system" else (1, "exact")
+        K = grid.points
+        outward, inward, _ = oracle._tables(system, l, mode, grid)
+        node = np.arange(K)
+        hi = node[(outward.reach % 128 == 64) & (node < 2 * K // 3)][-1]
+        lo = node[(inward.reach % 128 == 64) & (node > K // 3)][0]
+        m_inf = system.asymptotic_mass
+        E = np.linspace(-m_inf + 1e-6, m_inf - 1e-6, 3 * 17)
+        match = np.concatenate([np.full(17, 2), np.full(17, K - 2),
+                                np.linspace(lo, hi, 17).astype(int)])
+        want_m, want_n = _stepwise_shoot(system, l, mode, E, grid, match)
+
+        chunk_length = oracle._chunk_length
+        seen = []
+
+        def spy(S, B):
+            seen.append(S)
+            return chunk_length(S, B)
+
+        monkeypatch.setattr(oracle, "_chunk_length", spy)
+        for sel in np.split(np.arange(E.size), 3):
+            seen.clear()
+            got_m, got_n = oracle._shoot(system, l, mode, E[sel], grid,
+                                         match[sel])
+            assert np.max(np.abs(got_m - want_m[sel])) <= 1e-12
+            assert np.array_equal(got_n, want_n[sel])
+            farthest = [outward.reach[match[sel]].max(),
+                        inward.reach[match[sel]].max()]
+            assert seen == [128 * (s // 128 + 1) for s in farthest]
+        # the last batch's farthest steps lie mid-block, well inside the
+        # tables
+        assert seen == [outward.reach[hi] + 64, inward.reach[lo] + 64]
+        assert seen[0] < 0.8 * len(outward.table)
+        assert seen[1] < 0.8 * len(inward.table)
+
     def test_step_table_cache_holds_one_channel(self, reference_system):
         # one solve reads one channel's tables; at 20 map coefficients a
         # step, more cached channels only hold memory
@@ -485,13 +535,15 @@ class TestChunkedSweep:
         assert np.array_equal(got_n, want_n)
 
     @pytest.mark.parametrize("window, widths", [
-        # scan, then 7 Illinois points of its one bracket
-        ((0.7, 0.8), [60] + [1] * 7),
+        # scan, then 5 Illinois points of its one bracket
+        ((0.7, 0.8), [60] + [1] * 5),
         # scan; both node-count jumps split 16-fold beside the first
-        # Illinois points of the scan's two brackets; 7 more points each
-        (None, [240, 34 + 2] + [2] * 7),
-        # the same from a 60-point scan of (0.7, 0.999): 6 more points
-        ((0.7, 0.999), [60, 34 + 2] + [2] * 6)])
+        # Illinois points of the scan's two brackets; 3 more points each,
+        # then 3 more for the bracket still open
+        (None, [240, 34 + 2] + [2] * 3 + [1] * 3),
+        # the same from a 60-point scan of (0.7, 0.999): 3 more points
+        # each, then 1 for the bracket still open
+        ((0.7, 0.999), [60, 34 + 2] + [2] * 3 + [1])])
     def test_sweep_count(self, reference_system, monkeypatch, window,
                          widths):
         shoot = oracle._shoot
@@ -542,11 +594,28 @@ class TestChunkedSweep:
         assert abs(state.tail_mismatch) == 1.0
         assert not state.converged
 
+    def test_estimate_inside_the_tolerance_closes_its_bracket(
+            self, reference_system, monkeypatch):
+        # false position on a convex mismatch creeps up on the root from
+        # one side; once its estimate lies within the tolerance, a point
+        # tol/2 past the kept end closes the bracket, where a 1% clip of
+        # the bracket pushed it past the root and took 8 points
+        root = 0.3 + math.pi * 1e-4
+        seen = self._mismatch(monkeypatch,
+                              lambda E: np.expm1(5.0 * (E - root)))
+        (state,) = find_bound_states(reference_system, 0, window=(0.1, 0.9),
+                                     scan_points=60)
+        assert seen == [60] + [1] * 5
+        assert abs(state.energy - root) <= 1e-10 * reference_system.m0
+        assert state.converged
+
     def test_refinement_stops_at_the_step_cap(self, reference_system,
                                               monkeypatch):
         # a mismatch of -1e-300 below the root pins every false-position
-        # point to the 1% clip above the lower end; the bracket closes
-        # unconverged after 120 steps
+        # point to the clip tol/2 above the lower end of a bracket far
+        # wider than the tolerance: halving the upper end's mismatch 119
+        # times never outweighs it, so the bracket narrows by tol/2 a step
+        # and closes unconverged after 120 steps
         root = 0.3 + math.pi * 1e-4
         seen = self._mismatch(
             monkeypatch, lambda E: np.where(E < root, -1e-300, 1.0))
