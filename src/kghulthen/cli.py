@@ -10,7 +10,8 @@ Line endings are '\\n', and no timestamps or environment details are
 written.
 
 Exit status: 0 on success (including an empty result), 1 when `validate`
-finds a failing check, 2 on configuration errors.
+finds a failing check, 2 on configuration errors and on an output file
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -470,9 +471,14 @@ def main(argv=None) -> int:
     records = execute(config)
     text = serialize(records, config.output_format)
     if config.output_path is not None:
-        with open(config.output_path, "w", encoding="utf-8",
-                  newline="") as handle:
-            handle.write(text)
+        try:
+            with open(config.output_path, "w", encoding="utf-8",
+                      newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write output file "
+                  f"{config.output_path!r}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     if config.command == "validate":

@@ -8,42 +8,15 @@ surrogate that the analytic treatment is built on.  The two coincide as
 beta*r -> 0, and for l = 0 they are the same equation, so
 ``approximation_error`` solves an l = 0 channel once for both columns.
 
-Method: a fourth-order Runge-Kutta sweep outward from r_min and inward
-from r_max, each energy matched at its own classical turning point
-nearest r_max/3 (grid midpoint when none exists).  The ODE is linear, so
-one RK4 step is a fixed 2x2 linear map of (phi, phi').  W is quadratic
-in E, so each entry of a step's map is a polynomial in E of degree at
-most 4, and a channel's step table holds its 20 coefficients per step;
-the sweep forms the maps of many steps for a batch of energies as one
-matrix product of table rows with the powers (1, E, ..., E**4), never W
-itself.
-A sweep runs as a two-level scan over chunks of L steps, L a power of two
-from 16 to 128 chosen from the batch width so that one chunk x energy
-pass stays within a fixed cell budget (a one-energy sweep runs 16-step
-chunks).  Every chunk's transfer matrix is built at once in L row passes,
-keeping the matrix's first row at each step that reaches a grid node and
-the whole matrix at each energy's matching step.  The chunk start states
-follow from the prefix products of the chunk matrices, formed by
-recursive doubling in log2(chunks) passes, and phi at a node is its kept
-first row applied to its chunk's start state, gathered block by block.
-States and products are rescaled by positive factors along the way, which
-keeps node signs and the log-derivative.  The outward sweep is read only
-below each energy's matching node and the inward one only from it on, so
-each direction stops at the step reaching its batch's farthest matching
-node, rounded up to a multiple of 128 steps, and keeps phi only at the
-nodes it reaches.
-Eigenvalues are bracketed and refined in one loop of sweeps, each
-shooting the open rows of an energy scan beside one safeguarded
-false-position (Illinois) point per open bracket.  One rule brackets at
-every level of the scan (flat node count, sign change of a
-Wronskian-normalized log-derivative mismatch; pieces where the node count
-jumps are split and tested again, below the first row when the mismatch
-changes sign or the count jumps by 2 or more), and a bracket is refined
-to |dE| < 1e-10 * m0, each point kept min(1% of the bracket, half that
-tolerance) inside it, so that an estimate within the tolerance closes its
-bracket on the next sweep.  A state is its bracket's last refined point:
-``tail_mismatch`` is the mismatch there, and ``converged`` says the
-bracket closed below the tolerance with |tail_mismatch| <= 1e-3.
+Method, in outline: fourth-order Runge-Kutta sweeps outward from r_min
+and inward from r_max, each energy matched at its classical turning point
+nearest r_max/3 (``_nearest_crossing``).  A solve builds its channel once
+(``_channel``).  Each RK4 step is a 2x2 linear map whose entries are
+polynomials in E (``_map_table``), so a sweep (``_sweep``) forms the maps
+for a batch of energies as matrix products of the channel's step table
+with the powers of E, never W itself.  ``find_bound_states`` brackets and
+refines the eigenvalues in one loop of such sweeps; its docstring states
+the bracket rule and what ``converged`` means.
 
 Two implementation notes, both measured necessities rather than choices:
 
@@ -65,7 +38,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -245,18 +217,26 @@ def _padded(h, w, node, start):
                   np.concatenate([node, np.full(pad, -1)]), reach, start)
 
 
-# a solve reads one channel's tables; at 20 map coefficients a step, a
-# second cached channel would only hold memory
-@lru_cache(maxsize=1)
-def _tables(system, l, mode, grid):
-    """Step tables of one channel and W at its grid nodes: (outward,
-    inward, w).
+class _Channel(NamedTuple):
+    """One (system, l, mode, grid) channel as a solve reads it."""
+
+    outward: _Steps
+    inward: _Steps
+    w: np.ndarray        # (K, 3) W's coefficients at the grid nodes
+    series: tuple        # _origin_series at l: (cm1_const, cm1_lin, g)
+    r_min: float
+
+
+def _channel(system, l, mode, grid):
+    """Step tables of one channel, W at its nodes and its origin series.
 
     Outward runs the geometric origin ladder over the first grid cells and
     then the main grid; inward runs the main grid down from r_max, on the
     same samples of W.  Row k of w is W's coefficients at grid node k, so
-    that ``w @ (1, E, E**2)`` is W there.
+    that ``w @ (1, E, E**2)`` is W there.  The origin series comes first,
+    so an over-attractive origin raises before W's finiteness check.
     """
+    series = _origin_series(system, l)
     K = grid.points
     h = grid.spacing
     cells = min(300, K // 4)
@@ -280,7 +260,7 @@ def _tables(system, l, mode, grid):
         np.concatenate([lnode, np.arange(cells + 1, K)]), 0)
     inward = _padded(np.full(K - 1, -h), w[::-1], np.arange(K - 2, -1, -1),
                      K - 1)
-    return outward, inward, w[::2].copy()    # cache only the node rows
+    return _Channel(outward, inward, w[::2].copy(), series, grid.r_min)
 
 
 def _rescale(phi, p, axes=()):
@@ -425,8 +405,8 @@ def _sweep(steps, phi, p, EP, match_idx):
     return flips, first, phi, p
 
 
-def _shoot(system, l, mode, E, grid, match_idx):
-    """Two-sided sweep for a batch of energies.
+def _shoot(ch, E, match_idx):
+    """Two-sided sweep of the channel ``ch`` for a batch of energies.
 
     Returns (mismatch, nodes): the Wronskian-normalized log-derivative
     defect at each energy's matching index, and the interior node count of
@@ -435,41 +415,31 @@ def _shoot(system, l, mode, E, grid, match_idx):
     E = np.atleast_1d(np.asarray(E, dtype=float))
     B = E.size
     match_idx = np.broadcast_to(np.asarray(match_idx, int), (B,)).copy()
-    K = grid.points
-    outward, inward, w = _tables(system, l, mode, grid)
     EP = np.vander(E, 5, increasing=True).T.copy()
 
-    cm1c, cm1l, g = _origin_series(system, l)
+    cm1c, cm1l, g = ch.series
     c1 = (cm1c + cm1l * E) / (2.0 * g)
 
     # ---- outward sweep: series start at r_min
-    phi, p = _rescale(1.0 + c1 * grid.r_min, g / grid.r_min + c1 * (g + 1.0))
-    flips, first, out_phi, out_p = _sweep(outward, phi, p, EP, match_idx)
+    phi, p = _rescale(1.0 + c1 * ch.r_min, g / ch.r_min + c1 * (g + 1.0))
+    flips, first, out_phi, out_p = _sweep(ch.outward, phi, p, EP, match_idx)
     row = np.arange(first, first + len(flips))[:, None]
     nodes = np.count_nonzero(flips & (row < match_idx), axis=0)
 
     # ---- inward sweep: exponentially decaying start at r_max, where the
     # first inward step starts
-    W_end = np.maximum(w[-1] @ EP[:3], 0.0)
-    flips, first, in_phi, in_p = _sweep(inward, np.ones(B), -np.sqrt(W_end),
-                                        EP, match_idx)
+    W_end = np.maximum(ch.w[-1] @ EP[:3], 0.0)
+    flips, first, in_phi, in_p = _sweep(ch.inward, np.ones(B),
+                                        -np.sqrt(W_end), EP, match_idx)
     row = np.arange(first, first + len(flips))[:, None]
     nodes += np.count_nonzero(
-        flips & (row >= np.minimum(match_idx, K - 2)), axis=0)
+        flips & (row >= np.minimum(match_idx, len(ch.w) - 2)), axis=0)
 
     # Wronskian-form mismatch: zero exactly when log-derivatives agree,
     # free of poles at nodes of either sweep
     wr = out_p * in_phi - in_p * out_phi
     mism = wr / (np.abs(out_p * in_phi) + np.abs(in_p * out_phi) + 1e-300)
     return mism, nodes
-
-
-def _turning_indices(system, l, mode, E, grid):
-    """Matching index per energy: sign change of W nearest index K//3
-    (about r_max/3), falling back to the grid midpoint."""
-    E = np.atleast_1d(np.asarray(E, dtype=float))
-    w = _tables(system, l, mode, grid)[2]
-    return _nearest_crossing(w, np.vander(E, 3, increasing=True).T)
 
 
 def _nearest_crossing(w, EP):
@@ -535,7 +505,9 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
     ``converged`` says it was refined below tol with |mismatch| <= 1e-3.
     Results are sorted by energy.
 
-    Raises InvalidRegime for an over-attractive origin, GridResolution if
+    Raises ValueError for a window outside the binding range or fewer than
+    2 scan points, InvalidRegime for an over-attractive origin (or W not
+    finite at r_min), GridResolution if
     the node count drops between scan energies above max V(r) over the
     grid nodes (there dW/dE = -2(E - V)/hbar_c**2 < 0 at every node, so
     the count cannot fall unless the grid fails to resolve the states;
@@ -543,9 +515,11 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
     other jump), and returns an empty list when nothing brackets.
     """
     lo, hi = binding_window(system, window)
+    if scan_points < 2:
+        raise ValueError(f"scan_points must be >= 2, got {scan_points!r}")
     if grid is None:
         grid = default_grid(system)
-    _origin_series(system, l)          # fail fast on a supercritical origin
+    ch = _channel(system, l, mode, grid)
 
     tol = 1e-10 * system.m0
     v_max = np.max(system.potential_at(grid.radii()))
@@ -561,8 +535,8 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
         d = np.minimum(0.01 * (b - a), 0.5 * tol)
         c = np.clip(c, a + d, b - d)
         batch = np.concatenate([E.ravel(), c])
-        mism, nodes = _shoot(system, l, mode, batch, grid,
-                             _turning_indices(system, l, mode, batch, grid))
+        mism, nodes = _shoot(ch, batch, _nearest_crossing(
+            ch.w, np.vander(batch, 3, increasing=True).T))
         fc, nc = mism[E.size:], nodes[E.size:]
         mism, nodes = (x[:E.size].reshape(E.shape) for x in (mism, nodes))
 

@@ -59,29 +59,27 @@ def test_one_l0_scan_serves_both_modes(reference_system, monkeypatch):
     assert rows["mode_agreement_l0"].passed
 
 
-def test_battery_builds_one_channel_of_step_tables(reference_system):
+def test_battery_builds_one_channel_of_step_tables(reference_system,
+                                                   monkeypatch):
     # the l=0 scan builds its channel's tables once; comparing the modes
     # reads W, not a second channel's tables
-    oracle._tables.cache_clear()
+    channel = oracle._channel
+    built = []
+    monkeypatch.setattr(oracle, "_channel", lambda *args: (
+        built.append(args[1:3]) or channel(*args)))
     run_validation(reference_system)
-    assert oracle._tables.cache_info().misses == 1
+    assert built == [(0, "approx")]
 
 
 def test_mode_agreement_fails_on_a_broken_l0_term(reference_system,
                                                   monkeypatch):
-    # a centrifugal term that is not 0 at l=0 in approx mode: the step
-    # tables are cached per system, so they are rebuilt around the patch
+    # a centrifugal term that is not 0 at l=0 in approx mode
     real = PhysicalSystem.centrifugal_at
 
     def broken(self, l, r, mode="exact"):
         return real(self, l, r, mode) + (1e-3 if mode == "approx" else 0.0)
 
-    oracle._tables.cache_clear()
-    try:
-        with monkeypatch.context() as patch:
-            patch.setattr(PhysicalSystem, "centrifugal_at", broken)
-            rows = {c.name: c for c in run_validation(reference_system)}
-    finally:
-        oracle._tables.cache_clear()
+    monkeypatch.setattr(PhysicalSystem, "centrifugal_at", broken)
+    rows = {c.name: c for c in run_validation(reference_system)}
     assert not rows["mode_agreement_l0"].passed
     assert rows["mode_agreement_l0"].value > 1e-9

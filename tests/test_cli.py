@@ -3,8 +3,10 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -620,6 +622,16 @@ class TestMain:
         assert main(self.ARGS + ["--output", str(again)]) == 0
         assert again.read_bytes() == target.read_bytes()
 
+    @pytest.mark.parametrize("target", ["", "missing/out.csv"])
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, target):
+        # a directory, and a file in a directory that does not exist
+        path = tmp_path / target
+        assert main(self.ARGS + ["--output", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write output file {str(path)!r}")
+        assert "Traceback" not in err
+
     def test_config_error_exit_codes(self, capsys, tmp_path):
         assert main(["spectrum", "--config", "/no/such/file.json"]) == 2
         assert "cannot read config file" in capsys.readouterr().err
@@ -674,24 +686,28 @@ class TestMain:
         assert data[0]["energy"] == pytest.approx(REFERENCE_TRUE[(0, 0)],
                                                   abs=1e-13)
 
+    @staticmethod
+    def _run(*args):
+        """Run ``python -m`` args with src/ first on the module path, as
+        pytest's own ``pythonpath`` puts it for the in-process tests."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
     def test_console_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "kghulthen.cli"] + self.ARGS,
-            capture_output=True, text=True, timeout=120)
+        proc = self._run("kghulthen.cli", *self.ARGS)
         assert proc.returncode == 0
         assert proc.stdout == GOLDEN_SPECTRUM
         assert proc.stderr == ""
 
     def test_package_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "kghulthen"] + self.ARGS,
-            capture_output=True, text=True, timeout=120)
+        proc = self._run("kghulthen", *self.ARGS)
         assert proc.returncode == 0
         assert proc.stdout == GOLDEN_SPECTRUM
         assert proc.stderr == ""
-        proc = subprocess.run(
-            [sys.executable, "-m", "kghulthen", "spectrum", "--V0", "0.1",
-             "--beta", "0.2", "--m0", "1.0", "--grid-points", "10000000"],
-            capture_output=True, text=True, timeout=120)
+        proc = self._run("kghulthen", "spectrum", "--V0", "0.1", "--beta",
+                         "0.2", "--m0", "1.0", "--grid-points", "10000000")
         assert proc.returncode == 2
         assert "at most 20000 points" in proc.stderr

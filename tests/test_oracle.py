@@ -146,10 +146,27 @@ class TestFindBoundStates:
         with pytest.raises(ValueError, match="window"):
             find_bound_states(reference_system, 0, window=(-2.0, 2.0))
 
+    @pytest.mark.parametrize("scan_points", [-1, 0, 1])
+    def test_scan_points_validation(self, reference_system, scan_points):
+        # fewer than two scan energies bracket nothing: the reference's
+        # two l=0 states would be dropped without a word
+        with pytest.raises(ValueError, match="scan_points"):
+            find_bound_states(reference_system, 0, scan_points=scan_points)
+        assert len(find_bound_states(reference_system, 0, scan_points=2)) == 2
+
     def test_supercritical_origin_raises(self):
         deep = PhysicalSystem(V0=0.9, beta=0.05, m0=1.0)
         with pytest.raises(InvalidRegime, match="over-attractive"):
             find_bound_states(deep, 0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_over_attractive_origin_comes_before_non_finite_w(self):
+        # at r_min = 1e-300 this system's W also overflows; the origin's
+        # own message is the one raised
+        system = PhysicalSystem(V0=0.2, beta=0.2, m0=1.0)
+        grid = RadialGrid(r_min=1e-300, r_max=200.0, points=4000)
+        with pytest.raises(InvalidRegime, match="over-attractive"):
+            find_bound_states(system, 0, grid=grid)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_origin_offset_raises(self, set_a):
@@ -207,7 +224,7 @@ class TestFindBoundStates:
         # then named in a warning and refined as a bracket, not dropped
         root = 0.3 + math.pi * 1e-4
         monkeypatch.setattr(
-            oracle, "_shoot", lambda system, l, mode, E, grid, match_idx: (
+            oracle, "_shoot", lambda ch, E, match_idx: (
                 np.asarray(E) - root, (np.asarray(E) > root).astype(int)))
         with caplog.at_level(logging.WARNING, logger="kghulthen.oracle"):
             (state,) = find_bound_states(reference_system, 0,
@@ -307,6 +324,11 @@ def _stepwise_shoot(system, l, mode, E, grid, match_idx):
     return wr / (np.abs(o_p * i_phi) + np.abs(i_p * o_phi) + 1e-300), nodes
 
 
+def _turning(ch, E):
+    """The solver's matching index per energy on the channel ``ch``."""
+    return oracle._nearest_crossing(ch.w, np.vander(E, 3, increasing=True).T)
+
+
 def _argmin_crossing(W):
     """Reference for oracle._nearest_crossing: the argmin over a distance
     score, which the search replaced."""
@@ -362,7 +384,7 @@ class TestTurningIndices:
         E = np.linspace(*binding_window(system), 240)
         W = ode_coefficient(system, l, E[None], grid.radii()[:, None], mode)
         assert np.array_equal(
-            oracle._turning_indices(system, l, mode, E, grid),
+            _turning(oracle._channel(system, l, mode, grid), E),
             _argmin_crossing(W))
 
     def test_search_memory(self, reference_system):
@@ -372,10 +394,10 @@ class TestTurningIndices:
         # search held (K, B) float and integer scores beside W, 24 MB)
         grid = default_grid(reference_system)
         E = np.linspace(*binding_window(reference_system), 240)
-        oracle._turning_indices(reference_system, 0, "approx", E, grid)
+        ch = oracle._channel(reference_system, 0, "approx", grid)
         tracemalloc.start()
         try:
-            oracle._turning_indices(reference_system, 0, "approx", E, grid)
+            _turning(ch, E)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -421,7 +443,8 @@ class TestChunkedSweep:
         grid = RadialGrid(r_min=span.r_min, r_max=span.r_max, points=points)
         l, mode = (0, "approx") if name == "reference_system" else (1, "exact")
         K = grid.points
-        outward, inward, _ = oracle._tables(system, l, mode, grid)
+        ch = oracle._channel(system, l, mode, grid)
+        outward, inward = ch.outward, ch.inward
         # K - 1 inward steps are not a multiple of the chunk length: the
         # last is a padding step, the identity
         assert len(inward.table) > K - 1
@@ -450,8 +473,7 @@ class TestChunkedSweep:
             assert lengths == {16, 32, 64, 128}
         want_m, want_n = _stepwise_shoot(system, l, mode, E, grid, match)
         for sel in batches:
-            got_m, got_n = oracle._shoot(system, l, mode, E[sel], grid,
-                                         match[sel])
+            got_m, got_n = oracle._shoot(ch, E[sel], match[sel])
             assert np.max(np.abs(got_m - want_m[sel])) <= 1e-12
             assert np.array_equal(got_n, want_n[sel])
 
@@ -468,7 +490,8 @@ class TestChunkedSweep:
         grid = RadialGrid(r_min=span.r_min, r_max=span.r_max, points=4000)
         l, mode = (0, "approx") if name == "reference_system" else (1, "exact")
         K = grid.points
-        outward, inward, _ = oracle._tables(system, l, mode, grid)
+        ch = oracle._channel(system, l, mode, grid)
+        outward, inward = ch.outward, ch.inward
         node = np.arange(K)
         hi = node[(outward.reach % 128 == 64) & (node < 2 * K // 3)][-1]
         lo = node[(inward.reach % 128 == 64) & (node > K // 3)][0]
@@ -488,8 +511,7 @@ class TestChunkedSweep:
         monkeypatch.setattr(oracle, "_chunk_length", spy)
         for sel in np.split(np.arange(E.size), 3):
             seen.clear()
-            got_m, got_n = oracle._shoot(system, l, mode, E[sel], grid,
-                                         match[sel])
+            got_m, got_n = oracle._shoot(ch, E[sel], match[sel])
             assert np.max(np.abs(got_m - want_m[sel])) <= 1e-12
             assert np.array_equal(got_n, want_n[sel])
             farthest = [outward.reach[match[sel]].max(),
@@ -501,12 +523,17 @@ class TestChunkedSweep:
         assert seen[0] < 0.8 * len(outward.table)
         assert seen[1] < 0.8 * len(inward.table)
 
-    def test_step_table_cache_holds_one_channel(self, reference_system):
-        # one solve reads one channel's tables; at 20 map coefficients a
-        # step, more cached channels only hold memory
+    def test_each_solve_builds_one_channel(self, reference_system,
+                                           monkeypatch):
+        # a solve builds its channel's step tables once and every sweep
+        # of it reads them
+        channel = oracle._channel
+        built = []
+        monkeypatch.setattr(oracle, "_channel", lambda *args: (
+            built.append(args[1:3]) or channel(*args)))
         for l, mode in ((0, "approx"), (1, "approx"), (1, "exact")):
             find_bound_states(reference_system, l, mode=mode, scan_points=8)
-        assert oracle._tables.cache_info().currsize <= 1
+        assert built == [(0, "approx"), (1, "approx"), (1, "exact")]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(V0=st.floats(0.05, 0.20), beta=st.floats(0.10, 0.50),
@@ -523,13 +550,13 @@ class TestChunkedSweep:
         grid = RadialGrid(r_min=span.r_min, r_max=span.r_max, points=150)
         rng = np.random.default_rng(seed)
         E = rng.uniform(*binding_window(system), width)
-        match = np.where(rng.random(width) < 0.5,
-                         oracle._turning_indices(system, l, mode, E, grid),
-                         rng.integers(2, grid.points - 1, width))
         try:
-            got_m, got_n = oracle._shoot(system, l, mode, E, grid, match)
+            ch = oracle._channel(system, l, mode, grid)
         except InvalidRegime:
             reject()
+        match = np.where(rng.random(width) < 0.5, _turning(ch, E),
+                         rng.integers(2, grid.points - 1, width))
+        got_m, got_n = oracle._shoot(ch, E, match)
         want_m, want_n = _stepwise_shoot(system, l, mode, E, grid, match)
         assert np.max(np.abs(got_m - want_m)) <= 1e-12
         assert np.array_equal(got_n, want_n)
@@ -549,9 +576,9 @@ class TestChunkedSweep:
         shoot = oracle._shoot
         seen = []
 
-        def counted(system, l, mode, E, grid, match_idx):
+        def counted(ch, E, match_idx):
             seen.append(np.size(E))
-            return shoot(system, l, mode, E, grid, match_idx)
+            return shoot(ch, E, match_idx)
 
         monkeypatch.setattr(oracle, "_shoot", counted)
         scan = 60 if window else 240
@@ -565,7 +592,7 @@ class TestChunkedSweep:
         recording each sweep's width."""
         seen = []
 
-        def shoot(system, l, mode, E, grid, match_idx):
+        def shoot(ch, E, match_idx):
             seen.append(np.size(E))
             return f(np.asarray(E)), np.zeros(np.size(E), dtype=int)
 
