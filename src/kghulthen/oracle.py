@@ -14,9 +14,11 @@ nearest r_max/3 (``_nearest_crossing``).  A solve builds its channel once
 (``_channel``).  Each RK4 step is a 2x2 linear map whose entries are
 polynomials in E (``_map_table``), so a sweep (``_sweep``) forms the maps
 for a batch of energies as matrix products of the channel's step table
-with the powers of E, never W itself.  ``find_bound_states`` brackets and
-refines the eigenvalues in one loop of such sweeps; its docstring states
-the bracket rule and what ``converged`` means.
+with the powers of E, never W itself, and counts nodes from its chunk
+transfer matrices, never from phi at every grid node.
+``find_bound_states`` brackets and refines the eigenvalues in one loop of
+such sweeps; its docstring states the bracket rule, what ``converged``
+means and when the grid is too coarse for the states.
 
 Two implementation notes, both measured necessities rather than choices:
 
@@ -51,7 +53,7 @@ _MISMATCH_TOL = 1e-3        # converged roots must have |tail_mismatch| below
 _MAX_CHUNK = 128            # longest sweep chunk; step tables pad to it
 _CHUNK_CELLS = 6144         # chunk x energy cells per sweep pass; fewer slow
                             # 60-energy sweeps, more raise peak memory
-_NODE_BLOCK = 256           # grid nodes combined per gather
+_NODE_BLOCK = 256           # grid nodes per block of the turning search
 
 log = logging.getLogger(__name__)
 
@@ -161,9 +163,8 @@ class _Steps(NamedTuple):
     (m11, m12, m21, m22)."""
 
     table: np.ndarray    # (S, 4, 5) map coefficients in powers of E
-    node: np.ndarray     # (S,) grid node a step reaches, or -1
     reach: np.ndarray    # (K,) index of the step reaching each node, or -1
-    start: int           # the node the sweep starts from
+    sense: float         # sign of the steps' h: +1 outward, -1 inward
 
 
 def _map_table(h, c):
@@ -205,16 +206,17 @@ def _map_table(h, c):
     return table
 
 
-def _padded(h, w, node, start):
+def _padded(h, w, node, K):
     """_Steps from flat arrays: h (S,), w (2S + 1, 3) W's coefficients
     (``_w_coefficients``) at the start, midpoint, end, midpoint, end, ...
-    of the steps, node (S,)."""
+    of the steps, node (S,) the grid node each step reaches or -1, on a
+    grid of K nodes."""
     pad = -h.size % _MAX_CHUNK
-    reach = np.full(max(start, node.max()) + 1, -1)
+    reach = np.full(K, -1)
     reach[node[node >= 0]] = np.flatnonzero(node >= 0)
     return _Steps(_map_table(np.concatenate([h, np.zeros(pad)]),
                              np.pad(w, ((0, 2 * pad), (0, 0)))),
-                  np.concatenate([node, np.full(pad, -1)]), reach, start)
+                  reach, float(np.sign(h[0])))
 
 
 class _Channel(NamedTuple):
@@ -225,6 +227,7 @@ class _Channel(NamedTuple):
     w: np.ndarray        # (K, 3) W's coefficients at the grid nodes
     series: tuple        # _origin_series at l: (cm1_const, cm1_lin, g)
     r_min: float
+    ladder: int          # grid cells the outward ladder covers
 
 
 def _channel(system, l, mode, grid):
@@ -257,10 +260,11 @@ def _channel(system, l, mode, grid):
     lnode[mark[1:] - 1] = np.arange(1, cells + 1)
     outward = _padded(
         np.concatenate([np.diff(pts), np.full(K - 1 - cells, h)]), w_out,
-        np.concatenate([lnode, np.arange(cells + 1, K)]), 0)
+        np.concatenate([lnode, np.arange(cells + 1, K)]), K)
     inward = _padded(np.full(K - 1, -h), w[::-1], np.arange(K - 2, -1, -1),
-                     K - 1)
-    return _Channel(outward, inward, w[::2].copy(), series, grid.r_min)
+                     K)
+    return _Channel(outward, inward, w[::2].copy(), series, grid.r_min,
+                    cells)
 
 
 def _rescale(phi, p, axes=()):
@@ -289,57 +293,60 @@ def _sweep(steps, phi, p, EP, match_idx):
     powers (1, E, E**2, E**3, E**4) of the batch's energies.
 
     It runs the S steps up to the one reaching the batch's farthest
-    matching node, S rounded up to a multiple of _MAX_CHUNK, and keeps phi
-    at the N nodes they reach; no node past a matching node is read.
-    The chunk length L comes from the batch width B (_chunk_length): a
-    narrow batch runs 16 rows over many chunks, a wide one longer, fewer
-    chunks.  Every chunk's transfer matrix is built in L row passes, taken
-    in blocks of R rows: the RK4 maps of a block, about _CHUNK_CELLS
-    chunk x energy cells per entry, are one matrix product of the block's
-    table rows with EP, read in place from the step table (a stack of
-    (C, 5) x (5, B) products, one per row and map entry).  The chunk start
-    states come from the inclusive prefix products M_c ... M_0 of the
-    chunk matrices, by recursive doubling (log2 C passes over C chunks,
-    each rescaled per chunk), and phi at each node is its kept first row
-    applied to its chunk's start state, gathered _NODE_BLOCK nodes at a
-    time.  How the arithmetic is grouped depends on B (the BLAS path of the
-    map products, L and R) and on S, so an energy's result depends on the
-    batch it shares, at rounding level only.
+    matching node, S rounded up to a multiple of _MAX_CHUNK.  The chunk
+    length L comes from the batch width B (_chunk_length): a narrow batch
+    runs 16 rows over many chunks, a wide one longer, fewer chunks.  Every
+    chunk's transfer matrix is built in L row passes, taken in blocks of R
+    rows: the RK4 maps of a block, about _CHUNK_CELLS chunk x energy cells
+    per entry, are one matrix product of the block's table rows with EP,
+    read in place from the step table (a stack of (C, 5) x (5, B)
+    products, one per row and map entry).  The chunk start states come
+    from the inclusive prefix products M_c ... M_0 of the chunk matrices,
+    by recursive doubling (log2 C passes over C chunks, each rescaled per
+    chunk).  How the arithmetic is grouped depends on B (the BLAS path of
+    the map products, L and R) and on S, so an energy's result depends on
+    the batch it shares, at rounding level only.
 
-    Returns (flips, first, phi_m, p_m): flips[k] marks a sign change of
-    phi between grid nodes first + k and first + k + 1, shape (N - 1, B),
-    with ``first`` the lowest node kept, and (phi_m, p_m) is the state at
-    each energy's matching index, known up to a positive
-    factor (each chunk carries its own scale).  Raises GridResolution when
-    a node value or the matched state overflows between rescalings.
+    Nodes are counted from the chunk matrices: the row passes count n_u,
+    the sign changes of phi along each chunk's first column u (the image
+    of (phi, p) = (1, 0)) at every step.  Two solutions of one equation
+    turn the same way through phi = 0 (clockwise in the (phi, p) plane
+    for h > 0) and never pass each other, so the solution from the
+    chunk's start state (x, y), flipped to x > 0, changes sign n_u times
+    when its end sign has the parity of n_u (u starts at phi = 1), else
+    n_u + 1 if it starts ahead of u (y < 0 for h > 0, y > 0 for h < 0)
+    and n_u - 1 if behind (Sturm separation; H. Prüfer, Math. Ann. 95,
+    499 (1926)).  A chunk ends at the next one's start state; the match
+    chunk ends at the matched state, counted up to the match row.
+
+    Returns (nodes, phi_m, p_m): the sign changes of phi at every step
+    from the start up to each energy's matching node, ladder steps
+    included, and the state there, known up to a positive factor (each
+    chunk carries its own scale); the count holds while no step turns phi
+    by more than about 2 rad.  Raises GridResolution when a chunk matrix,
+    a chunk start state or the matched state overflows between
+    rescalings.
     """
     B = EP.shape[1]
     s = steps.reach[match_idx]
     S = (max(s.max(), 0) // _MAX_CHUNK + 1) * _MAX_CHUNK   # whole blocks
-    node = steps.node[:S]
-    reached = node[node >= 0]
-    first = reached.min(initial=steps.start)
-    N = reached.max(initial=steps.start) + 1 - first
     L = _chunk_length(S, B)
     C = S // L
     R = max(1, min(L, _CHUNK_CELLS // (C * B)))
     table = steps.table[:S].reshape(C, L, 4, 5).transpose(1, 2, 0, 3)
-    node = np.where(node >= 0, node - first, N).reshape(C, L).T
 
     # 1. transfer matrix of every chunk, its columns the images of (1, 0)
     # and (0, 1), over blocks of R rows: the RK4 maps of a block in one
-    # product, then the rows in order.  The matrix's first row is kept at
-    # every node-reaching step (row N of traj and tail takes the
-    # steps that reach none), the whole matrix at each energy's match step
+    # product, then the rows in order, counting the sign changes n_u of
+    # the first column's phi.  The matrix and n_u are kept at each
+    # energy's match step
     mphi = np.zeros((2, C, B))
     mp = np.zeros((2, C, B))
     mphi[0] = 1.0
     mp[1] = 1.0
-    # rows 0 ... N of blocks sized to the whole grid: every sweep asks the
-    # allocator for one size and reuses the last sweep's freed block
-    # (blocks sized to N left holes and raised the peak RSS of wide scans)
-    traj = np.empty((steps.reach.size + 1, B))[:N + 1]
-    tail = np.empty((steps.reach.size + 1, B))[:N + 1]
+    nu = np.zeros((C, B), dtype=np.uint8)    # at most L <= 128 a chunk
+    neg = np.zeros((C, B), dtype=bool)
+    col = np.arange(B)
     mc = np.where(s < 0, 0, s // L)
     mj = np.where(s < 0, -1, s % L)
     cap = {j: np.flatnonzero(mj == j) for j in set(mj.tolist())}
@@ -347,21 +354,21 @@ def _sweep(steps, phi, p, EP, match_idx):
     cp = np.zeros((2, B))
     cphi[0] = 1.0
     cp[1] = 1.0
+    cn = np.zeros(B, dtype=np.uint8)
     for j0 in range(0, L, R):
-        blk = slice(j0, j0 + R)
-        maps = np.matmul(table[blk], EP)
-        kept = np.empty((2, len(maps), C, B))
-        for i, (m11, m12, m21, m22) in enumerate(maps):
-            j = j0 + i
+        maps = np.matmul(table[j0:j0 + R], EP)
+        for j, (m11, m12, m21, m22) in enumerate(maps, j0):
             mphi, mp = m11 * mphi + m12 * mp, m21 * mphi + m22 * mp
             if (j & 63) == 63:
                 mphi, mp = _rescale(mphi, mp, 0)
-            kept[:, i] = mphi
+            was, neg = neg, mphi[0] < 0.0
+            nu += (was ^ neg).view(np.uint8)
             if j in cap:
                 cols = cap[j]
                 cphi[:, cols] = mphi[:, mc[cols], cols]
                 cp[:, cols] = mp[:, mc[cols], cols]
-        traj[node[blk]], tail[node[blk]] = kept
+                cn[cols] = nu[mc[cols], cols]
+    finite = np.isfinite(mphi).all() and np.isfinite(mp).all()
 
     # 2. start state of every chunk: the products P_c = M_c ... M_0 of the
     # chunk matrices by recursive doubling, P_c <- P_c P_(c-n) for n = 1,
@@ -378,31 +385,27 @@ def _sweep(steps, phi, p, EP, match_idx):
     sphi[0], sp[0] = phi, p
     sphi[1:] = mphi[0, :-1] * phi + mphi[1, :-1] * p
     sp[1:] = mp[0, :-1] * phi + mp[1, :-1] * p
-
-    # 3. phi at the nodes: each node's kept first row applied to its
-    # chunk's start state, in place, one block of nodes at a time (the
-    # start node keeps the row (1, 0) of chunk 0)
-    traj, tail = traj[:N], tail[:N]
-    traj[steps.start - first] = 1.0
-    tail[steps.start - first] = 0.0
-    chunk = np.maximum(steps.reach[first:first + N], 0) // L
-    for lo in range(0, N, _NODE_BLOCK):
-        blk = slice(lo, lo + _NODE_BLOCK)
-        traj[blk] *= sphi[chunk[blk]]
-        tail[blk] *= sp[chunk[blk]]
-        traj[blk] += tail[blk]
-    del tail            # free it before the sign test, which needs phi alone
-    phi, p = sphi[mc, np.arange(B)], sp[mc, np.arange(B)]
+    phi, p = sphi[mc, col], sp[mc, col]
     phi, p = cphi[0] * phi + cphi[1] * p, cp[0] * phi + cp[1] * p
-    if not (np.isfinite(traj).all() and np.isfinite([phi, p]).all()):
+    if not (finite and np.isfinite([sphi, sp]).all()
+            and np.isfinite([phi, p]).all()):
         raise GridResolution(
             "oracle sweep overflowed: phi is not finite; the grid is too "
             "coarse for these parameters; increase grid.points "
             f"(currently {steps.reach.size})")
-    neg = ~(traj >= 0.0)
-    nonzero = traj != 0.0
-    flips = (neg[:-1] != neg[1:]) & nonzero[1:] & nonzero[:-1]
-    return flips, first, phi, p
+
+    # 3. the solution's sign changes in every chunk from u's: a chunk ends
+    # at the next one's start state, the match chunk at the matched state
+    # with u's count at the match row, and the chunks past it are dropped
+    end = np.concatenate([sphi[1:], sphi[-1:]])     # last row: a filler
+    end[mc, col] = phi
+    nu[mc, col] = cn
+    flip = np.where(sphi < 0.0, -1.0, 1.0)          # start with x > 0
+    odd = (flip * end < 0.0) != ((nu & 1) == 1)     # parities differ
+    ahead = np.where(steps.sense * flip * sp < 0.0, 1, -1)
+    nodes = np.sum(nu + odd * ahead, axis=0,
+                   where=np.arange(C)[:, None] <= mc)
+    return nodes, phi, p
 
 
 def _shoot(ch, E, match_idx):
@@ -422,24 +425,19 @@ def _shoot(ch, E, match_idx):
 
     # ---- outward sweep: series start at r_min
     phi, p = _rescale(1.0 + c1 * ch.r_min, g / ch.r_min + c1 * (g + 1.0))
-    flips, first, out_phi, out_p = _sweep(ch.outward, phi, p, EP, match_idx)
-    row = np.arange(first, first + len(flips))[:, None]
-    nodes = np.count_nonzero(flips & (row < match_idx), axis=0)
+    nodes, out_phi, out_p = _sweep(ch.outward, phi, p, EP, match_idx)
 
     # ---- inward sweep: exponentially decaying start at r_max, where the
     # first inward step starts
     W_end = np.maximum(ch.w[-1] @ EP[:3], 0.0)
-    flips, first, in_phi, in_p = _sweep(ch.inward, np.ones(B),
-                                        -np.sqrt(W_end), EP, match_idx)
-    row = np.arange(first, first + len(flips))[:, None]
-    nodes += np.count_nonzero(
-        flips & (row >= np.minimum(match_idx, len(ch.w) - 2)), axis=0)
+    n_in, in_phi, in_p = _sweep(ch.inward, np.ones(B), -np.sqrt(W_end), EP,
+                                match_idx)
 
     # Wronskian-form mismatch: zero exactly when log-derivatives agree,
     # free of poles at nodes of either sweep
     wr = out_p * in_phi - in_p * out_phi
     mism = wr / (np.abs(out_p * in_phi) + np.abs(in_p * out_phi) + 1e-300)
-    return mism, nodes
+    return mism, nodes + n_in
 
 
 def _nearest_crossing(w, EP):
@@ -469,6 +467,25 @@ def _nearest_crossing(w, EP):
     im = np.where(below & ~(above & (u + 1 < d)), target - d, target + 1 + u)
     im[~(below | above)] = K // 2
     return np.clip(im, 2, K - 2)
+
+
+def _check_phase(ch, grid, E, match_idx):
+    """Raise GridResolution unless every main-grid step that the sweeps of
+    the energies E take turns phi by at most 2 rad: h**2 |W(r_k, E)| <= 4
+    at the nodes k >= min(match, ladder cells).  Beyond that the grid
+    cannot resolve a state, and its node count need not be the one a finer
+    grid gives.  The message names the state with the largest turn."""
+    k = np.arange(len(ch.w))[:, None]
+    turn = grid.spacing**2 * np.abs(ch.w @ np.vander(E, 3, increasing=True).T)
+    worst = np.max(turn, axis=0, where=k >= np.minimum(match_idx, ch.ladder),
+                   initial=0.0)
+    if np.any(worst > 4.0):
+        i = int(np.argmax(worst))
+        raise GridResolution(
+            f"the state near E={float(E[i])!r} turns phi by "
+            f"{math.sqrt(worst[i]):.3g} rad in one grid step, more than 2: "
+            f"the grid is too coarse to resolve these states; increase "
+            f"grid.points (currently {grid.points})")
 
 
 def find_bound_states(system: PhysicalSystem, l: int, window=None,
@@ -505,14 +522,19 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
     ``converged`` says it was refined below tol with |mismatch| <= 1e-3.
     Results are sorted by energy.
 
+    Node counts are sign changes of phi at every RK4 step (``_sweep``),
+    and two rules guard the grid.  The count may not drop between scan
+    energies above max V(r) over the grid nodes (there dW/dE = -2(E -
+    V)/hbar_c**2 < 0 at every node, so the count cannot fall unless the
+    grid fails to resolve the states; below it the count need not be
+    monotone, and a drop is split like any other jump).  And no returned
+    state's sweeps may take a main-grid step that turns phi by more than
+    2 rad (``_check_phase``).
+
     Raises ValueError for a window outside the binding range or fewer than
     2 scan points, InvalidRegime for an over-attractive origin (or W not
-    finite at r_min), GridResolution if
-    the node count drops between scan energies above max V(r) over the
-    grid nodes (there dW/dE = -2(E - V)/hbar_c**2 < 0 at every node, so
-    the count cannot fall unless the grid fails to resolve the states;
-    below it the count need not be monotone, and a drop is split like any
-    other jump), and returns an empty list when nothing brackets.
+    finite at r_min), GridResolution when a sweep overflows or either grid
+    rule fails, and returns an empty list when nothing brackets.
     """
     lo, hi = binding_window(system, window)
     if scan_points < 2:
@@ -523,7 +545,7 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
 
     tol = 1e-10 * system.m0
     v_max = np.max(system.potential_at(grid.radii()))
-    states = []
+    states, matched = [], []
     # open brackets: ends, their mismatches, the end last kept (-1 for a,
     # +1 for b, 0 at the start) and the Illinois steps taken
     a, b, fa, fb = np.empty((4, 0))
@@ -535,9 +557,9 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
         d = np.minimum(0.01 * (b - a), 0.5 * tol)
         c = np.clip(c, a + d, b - d)
         batch = np.concatenate([E.ravel(), c])
-        mism, nodes = _shoot(ch, batch, _nearest_crossing(
-            ch.w, np.vander(batch, 3, increasing=True).T))
-        fc, nc = mism[E.size:], nodes[E.size:]
+        match = _nearest_crossing(ch.w, np.vander(batch, 3, increasing=True).T)
+        mism, nodes = _shoot(ch, batch, match)
+        fc, nc, mc = mism[E.size:], nodes[E.size:], match[E.size:]
         mism, nodes = (x[:E.size].reshape(E.shape) for x in (mism, nodes))
 
         # one Illinois step on every open bracket; an exact zero is the
@@ -555,6 +577,7 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
             converged=bool(w < tol and abs(f) <= _MISMATCH_TOL))
             for e, n, f, w in zip(c[done], nc[done], fc[done],
                                   (b - a)[done])]
+        matched += mc[done].tolist()
 
         if first:
             drops = (np.diff(nodes[0]) < 0) & (E[0, :-1] > v_max)
@@ -585,6 +608,8 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
                  np.zeros_like(dn))))
         split ^= stuck
         E, first = np.linspace(lo_e[split], hi_e[split], 17, axis=1), False
+    _check_phase(ch, grid, np.array([d.energy for d in states]),
+                 np.array(matched, dtype=int))
     states.sort(key=lambda d: d.energy)
     return states
 

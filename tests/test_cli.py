@@ -1,6 +1,8 @@
 """Command-line layer: config parsing, record building, serialization."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -284,10 +286,48 @@ _BATTERY = ("coefficient_energy_independence", "reduction_discriminant_zero",
             "jacobi_endpoint_anchor")
 
 
+# the status tokens each command documents
+_STATUS_TOKENS = {
+    "spectrum": {"ok", "spurious", "unbound", "no_bound_state",
+                 "invalid_regime", "grid_resolution"},
+    "validate": {"pass", "fail"},
+    "approx-error": {"ok", "unmatched", "invalid_regime", "grid_resolution"}}
+
+
 class TestOracleCommandsEndInRecords:
-    # fixed extreme configs, since an oracle scan is too dear for a
-    # property: m0 at its bound of 1e4 screening energies, |V0| at its
-    # bound, an empty well, an over-attractive origin, a mass profile
+    @settings(max_examples=8, deadline=None, derandomize=True,
+              database=None)
+    @given(beta=st.floats(-2.0, 0.5), V0=st.floats(-1.5, 1.0),
+           sign=st.sampled_from([1.0, -1.0]),
+           m1=st.floats(0.0, 1.0, exclude_max=True))
+    def test_drawn_configs_end_in_records(self, beta, V0, sign, m1):
+        # screening drawn by exponent from 0.01 up, the well relative to
+        # it, m0 = 1 (the oracle's random-survey domain, widened): every
+        # oracle command ends in rows with a documented status token, or
+        # in a configuration error with exit code 2 and nothing on stdout
+        beta = 10.0 ** beta
+        flags = [f"--V0={sign * beta * 10.0 ** V0!r}", f"--beta={beta!r}",
+                 "--m0=1", f"--m1={m1!r}"]
+        for command, extra in (
+                ("spectrum", ["--method=oracle", "--n-max=2", "--l-max=1"]),
+                ("validate", []),
+                ("approx-error", ["--l-max=0", f"--betas={beta!r},"
+                                  f"{beta / 2.0!r}"])):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([command] + flags + extra)
+            rows = out.getvalue().splitlines()
+            if code == 2:
+                assert rows == []
+                continue
+            assert code in ((0, 1) if command == "validate" else (0,))
+            column = rows[0].split(",").index("status")
+            assert rows[1:] and {row.split(",")[column] for row in rows[1:]
+                                 } <= _STATUS_TOKENS[command]
+
+    # fixed extreme configs besides: m0 at its bound of 1e4 screening
+    # energies, |V0| at its bound, an empty well, an over-attractive
+    # origin, a mass profile
     # that all but vanishes at infinity and a screening too small for the
     # default grid, and two systems whose tail and origin powers A and s
     # agree to about 1e-5 at the battery's energy.  Whether the oracle

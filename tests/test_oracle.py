@@ -250,15 +250,41 @@ class TestFindBoundStates:
         assert "grid.points (currently 4000)" in str(exc.value)
 
     def test_grid_resolution_names_a_plain_energy(self):
-        # the default grid cannot resolve this small-screening system: its
-        # node count drops above max V, where it must not fall; the message
-        # names that energy as a plain float
+        # the default grid cannot resolve this small-screening system: the
+        # sweeps of its n=0 state take grid steps that turn phi by 7 rad;
+        # the message names that state's energy as a plain float
         system = PhysicalSystem(V0=0.0005, beta=0.001, m0=1.0)
         with pytest.raises(GridResolution) as exc:
             find_bound_states(system, 0)
         msg = str(exc.value)
-        assert re.search(r"near E=0\.966\d+:", msg)
+        assert re.search(r"near E=0\.70735638\d* turns", msg)
         assert "np.float64" not in msg
+
+    @pytest.mark.parametrize("V0, beta, m1, points, turn", [
+        # the largest h**2 |W| over the returned states' main-grid steps:
+        # above 4 (2 rad of phase per step) the solve raises and names it
+        (0.0098, 0.02, 0.0, 160, 62.2),     # the shallow fixture, coarse
+        (0.0005, 0.001, 0.0, 4000, 50.0),   # Coulomb-like, default grid
+        # below 4 the states are returned: the approximation_error row at
+        # beta = 0.002 and the benchmark box's worst corner
+        (0.0005, 0.002, 0.0, 4000, 1.66),
+        (0.2, 0.1, 0.3, 4000, 0.0049)])
+    def test_phase_rule_margins(self, V0, beta, m1, points, turn):
+        system = PhysicalSystem(V0=V0, beta=beta, m0=1.0, m1=m1)
+        grid = RadialGrid(r_min=1e-6 / beta, r_max=40.0 / beta, points=points)
+        if turn > 4.0:
+            with pytest.raises(GridResolution) as exc:
+                find_bound_states(system, 0, grid=grid)
+            msg = str(exc.value)
+            phase = float(re.search(r"turns phi by (\S+) rad", msg).group(1))
+            assert phase == pytest.approx(math.sqrt(turn), rel=1e-2)
+            assert f"grid.points (currently {points})" in msg
+            return
+        E = np.array([d.energy for d in find_bound_states(system, 0,
+                                                          grid=grid)])
+        match = _turning(oracle._channel(system, 0, "approx", grid), E)
+        worst = _max_step_turn(system, 0, "approx", E, grid, match).max()
+        assert worst == pytest.approx(turn, rel=2e-2)
 
 
 def _rk4(phi, p, h, Wa, Wm, Wb):
@@ -276,7 +302,8 @@ def _rk4(phi, p, h, Wa, Wm, Wb):
 def _stepwise_shoot(system, l, mode, E, grid, match_idx):
     """Reference for oracle._shoot: both sweeps one RK4 step at a time over
     the same cells (origin ladder, then the main grid; the main grid back
-    from r_max), counting nodes on the recorded grid values."""
+    from r_max), counting the sign changes of phi between consecutive
+    steps up to each energy's matching node."""
     K, h = grid.points, grid.spacing
     cells = min(300, K // 4)
     pts, mark = oracle._ladder(grid.r_min, h, cells)
@@ -296,32 +323,43 @@ def _stepwise_shoot(system, l, mode, E, grid, match_idx):
               for i in range(K - 1, 0, -1)]
 
     def run(steps, phi, p, start):
-        traj = np.empty((K, E.size))
-        traj[start] = phi
-        at = match_idx == start
-        m_phi, m_p = np.where(at, phi, 0.0), np.where(at, p, 0.0)
+        live = match_idx != start       # still short of the matching node
+        nodes = np.zeros(E.size, dtype=int)
+        m_phi, m_p = np.where(live, 0.0, phi), np.where(live, 0.0, p)
         for k, (hk, Wa, Wm, Wb, node) in enumerate(steps):
+            was = phi
             phi, p = _rk4(phi, p, hk, Wa, Wm, Wb)
+            nodes += live & (np.sign(was) * np.sign(phi) < 0)
             if node >= 0:
-                traj[node] = phi
                 at = match_idx == node
                 m_phi, m_p = np.where(at, phi, m_phi), np.where(at, p, m_p)
+                live &= ~at
             if k % 64 == 63:
                 scale = np.maximum(np.abs(phi), np.abs(p))
                 phi, p = phi / scale, p / scale
-        flips = np.sign(traj[:-1]) * np.sign(traj[1:]) < 0
-        return flips, m_phi, m_p
+        return nodes, m_phi, m_p
 
     cm1c, cm1l, g = oracle._origin_series(system, l)
     c1 = (cm1c + cm1l * E) / (2.0 * g)
-    f_out, o_phi, o_p = run(outward, 1.0 + c1 * grid.r_min,
+    n_out, o_phi, o_p = run(outward, 1.0 + c1 * grid.r_min,
                             g / grid.r_min + c1 * (g + 1.0), 0)
-    f_in, i_phi, i_p = run(inward, np.ones(E.size),
+    n_in, i_phi, i_p = run(inward, np.ones(E.size),
                            -np.sqrt(np.maximum(Wg[-1], 0.0)), K - 1)
-    nodes = np.array([f_out[:m, b].sum() + f_in[m:, b].sum()
-                      for b, m in enumerate(match_idx)])
+    nodes = n_out + n_in
     wr = o_p * i_phi - i_p * o_phi
     return wr / (np.abs(o_p * i_phi) + np.abs(i_p * o_phi) + 1e-300), nodes
+
+
+def _max_step_turn(system, l, mode, E, grid, match_idx):
+    """Per energy, the largest h**2 |W(r_k, E)| over the main-grid nodes
+    k >= min(match, ladder cells) that its two sweeps cross: a step with
+    more than 4 turns phi by more than 2 rad and is not resolved."""
+    K = grid.points
+    W = ode_coefficient(system, l, E[None], grid.radii()[:, None], mode)
+    k = np.arange(K)[:, None]
+    crossed = k >= np.minimum(match_idx, min(300, K // 4))
+    return grid.spacing**2 * np.max(np.abs(W), axis=0, where=crossed,
+                                     initial=0.0)
 
 
 def _turning(ch, E):
@@ -451,9 +489,11 @@ class TestChunkedSweep:
         assert np.array_equal(inward.table[-1] @ [1.0, 2.0, 4.0, 8.0, 16.0],
                               [1.0, 0.0, 0.0, 1.0])
         # widths that make the chunk-length rule pick each of its lengths on
-        # the 4000-point grid; each batch matches at node 2, at the last node
-        # of an outward and of an inward chunk of its own length (the chunk's
-        # last step, where that reaches a node), and at node K - 2
+        # the 4000-point grid; each batch matches at node 2 (the inward
+        # sweep, turning the other way, then counts nearly all nodes), at
+        # the last node of an outward and of an inward chunk of its own
+        # length (the chunk's last step, where that reaches a node), and at
+        # node K - 2
         widths = [240, 60, 34, 17, 1]
         m_inf = system.asymptotic_mass
         E = np.linspace(-m_inf + 1e-6, m_inf - 1e-6, sum(widths))
@@ -461,21 +501,34 @@ class TestChunkedSweep:
                            np.cumsum(widths)[:-1])
         match = np.empty(E.size, dtype=int)
         lengths = set()
+        # the grid node each step reaches, or -1
+        out_node, in_node = (np.full(len(s.table), -1)
+                             for s in (outward, inward))
+        for nodes, steps in ((out_node, outward), (in_node, inward)):
+            nodes[steps.reach[steps.reach >= 0]] = np.flatnonzero(
+                steps.reach >= 0)
         for sel in batches:
             L_out = oracle._chunk_length(len(outward.table), sel.size)
             L_in = oracle._chunk_length(len(inward.table), sel.size)
             lengths |= {L_out, L_in}
-            ends = outward.node.reshape(-1, L_out).max(axis=1)
+            ends = out_node.reshape(-1, L_out).max(axis=1)
             match[sel] = np.resize(
-                [2, ends[ends >= 0][-2], inward.node[L_in - 1], K - 2],
+                [2, ends[ends >= 0][-2], in_node[L_in - 1], K - 2],
                 sel.size)
         if points == 4000:
             assert lengths == {16, 32, 64, 128}
         want_m, want_n = _stepwise_shoot(system, l, mode, E, grid, match)
+        # node counts agree where every main-grid step turns phi by at most
+        # 2 rad; the coarse set_a grids reach h**2 |W| of 29-42, and there
+        # the chunked count may differ from the stepwise one
+        resolved = _max_step_turn(system, l, mode, E, grid, match) <= 4.0
+        if points == 4000:
+            assert resolved.all()
         for sel in batches:
             got_m, got_n = oracle._shoot(ch, E[sel], match[sel])
             assert np.max(np.abs(got_m - want_m[sel])) <= 1e-12
-            assert np.array_equal(got_n, want_n[sel])
+            ok = resolved[sel]
+            assert np.array_equal(got_n[ok], want_n[sel][ok])
 
     @pytest.mark.parametrize("name", ["reference_system", "set_a"])
     def test_truncated_sweeps_match_stepwise_sweep(self, name, request,
@@ -522,6 +575,22 @@ class TestChunkedSweep:
         assert seen == [outward.reach[hi] + 64, inward.reach[lo] + 64]
         assert seen[0] < 0.8 * len(outward.table)
         assert seen[1] < 0.8 * len(inward.table)
+
+    def test_shoot_memory(self, reference_system):
+        # the node count comes from (chunks, energies) arrays: one
+        # 240-energy shoot of the reference peaks at 1.2 MB, where phi at
+        # every grid node for every energy took 17.2 MB
+        grid = default_grid(reference_system)
+        E = np.linspace(*binding_window(reference_system), 240)
+        ch = oracle._channel(reference_system, 0, "approx", grid)
+        match = _turning(ch, E)
+        tracemalloc.start()
+        try:
+            oracle._shoot(ch, E, match)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
 
     def test_each_solve_builds_one_channel(self, reference_system,
                                            monkeypatch):
