@@ -146,12 +146,13 @@ def run_validation(system: PhysicalSystem,
         worst = max(worst, min(direct, reflected))
     add("quantization_at_closed_form", worst, 1e-8)
 
-    # 5. closed form vs independent root finding
+    # 5. closed form vs independent root finding, one solve per (n, l)
+    roots = {key: ha.energy_root_solve(system, *key)
+             for key in dict.fromkeys((lv.n, lv.l) for lv in genuine)}
     worst = 0.0
     for level in genuine:
-        roots = ha.energy_root_solve(system, level.n, level.l)
-        best = min((abs(r.value - level.value) for r in roots),
-                   default=float("inf"))
+        best = min((abs(r.value - level.value)
+                    for r in roots[level.n, level.l]), default=float("inf"))
         worst = max(worst, best / max(abs(level.value), 1e-300))
     add("closed_vs_root_solve", worst, 1e-9)
 

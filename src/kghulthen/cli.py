@@ -2,10 +2,11 @@
 
 A run is described by a RunConfig: the physical system, the command, and
 command options.  Options come from an optional JSON config file merged
-with command-line flags (flags win).  Results are emitted as CSV or JSON,
-byte-deterministically.  CSV types each column once: floats carry 17
-significant digits ('.17g'), a missing value is an empty cell, booleans
-are true/false, and every row of a table is rendered by one format string.
+with command-line flags (flags win).  A command's result is one Table,
+emitted as CSV or JSON, byte-deterministically.  CSV types each column
+once: floats carry 17 significant digits ('.17g'), a missing value is an
+empty cell, booleans are true/false, and every row of a table is rendered
+by one format string.  JSON writes a non-finite float as its CSV text.
 Line endings are '\\n', and no timestamps or environment details are
 written.
 
@@ -20,8 +21,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
-from typing import Optional
+from dataclasses import asdict, astuple, dataclass, fields, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -73,6 +74,13 @@ _OPTIONS = {
                                  help="report energies divided by m0"),
 }
 _FILE_KEYS = {k for k in _OPTIONS if not k.startswith("grid_")} | {"grid"}
+
+
+class Table(NamedTuple):
+    """One command's output: column names once, then rows in that order."""
+
+    columns: tuple
+    rows: list
 
 
 @dataclass(frozen=True)
@@ -261,11 +269,9 @@ def _requested_branches(config: RunConfig):
 
 
 def _energy_out(config: RunConfig, value: Optional[float]) -> Optional[float]:
-    if value is None:
-        return None
-    if config.report_in_rest_units:
-        return value / config.system.m0
-    return value
+    if value is None or not config.report_in_rest_units:
+        return value
+    return value / config.system.m0
 
 
 def _state_rows(config: RunConfig, n: int, l: int, cache: dict):
@@ -300,24 +306,19 @@ def _state_rows(config: RunConfig, n: int, l: int, cache: dict):
     return rows
 
 
-def _spectrum_records(config: RunConfig):
-    method_token = {"closed_form": "closed_form",
-                    "quantization_root": "quantization_root",
-                    "oracle": "oracle_approx"}[config.method]
+def _spectrum_table(config: RunConfig) -> Table:
+    method_token = ("oracle_approx" if config.method == "oracle"
+                    else config.method)
     cache: dict = {}
-    records = []
+    out = []
     for n in range(config.n_max + 1):
         for l in range(config.l_max + 1):
             rows = _state_rows(config, n, l, cache)
             for branch in _requested_branches(config):
                 energy, status = rows[branch]
-                records.append({
-                    "n": n, "l": l, "branch": branch,
-                    "method": method_token,
-                    "energy": _energy_out(config, energy),
-                    "status": status,
-                })
-    return records
+                out.append((n, l, branch, method_token,
+                            _energy_out(config, energy), status))
+    return Table(("n", "l", "branch", "method", "energy", "status"), out)
 
 
 def _pick_state_energy(config: RunConfig, n: int, l: int):
@@ -326,60 +327,56 @@ def _pick_state_energy(config: RunConfig, n: int, l: int):
     Returns None when no such bound state exists.
     """
     rows = _state_rows(config, n, l, {})
-    found = [(rows[b][0], b) for b in _requested_branches(config)
+    found = [rows[b][0] for b in _requested_branches(config)
              if rows[b][1] == "ok" and rows[b][0] is not None]
-    if not found:
-        return None
-    # with both branches available prefer the upper one
-    found.sort(key=lambda item: item[1] == "upper")
-    return found[-1][0]
+    # the branches come lower first, so with both available: the upper
+    return found[-1] if found else None
 
 
-def _wavefunction_records(config: RunConfig):
+def _wavefunction_table(config: RunConfig) -> Table:
     n, l = config.n_max, config.l_max
+    columns = ("r", "z", "phi", "phi_normalized")
     energy = _pick_state_energy(config, n, l)
     if energy is None:
         print(f"no bound state for n={n}, l={l} under method "
               f"{config.method}; nothing to sample", file=sys.stderr)
-        return []
+        return Table(columns, [])
     try:
         wf = ha.wavefunction(config.system, n, l, energy,
                              grid=config.grid)
     except (NonNormalizable, InvalidRegime, ValueError) as exc:
         print(f"cannot build wavefunction for n={n}, l={l}: {exc}",
               file=sys.stderr)
-        return []
+        return Table(columns, [])
     radii = wf.grid.radii()
-    table = np.column_stack((radii, config.system.z_at(radii),
-                             wf.amplitude * wf.values, wf.values))
-    return [{"r": r, "z": z, "phi": phi, "phi_normalized": phi_n}
-            for r, z, phi, phi_n in table.tolist()]
+    samples = np.column_stack((radii, config.system.z_at(radii),
+                               wf.amplitude * wf.values, wf.values))
+    return Table(columns, samples.tolist())
 
 
-def _validate_records(config: RunConfig):
+def _validate_table(config: RunConfig) -> Table:
     rows = checks_mod.run_validation(config.system, grid=config.grid)
-    return [{"check": c.name, "status": "pass" if c.passed else "fail",
-             "value": c.value, "tolerance": c.tolerance} for c in rows]
+    return Table(("check", "status", "value", "tolerance"),
+                 [(c.name, "pass" if c.passed else "fail", c.value,
+                   c.tolerance) for c in rows])
 
 
-def _approx_error_records(config: RunConfig):
-    return [asdict(row) for row in oracle.approximation_error(
-        config.system, config.n_max, config.l_max, config.betas)]
+def _approx_error_table(config: RunConfig) -> Table:
+    rows = oracle.approximation_error(config.system, config.n_max,
+                                      config.l_max, config.betas)
+    return Table(tuple(f.name for f in fields(oracle.ApproxErrorRow)),
+                 list(map(astuple, rows)))
 
 
-def execute(config: RunConfig):
-    """Run the configured command; returns the list of output records.
+def execute(config: RunConfig) -> Table:
+    """Run the configured command; returns its output Table.
 
-    Per-state solver problems surface as status tokens inside the records,
-    never as exceptions; an empty list is a valid result.
+    Per-state solver problems surface as status tokens inside the rows,
+    never as exceptions; a table without rows is a valid result.
     """
-    if config.command == "spectrum":
-        return _spectrum_records(config)
-    if config.command == "wavefunction":
-        return _wavefunction_records(config)
-    if config.command == "validate":
-        return _validate_records(config)
-    return _approx_error_records(config)
+    build = {"spectrum": _spectrum_table, "wavefunction": _wavefunction_table,
+             "validate": _validate_table, "approx_error": _approx_error_table}
+    return build[config.command](config)
 
 
 def _csv_cell(value) -> str:
@@ -392,33 +389,35 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def serialize(records, output_format: str) -> str:
-    """Render records as CSV or JSON text, byte-deterministically.
+def _json_cell(value):
+    # JSON (RFC 8259) has no token for a non-finite number
+    if isinstance(value, float) and not math.isfinite(value):
+        return _csv_cell(value)
+    return value
 
-    All records must share one schema (same keys, same order).  CSV types
-    each column once: a column of plain floats is printed with '%.17g';
-    any other column is turned into text cell by cell (empty for None,
-    true/false for booleans, 17 significant digits for floats, str()
-    otherwise).  One format string per schema then renders every row;
-    line endings are '\\n'.  JSON output round-trips: serializing the
-    parsed JSON reproduces the bytes.
+
+def serialize(table: Table, output_format: str) -> str:
+    """Render a Table as CSV or JSON text, byte-deterministically.
+
+    CSV types each column once: a column of plain floats is printed with
+    '%.17g'; any other column is turned into text cell by cell (empty for
+    None, true/false for booleans, 17 significant digits for floats, str()
+    otherwise).  One format string then renders every row; line endings
+    are '\\n'.  JSON writes one object per row, a non-finite float as its
+    CSV text ("inf", "-inf", "nan"), and round-trips: serializing the
+    parsed values as a Table reproduces the bytes.
     """
     if output_format not in _FORMATS:
         raise ValueError(f"unknown output format {output_format!r}")
-    records = list(records)
-    keys = tuple(records[0]) if records else ()
-    cells = []
-    for rec in records:
-        if tuple(rec) != keys:
-            raise ValueError(
-                "records with mixed schemas cannot be serialized: "
-                f"{tuple(rec)!r} != {keys!r}")
-        cells += rec.values()
+    columns, rows = table
     if output_format == "json":
-        return json.dumps(records, indent=2, ensure_ascii=False) + "\n"
-    if not records:
+        return json.dumps([dict(zip(columns, map(_json_cell, row)))
+                           for row in rows], indent=2, ensure_ascii=False,
+                          allow_nan=False) + "\n"
+    if not rows:
         return ""
-    width, formats = len(keys), []
+    cells = [value for row in rows for value in row]
+    width, formats = len(columns), []
     for j in range(width):
         column = cells[j::width]
         if set(map(type, column)) == {float}:
@@ -427,7 +426,7 @@ def serialize(records, output_format: str) -> str:
             cells[j::width] = map(_csv_cell, column)
             formats.append("%s")
     row = ",".join(formats) + "\n"
-    return ",".join(keys) + "\n" + (row * len(records)) % tuple(cells)
+    return ",".join(columns) + "\n" + (row * len(rows)) % tuple(cells)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -469,8 +468,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    records = execute(config)
-    text = serialize(records, config.output_format)
+    table = execute(config)
+    text = serialize(table, config.output_format)
     if config.output_path is not None:
         try:
             with open(config.output_path, "w", encoding="utf-8",
@@ -483,8 +482,8 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     if config.command == "validate":
-        if any(rec["status"] == "fail" for rec in records):
-            return 1
+        status = table.columns.index("status")
+        return int(any(row[status] == "fail" for row in table.rows))
     return 0
 
 

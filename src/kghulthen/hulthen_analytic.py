@@ -74,14 +74,13 @@ class CoefficientSet:
     ``a1_sq`` carries the full energy dependence, ``a2_sq`` is linear in E,
     and ``a3_sq`` is energy-independent.  ``A`` is sqrt(a1_sq+a2_sq+a3_sq)
     when that sum is non-negative (it equals the tail decay rate divided by
-    beta) and None otherwise.  ``energy`` records the E the set was built at.
+    beta) and None otherwise.
     """
 
     a1_sq: float
     a2_sq: float
     a3_sq: float
     A: Optional[float]
-    energy: float
 
 
 def _coefficients(system: PhysicalSystem, l: int, E):
@@ -102,7 +101,7 @@ def coefficients_at(system: PhysicalSystem, l: int, E: float) -> CoefficientSet:
     a1, a2, a3 = _coefficients(system, l, E)
     total = a1 + a2 + a3
     A = math.sqrt(total) if total >= 0.0 else None
-    return CoefficientSet(a1_sq=a1, a2_sq=a2, a3_sq=a3, A=A, energy=E)
+    return CoefficientSet(a1_sq=a1, a2_sq=a2, a3_sq=a3, A=A)
 
 
 def build_nu_problem(coeffs: CoefficientSet) -> NUProblem:

@@ -158,10 +158,10 @@ class EnergyLevel:
 
     ``branch`` distinguishes the two roots of the quadratic energy relation
     ("lower"/"upper" by value); ``method`` records how the number was
-    obtained: "closed_form", "quantization_root", "oracle_approx" or
-    "oracle_exact".  ``unbound`` marks values that fall outside the binding
-    window (|E| >= asymptotic rest energy) and are therefore not genuine
-    bound states even though the algebra produced them.
+    obtained: "closed_form" or "quantization_root".  ``unbound`` marks
+    values that fall outside the binding window (|E| >= asymptotic rest
+    energy) and are therefore not genuine bound states even though the
+    algebra produced them.
     """
 
     value: float
@@ -172,8 +172,7 @@ class EnergyLevel:
     unbound: bool = False
 
     _BRANCHES = ("lower", "upper")
-    _METHODS = ("closed_form", "quantization_root", "oracle_approx",
-                "oracle_exact")
+    _METHODS = ("closed_form", "quantization_root")
 
     def __post_init__(self):
         if self.branch not in self._BRANCHES:

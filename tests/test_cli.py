@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kghulthen import main, parse_config
-from kghulthen.cli import (_FILE_KEYS, _OPTIONS, _build_parser, execute,
-                           serialize)
+from kghulthen.cli import (_FILE_KEYS, _OPTIONS, Table, _build_parser,
+                           execute, serialize)
 from kghulthen.errors import ConfigError
 
 from conftest import REFERENCE_TRUE
@@ -27,6 +27,11 @@ REF_SOURCE = '{"V0": 0.1, "beta": 0.2, "m0": 1.0}'
 
 def _cfg(source=REF_SOURCE, **overrides):
     return parse_config(source, overrides)
+
+
+def _records(table):
+    """A Table's rows as dicts keyed by its columns."""
+    return [dict(zip(table.columns, row)) for row in table.rows]
 
 
 class TestParseConfigDefaults:
@@ -190,7 +195,7 @@ def _records_or_config_error(V0, beta, m0, m1_share, hbar_c):
             cfg = parse_config(source, overrides)
         except ConfigError:
             continue
-        assert isinstance(execute(cfg), list)
+        assert isinstance(_records(execute(cfg)), list)
 
 
 _MAGNITUDE = st.floats(1e-300, 1e300)
@@ -347,8 +352,8 @@ class TestOracleCommandsEndInRecords:
             "flat_mass", "small_beta", "equal_powers", "equal_powers_small"])
     @pytest.mark.parametrize("command", ["validate", "approx_error"])
     def test_fixed_configs(self, command, system):
-        records = execute(_cfg(json.dumps(system), command=command,
-                               l_max=0, betas=[system["beta"]]))
+        records = _records(execute(_cfg(json.dumps(system), command=command,
+                                        l_max=0, betas=[system["beta"]])))
         statuses = {r["status"] for r in records}
         assert records and statuses <= {
             "pass", "fail", "ok", "unmatched", "invalid_regime",
@@ -391,7 +396,7 @@ class TestOracleCommandsEndInRecords:
 class TestSpectrumRecords:
     def test_closed_form_reference_table(self):
         cfg = _cfg(method="closed_form")
-        records = execute(cfg)
+        records = _records(execute(cfg))
         assert len(records) == 12            # (n,l,branch) each exactly once
         keys = {(r["n"], r["l"], r["branch"]) for r in records}
         assert len(keys) == 12
@@ -408,7 +413,7 @@ class TestSpectrumRecords:
         assert by_key[(2, 0, "lower")]["status"] == "spurious"
 
     def test_root_solver_reference_table(self):
-        records = execute(_cfg())            # default quantization_root
+        records = _records(execute(_cfg()))  # default quantization_root
         by_key = {(r["n"], r["l"], r["branch"]): r for r in records}
         assert by_key[(0, 0, "upper")]["status"] == "ok"
         assert by_key[(0, 0, "upper")]["energy"] == pytest.approx(
@@ -420,7 +425,7 @@ class TestSpectrumRecords:
 
     def test_oracle_method(self):
         cfg = _cfg(method="oracle", n_max=1, l_max=0, branch="upper")
-        records = execute(cfg)
+        records = _records(execute(cfg))
         assert [r["method"] for r in records] == ["oracle_approx"] * 2
         assert records[0]["status"] == records[1]["status"] == "ok"
         assert records[0]["energy"] == pytest.approx(REFERENCE_TRUE[(0, 0)],
@@ -431,7 +436,7 @@ class TestSpectrumRecords:
     def test_empty_well_yields_no_bound_state_rows(self):
         cfg = parse_config('{"V0": 0.0, "beta": 0.2, "m0": 1.0}',
                            {"n_max": 0, "l_max": 0})
-        records = execute(cfg)
+        records = _records(execute(cfg))
         assert all(r["status"] == "no_bound_state" for r in records)
         assert all(r["energy"] is None for r in records)
 
@@ -441,7 +446,7 @@ class TestSpectrumRecords:
         cfg = parse_config(
             '{"V0": 0.3, "beta": 0.2, "m0": 1.0, "m1": 0.1}',
             {"method": method, "n_max": 0, "l_max": 1})
-        records = execute(cfg)
+        records = _records(execute(cfg))
         by_key = {(r["n"], r["l"], r["branch"]): r for r in records}
         # the s channel is over-attractive, the l=1 channel is not
         assert by_key[(0, 0, "upper")]["status"] == "invalid_regime"
@@ -454,8 +459,9 @@ class TestSpectrumRecords:
         # origin rule's rounding band, so every method solves it with s = 0
         uppers = []
         for method in ("quantization_root", "closed_form", "oracle"):
-            records = execute(_cfg(json.dumps(_CRITICAL), method=method,
-                                   n_max=0, l_max=0, branch="upper"))
+            records = _records(execute(_cfg(
+                json.dumps(_CRITICAL), method=method, n_max=0, l_max=0,
+                branch="upper")))
             assert [r["status"] for r in records] == ["ok"]
             uppers.append(records[0]["energy"])
         assert max(uppers) - min(uppers) <= 1e-6
@@ -465,15 +471,15 @@ class TestSpectrumRecords:
     def test_beyond_the_rounding_band_is_invalid_regime(self, method):
         # 1e-6 relative deeper than critical coupling: over-attractive
         deeper = dict(_CRITICAL, V0=0.2529805193576746)
-        records = execute(_cfg(json.dumps(deeper), method=method, n_max=0,
-                               l_max=0))
+        records = _records(execute(_cfg(json.dumps(deeper), method=method,
+                                        n_max=0, l_max=0)))
         assert [r["status"] for r in records] == ["invalid_regime"] * 2
 
     def test_unbound_status(self):
         cfg = parse_config('{"V0": 0.2, "beta": 0.1, "m0": 1.0}',
                            {"method": "closed_form", "n_max": 4, "l_max": 2,
                             "branch": "upper"})
-        records = execute(cfg)
+        records = _records(execute(cfg))
         by_key = {(r["n"], r["l"]): r for r in records}
         assert by_key[(4, 2)]["status"] == "unbound"
 
@@ -485,15 +491,15 @@ class TestSpectrumRecords:
                               {"method": "closed_form", "n_max": 0,
                                "l_max": 0, "branch": "upper",
                                "report_in_rest_units": True})
-        e_raw = execute(raw)[0]["energy"]
-        e_scaled = execute(scaled)[0]["energy"]
+        e_raw = _records(execute(raw))[0]["energy"]
+        e_scaled = _records(execute(scaled))[0]["energy"]
         assert e_scaled == pytest.approx(e_raw / 2.0, rel=1e-15)
 
 
 class TestWavefunctionRecords:
     def test_reference_ground_state(self):
         cfg = _cfg(command="wavefunction", grid_points=300)
-        records = execute(cfg)
+        records = _records(execute(cfg))
         assert len(records) == 300
         assert tuple(records[0].keys()) == ("r", "z", "phi",
                                             "phi_normalized")
@@ -509,7 +515,7 @@ class TestWavefunctionRecords:
 
     def test_missing_state_reports_and_returns_empty(self, capsys):
         cfg = _cfg(command="wavefunction", n_max=2, l_max=0)
-        records = execute(cfg)
+        records = _records(execute(cfg))
         assert records == []
         err = capsys.readouterr().err
         assert "no bound state" in err and "n=2" in err
@@ -517,7 +523,7 @@ class TestWavefunctionRecords:
 
 class TestValidateRecords:
     def test_reference_battery_passes(self):
-        records = execute(_cfg(command="validate"))
+        records = _records(execute(_cfg(command="validate")))
         assert len(records) == 16
         assert len({r["check"] for r in records}) == 16
         assert all(r["status"] == "pass" for r in records)
@@ -537,8 +543,8 @@ class TestValidateRecords:
         # failing instead of dying with a traceback, and still compares
         # the step tables
         system = ["--V0", "0.0005", "--beta", "0.001", "--m0", "1"]
-        records = execute(_cfg("", command="validate", V0=0.0005,
-                               beta=0.001, m0=1.0))
+        records = _records(execute(_cfg("", command="validate", V0=0.0005,
+                                        beta=0.001, m0=1.0)))
         rows = {r["check"]: (r["status"], r["value"]) for r in records}
         assert rows["oracle_agreement_l0"] == ("fail", float("inf"))
         assert rows["oracle_node_counts"] == ("fail", float("inf"))
@@ -557,14 +563,14 @@ def _reference_cell(value) -> str:
     return str(value)
 
 
-def _reference_csv(records) -> str:
+def _reference_csv(table) -> str:
     """CSV as one call per cell and one join per row: the rule whose bytes
     the column-typed serializer must reproduce."""
-    if not records:
+    if not table.rows:
         return ""
-    lines = [",".join(records[0].keys())]
-    for rec in records:
-        lines.append(",".join(_reference_cell(v) for v in rec.values()))
+    lines = [",".join(table.columns)]
+    for row in table.rows:
+        lines.append(",".join(_reference_cell(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -584,60 +590,88 @@ _CELLS["mixed"] = st.one_of(*_CELLS.values())
 
 
 @st.composite
-def _one_schema_records(draw):
+def _tables(draw):
     kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1,
                           max_size=6))
     rows = draw(st.integers(min_value=0, max_value=12))
-    return [{f"c{j}": draw(_CELLS[kind]) for j, kind in enumerate(kinds)}
-            for _ in range(rows)]
+    return Table(tuple(f"c{j}" for j in range(len(kinds))),
+                 [tuple(draw(_CELLS[kind]) for kind in kinds)
+                  for _ in range(rows)])
+
+
+def _table(objects):
+    """The Table of parsed JSON objects, which share one key order."""
+    return Table(tuple(objects[0]) if objects else (),
+                 [tuple(obj.values()) for obj in objects])
+
+
+def _reject(token):
+    raise ValueError(f"non-standard JSON token {token}")
 
 
 class TestSerialize:
     def test_csv_cells(self):
-        records = [{"a": 1.0, "b": None, "c": True, "d": "x"},
-                   {"a": 0.1, "b": 2, "c": False, "d": ""}]
-        text = serialize(records, "csv")
+        table = Table(("a", "b", "c", "d"), [(1.0, None, True, "x"),
+                                             (0.1, 2, False, "")])
+        text = serialize(table, "csv")
         assert text == ("a,b,c,d\n"
                         "1,,true,x\n"
                         "0.10000000000000001,2,false,\n")
 
     def test_empty_records(self):
-        assert serialize([], "csv") == ""
-        assert serialize([], "json") == "[]\n"
+        assert serialize(Table(("a",), []), "csv") == ""
+        assert serialize(Table(("a",), []), "json") == "[]\n"
 
-    def test_mixed_schema_rejected(self):
-        with pytest.raises(ValueError, match="mixed"):
-            serialize([{"a": 1}, {"b": 2}], "csv")
+    def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
-            serialize([], "tsv")
-
-    def test_mixed_schema_needs_key_order_and_every_record(self):
-        with pytest.raises(ValueError, match="mixed"):
-            serialize([{"a": 1, "b": 2}, {"b": 2, "a": 1}], "csv")
-        with pytest.raises(ValueError, match="mixed"):
-            serialize([{"a": 1.0}, {"a": 2.0}, {"a": 3.0, "b": None}], "csv")
+            serialize(Table(("a",), []), "tsv")
 
     @settings(max_examples=300, deadline=None)
-    @given(records=_one_schema_records())
-    def test_csv_matches_per_cell_rule(self, records):
-        assert serialize(records, "csv") == _reference_csv(records)
+    @given(table=_tables())
+    def test_csv_matches_per_cell_rule(self, table):
+        assert serialize(table, "csv") == _reference_csv(table)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_reference_wavefunction_matches_per_cell_rule(self, n):
         with open("configs/reference.json", encoding="utf-8") as handle:
             source = handle.read()
-        records = execute(_cfg(source, command="wavefunction", n_max=n,
-                               l_max=0))
-        assert len(records) == 4000
-        assert serialize(records, "csv") == _reference_csv(records)
+        table = execute(_cfg(source, command="wavefunction", n_max=n,
+                             l_max=0))
+        assert len(table.rows) == 4000
+        assert serialize(table, "csv") == _reference_csv(table)
 
     def test_json_round_trip(self):
-        records = [{"n": 0, "energy": 0.1 + 0.2, "status": "ok"},
-                   {"n": 1, "energy": None, "status": "no_bound_state"}]
-        text = serialize(records, "json")
+        table = Table(("n", "energy", "status"),
+                      [(0, 0.1 + 0.2, "ok"), (1, None, "no_bound_state")])
+        text = serialize(table, "json")
         assert text.endswith("\n")
-        assert serialize(json.loads(text), "json") == text
+        assert serialize(_table(json.loads(text)), "json") == text
         assert json.loads(text)[0]["energy"] == 0.1 + 0.2
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=_tables())
+    def test_json_is_strict_and_round_trips(self, table):
+        # a non-finite float is written as its CSV cell text, so a strict
+        # parser reads every output and the parsed values reproduce it
+        text = serialize(table, "json")
+        assert serialize(_table(json.loads(text, parse_constant=_reject)),
+                         "json") == text
+
+    def test_unresolved_validate_json_is_strict(self, capsys):
+        assert main(["validate", "--V0", "0.0005", "--beta", "0.001",
+                     "--m0", "1", "--format", "json"]) == 1
+        rows = json.loads(capsys.readouterr().out, parse_constant=_reject)
+        values = {r["check"]: r["value"] for r in rows}
+        assert values["oracle_agreement_l0"] == "inf"
+        assert values["oracle_node_counts"] == "inf"
+
+    def test_every_command_returns_a_full_table(self):
+        for command in ("spectrum", "wavefunction", "validate",
+                        "approx_error"):
+            table = execute(_cfg(command=command))
+            assert isinstance(table, Table) and table.rows
+            assert all(len(row) == len(table.columns)
+                       for row in table.rows)
 
 
 GOLDEN_SPECTRUM = ("n,l,branch,method,energy,status\n"

@@ -31,7 +31,6 @@ class TestCoefficients:
         assert co.a2_sq == pytest.approx(-4.1, rel=1e-14)
         assert co.a3_sq == pytest.approx(1.91, rel=1e-14)
         assert co.A == pytest.approx(math.sqrt(1.56), rel=1e-14)
-        assert co.energy == 0.5
 
     def test_only_a3_is_energy_independent(self, fixture_system):
         sets = [coefficients_at(fixture_system, 1, E)
