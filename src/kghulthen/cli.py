@@ -6,7 +6,8 @@ with command-line flags (flags win).  A command's result is one Table,
 emitted as CSV or JSON, byte-deterministically.  CSV types each column
 once: floats carry 17 significant digits ('.17g'), a missing value is an
 empty cell, booleans are true/false, and every row of a table is rendered
-by one format string.  JSON writes a non-finite float as its CSV text.
+by one format string, or, when the rows are a float matrix, by NumPy to
+the same bytes.  JSON writes a non-finite float as its CSV text.
 Line endings are '\\n', and no timestamps or environment details are
 written.
 
@@ -22,7 +23,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, astuple, dataclass, fields, replace
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -77,10 +78,15 @@ _FILE_KEYS = {k for k in _OPTIONS if not k.startswith("grid_")} | {"grid"}
 
 
 class Table(NamedTuple):
-    """One command's output: column names once, then rows in that order."""
+    """One command's output: column names once, then rows in that order.
+
+    ``rows`` is a list of tuples, or a float64 matrix with one column per
+    name when every cell is a float (``wavefunction``); ``serialize``
+    renders such a matrix with NumPy, to the bytes of '%.17g' per cell.
+    """
 
     columns: tuple
-    rows: list
+    rows: Union[list, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -351,7 +357,7 @@ def _wavefunction_table(config: RunConfig) -> Table:
     radii = wf.grid.radii()
     samples = np.column_stack((radii, config.system.z_at(radii),
                                wf.amplitude * wf.values, wf.values))
-    return Table(columns, samples.tolist())
+    return Table(columns, samples)
 
 
 def _validate_table(config: RunConfig) -> Table:
@@ -396,6 +402,137 @@ def _json_cell(value):
     return value
 
 
+# '%.17g' from NumPy.  A cell is 46 byte slots: sign, the "0.000" prefix
+# of -4 <= exponent < 0, 17 digits each followed by a point slot, "e±ddd",
+# and the separator.  A block keeps one row per slot, so each write is
+# contiguous; unused slots hold NUL, which one translate deletes.
+_BLOCK_ROWS = 1024
+_SLOTS = 46
+_PREFIX = np.frombuffer(b"0.000", np.uint8)[:, None]
+_POSITIONS = np.arange(17, dtype=np.uint8)[:, None]
+# beyond these magnitudes Dekker's splitting can overflow or underflow
+_FAST_RANGE = (1e-280, 1e280)
+# a scaled value this close to a tie is left to CPython's exact dtoa; the
+# double-double product is accurate to about 1e-15 here
+_TIE_MARGIN = 1e-9
+
+
+def _ten_power(q: int):
+    """10**q as hi + lo, each correctly rounded (int true division is)."""
+    num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
+    hi = num / den
+    a, b = hi.as_integer_ratio()
+    return hi, (num * b - a * den) / (den * b)
+
+
+def _split(a):
+    c = 134217729.0 * a                 # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _two_prod(a, b):
+    """Dekker's error-free product: a*b == p + e exactly."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _scaled(a, k):
+    """a * 10**(16 - k) as p + tail: p the rounded product, tail its
+    rounding error plus the lo part's term.  Only the q present are built."""
+    powers, where = np.unique(16 - k, return_inverse=True)
+    hi, lo = np.array([_ten_power(q) for q in powers.tolist()]).T
+    p, error = _two_prod(a, hi[where])
+    return p, error + a * lo[where]
+
+
+def _decimal(x):
+    """(digits, k, slow) of the vector x: |x| rounds to digits * 10**(k-16)
+    at 17 significant digits, 10**16 <= digits < 10**17 (digits = k = 0
+    for a zero), and ``slow`` marks the cells this cannot prove."""
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = (a > _FAST_RANGE[0]) & (a < _FAST_RANGE[1])
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    for _ in range(3):
+        # near a power of 10, log10 can miss floor(log10 |x|) by one; a
+        # cell still off after two corrections is slow.  (p - bound) + tail
+        # has the sign of p + tail - bound
+        p, tail = _scaled(a, k)
+        shift = (((p - 1e17) + tail >= 0).astype(np.int64)
+                 - ((p - 1e16) + tail < 0))
+        if not shift.any():
+            break
+        k += shift
+    # 10**16 <= p + tail < 10**17, so p >= 2**53 is an integer
+    rounded = np.floor(tail + 0.5)
+    digits = p.astype(np.int64) + rounded.astype(np.int64)
+    proven = fast & (shift == 0) & (np.abs(tail - rounded)
+                                    < 0.5 - _TIE_MARGIN)
+    slow = ~(proven | zero)
+    carry = digits == 10 ** 17
+    k += carry
+    digits[carry] = 10 ** 16
+    digits[zero] = k[zero] = 0
+    return digits, k, slow
+
+
+def _float_slots(x):
+    """'%.17g' % v of each v in the vector x, as (_SLOTS, len(x)) bytes
+    with NUL in unused slots and the separator row left 0.  A cell
+    _decimal cannot prove is formatted by _csv_cell."""
+    digits, k, slow = _decimal(x)
+    slots = np.zeros((_SLOTS, x.size), np.uint8)
+    slots[0] = np.signbit(x) * ord("-")
+    fixed = (k >= -4) & (k < 17)
+    slots[1:6] = _PREFIX * (fixed & (np.arange(5)[:, None] < 1 - k)
+                            & (k < 0))
+    body = slots[6:40:2]
+    high = digits // 10 ** 9
+    low = (digits - high * 10 ** 9).astype(np.int32)
+    for first, end, part in ((8, 16, low), (0, 7, high.astype(np.int32))):
+        for j in range(end, first, -1):
+            quotient = part // 10
+            body[j] = part - 10 * quotient
+            part = quotient
+        body[first] = part
+    body += ord("0")
+    last = ((body != ord("0")) * _POSITIONS).max(axis=0)
+    # digits up to `point` are the integer part: kept even when 0
+    point = np.where(fixed, np.maximum(k, -1), 0)
+    body *= _POSITIONS <= np.maximum(last, point).astype(np.uint8)
+    dotted = np.flatnonzero((last > point) & (point >= 0))
+    slots[7 + 2 * point[dotted], dotted] = ord(".")
+    sci, e = ~fixed, np.abs(k).astype(np.int32)
+    tens, hundreds = e // 10, e // 100
+    slots[40] = sci * ord("e")
+    slots[41] = sci * np.where(k < 0, ord("-"), ord("+"))
+    slots[42] = (sci & (e >= 100)) * (hundreds + ord("0"))
+    slots[43] = sci * (tens - 10 * hundreds + ord("0"))
+    slots[44] = sci * (e - 10 * tens + ord("0"))
+    for i in np.flatnonzero(slow).tolist():
+        text = _csv_cell(float(x[i])).encode()
+        slots[:-1, i] = 0
+        slots[:len(text), i] = np.frombuffer(text, np.uint8)
+    return slots
+
+
+def _float_csv(columns, matrix) -> str:
+    """CSV of a float matrix, each cell byte-equal to '%.17g'."""
+    out = [",".join(columns) + "\n"]
+    for start in range(0, len(matrix), _BLOCK_ROWS):
+        block = matrix[start:start + _BLOCK_ROWS]
+        slots = _float_slots(block.ravel())
+        separators = slots[-1].reshape(block.shape)
+        separators[:] = ord(",")
+        separators[:, -1] = ord("\n")
+        out.append(slots.T.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(out)
+
+
 def serialize(table: Table, output_format: str) -> str:
     """Render a Table as CSV or JSON text, byte-deterministically.
 
@@ -403,13 +540,23 @@ def serialize(table: Table, output_format: str) -> str:
     '%.17g'; any other column is turned into text cell by cell (empty for
     None, true/false for booleans, 17 significant digits for floats, str()
     otherwise).  One format string then renders every row; line endings
-    are '\\n'.  JSON writes one object per row, a non-finite float as its
-    CSV text ("inf", "-inf", "nan"), and round-trips: serializing the
-    parsed values as a Table reproduces the bytes.
+    are '\\n'.  A table whose rows are a float matrix is rendered by
+    NumPy in blocks of rows, to the same bytes: each value's 17 digits are
+    the integer nearest |x|*10**(16-k), k = floor(log10 |x|), from Dekker's
+    double-double product.  Cells it cannot prove correct go to CPython's
+    '%.17g': non-finite values, 0 < |x| <= 1e-280 or |x| >= 1e280, and
+    values whose rounding lies within 1e-9 of a tie.  JSON writes one
+    object per row, a non-finite float as its CSV text ("inf", "-inf",
+    "nan"), and round-trips: serializing the parsed values as a Table
+    reproduces the bytes.
     """
     if output_format not in _FORMATS:
         raise ValueError(f"unknown output format {output_format!r}")
     columns, rows = table
+    if isinstance(rows, np.ndarray):
+        if output_format == "csv" and len(rows) != 0:
+            return _float_csv(columns, rows)
+        rows = rows.tolist()
     if output_format == "json":
         return json.dumps([dict(zip(columns, map(_json_cell, row)))
                            for row in rows], indent=2, ensure_ascii=False,

@@ -74,7 +74,7 @@ class CoefficientSet:
     ``a1_sq`` carries the full energy dependence, ``a2_sq`` is linear in E,
     and ``a3_sq`` is energy-independent.  ``A`` is sqrt(a1_sq+a2_sq+a3_sq)
     when that sum is non-negative (it equals the tail decay rate divided by
-    beta) and None otherwise.
+    beta) and None otherwise; see ``_tail_square`` for the sum.
     """
 
     a1_sq: float
@@ -94,12 +94,21 @@ def _coefficients(system: PhysicalSystem, l: int, E):
     return a1, a2, a3
 
 
+def _tail_square(system: PhysicalSystem, E, a1, a2, a3):
+    """a1 + a2 + a3, the square of the tail power A.  Inside the binding
+    range, |E| < m_inf, it is (m_inf**2 - E**2) / beta**2 > 0, but within
+    a few ulps of m_inf the sum can round below 0; it is 0 there."""
+    total = a1 + a2 + a3
+    return np.where((total < 0.0) & (np.abs(E) < system.asymptotic_mass),
+                    0.0, total)
+
+
 def coefficients_at(system: PhysicalSystem, l: int, E: float) -> CoefficientSet:
     """Evaluate the quadratic-form coefficients for one trial energy."""
     if l < 0:
         raise ValueError("angular momentum l must be >= 0")
     a1, a2, a3 = _coefficients(system, l, E)
-    total = a1 + a2 + a3
+    total = float(_tail_square(system, E, a1, a2, a3))
     A = math.sqrt(total) if total >= 0.0 else None
     return CoefficientSet(a1_sq=a1, a2_sq=a2, a3_sq=a3, A=A)
 
@@ -124,9 +133,10 @@ def _condition(system: PhysicalSystem, n: int, l: int, E):
     branch (see the module docstring) with its origin power s and tail
     power A; NaN where a root is complex.  s is E-free, so it is a scalar
     at any E."""
-    a1, a2, a3 = _coefficients(system, l, np.asarray(E, dtype=float))
+    E = np.asarray(E, dtype=float)
+    a1, a2, a3 = _coefficients(system, l, E)
     with np.errstate(invalid="ignore"):
-        s, A = origin_power(a3), np.sqrt(a1 + a2 + a3)
+        s, A = origin_power(a3), np.sqrt(_tail_square(system, E, a1, a2, a3))
     t = s + A
     F = 0.25 + a1 - t * t - (t + 0.5) - 2.0 * n * (1.0 + t) - n * (n - 1)
     return F, s, A

@@ -115,10 +115,13 @@ def k_candidates(problem: NUProblem):
     """
     d0, d1 = _HALF_DIFF
     u0, u1, u2 = problem.sigma_tilde
-    # discriminant of the radicand, expanded as a monic quadratic in k
+    # discriminant of the radicand, expanded as a monic quadratic in k.
+    # Its own discriminant b*b - 4c is taken in factored form, which keeps
+    # the digits of a near-double root (u0 + u1 + u2 near (d0 + d1)**2);
+    # the sum runs from u2, the order in which hulthen_analytic sums A**2
     b = 2.0 * (2.0 * d0 * d1 - u1) + 4.0 * (d0 * d0 - u0)
     c = (2.0 * d0 * d1 - u1) ** 2 - 4.0 * (d0 * d0 - u0) * (d1 * d1 - u2)
-    disc = b * b - 4.0 * c
+    disc = 16.0 * (d0 * d0 - u0) * ((d0 + d1) ** 2 - (u2 + u1 + u0))
     scale = max(1.0, b * b, abs(c))
     if disc < -_TOL * scale:
         raise NoRealK("closure constant has no real solutions "

@@ -6,8 +6,10 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kghulthen import main, parse_config
+from kghulthen import cli, main, parse_config
 from kghulthen.cli import (_FILE_KEYS, _OPTIONS, Table, _build_parser,
                            execute, serialize)
 from kghulthen.errors import ConfigError
@@ -566,7 +568,7 @@ def _reference_cell(value) -> str:
 def _reference_csv(table) -> str:
     """CSV as one call per cell and one join per row: the rule whose bytes
     the column-typed serializer must reproduce."""
-    if not table.rows:
+    if len(table.rows) == 0:
         return ""
     lines = [",".join(table.columns)]
     for row in table.rows:
@@ -632,13 +634,35 @@ class TestSerialize:
         assert serialize(table, "csv") == _reference_csv(table)
 
     @pytest.mark.parametrize("n", [0, 1])
-    def test_reference_wavefunction_matches_per_cell_rule(self, n):
+    def test_reference_wavefunction_matches_per_cell_rule(self, n,
+                                                          monkeypatch):
+        # NumPy proves every cell: none goes to CPython's format
         with open("configs/reference.json", encoding="utf-8") as handle:
             source = handle.read()
         table = execute(_cfg(source, command="wavefunction", n_max=n,
                              l_max=0))
         assert len(table.rows) == 4000
+        seen = []
+        decimal = cli._decimal
+        monkeypatch.setattr(cli, "_decimal", lambda x: seen.append(
+            x.size) or decimal(x))
+        monkeypatch.setattr(cli, "_csv_cell", _reject)
         assert serialize(table, "csv") == _reference_csv(table)
+        assert sum(seen) == 16000
+
+    def test_wavefunction_memory(self):
+        # the samples stay one float matrix, rendered in blocks of rows:
+        # building and writing the reference wavefunction peaks at 1.07 MB
+        # traced, where a list of row lists and one '%' format took 1.58 MB
+        config = _cfg(command="wavefunction")
+        serialize(execute(config), "csv")
+        tracemalloc.start()
+        try:
+            serialize(execute(config), "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3e6
 
     def test_json_round_trip(self):
         table = Table(("n", "energy", "status"),
@@ -669,9 +693,68 @@ class TestSerialize:
         for command in ("spectrum", "wavefunction", "validate",
                         "approx_error"):
             table = execute(_cfg(command=command))
-            assert isinstance(table, Table) and table.rows
+            assert isinstance(table, Table) and len(table.rows) != 0
             assert all(len(row) == len(table.columns)
                        for row in table.rows)
+
+
+def _float_column(values) -> Table:
+    return Table(("x",), np.array(values, dtype=float).reshape(-1, 1))
+
+
+def _edge_floats():
+    """Values where a fast '%.17g' is likely to slip, and their
+    neighbours.  1e-14 and 1e98 lie within 5e-18 below their powers of
+    ten, so their 17 digits round up to 10**17."""
+    nearby = [5e-324, 2.2250738585072014e-308, 1e-280, 1e280, 1e16, 1e17,
+              1e-14, 1e98, *(10.0 ** e for e in range(-5, 23))]
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan,
+              1000000000000000.25, 1e23, 0.1, 0.5]
+    for v in nearby:
+        values += [v, math.nextafter(v, 0.0), math.nextafter(v, math.inf)]
+    return values + [-v for v in values]
+
+
+class TestFloatFormat:
+    """The NumPy '%.17g' of float-matrix tables, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1,
+                         max_size=40))
+    def test_bit_patterns(self, bits):
+        table = _float_column(struct.unpack(f"<{len(bits)}d",
+                                            struct.pack(f"<{len(bits)}Q",
+                                                        *bits)))
+        assert serialize(table, "csv") == _reference_csv(table)
+
+    def test_seeded_sweep(self):
+        # half raw bit patterns, half with exponents near 1, where the
+        # fixed-point forms (1e-5 <= |x| < 1e17) live
+        rng = np.random.default_rng(20)
+        bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64)
+        near = (bits[100_000:] & np.uint64(0x800FFFFFFFFFFFFF)) | (
+            rng.integers(1023 - 60, 1023 + 60, 100_000).astype(np.uint64)
+            << np.uint64(52))
+        bits[100_000:] = near
+        values = bits.view(np.float64).reshape(-1, 4)
+        assert serialize(Table(("a", "b", "c", "d"), values), "csv") == (
+            "a,b,c,d\n" + "".join(
+                "%.17g,%.17g,%.17g,%.17g\n" % tuple(row)
+                for row in values.tolist()))
+
+    def test_edge_values(self):
+        table = _float_column(_edge_floats())
+        assert serialize(table, "csv") == _reference_csv(table)
+
+    def test_edges_planted_in_a_large_table(self):
+        rng = np.random.default_rng(4)
+        values = (rng.choice([-1.0, 1.0], 16000)
+                  * 10.0 ** rng.uniform(-8.0, 20.0, 16000))
+        edges = _edge_floats()
+        values[rng.choice(16000, len(edges), replace=False)] = edges
+        table = Table(("r", "z", "phi", "phi_normalized"),
+                      values.reshape(4000, 4))
+        assert serialize(table, "csv") == _reference_csv(table)
 
 
 GOLDEN_SPECTRUM = ("n,l,branch,method,energy,status\n"
