@@ -23,10 +23,13 @@ reduce to
 
     F(E) = 1/4 + a1_sq - (s+A)**2 - (s+A+1/2) - 2n(1+s+A) - n(n-1),
 
-one NumPy expression over any array of trial energies; the tests pin it
-against the engine's branch-by-branch derivation.  That one evaluation
-(``_condition``) is the only place the solvers take the roots s and A: it
-returns F, s and A together, NaN where a root is complex (s by
+one expression over a Python float or a NumPy array of trial energies,
+with the same IEEE operations in the same order on either, so a float E
+gets the bits of the array element at E (only ``_tail_power`` branches: a
+float takes math's sqrt, as NumPy's per-call cost dwarfs one energy); the
+tests pin it against the engine's branch-by-branch derivation.  That one
+evaluation (``_condition``) is the only place the solvers take the roots s
+and A: it returns F, s and A together, NaN where a root is complex (s by
 ``model.origin_power``).  s does not depend on E, so a complex s is a
 property of the channel: every solver raises InvalidRegime on it.
 
@@ -74,7 +77,7 @@ class CoefficientSet:
     ``a1_sq`` carries the full energy dependence, ``a2_sq`` is linear in E,
     and ``a3_sq`` is energy-independent.  ``A`` is sqrt(a1_sq+a2_sq+a3_sq)
     when that sum is non-negative (it equals the tail decay rate divided by
-    beta) and None otherwise; see ``_tail_square`` for the sum.
+    beta) and None otherwise; see ``_tail_power``.
     """
 
     a1_sq: float
@@ -88,19 +91,28 @@ def _coefficients(system: PhysicalSystem, l: int, E):
     q2 = 1.0 / system.screening_energy**2
     V0, m0, m1 = system.V0, system.m0, system.m1
     ll = l * (l + 1)
-    a1 = q2 * (m0 * m0 - (E - V0) ** 2)
+    # a product, not ** 2: NumPy squares an array by multiplying, while a
+    # float's ** 2 calls libm pow, which may round differently
+    d = E - V0
+    a1 = q2 * (m0 * m0 - d * d)
     a2 = -q2 * (2.0 * m0 * m1 + 2.0 * E * V0 - 2.0 * V0 * V0) - ll
     a3 = q2 * (m1 * m1 - V0 * V0) + ll
     return a1, a2, a3
 
 
-def _tail_square(system: PhysicalSystem, E, a1, a2, a3):
-    """a1 + a2 + a3, the square of the tail power A.  Inside the binding
-    range, |E| < m_inf, it is (m_inf**2 - E**2) / beta**2 > 0, but within
-    a few ulps of m_inf the sum can round below 0; it is 0 there."""
+def _tail_power(system: PhysicalSystem, E, a1, a2, a3):
+    """A = sqrt(a1 + a2 + a3) at a float or array E, NaN where complex.
+    Inside the binding range, |E| < m_inf, the sum is
+    (m_inf**2 - E**2) / beta**2 > 0, but within a few ulps of m_inf it can
+    round below 0; A is 0 there."""
     total = a1 + a2 + a3
-    return np.where((total < 0.0) & (np.abs(E) < system.asymptotic_mass),
-                    0.0, total)
+    inside = abs(E) < system.asymptotic_mass
+    if isinstance(total, np.ndarray):
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(np.where((total < 0.0) & inside, 0.0, total))
+    if total < 0.0:
+        return 0.0 if inside else math.nan
+    return math.sqrt(total)
 
 
 def coefficients_at(system: PhysicalSystem, l: int, E: float) -> CoefficientSet:
@@ -108,9 +120,9 @@ def coefficients_at(system: PhysicalSystem, l: int, E: float) -> CoefficientSet:
     if l < 0:
         raise ValueError("angular momentum l must be >= 0")
     a1, a2, a3 = _coefficients(system, l, E)
-    total = float(_tail_square(system, E, a1, a2, a3))
-    A = math.sqrt(total) if total >= 0.0 else None
-    return CoefficientSet(a1_sq=a1, a2_sq=a2, a3_sq=a3, A=A)
+    A = _tail_power(system, E, a1, a2, a3)
+    return CoefficientSet(a1_sq=a1, a2_sq=a2, a3_sq=a3,
+                          A=None if math.isnan(A) else A)
 
 
 def build_nu_problem(coeffs: CoefficientSet) -> NUProblem:
@@ -129,14 +141,12 @@ def origin_exponent_discriminant(system: PhysicalSystem, l: int) -> float:
 
 
 def _condition(system: PhysicalSystem, n: int, l: int, E):
-    """(F, s, A) at a scalar or array E: the condition F(E) on the decaying
+    """(F, s, A) at a float or array E: the condition F(E) on the decaying
     branch (see the module docstring) with its origin power s and tail
-    power A; NaN where a root is complex.  s is E-free, so it is a scalar
+    power A; NaN where a root is complex.  s is E-free, so it is a float
     at any E."""
-    E = np.asarray(E, dtype=float)
     a1, a2, a3 = _coefficients(system, l, E)
-    with np.errstate(invalid="ignore"):
-        s, A = origin_power(a3), np.sqrt(_tail_square(system, E, a1, a2, a3))
+    s, A = origin_power(a3), _tail_power(system, E, a1, a2, a3)
     t = s + A
     F = 0.25 + a1 - t * t - (t + 0.5) - 2.0 * n * (1.0 + t) - n * (n - 1)
     return F, s, A
@@ -290,9 +300,11 @@ def energy_root_solve(system: PhysicalSystem, n: int, l: int,
     """All roots of the quantization condition inside the energy window.
 
     Scans the window on a uniform 2000-interval lattice, brackets sign
-    changes of the residual F and bisects all brackets together to
-    |dE| < 1e-12 * m0.  Windows default to the full binding range
-    (``binding_window``), and roots are labelled by ``branch_labels``.
+    changes of the residual F and bisects each bracket alone, in floats,
+    to |dE| <= 1e-12 * m0: the float F has the array's bits, so the roots
+    are those of bisecting all brackets together on arrays.  Windows
+    default to the full binding range (``binding_window``), and roots are
+    labelled by ``branch_labels``.
     Raises InvalidRegime when the origin exponent is complex.  Inside the
     binding range F is defined wherever the origin is regular; only a
     window end at +-m_inf may round to an undefined (NaN) point, which
@@ -302,20 +314,18 @@ def energy_root_solve(system: PhysicalSystem, n: int, l: int,
     grid = np.linspace(lo, hi, 2001)
     vals, s, _ = _condition(system, n, l, grid)
     _real_origin(system, l, s)
-    # bisect every sign-change bracket at once to |dE| <= tol
-    j = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    a, b, fa = grid[j], grid[j + 1], vals[j]
+    roots = grid[vals == 0.0].tolist()
     tol = 1e-12 * system.m0
-    active = b - a > tol
-    while active.any():
-        mid = 0.5 * (a + b)
-        fm = _condition(system, n, l, mid)[0]
-        left = fa * fm <= 0.0
-        b = np.where(active & left, mid, b)
-        a = np.where(active & ~left, mid, a)
-        fa = np.where(active & ~left, fm, fa)
-        active &= b - a > tol
-    roots = grid[vals == 0.0].tolist() + (0.5 * (a + b)).tolist()
+    for j in np.flatnonzero(vals[:-1] * vals[1:] < 0.0).tolist():
+        a, b, fa = grid.item(j), grid.item(j + 1), vals.item(j)
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            fm = _condition(system, n, l, mid)[0]
+            if fa * fm <= 0.0:
+                b = mid
+            else:
+                a, fa = mid, fm
+        roots.append(0.5 * (a + b))
     roots.sort()
     m_inf = system.asymptotic_mass
     return [EnergyLevel(value=E, branch=label, n=n, l=l,

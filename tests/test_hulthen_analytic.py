@@ -2,6 +2,8 @@
 
 import logging
 import math
+import struct
+import warnings
 
 import mpmath
 import numpy as np
@@ -16,7 +18,9 @@ from kghulthen import (PhysicalSystem, RadialGrid, all_candidates,
                        quantization_residual, satisfies_quantization,
                        wavefunction)
 from kghulthen.checks import wavefunction_ode_residual
-from kghulthen.hulthen_analytic import branch_labels, build_nu_problem
+from kghulthen.hulthen_analytic import (_condition, branch_labels,
+                                        build_nu_problem)
+from kghulthen.model import EnergyLevel, binding_window
 from kghulthen.errors import (ComplexRegime, InvalidK, InvalidRegime,
                               NoBoundState, NonNormalizable, NoRealK)
 
@@ -45,6 +49,12 @@ class TestCoefficients:
            m0=st.floats(0.1, 10.0), m1_share=st.floats(0.0, 0.999),
            hbar_c=st.floats(0.1, 10.0), l=st.integers(0, 8),
            u=st.floats(-1.0, 1.0))
+    # one ulp inside both ends, where the sum rounds below 0 (the tail
+    # clamp's case)
+    @example(V0=0.0, beta=0.5625, m0=1.0, m1_share=0.34086066369310736,
+             hbar_c=1.0, l=0, u=0.9999999999999999)
+    @example(V0=0.0, beta=0.5625, m0=1.0, m1_share=0.34086066369310736,
+             hbar_c=1.0, l=0, u=-0.9999999999999999)
     def test_coefficient_sum_is_energy_gap(self, V0, beta, m0, m1_share,
                                            hbar_c, l, u):
         # a1 + a2 + a3 = ((m0 - m1)**2 - E**2) / (beta*hbar_c)**2, so A is
@@ -251,7 +261,8 @@ def _lattice(system):
 
 def _scalar_roots(system, n, l):
     """Point-by-point scan and bisection over quantization_residual: the
-    root solver's rule, one scalar residual call at a time."""
+    root solver's rule, one scalar residual call at a time.  It shares the
+    solver's float path; ``_joint_bisection`` is the array reference."""
     def f(E):
         try:
             return quantization_residual(system, n, l, E)
@@ -298,6 +309,8 @@ class TestResidualAgainstEngine:
     @example(V0=0.0, beta=0.5, m1=0.375, n=0, l=2, u=0.9999999999999999)
     @example(V0=0.0, beta=0.5625, m1=0.34086066369310736, n=0, l=0,
              u=0.9999999999999999)
+    @example(V0=0.0, beta=0.5625, m1=0.34086066369310736, n=0, l=0,
+             u=-0.9999999999999999)
     def test_closed_form_residual_matches_engine(self, V0, beta, m1, n, l,
                                                  u):
         system = PhysicalSystem(V0=V0, beta=beta, m0=1.0, m1=m1)
@@ -339,6 +352,146 @@ class TestResidualAgainstEngine:
             for l in range(2):
                 got = [r.value for r in energy_root_solve(system, n, l)]
                 assert got == _scalar_roots(system, n, l), (n, l)
+
+
+def _joint_bisection(system, n, l, window=None):
+    """energy_root_solve as a NumPy bisection that moves every bracket of
+    the lattice together, each step one array evaluation of the residual
+    with np.where updates: the reference the solver's per-bracket float
+    loop must match bit for bit."""
+    lo, hi = binding_window(system, window)
+    grid = np.linspace(lo, hi, 2001)
+    vals, s, _ = _condition(system, n, l, grid)
+    if math.isnan(s):
+        raise InvalidRegime("origin exponent is complex")
+    j = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    a, b, fa = grid[j], grid[j + 1], vals[j]
+    tol = 1e-12 * system.m0
+    active = b - a > tol
+    while active.any():
+        mid = 0.5 * (a + b)
+        fm = _condition(system, n, l, mid)[0]
+        left = fa * fm <= 0.0
+        b = np.where(active & left, mid, b)
+        a = np.where(active & ~left, mid, a)
+        fa = np.where(active & ~left, fm, fa)
+        active &= b - a > tol
+    roots = sorted(grid[vals == 0.0].tolist() + (0.5 * (a + b)).tolist())
+    m_inf = system.asymptotic_mass
+    return [EnergyLevel(value=E, branch=label, n=n, l=l,
+                        method="quantization_root", unbound=abs(E) >= m_inf)
+            for E, label in zip(roots, branch_labels(system, n, l, roots))]
+
+
+def _solved(solve, system, n, l, window=None):
+    """solve's levels, or the type of the solver error it raised."""
+    try:
+        return solve(system, n, l, window)
+    except InvalidRegime as exc:
+        return type(exc)
+
+
+def _same_bits(x, y):
+    """x and y are the same double; a NaN matches a NaN of either sign."""
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return struct.pack("<d", x) == struct.pack("<d", y)
+
+
+# the sum a1 + a2 + a3 rounds below 0 one ulp inside both ends of the
+# binding range, so the tail clamp sets A = 0 there
+_CLAMP_EDGE = dict(V0=0.0, beta=0.5625, m0=1.0, m1=0.34086066369310736)
+
+
+def _survey_systems(count, seed):
+    """Seeded draws, V0 of both signs and m1 up to 0.9 (m0 = 1)."""
+    rng = np.random.default_rng(seed)
+    return [PhysicalSystem(V0=float(rng.uniform(-0.3, 0.3)),
+                           beta=float(rng.uniform(0.05, 0.6)), m0=1.0,
+                           m1=float(rng.uniform(0.0, 0.9)))
+            for _ in range(count)]
+
+
+class TestFloatBisection:
+    @pytest.mark.parametrize("fixture", ["reference_system", "set_a",
+                                         "set_b", "set_c", "fixture_system",
+                                         "shallow_long_system"])
+    def test_fixtures_match_joint_bisection(self, fixture, request):
+        system = request.getfixturevalue(fixture)
+        for n in range(4):
+            for l in range(3):
+                want = _solved(_joint_bisection, system, n, l)
+                assert _solved(energy_root_solve, system, n, l) == want
+
+    def test_seeded_survey_matches_joint_bisection(self):
+        rng = np.random.default_rng(7)
+        systems = _survey_systems(30, 2022)
+        systems.append(PhysicalSystem(**_CLAMP_EDGE))
+        for system in systems:
+            m_inf = system.asymptotic_mass
+            inner = tuple(sorted(rng.uniform(-m_inf, m_inf, 2).tolist()))
+            for window in (None, (-m_inf, m_inf), inner):
+                for n in range(4):
+                    for l in range(3):
+                        want = _solved(_joint_bisection, system, n, l,
+                                       window)
+                        got = _solved(energy_root_solve, system, n, l,
+                                      window)
+                        assert got == want, (system, n, l, window)
+
+    def test_float_condition_matches_array_bitwise(self):
+        systems = [PhysicalSystem(**_CLAMP_EDGE),
+                   PhysicalSystem(V0=0.25, beta=0.5, m0=1.0, m1=0.2),
+                   PhysicalSystem(V0=0.1, beta=0.2, m0=1.0)]
+        systems += _survey_systems(4, 11)
+        for system in systems:
+            m_inf = system.asymptotic_mass
+            edges = [m_inf, np.nextafter(m_inf, 0.0), np.nextafter(m_inf, 2.0)]
+            # dense enough that a float (E - V0)**2 through libm pow, which
+            # rounds otherwise than the array's product about once in 1000
+            # energies, would show
+            E = np.concatenate([np.linspace(-1.5 * m_inf, 1.5 * m_inf, 2001),
+                                edges, np.negative(edges)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for n, l in ((0, 0), (1, 1), (2, 2), (3, 0)):
+                    F, s, A = _condition(system, n, l, E)
+                    for i, e in enumerate(E.tolist()):
+                        got = _condition(system, n, l, e)
+                        assert all(type(v) is float for v in got)
+                        assert _same_bits(got[0], F[i]), (system, n, l, e)
+                        assert _same_bits(got[1], s), (system, n, l, e)
+                        assert _same_bits(got[2], A[i]), (system, n, l, e)
+
+    def test_float_condition_at_the_ends_of_the_binding_range(self):
+        system = PhysicalSystem(**_CLAMP_EDGE)
+        m_inf = system.asymptotic_mass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sign in (1.0, -1.0):
+                # one ulp inside: the clamp, a real residual
+                E = sign * float(np.nextafter(m_inf, 0.0))
+                F, s, A = _condition(system, 0, 0, E)
+                assert A == 0.0
+                assert quantization_residual(system, 0, 0, E) == F
+                # at the end and beyond: NaN, never a math domain error
+                for E in (sign * m_inf, sign * 1.5 * m_inf):
+                    F, s, A = _condition(system, 0, 0, E)
+                    assert math.isnan(F) and math.isnan(A)
+                    with pytest.raises(ComplexRegime, match="tail"):
+                        quantization_residual(system, 0, 0, E)
+
+    def test_over_attractive_origin_is_nan_on_both_paths(self):
+        bad = PhysicalSystem(V0=0.3, beta=0.2, m0=1.0, m1=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F, s, A = _condition(bad, 0, 0, 0.5)
+            assert math.isnan(F) and math.isnan(s) and A > 0.0
+            assert math.isnan(_condition(bad, 0, 0, np.array([0.5]))[1])
+            with pytest.raises(InvalidRegime, match="origin"):
+                level_midpoint(bad, 0, 0)
+            with pytest.raises(InvalidRegime, match="origin"):
+                energy_root_solve(bad, 0, 0)
 
 
 class TestMidpoint:
@@ -429,6 +582,8 @@ class TestRootSolve:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(V0=st.floats(0.0, 0.3), beta=st.floats(0.05, 0.6),
            m1=st.floats(0.0, 0.5), n=st.integers(0, 3), l=st.integers(0, 2))
+    # the tail sum rounds below 0 one ulp inside both ends of the range
+    @example(V0=0.0, beta=0.5625, m1=0.34086066369310736, n=0, l=0)
     def test_regular_origin_logs_nothing(self, caplog, V0, beta, m1, n, l):
         # with a real origin exponent the residual is defined on the whole
         # default window: no lattice point is skipped
