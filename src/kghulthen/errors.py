@@ -29,7 +29,8 @@ class NoAdmissibleBranch(KGHulthenError):
 
 class ComplexRegime(KGHulthenError):
     """Coefficients leave the real domain (a square root of a negative
-    quantity would be needed), so real-valued analysis cannot proceed."""
+    quantity would be needed), or |E| reaches the asymptotic rest energy,
+    where no tail decays, so real-valued analysis cannot proceed."""
 
 
 class SolverError(KGHulthenError):

@@ -168,16 +168,17 @@ def quantization_residual(system: PhysicalSystem, n: int, l: int, E: float) -> f
 
     F is the difference between the reduction eigenvalue lambda(E) and the
     degree-n value lambda_n(E), both taken on the branch that decays at
-    both ends.  Raises ComplexRegime when the coefficients leave the real
-    domain (A absent, or complex origin exponent).
+    both ends.  Raises ComplexRegime outside the binding range, |E| >=
+    m_inf, where no tail decays (whatever the rounding of A there), and
+    for a complex origin exponent.
     """
     if n < 0 or l < 0:
         raise ValueError("n and l must be >= 0")
     F, s, A = _condition(system, n, l, E)
-    if math.isnan(A):
+    if math.isnan(A) or abs(E) >= system.asymptotic_mass:
         raise ComplexRegime(
-            f"tail coefficient is complex at E={E!r} (|E| exceeds the "
-            "asymptotic rest energy)")
+            f"tail coefficient is not a decay rate at E={E!r} (|E| reaches "
+            "the asymptotic rest energy)")
     _real_origin(system, l, s, ComplexRegime)
     return float(F)
 

@@ -18,7 +18,10 @@ with the powers of E, never W itself, and counts nodes from its chunk
 transfer matrices, never from phi at every grid node.
 ``find_bound_states`` brackets and refines the eigenvalues in one loop of
 such sweeps; its docstring states the bracket rule, what ``converged``
-means and when the grid is too coarse for the states.
+means and when the grid is too coarse for the states.  Its first scan row
+shoots no energy inside the channel's no-state band (``_no_state_band``),
+where W + 1/(4 r**2) >= 0 at every sample: Hardy's inequality leaves no
+state there.
 
 Two implementation notes, both measured necessities rather than choices:
 
@@ -54,6 +57,7 @@ _MAX_CHUNK = 128            # longest sweep chunk; step tables pad to it
 _CHUNK_CELLS = 6144         # chunk x energy cells per sweep pass; fewer slow
                             # 60-energy sweeps, more raise peak memory
 _NODE_BLOCK = 256           # grid nodes per block of the turning search
+_MAP_BLOCK = 1024           # steps per block of a step table's build
 
 log = logging.getLogger(__name__)
 
@@ -180,22 +184,34 @@ def _map_table(h, c):
 
     and each W is the quadratic c[i] @ (1, E, E**2) at sample i, step j
     running over samples 2j, 2j + 1, 2j + 2, so each entry has degree at
-    most 4.  A step with h = 0 is exactly the identity."""
-    table = np.zeros((len(h), 4, 5))
-    m11, m12, m21, m22 = table.transpose(1, 0, 2)
-    h = h[:, None]
+    most 4.  A step with h = 0 is exactly the identity.  The table is built
+    _MAP_BLOCK steps at a time: a block's entries accumulate in contiguous
+    (5, n) arrays, then are written into its rows."""
+    table = np.empty((len(h), 4, 5))
+    for j0 in range(0, len(h), _MAP_BLOCK):
+        hb = h[j0:j0 + _MAP_BLOCK]
+        table[j0:j0 + hb.size] = _map_block(
+            hb, c[2 * j0:2 * (j0 + hb.size) + 1].T.copy()).transpose(2, 0, 1)
+    return table
+
+
+def _map_block(h, c):
+    """_map_table's entries for the n steps h, (4, 5, n), from the W
+    coefficients c, (3, 2n + 1), at their samples."""
+    m = np.zeros((4, 5, h.size))
+    m11, m12, m21, m22 = m
     q = h * h / 6.0
-    Wa, Wm, Wb = c[:-1:2], c[1::2], c[2::2]
+    Wa, Wm, Wb = c[:, :-1:2], c[:, 1::2], c[:, 2::2]
 
     def add(m, f, a, b=None):        # m += f * a, or f * a * b
         if b is None:
-            m[:, :3] += f * a
+            m[:3] += f * a
         else:
             for i in range(3):
-                m[:, i:i + 3] += (f * a[:, i:i + 1]) * b
+                m[i:i + 3] += (f * a[i]) * b
 
-    m11[:, 0] = m22[:, 0] = 1.0
-    m12[:, 0] = h[:, 0]
+    m11[0] = m22[0] = 1.0
+    m12[0] = h
     add(m11, q, Wa + 2.0 * Wm)
     add(m11, 1.5 * q * q, Wm, Wa)
     add(m12, h * q, Wm)
@@ -203,7 +219,7 @@ def _map_table(h, c):
     add(m21, h * q / 2.0, Wm, Wa + Wb)
     add(m22, q, 2.0 * Wm + Wb)
     add(m22, 1.5 * q * q, Wb, Wm)
-    return table
+    return m
 
 
 def _padded(h, w, node, K):
@@ -219,6 +235,32 @@ def _padded(h, w, node, K):
                   reach, float(np.sign(h[0])))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _no_state_band(r, w):
+    """(lo, hi): the energies E at which W(r, E) + 1/(4 r**2) >= 0 at every
+    sample radius r, w holding W's coefficient rows there; (inf, -inf)
+    when there are none.  At each sample that sum is the downward parabola
+    (w0 + 1/(4 r**2)) + w1 E - E**2/hbar_c**2 in E, non-negative between
+    its roots, so the band is the intersection of those root intervals,
+    shrunk by 1e-9 of its width and kept only if every sample is still
+    non-negative at both its ends in floats.  By Hardy's inequality no
+    bound state lies inside (``find_bound_states``)."""
+    a = w[:, 0] + 0.25 / (r * r)
+    b, c = w[:, 1], w[:, 2]
+    disc = b * b - 4.0 * a * c
+    if not np.all(disc >= 0.0):
+        return math.inf, -math.inf
+    q = -0.5 * (b + np.copysign(np.sqrt(disc), b))    # stable roots q/c, a/q
+    r1, r2 = q / c, a / q
+    lo = float(np.max(np.minimum(r1, r2)))
+    hi = float(np.min(np.maximum(r1, r2)))
+    lo, hi = lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo)
+    if not (lo < hi and all(np.all(a + b * E + c * (E * E) >= 0.0)
+                            for E in (lo, hi))):
+        return math.inf, -math.inf
+    return lo, hi
+
+
 class _Channel(NamedTuple):
     """One (system, l, mode, grid) channel as a solve reads it."""
 
@@ -228,16 +270,19 @@ class _Channel(NamedTuple):
     series: tuple        # _origin_series at l: (cm1_const, cm1_lin, g)
     r_min: float
     ladder: int          # grid cells the outward ladder covers
+    band: tuple          # (lo, hi) of _no_state_band over the sweeps' samples
 
 
 def _channel(system, l, mode, grid):
-    """Step tables of one channel, W at its nodes and its origin series.
+    """Step tables of one channel, W at its nodes, its origin series and
+    its no-state band.
 
     Outward runs the geometric origin ladder over the first grid cells and
     then the main grid; inward runs the main grid down from r_max, on the
-    same samples of W.  Row k of w is W's coefficients at grid node k, so
-    that ``w @ (1, E, E**2)`` is W there.  The origin series comes first,
-    so an over-attractive origin raises before W's finiteness check.
+    same samples of W, and the band is taken over all of them.  Row k of w
+    is W's coefficients at grid node k, so that ``w @ (1, E, E**2)`` is W
+    there.  The origin series comes first, so an over-attractive origin
+    raises before W's finiteness check.
     """
     series = _origin_series(system, l)
     K = grid.points
@@ -255,6 +300,8 @@ def _channel(system, l, mode, grid):
         raise InvalidRegime(
             f"ODE coefficient not finite at r_min={grid.r_min!r}; "
             "the origin offset is too small for these parameters")
+    band = _no_state_band(np.concatenate([ladder, rr]),
+                          np.concatenate([w_out[:ladder.size], w]))
 
     lnode = np.full(len(pts) - 1, -1)
     lnode[mark[1:] - 1] = np.arange(1, cells + 1)
@@ -264,7 +311,7 @@ def _channel(system, l, mode, grid):
     inward = _padded(np.full(K - 1, -h), w[::-1], np.arange(K - 2, -1, -1),
                      K)
     return _Channel(outward, inward, w[::2].copy(), series, grid.r_min,
-                    cells)
+                    cells, band)
 
 
 def _rescale(phi, p, axes=()):
@@ -496,14 +543,20 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
 
     One loop of sweeps.  Each sweep shoots the current row(s) of scan
     energies together with one false-position point per open bracket,
-    every energy matched at its own turning index.  The scan starts as
-    ``scan_points`` energies, and one bracket rule holds at every level: a
-    flat node count with a mismatch sign change is a bracket; a node-count
-    jump is split 16-fold and scanned again, on the first row always (a
-    root pair can straddle a jump), below it when the mismatch changes
-    sign (it is continuous through a jump) or the count jumps by 2 or more
-    (two states can share a piece).  A piece still jumping below the
-    tolerance is named in a warning and refined as a bracket.
+    every energy matched at its own turning index.  The first row is
+    ``scan_points`` energies less each one whose two neighbours lie in the
+    channel's no-state band, so every merged piece lies inside the band.
+    There W + 1/(4 r**2) >= 0 at every sample of the sweeps, and with
+    phi = r**(1/2) v, (r v')' = r (W + 1/(4 r**2)) v keeps the regular v
+    of any c2 >= -1/4 free of nodes and from decaying: no state lies there
+    (Hardy's inequality; G. H. Hardy, Math. Z. 6, 314 (1920)).  One
+    bracket rule holds at every level: a flat node count with a mismatch
+    sign change is a bracket; a node-count jump is split 16-fold and
+    scanned again, on the first row always (a root pair can straddle a
+    jump), below it when the mismatch changes sign (it is continuous
+    through a jump) or the count jumps by 2 or more (two states can share
+    a piece).  A piece still jumping below the tolerance is named in a
+    warning and refined as a bracket.
 
     A bracket (a, b) starts from the mismatches its ends have from the
     scan and is refined by Illinois false position (each point kept
@@ -550,7 +603,11 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
     # +1 for b, 0 at the start) and the Illinois steps taken
     a, b, fa, fb = np.empty((4, 0))
     side, steps = np.empty((2, 0), dtype=int)
-    E, first = np.linspace(lo, hi, scan_points)[None], True
+    # the first row keeps both ends of every piece that can hold a state:
+    # an energy goes when both its neighbours lie in the no-state band
+    E = np.linspace(lo, hi, scan_points)
+    inside = (E >= ch.band[0]) & (E <= ch.band[1])
+    E, first = E[np.r_[True, ~(inside[:-2] & inside[2:]), True]][None], True
     while E.size or a.size:            # one row of scan energies per piece
         c = np.divide(fa * b - fb * a, fa - fb, out=0.5 * (a + b),
                       where=fa != fb)

@@ -481,6 +481,21 @@ class TestFloatBisection:
                     with pytest.raises(ComplexRegime, match="tail"):
                         quantization_residual(system, 0, 0, E)
 
+    def test_residual_raises_from_the_ends_of_the_binding_range(self):
+        # at +-m_inf and one ulp beyond, A of many systems rounds to 0 or
+        # to a real 1e-7 where no tail decays: the residual raises all the
+        # same, while _condition keeps its clamp for the root solve
+        real = 0
+        for system in _survey_systems(200, 1):
+            m_inf = system.asymptotic_mass
+            for E in (m_inf, float(np.nextafter(m_inf, 2.0))):
+                for e in (E, -E):
+                    real += not math.isnan(_condition(system, 0, 0, e)[2])
+                    for n, l in ((0, 0), (2, 1)):
+                        with pytest.raises(ComplexRegime, match="tail"):
+                            quantization_residual(system, n, l, e)
+        assert real >= 100
+
     def test_over_attractive_origin_is_nan_on_both_paths(self):
         bad = PhysicalSystem(V0=0.3, beta=0.2, m0=1.0, m1=0.1)
         with warnings.catch_warnings():

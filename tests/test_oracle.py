@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from kghulthen import (PhysicalSystem, RadialGrid, coefficients_at,
                        energy_closed_form, energy_root_solve,
                        find_bound_states, oracle)
-from kghulthen.errors import GridResolution, InvalidRegime
+from kghulthen.errors import GridResolution, InvalidRegime, SolverError
 from kghulthen.model import binding_window, default_grid
 from kghulthen.oracle import approximation_error, ode_coefficient
 
@@ -380,6 +380,115 @@ def _argmin_crossing(W):
     return np.clip(im, 2, K - 2)
 
 
+def _sweep_samples(system, l, mode, grid):
+    """Radii and W's coefficient rows at every sample the sweeps read: the
+    origin ladder's points and midpoints, the main grid's nodes and
+    midpoints."""
+    K, h = grid.points, grid.spacing
+    pts, _ = oracle._ladder(grid.r_min, h, min(300, K // 4))
+    r = np.concatenate([pts, 0.5 * (pts[:-1] + pts[1:]),
+                        grid.r_min + 0.5 * h * np.arange(2 * K - 1)])
+    return r, oracle._w_coefficients(system, l, mode, r)
+
+
+def _least_hardy_sum(r, w, E):
+    """min over the samples of W(r, E) + 1/(4 r**2), in floats."""
+    return np.min((w[:, 0] + 0.25 / (r * r)) + w[:, 1] * E
+                  + w[:, 2] * (E * E))
+
+
+def _band_cases():
+    """(system, l, mode, scan_points) of the band property: the reference
+    (c2 = -1/4 to rounding) in every channel, systems that raise
+    GridResolution and InvalidRegime, then seeded draws from the benchmark
+    box and from a wide box with V0 of both signs."""
+    ref = PhysicalSystem(V0=0.1, beta=0.2, m0=1.0)
+    cases = [(ref, l, mode, scan) for l in range(3)
+             for mode in ("approx", "exact") for scan in (240, 60)]
+    cases += [(PhysicalSystem(V0=0.0005, beta=0.001, m0=1.0), 1, "exact",
+               240),
+              (PhysicalSystem(V0=300.0, beta=1.0, m0=1000.0, m1=500.0), 0,
+               "approx", 240),
+              (PhysicalSystem(V0=0.3, beta=0.2, m0=1.0, m1=0.1), 0,
+               "approx", 240)]
+    boxes = [((0.05, 0.2), (0.1, 0.5), (0.0, 0.3)),     # V0, beta, m1
+             ((-0.3, 0.3), (0.05, 0.6), (0.0, 0.9))]
+    rng = np.random.default_rng(23)
+    for V0, beta, m1 in [box for box in boxes for _ in range(12)]:
+        system = PhysicalSystem(V0=rng.uniform(*V0), beta=rng.uniform(*beta),
+                                m0=1.0, m1=rng.uniform(*m1))
+        cases.append((system, int(rng.integers(3)),
+                      str(rng.choice(["approx", "exact"])),
+                      int(rng.choice([240, 60]))))
+    return cases
+
+
+class TestNoStateBand:
+    @pytest.mark.parametrize("system, l, mode", [
+        (PhysicalSystem(V0=0.1, beta=0.2, m0=1.0), 0, "approx"),
+        (PhysicalSystem(V0=0.1, beta=0.2, m0=1.0), 1, "approx"),
+        (PhysicalSystem(V0=0.1, beta=0.2, m0=1.0), 1, "exact"),
+        (PhysicalSystem(V0=0.2, beta=0.05, m0=1.0, m1=0.2), 0, "approx"),
+        (PhysicalSystem(V0=0.0098, beta=0.02, m0=1.0), 0, "approx"),
+        (PhysicalSystem(V0=-0.1, beta=0.3, m0=1.0, m1=0.5), 2, "exact")])
+    def test_band_is_where_every_sample_is_non_negative(self, system, l,
+                                                        mode):
+        # the premise of the band: W + 1/(4 r**2) >= 0 at every sample the
+        # sweeps read, anywhere inside it, and < 0 at some sample just
+        # outside either end
+        grid = default_grid(system)
+        r, w = _sweep_samples(system, l, mode, grid)
+        lo, hi = oracle._channel(system, l, mode, grid).band
+        assert (lo, hi) == oracle._no_state_band(r, w)
+        assert lo < hi
+        for E in np.linspace(lo, hi, 201):
+            assert _least_hardy_sum(r, w, E) >= 0.0
+        d = 1e-6 * (hi - lo)
+        assert _least_hardy_sum(r, w, lo - d) < 0.0
+        assert _least_hardy_sum(r, w, hi + d) < 0.0
+
+    def test_band_is_empty_where_no_energy_suits_every_sample(
+            self, reference_system):
+        r, w = _sweep_samples(reference_system, 0, "approx",
+                              default_grid(reference_system))
+        empty = (math.inf, -math.inf)
+        # one row with a negative discriminant: a = -1, b = 0, c = -1
+        assert oracle._no_state_band(
+            np.append(r, 1.0), np.vstack([w, [-1.25, 0.0, -1.0]])) == empty
+        # root intervals that do not meet: (-1, 1) and (2, 4)
+        assert oracle._no_state_band(
+            np.array([1.0, 1.0]),
+            np.array([[0.75, 0.0, -1.0], [-8.25, 6.0, -1.0]])) == empty
+
+    @pytest.mark.parametrize("system, l, mode, scan_points", _band_cases())
+    def test_band_changes_no_state(self, system, l, mode, scan_points,
+                                   monkeypatch):
+        # no state lies inside the band, so the scan energies it drops
+        # change only the batches' rounding: the same node counts, flags
+        # and errors as a scan of every energy, and every state outside
+        def solve():
+            try:
+                return find_bound_states(system, l, mode=mode,
+                                         scan_points=scan_points), None
+            except SolverError as exc:
+                return [], type(exc)
+
+        states, error = solve()
+        monkeypatch.setattr(oracle, "_no_state_band",
+                            lambda r, w: (math.inf, -math.inf))
+        every, every_error = solve()
+        assert error == every_error
+        assert [(d.node_count, d.converged) for d in states] == \
+            [(d.node_count, d.converged) for d in every]
+        for d, e in zip(states, every):
+            assert abs(d.energy - e.energy) <= 1e-10 * system.m0
+        monkeypatch.undo()
+        if states:
+            lo, hi = oracle._channel(system, l, mode,
+                                     default_grid(system)).band
+            assert not any(lo <= d.energy <= hi for d in states)
+
+
 class TestTurningIndices:
     def test_matches_argmin_rule(self):
         K = 120
@@ -633,15 +742,36 @@ class TestChunkedSweep:
     @pytest.mark.parametrize("window, widths", [
         # scan, then 5 Illinois points of its one bracket
         ((0.7, 0.8), [60] + [1] * 5),
-        # scan; both node-count jumps split 16-fold beside the first
-        # Illinois points of the scan's two brackets; 3 more points each,
-        # then 3 more for the bracket still open
-        (None, [240, 34 + 2] + [2] * 3 + [1] * 3),
-        # the same from a 60-point scan of (0.7, 0.999): 3 more points
-        # each, then 1 for the bracket still open
+        # the 116 of 240 scan energies that the no-state band leaves;
+        # both node-count jumps split 16-fold beside the first Illinois
+        # points of the scan's two brackets; 3 more points each, then 3
+        # more for the bracket still open
+        (None, [116, 34 + 2] + [2] * 3 + [1] * 3),
+        # the same from a 60-point scan of (0.7, 0.999), which the band
+        # does not reach: 3 more points each, then 1 for the bracket
+        # still open
         ((0.7, 0.999), [60, 34 + 2] + [2] * 3 + [1])])
     def test_sweep_count(self, reference_system, monkeypatch, window,
                          widths):
+        seen = self._counted(monkeypatch)
+        scan = 60 if window else 240
+        find_bound_states(reference_system, 0, window=window,
+                          scan_points=scan)
+        assert seen == widths
+
+    def test_sweep_count_of_a_scan_mostly_in_the_band(self, reference_system,
+                                                      monkeypatch):
+        # at l = 1 the band holds all but the top 3 of 240 energies, so the
+        # scan keeps those, the band's two end energies and nothing
+        # between; the jump below the state is split once, then 5
+        # Illinois points
+        seen = self._counted(monkeypatch)
+        find_bound_states(reference_system, 1)
+        assert seen == [5, 17] + [1] * 5
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """Count each sweep's width, the sweeps left as they are."""
         shoot = oracle._shoot
         seen = []
 
@@ -650,10 +780,7 @@ class TestChunkedSweep:
             return shoot(ch, E, match_idx)
 
         monkeypatch.setattr(oracle, "_shoot", counted)
-        scan = 60 if window else 240
-        find_bound_states(reference_system, 0, window=window,
-                          scan_points=scan)
-        assert seen == widths
+        return seen
 
     @staticmethod
     def _mismatch(monkeypatch, f):
