@@ -402,12 +402,14 @@ def _json_cell(value):
     return value
 
 
-# '%.17g' from NumPy.  A cell is 46 byte slots: sign, the "0.000" prefix
-# of -4 <= exponent < 0, 17 digits each followed by a point slot, "e±ddd",
-# and the separator.  A block keeps one row per slot, so each write is
-# contiguous; unused slots hold NUL, which one translate deletes.
-_BLOCK_ROWS = 1024
-_SLOTS = 46
+# '%.17g' from NumPy.  A cell is 29 to 46 byte slots: sign, the "0.000"
+# prefix of -4 <= exponent < 0, 17 digits, a point slot after each digit
+# up to the block's last point, "e±ddd", and the separator.  A block keeps
+# one row per slot, so each write is contiguous; unused slots hold NUL,
+# which one translate deletes.  With 4 columns, 1024 rows would start each
+# slot row 4096 bytes after the last, and the transpose then costs twice
+# as much per byte (4 KiB cache aliasing).
+_BLOCK_ROWS = 1000
 _PREFIX = np.frombuffer(b"0.000", np.uint8)[:, None]
 _POSITIONS = np.arange(17, dtype=np.uint8)[:, None]
 # beyond these magnitudes Dekker's splitting can overflow or underflow
@@ -441,11 +443,17 @@ def _two_prod(a, b):
 
 def _scaled(a, k):
     """a * 10**(16 - k) as p + tail: p the rounded product, tail its
-    rounding error plus the lo part's term.  Only the q present are built."""
-    powers, where = np.unique(16 - k, return_inverse=True)
-    hi, lo = np.array([_ten_power(q) for q in powers.tolist()]).T
-    p, error = _two_prod(a, hi[where])
-    return p, error + a * lo[where]
+    rounding error plus the lo part's term.  Only the k present are built:
+    a presence mask over the block's k range finds them without a sort."""
+    low = int(k.min())
+    where = k - low
+    present = np.zeros(where.max() + 1, bool)
+    present[where] = True
+    hi, lo = np.zeros((2, present.size))
+    for i in np.flatnonzero(present).tolist():
+        hi[i], lo[i] = _ten_power(16 - low - i)
+    p, error = _two_prod(a, hi.take(where))
+    return p, error + a * lo.take(where)
 
 
 def _decimal(x):
@@ -481,16 +489,19 @@ def _decimal(x):
 
 
 def _float_slots(x):
-    """'%.17g' % v of each v in the vector x, as (_SLOTS, len(x)) bytes
+    """'%.17g' % v of each v in the vector x, as (slots, len(x)) bytes
     with NUL in unused slots and the separator row left 0.  A cell
     _decimal cannot prove is formatted by _csv_cell."""
     digits, k, slow = _decimal(x)
-    slots = np.zeros((_SLOTS, x.size), np.uint8)
-    slots[0] = np.signbit(x) * ord("-")
     fixed = (k >= -4) & (k < 17)
+    # digits up to `point` are the integer part: kept even when 0
+    point = np.where(fixed, np.maximum(k, -1), 0)
+    points = int(point.max()) + 1       # point slots the block needs
+    slots = np.zeros((29 + points, x.size), np.uint8)
+    slots[0] = np.signbit(x) * ord("-")
     slots[1:6] = _PREFIX * (fixed & (np.arange(5)[:, None] < 1 - k)
                             & (k < 0))
-    body = slots[6:40:2]
+    body = np.empty((17, x.size), np.uint8)
     high = digits // 10 ** 9
     low = (digits - high * 10 ** 9).astype(np.int32)
     for first, end, part in ((8, 16, low), (0, 7, high.astype(np.int32))):
@@ -501,18 +512,19 @@ def _float_slots(x):
         body[first] = part
     body += ord("0")
     last = ((body != ord("0")) * _POSITIONS).max(axis=0)
-    # digits up to `point` are the integer part: kept even when 0
-    point = np.where(fixed, np.maximum(k, -1), 0)
     body *= _POSITIONS <= np.maximum(last, point).astype(np.uint8)
-    dotted = np.flatnonzero((last > point) & (point >= 0))
-    slots[7 + 2 * point[dotted], dotted] = ord(".")
+    # digits 0 .. points - 1 each have a point slot after them
+    slots[6:6 + 2 * points:2] = body[:points]
+    slots[7:7 + 2 * points:2] = (_POSITIONS[:points] == point) * (
+        (last > point) * np.uint8(ord(".")))
+    slots[6 + 2 * points:-6] = body[points:]
     sci, e = ~fixed, np.abs(k).astype(np.int32)
     tens, hundreds = e // 10, e // 100
-    slots[40] = sci * ord("e")
-    slots[41] = sci * np.where(k < 0, ord("-"), ord("+"))
-    slots[42] = (sci & (e >= 100)) * (hundreds + ord("0"))
-    slots[43] = sci * (tens - 10 * hundreds + ord("0"))
-    slots[44] = sci * (e - 10 * tens + ord("0"))
+    slots[-6] = sci * ord("e")
+    slots[-5] = sci * np.where(k < 0, ord("-"), ord("+"))
+    slots[-4] = (sci & (e >= 100)) * (hundreds + ord("0"))
+    slots[-3] = sci * (tens - 10 * hundreds + ord("0"))
+    slots[-2] = sci * (e - 10 * tens + ord("0"))
     for i in np.flatnonzero(slow).tolist():
         text = _csv_cell(float(x[i])).encode()
         slots[:-1, i] = 0
@@ -541,14 +553,15 @@ def serialize(table: Table, output_format: str) -> str:
     None, true/false for booleans, 17 significant digits for floats, str()
     otherwise).  One format string then renders every row; line endings
     are '\\n'.  A table whose rows are a float matrix is rendered by
-    NumPy in blocks of rows, to the same bytes: each value's 17 digits are
-    the integer nearest |x|*10**(16-k), k = floor(log10 |x|), from Dekker's
-    double-double product.  Cells it cannot prove correct go to CPython's
-    '%.17g': non-finite values, 0 < |x| <= 1e-280 or |x| >= 1e280, and
-    values whose rounding lies within 1e-9 of a tie.  JSON writes one
-    object per row, a non-finite float as its CSV text ("inf", "-inf",
-    "nan"), and round-trips: serializing the parsed values as a Table
-    reproduces the bytes.
+    NumPy in blocks of 1000 rows, to the same bytes: each value's 17
+    digits are the integer nearest |x|*10**(16-k), k = floor(log10 |x|),
+    from Dekker's double-double product, with 10**(16-k) built once for
+    each k present in the block.  Cells it cannot prove correct go to
+    CPython's '%.17g': non-finite values, 0 < |x| <= 1e-280 or
+    |x| >= 1e280, and values whose rounding lies within 1e-9 of a tie.
+    JSON writes one object per row, a non-finite float as its CSV text
+    ("inf", "-inf", "nan"), and round-trips: serializing the parsed values
+    as a Table reproduces the bytes.
     """
     if output_format not in _FORMATS:
         raise ValueError(f"unknown output format {output_format!r}")

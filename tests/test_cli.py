@@ -651,9 +651,11 @@ class TestSerialize:
         assert sum(seen) == 16000
 
     def test_wavefunction_memory(self):
-        # the samples stay one float matrix, rendered in blocks of rows:
-        # building and writing the reference wavefunction peaks at 1.07 MB
-        # traced, where a list of row lists and one '%' format took 1.58 MB
+        # the samples stay one float matrix, rendered in blocks of 1000
+        # rows: building and writing the reference wavefunction peaks at
+        # 1.03 MB traced (1.07 MB with 1024-row blocks; 2000 and 4000 rows
+        # peak at 1.59 and 2.21 MB), where a list of row lists and one '%'
+        # format took 1.58 MB
         config = _cfg(command="wavefunction")
         serialize(execute(config), "csv")
         tracemalloc.start()
@@ -755,6 +757,60 @@ class TestFloatFormat:
         table = Table(("r", "z", "phi", "phi_normalized"),
                       values.reshape(4000, 4))
         assert serialize(table, "csv") == _reference_csv(table)
+
+    @pytest.mark.parametrize("width", [1, 3, 4, 5])
+    @pytest.mark.parametrize("rows", [1, 999, 1000, 1001, 1024, 4096])
+    def test_block_edges_and_widths(self, rows, width):
+        # blocks of rows end at other cells for each width; half the bit
+        # patterns have exponents near 1, where the fixed-point forms live
+        rng = np.random.default_rng(rows * 10 + width)
+        bits = rng.integers(0, 2**64, rows * width, dtype=np.uint64)
+        near = rng.random(bits.size) < 0.5
+        bits[near] = (bits[near] & np.uint64(0x800FFFFFFFFFFFFF)) | (
+            rng.integers(1023 - 60, 1023 + 60, near.sum()).astype(np.uint64)
+            << np.uint64(52))
+        values = bits.view(np.float64)
+        edges = rng.permutation(_edge_floats())[:values.size]
+        values[rng.choice(values.size, edges.size, replace=False)] = edges
+        table = Table(tuple(f"c{j}" for j in range(width)),
+                      values.reshape(rows, width))
+        assert serialize(table, "csv") == _reference_csv(table)
+
+    @pytest.mark.parametrize("low, high", [
+        (1e-4, 1.0),        # "0.000"-prefixed cells only: no point slot
+        (1e-300, 1e-5),     # scientific cells only: a point after digit 0
+        (1e16, 1e17),       # a point after digit 16: every point slot
+    ])
+    def test_point_slots_of_a_block(self, low, high):
+        # a block keeps point slots up to its last point; each extreme
+        # of that count renders the same bytes
+        rng = np.random.default_rng(7)
+        values = rng.choice([-1.0, 1.0], 3000) * np.exp(
+            rng.uniform(math.log(low), math.log(high), 3000))
+        table = Table(("a", "b", "c"), values.reshape(1000, 3))
+        assert serialize(table, "csv") == _reference_csv(table)
+
+    @pytest.mark.parametrize("exponents", [range(-279, 280), [3]])
+    def test_powers_of_ten_built_once_per_exponent(self, exponents,
+                                                   monkeypatch):
+        # one block: 10**(16 - k) is built for each k present and no
+        # other, whether the block holds hundreds of exponents from -279
+        # to 279 or one; mantissas in [1.5, 9) keep log10 off the powers
+        # of ten, so no k is corrected and every k is built once
+        rng = np.random.default_rng(11)
+        k = rng.choice(np.asarray(exponents), 900)
+        k[:2] = min(exponents), max(exponents)
+        values = (rng.choice([-1.0, 1.0], k.size)
+                  * rng.uniform(1.5, 9.0, k.size) * 10.0 ** k.astype(float))
+        assert set(np.floor(np.log10(np.abs(values))).astype(int)) == set(
+            k.tolist())
+        built = []
+        ten_power = cli._ten_power
+        monkeypatch.setattr(cli, "_ten_power", lambda q: built.append(q)
+                            or ten_power(q))
+        table = Table(("x", "y", "z"), values.reshape(300, 3))
+        assert serialize(table, "csv") == _reference_csv(table)
+        assert sorted(built) == sorted(16 - q for q in set(k.tolist()))
 
 
 GOLDEN_SPECTRUM = ("n,l,branch,method,energy,status\n"

@@ -1,0 +1,134 @@
+"""Per-layer timings of the reference configuration, written as JSON.
+
+    python3 tools/bench_layers.py --out BENCH.json [--src DIR] [--repeat N]
+
+Run from the root of a source checkout.  ``--src`` imports the package
+from another checkout's ``src`` (to time a parent commit with the same
+script); it defaults to this checkout's.  Every figure is the minimum of
+N timed calls (default 30) after one untimed call, in seconds:
+
+* ``serialize``: the CSV of the reference ``wavefunction`` table (4000 x 4
+  floats), whole and split per block of rows into ``_decimal`` (digits and
+  exponents), the slot fill (the rest of ``_float_slots``), the transpose
+  and the ``translate`` that deletes unused slots;
+* ``solvers``: ``energy_root_solve`` and ``wavefunction`` of n = l = 0,
+  the oracle's ``_shoot`` of 1 and of 240 energies over the binding window,
+  and one full-window l = 0 ``find_bound_states``.
+
+BLAS runs on one thread, as in ``perfbench``; the machine facts and that
+pin are written with the timings.  Not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+PIN_THREADS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1"}
+
+
+def best(repeat, fn, *args):
+    """Minimum wall time of ``repeat`` calls, after one untimed call."""
+    fn(*args)
+    times = []
+    for _ in range(repeat):
+        start = perf_counter()
+        fn(*args)
+        times.append(perf_counter() - start)
+    return min(times)
+
+
+def serialize_layers(cli, table, repeat):
+    """The CSV of ``table`` whole and split into its per-block stages."""
+    blocks = [table.rows[start:start + cli._BLOCK_ROWS].ravel()
+              for start in range(0, len(table.rows), cli._BLOCK_ROWS)]
+    decimals = [cli._decimal(x) for x in blocks]
+    slots = [cli._float_slots(x) for x in blocks]
+    raw = [s.T.tobytes() for s in slots]
+    decimal = cli._decimal
+
+    def slot_fill():
+        # _float_slots reads the digits computed above
+        for x, result in zip(blocks, decimals):
+            cli._decimal = lambda _x: result
+            cli._float_slots(x)
+
+    try:
+        fill = best(repeat, slot_fill)
+    finally:
+        cli._decimal = decimal
+    return {
+        "block_rows": cli._BLOCK_ROWS,
+        "slot_rows": [s.shape[0] for s in slots],
+        "total_s": best(repeat, cli.serialize, table, "csv"),
+        "decimal_s": best(repeat, lambda: [decimal(x) for x in blocks]),
+        "slot_fill_s": fill,
+        "transpose_s": best(repeat, lambda: [s.T.tobytes() for s in slots]),
+        "translate_s": best(repeat, lambda: [b.translate(None, b"\0")
+                                             for b in raw]),
+    }
+
+
+def solver_layers(repeat):
+    import numpy as np
+    from kghulthen import (PhysicalSystem, energy_root_solve,
+                           find_bound_states, oracle, wavefunction)
+    from kghulthen.model import binding_window, default_grid
+
+    system = PhysicalSystem(V0=0.1, beta=0.2, m0=1.0)
+    energy = max(level.value for level in energy_root_solve(system, 0, 0))
+    channel = oracle._channel(system, 0, "approx", default_grid(system))
+    E = np.linspace(*binding_window(system), 240)
+    match = oracle._nearest_crossing(channel.w,
+                                     np.vander(E, 3, increasing=True).T)
+    return {
+        "energy_root_solve_s": best(repeat, energy_root_solve, system, 0, 0),
+        "wavefunction_s": best(repeat, wavefunction, system, 0, 0, energy),
+        "shoot_B1_s": best(repeat, oracle._shoot, channel, E[120:121],
+                           match[120:121]),
+        "shoot_B240_s": best(repeat, oracle._shoot, channel, E, match),
+        "find_bound_states_l0_s": best(max(1, repeat // 10),
+                                       find_bound_states, system, 0),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="the package's source directory")
+    parser.add_argument("--repeat", type=int, default=30)
+    args = parser.parse_args(argv)
+    os.environ.update(PIN_THREADS)          # before NumPy loads BLAS
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import numpy
+    from kghulthen import cli
+
+    source = (ROOT / "configs" / "reference.json").read_text()
+    table = cli.execute(cli.parse_config(source, {"command": "wavefunction"}))
+    result = {
+        "machine": {"nproc": os.cpu_count(),
+                    "python": platform.python_version(),
+                    "numpy": numpy.__version__,
+                    "processor": platform.processor() or platform.machine(),
+                    **{var: os.environ.get(var, "") for var in PIN_THREADS}},
+        "repeat": args.repeat,
+        "serialize": serialize_layers(cli, table, args.repeat),
+        "solvers": solver_layers(args.repeat),
+    }
+    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
+    for group in ("serialize", "solvers"):
+        for name, value in result[group].items():
+            print(f"{group}.{name}: {value}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
