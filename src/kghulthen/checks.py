@@ -183,8 +183,8 @@ def run_validation(system: PhysicalSystem,
     # 8-10. shooting oracle: agreement and node counts of one l=0 scan (0
     # with no genuine l=0 level, inf when the scan fails), and the modes'
     # l=0 W at E=0 on the main grid's nodes and midpoints (inf where not
-    # finite); states are labelled by node count and branch_labels, so a
-    # Klein-Gordon pair sharing n meets both its levels
+    # finite); a state meets the level of its node count and branch (each
+    # solver's own label), so a Klein-Gordon pair sharing n meets both
     targets = sorted((lv for lv in genuine if lv.l == 0),
                      key=lambda lv: lv.value)
     worst = node_bad = 0.0
@@ -197,14 +197,9 @@ def run_validation(system: PhysicalSystem,
             approx = oracle.find_bound_states(system, 0, window=window,
                                               mode="approx", grid=grid,
                                               scan_points=60)
-            labelled = {}
-            for n in sorted({d.node_count for d in approx}):
-                same = [d.energy for d in approx if d.node_count == n]
-                for E, branch in zip(same, ha.branch_labels(system, n, 0,
-                                                            same)):
-                    labelled.setdefault((n, branch), []).append(E)
             for level in targets:
-                match = labelled.get((level.n, level.branch), [])
+                match = [d.energy for d in approx if (d.node_count, d.branch)
+                         == (level.n, level.branch)]
                 if len(match) != 1:
                     node_bad += 1.0
                     continue

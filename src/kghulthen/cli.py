@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import sys
 from dataclasses import asdict, astuple, dataclass, fields, replace
@@ -33,6 +34,8 @@ from . import oracle
 from .errors import (ConfigError, InvalidRegime, NoBoundState,
                      NonNormalizable, SolverError)
 from .model import PhysicalSystem, RadialGrid, default_grid
+
+log = logging.getLogger(__name__)
 
 _COMMANDS = ("spectrum", "wavefunction", "validate", "approx_error")
 _BRANCHES = ("lower", "upper", "both")
@@ -283,7 +286,8 @@ def _energy_out(config: RunConfig, value: Optional[float]) -> Optional[float]:
 def _state_rows(config: RunConfig, n: int, l: int, cache: dict):
     """{branch: (energy, status)} of (n, l) under the configured method;
     ``cache`` keeps the oracle's states per l.  A solver error makes both
-    rows carry its status token."""
+    rows carry its status token; a second oracle state on a row replaces
+    the first, and a warning names both."""
     system = config.system
     rows = dict.fromkeys(("lower", "upper"), (None, NoBoundState.status))
     try:
@@ -303,10 +307,12 @@ def _state_rows(config: RunConfig, n: int, l: int, cache: dict):
             if l not in cache:
                 cache[l] = oracle.find_bound_states(
                     system, l, mode="approx", grid=config.grid)
-            energies = [d.energy for d in cache[l] if d.node_count == n]
-            for energy, branch in zip(energies, ha.branch_labels(
-                    system, n, l, energies)):
-                rows[branch] = (energy, "ok")
+            for d in [d for d in cache[l] if d.node_count == n]:
+                if rows[d.branch][1] == "ok":
+                    log.warning("two oracle states for n=%d, l=%d, %s: %r "
+                                "and %r; the second is reported", n, l,
+                                d.branch, rows[d.branch][0], d.energy)
+                rows[d.branch] = (d.energy, "ok")
     except SolverError as exc:
         return dict.fromkeys(rows, (None, exc.status))
     return rows
@@ -567,7 +573,7 @@ def serialize(table: Table, output_format: str) -> str:
         raise ValueError(f"unknown output format {output_format!r}")
     columns, rows = table
     if isinstance(rows, np.ndarray):
-        if output_format == "csv" and len(rows) != 0:
+        if output_format == "csv" and rows.size:
             return _float_csv(columns, rows)
         rows = rows.tolist()
     if output_format == "json":

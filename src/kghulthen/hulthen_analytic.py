@@ -39,15 +39,15 @@ reflected roots that do not satisfy the original condition.  Use
 reflections; the root solver never produces them.
 
 Because the energy relation is a quadratic, each (n, l) has a "lower" and
-an "upper" branch.  ``branch_labels`` is the one rule that names solver
-energies: the root solver's here, and the oracle's in the CLI and the
-validation battery.  A pair is labelled by energy order, any other count
-by the nearer closed-form branch.
+an "upper" branch.  A solved state is "upper" when its Klein-Gordon charge
+Q = integral of (E - V) phi**2 dr is positive (Feshbach-Villars), and
+each solver reads that sign from the bracket it closes: F rises through
+every upper root (here), and ``oracle.find_bound_states`` reads it from
+its sweeps.  Only the closed form's pair is named by root order.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -55,7 +55,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ComplexRegime, InvalidRegime, NoBoundState,
-                     NonNormalizable, SolverError)
+                     NonNormalizable)
 from .model import (EnergyLevel, PhysicalSystem, RadialGrid, binding_window,
                     default_grid, origin_power)
 # all_candidates, eigen_pair and gauss_jacobi_rule are unused here but stay
@@ -66,8 +66,6 @@ from .specfun import (JacobiParams, _golub_welsch, endpoint_power_integral,
                       gauss_jacobi_rule, jacobi_eval)
 
 _QUANTIZATION_TOL = 1e-8    # largest |F| / residual_scale of a solution
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -304,8 +302,8 @@ def energy_root_solve(system: PhysicalSystem, n: int, l: int,
     changes of the residual F and bisects each bracket alone, in floats,
     to |dE| <= 1e-12 * m0: the float F has the array's bits, so the roots
     are those of bisecting all brackets together on arrays.  Windows
-    default to the full binding range (``binding_window``), and roots are
-    labelled by ``branch_labels``.
+    default to the full binding range (``binding_window``).  A root is
+    "upper" when F rises through it, else "lower" (module docstring).
     Raises InvalidRegime when the origin exponent is complex.  Inside the
     binding range F is defined wherever the origin is regular; only a
     window end at +-m_inf may round to an undefined (NaN) point, which
@@ -315,7 +313,10 @@ def energy_root_solve(system: PhysicalSystem, n: int, l: int,
     grid = np.linspace(lo, hi, 2001)
     vals, s, _ = _condition(system, n, l, grid)
     _real_origin(system, l, s)
-    roots = grid[vals == 0.0].tolist()
+    # (root, F rises through it): a zero lattice point reads its neighbours
+    roots = [(grid.item(j), vals.item(max(j - 1, 0)) < 0.0
+              or vals.item(min(j + 1, grid.size - 1)) > 0.0)
+             for j in np.flatnonzero(vals == 0.0).tolist()]
     tol = 1e-12 * system.m0
     for j in np.flatnonzero(vals[:-1] * vals[1:] < 0.0).tolist():
         a, b, fa = grid.item(j), grid.item(j + 1), vals.item(j)
@@ -326,33 +327,12 @@ def energy_root_solve(system: PhysicalSystem, n: int, l: int,
                 b = mid
             else:
                 a, fa = mid, fm
-        roots.append(0.5 * (a + b))
+        roots.append((0.5 * (a + b), fa < 0.0))     # fa keeps its sign
     roots.sort()
     m_inf = system.asymptotic_mass
-    return [EnergyLevel(value=E, branch=label, n=n, l=l,
-                        method="quantization_root", unbound=abs(E) >= m_inf)
-            for E, label in zip(roots, branch_labels(system, n, l, roots))]
-
-
-def branch_labels(system, n, l, energies: list) -> list:
-    """Labels ("lower"/"upper") of one (n, l)'s solver energies, ascending.
-
-    The one labelling rule: a pair follows energy order; any other count
-    takes the nearer closed-form branch one by one ("upper" when the closed
-    form is not real), and more than two are named in a warning.
-    """
-    if len(energies) == 2:
-        return ["lower", "upper"]
-    if len(energies) > 2:
-        log.warning("%d energies for n=%d, l=%d, where the energy relation "
-                    "has two branches: %s", len(energies), n, l,
-                    ", ".join(map(repr, energies)))
-    try:
-        lower, upper = energy_closed_form(system, n, l)
-    except SolverError:
-        return ["upper"] * len(energies)
-    return ["lower" if abs(E - lower.value) < abs(E - upper.value)
-            else "upper" for E in energies]
+    return [EnergyLevel(value=E, branch="upper" if rise else "lower", n=n,
+                        l=l, method="quantization_root",
+                        unbound=abs(E) >= m_inf) for E, rise in roots]
 
 
 @dataclass(frozen=True, eq=False)

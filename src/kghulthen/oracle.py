@@ -64,12 +64,14 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ShootingDiagnostics:
-    """One numerically found eigenvalue with its quality indicators."""
+    """One numerically found eigenvalue with its quality indicators;
+    ``branch`` is the sign of its charge (``find_bound_states``)."""
 
     energy: float
     node_count: int
     tail_mismatch: float
     converged: bool
+    branch: str
 
 
 @dataclass(frozen=True)
@@ -458,9 +460,10 @@ def _sweep(steps, phi, p, EP, match_idx):
 def _shoot(ch, E, match_idx):
     """Two-sided sweep of the channel ``ch`` for a batch of energies.
 
-    Returns (mismatch, nodes): the Wronskian-normalized log-derivative
-    defect at each energy's matching index, and the interior node count of
-    the glued solution.
+    Returns (mismatch, nodes, glue): the Wronskian-normalized
+    log-derivative defect at each energy's matching index (of the same
+    sign at any match), the interior node count of the glued solution,
+    and sign(out_phi * in_phi) at the match.
     """
     E = np.atleast_1d(np.asarray(E, dtype=float))
     B = E.size
@@ -484,7 +487,7 @@ def _shoot(ch, E, match_idx):
     # free of poles at nodes of either sweep
     wr = out_p * in_phi - in_p * out_phi
     mism = wr / (np.abs(out_p * in_phi) + np.abs(in_p * out_phi) + 1e-300)
-    return mism, nodes + n_in
+    return mism, nodes + n_in, np.sign(out_phi) * np.sign(in_phi)
 
 
 def _nearest_crossing(w, EP):
@@ -575,6 +578,12 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
     ``converged`` says it was refined below tol with |mismatch| <= 1e-3.
     Results are sorted by energy.
 
+    A state is "upper" where its Klein-Gordon charge Q = integral of
+    (E - V) phi**2 dr is positive.  The mismatch's slope in E is the
+    integral of dW/dE phi**2 = -2 (E - V) phi**2 / hbar_c**2 times a
+    positive factor and sign(out_phi * in_phi) at the match, so sign(Q) =
+    -sign(fb - fa) * sign(out_phi * in_phi), "upper" where fb == fa.
+
     Node counts are sign changes of phi at every RK4 step (``_sweep``),
     and two rules guard the grid.  The count may not drop between scan
     energies above max V(r) over the grid nodes (there dW/dE = -2(E -
@@ -615,12 +624,14 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
         c = np.clip(c, a + d, b - d)
         batch = np.concatenate([E.ravel(), c])
         match = _nearest_crossing(ch.w, np.vander(batch, 3, increasing=True).T)
-        mism, nodes = _shoot(ch, batch, match)
-        fc, nc, mc = mism[E.size:], nodes[E.size:], match[E.size:]
+        mism, nodes, glue = _shoot(ch, batch, match)
+        fc, nc, mc, gc = (x[E.size:] for x in (mism, nodes, match, glue))
         mism, nodes = (x[:E.size].reshape(E.shape) for x in (mism, nodes))
 
         # one Illinois step on every open bracket; an exact zero is the
-        # root, so the bracket collapses onto it
+        # root, so the bracket collapses onto it.  The step keeps the signs
+        # of the ends, so the slope's sign is still that of the scan ends
+        rise = np.sign(fb - fa)
         neg = fa * fc < 0
         fa = np.where(neg & (side < 0), 0.5 * fa, fa)
         fb = np.where(~neg & (side > 0), 0.5 * fb, fb)
@@ -631,9 +642,10 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
         done = (b - a < tol) | (steps == 120)
         states += [ShootingDiagnostics(
             energy=float(e), node_count=int(n), tail_mismatch=float(f),
-            converged=bool(w < tol and abs(f) <= _MISMATCH_TOL))
-            for e, n, f, w in zip(c[done], nc[done], fc[done],
-                                  (b - a)[done])]
+            converged=bool(w < tol and abs(f) <= _MISMATCH_TOL),
+            branch="lower" if q > 0 else "upper")
+            for e, n, f, w, q in zip(c[done], nc[done], fc[done],
+                                     (b - a)[done], (rise * gc)[done])]
         matched += mc[done].tolist()
 
         if first:

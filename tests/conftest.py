@@ -7,9 +7,16 @@ integrator.  They are pinned here so the tests detect regressions in
 either solver, not merely self-consistency.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from kghulthen import PhysicalSystem
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 @pytest.fixture(scope="session")
@@ -91,6 +98,29 @@ SHALLOW_TRUE_L0 = [
     0.98725023054431475003,
     0.9951071149971751766,
 ]
+
+
+def box_draws(seed, indices):
+    """The benchmark's draws ``draw_systems(seed, indices)`` from its
+    parameter box (``perfbench/workloads.py``), as PhysicalSystems."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, WORKLOADS)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module      # its dataclasses look it up there
+        spec.loader.exec_module(module)
+    return [PhysicalSystem(**d)
+            for d in sys.modules[name].draw_systems(seed, indices)]
+
+
+def signed_draws(count, seed, depth=0.3):
+    """Seeded draws, V0 of both signs up to ``depth`` and m1 up to 0.9
+    (m0 = 1)."""
+    rng = np.random.default_rng(seed)
+    return [PhysicalSystem(V0=float(rng.uniform(-depth, depth)),
+                           beta=float(rng.uniform(0.05, 0.6)), m0=1.0,
+                           m1=float(rng.uniform(0.0, 0.9)))
+            for _ in range(count)]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

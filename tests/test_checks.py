@@ -3,7 +3,6 @@
 from kghulthen import (PhysicalSystem, energy_root_solve, find_bound_states,
                        main, oracle)
 from kghulthen.checks import run_validation
-from kghulthen.hulthen_analytic import branch_labels
 from kghulthen.model import binding_window
 
 
@@ -15,11 +14,11 @@ def test_oracle_pair_sharing_n_meets_both_branches():
     assert [r.branch for r in roots] == ["lower", "upper"]
     pad = 0.01 * system.asymptotic_mass
     window = (roots[0].value - pad, roots[1].value + pad)
-    energies = [d.energy for d in find_bound_states(
+    states = [d for d in find_bound_states(
         system, 0, window=window, scan_points=60) if d.node_count == 0]
-    assert branch_labels(system, 0, 0, energies) == ["lower", "upper"]
-    for E, root in zip(energies, roots):
-        assert abs(E - root.value) <= 1e-6 * abs(root.value)
+    assert [d.branch for d in states] == ["lower", "upper"]
+    for d, root in zip(states, roots):
+        assert abs(d.energy - root.value) <= 1e-6 * abs(root.value)
     rows = {c.name: c for c in run_validation(system)}
     assert rows["oracle_agreement_l0"].passed
     # the n=1 state beside the threshold is found too: none unmatched

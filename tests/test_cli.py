@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import logging
 import math
 import os
 import struct
@@ -21,6 +22,7 @@ from kghulthen import cli, main, parse_config
 from kghulthen.cli import (_FILE_KEYS, _OPTIONS, Table, _build_parser,
                            execute, serialize)
 from kghulthen.errors import ConfigError
+from kghulthen.oracle import ShootingDiagnostics
 
 from conftest import REFERENCE_TRUE
 
@@ -435,6 +437,35 @@ class TestSpectrumRecords:
         assert records[1]["energy"] == pytest.approx(REFERENCE_TRUE[(1, 0)],
                                                      abs=5e-9)
 
+    def test_oracle_rows_read_no_analytic_solver(self, monkeypatch):
+        # the oracle labels its own states: neither the closed form nor the
+        # root solve is asked
+        def refuse(*args):
+            raise AssertionError("an analytic solver was called")
+
+        for name in ("energy_closed_form", "energy_root_solve"):
+            monkeypatch.setattr(cli.ha, name, refuse)
+        records = _records(execute(_cfg(method="oracle", n_max=1, l_max=0)))
+        assert [(r["branch"], r["status"]) for r in records] == [
+            ("lower", "no_bound_state"), ("upper", "ok")] * 2
+
+    def test_second_oracle_state_on_a_branch_warns(self, monkeypatch,
+                                                   caplog):
+        # two "upper" states with n = 0: the row keeps the second, and a
+        # warning names both energies
+        states = [ShootingDiagnostics(energy=E, node_count=0,
+                                      tail_mismatch=0.0, converged=True,
+                                      branch="upper") for E in (0.7, 0.8)]
+        monkeypatch.setattr(cli.oracle, "find_bound_states",
+                            lambda *args, **kwargs: states)
+        with caplog.at_level(logging.WARNING, logger="kghulthen.cli"):
+            records = _records(execute(_cfg(method="oracle", n_max=0,
+                                            l_max=0)))
+        assert [(r["branch"], r["energy"], r["status"]) for r in records] \
+            == [("lower", None, "no_bound_state"), ("upper", 0.8, "ok")]
+        (record,) = caplog.records
+        assert "0.7 and 0.8" in record.getMessage()
+
     def test_empty_well_yields_no_bound_state_rows(self):
         cfg = parse_config('{"V0": 0.0, "beta": 0.2, "m0": 1.0}',
                            {"n_max": 0, "l_max": 0})
@@ -623,6 +654,17 @@ class TestSerialize:
     def test_empty_records(self):
         assert serialize(Table(("a",), []), "csv") == ""
         assert serialize(Table(("a",), []), "json") == "[]\n"
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_float_matrix_without_cells(self, shape, output_format):
+        # a float matrix with no cells renders as its list of rows does
+        columns = ("a", "b", "c")[:shape[1]]
+        want = serialize(Table(columns, [()] * shape[0]), output_format)
+        assert serialize(Table(columns, np.zeros(shape)),
+                         output_format) == want
+        if shape == (3, 0) and output_format == "csv":
+            assert want == "\n\n\n\n"
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):

@@ -18,14 +18,15 @@ from kghulthen import (PhysicalSystem, RadialGrid, all_candidates,
                        quantization_residual, satisfies_quantization,
                        wavefunction)
 from kghulthen.checks import wavefunction_ode_residual
-from kghulthen.hulthen_analytic import (_condition, branch_labels,
-                                        build_nu_problem)
-from kghulthen.model import EnergyLevel, binding_window
+from kghulthen import hulthen_analytic
+from kghulthen.hulthen_analytic import _condition, build_nu_problem
+from kghulthen.model import binding_window
 from kghulthen.errors import (ComplexRegime, InvalidK, InvalidRegime,
                               NoBoundState, NonNormalizable, NoRealK)
 
 from conftest import (REFERENCE_ALL_SPURIOUS, REFERENCE_PAIRS, REFERENCE_TRUE,
-                      SET_A_TRUE, SET_B_TRUE, SET_C_TRUE)
+                      SET_A_TRUE, SET_B_TRUE, SET_C_TRUE, box_draws,
+                      signed_draws)
 
 
 class TestCoefficients:
@@ -355,10 +356,11 @@ class TestResidualAgainstEngine:
 
 
 def _joint_bisection(system, n, l, window=None):
-    """energy_root_solve as a NumPy bisection that moves every bracket of
-    the lattice together, each step one array evaluation of the residual
-    with np.where updates: the reference the solver's per-bracket float
-    loop must match bit for bit."""
+    """energy_root_solve's roots from a NumPy bisection that moves every
+    bracket of the lattice together, each step one array evaluation of the
+    residual with np.where updates: the reference the solver's per-bracket
+    float loop must match bit for bit (TestBranchLabel checks the
+    labels)."""
     lo, hi = binding_window(system, window)
     grid = np.linspace(lo, hi, 2001)
     vals, s, _ = _condition(system, n, l, grid)
@@ -376,15 +378,15 @@ def _joint_bisection(system, n, l, window=None):
         a = np.where(active & ~left, mid, a)
         fa = np.where(active & ~left, fm, fa)
         active &= b - a > tol
-    roots = sorted(grid[vals == 0.0].tolist() + (0.5 * (a + b)).tolist())
-    m_inf = system.asymptotic_mass
-    return [EnergyLevel(value=E, branch=label, n=n, l=l,
-                        method="quantization_root", unbound=abs(E) >= m_inf)
-            for E, label in zip(roots, branch_labels(system, n, l, roots))]
+    return sorted(grid[vals == 0.0].tolist() + (0.5 * (a + b)).tolist())
+
+
+def _root_values(system, n, l, window=None):
+    return [level.value for level in energy_root_solve(system, n, l, window)]
 
 
 def _solved(solve, system, n, l, window=None):
-    """solve's levels, or the type of the solver error it raised."""
+    """solve's roots, or the type of the solver error it raised."""
     try:
         return solve(system, n, l, window)
     except InvalidRegime as exc:
@@ -403,15 +405,6 @@ def _same_bits(x, y):
 _CLAMP_EDGE = dict(V0=0.0, beta=0.5625, m0=1.0, m1=0.34086066369310736)
 
 
-def _survey_systems(count, seed):
-    """Seeded draws, V0 of both signs and m1 up to 0.9 (m0 = 1)."""
-    rng = np.random.default_rng(seed)
-    return [PhysicalSystem(V0=float(rng.uniform(-0.3, 0.3)),
-                           beta=float(rng.uniform(0.05, 0.6)), m0=1.0,
-                           m1=float(rng.uniform(0.0, 0.9)))
-            for _ in range(count)]
-
-
 class TestFloatBisection:
     @pytest.mark.parametrize("fixture", ["reference_system", "set_a",
                                          "set_b", "set_c", "fixture_system",
@@ -421,11 +414,11 @@ class TestFloatBisection:
         for n in range(4):
             for l in range(3):
                 want = _solved(_joint_bisection, system, n, l)
-                assert _solved(energy_root_solve, system, n, l) == want
+                assert _solved(_root_values, system, n, l) == want
 
     def test_seeded_survey_matches_joint_bisection(self):
         rng = np.random.default_rng(7)
-        systems = _survey_systems(30, 2022)
+        systems = signed_draws(30, 2022)
         systems.append(PhysicalSystem(**_CLAMP_EDGE))
         for system in systems:
             m_inf = system.asymptotic_mass
@@ -435,7 +428,7 @@ class TestFloatBisection:
                     for l in range(3):
                         want = _solved(_joint_bisection, system, n, l,
                                        window)
-                        got = _solved(energy_root_solve, system, n, l,
+                        got = _solved(_root_values, system, n, l,
                                       window)
                         assert got == want, (system, n, l, window)
 
@@ -443,7 +436,7 @@ class TestFloatBisection:
         systems = [PhysicalSystem(**_CLAMP_EDGE),
                    PhysicalSystem(V0=0.25, beta=0.5, m0=1.0, m1=0.2),
                    PhysicalSystem(V0=0.1, beta=0.2, m0=1.0)]
-        systems += _survey_systems(4, 11)
+        systems += signed_draws(4, 11)
         for system in systems:
             m_inf = system.asymptotic_mass
             edges = [m_inf, np.nextafter(m_inf, 0.0), np.nextafter(m_inf, 2.0)]
@@ -486,7 +479,7 @@ class TestFloatBisection:
         # to a real 1e-7 where no tail decays: the residual raises all the
         # same, while _condition keeps its clamp for the root solve
         real = 0
-        for system in _survey_systems(200, 1):
+        for system in signed_draws(200, 1):
             m_inf = system.asymptotic_mass
             for E in (m_inf, float(np.nextafter(m_inf, 2.0))):
                 for e in (E, -E):
@@ -611,35 +604,76 @@ class TestRootSolve:
         assert not caplog.records
 
 
-class TestBranchLabels:
-    def test_pair_is_labelled_by_energy_order(self, reference_system, caplog):
-        with caplog.at_level(logging.WARNING,
-                             logger="kghulthen.hulthen_analytic"):
-            assert branch_labels(reference_system, 0, 0, [-0.9, -0.8]) \
-                == ["lower", "upper"]
-        assert not caplog.records
+class TestBranchLabel:
+    # a root is "upper" when F rises through it: read from its bracket's
+    # left lattice point, or from the neighbours of a lattice point where F
+    # is exactly 0 (at either end of the lattice, from the one there is)
+    @pytest.mark.parametrize("where", [0, 700, 2000, 700.5])
+    @pytest.mark.parametrize("slope, label", [(1.0, "upper"),
+                                              (-1.0, "lower")])
+    def test_rising_condition_is_upper(self, reference_system, monkeypatch,
+                                       where, slope, label):
+        lattice = np.linspace(*binding_window(reference_system), 2001)
+        root = 0.5 * (lattice[int(where)] + lattice[math.ceil(where)])
+        monkeypatch.setattr(hulthen_analytic, "_condition",
+                            lambda system, n, l, E: (slope * (E - root),
+                                                     0.0, 1.0))
+        (level,) = energy_root_solve(reference_system, 0, 0)
+        assert level.branch == label
+        assert abs(level.value - root) <= 1e-12
 
-    def test_single_energy_takes_nearest_closed_form_branch(
-            self, reference_system):
-        lower, upper = energy_closed_form(reference_system, 1, 0)
-        assert branch_labels(reference_system, 1, 0,
-                             [lower.value + 1e-3]) == ["lower"]
-        assert branch_labels(reference_system, 1, 0,
-                             [upper.value - 1e-3]) == ["upper"]
-        assert branch_labels(reference_system, 1, 0, []) == []
 
-    def test_more_than_two_energies_warn_once(self, reference_system,
-                                              caplog):
-        lower, upper = energy_closed_form(reference_system, 1, 0)
-        energies = [lower.value, 0.75 * lower.value + 0.25 * upper.value,
-                    upper.value]
-        with caplog.at_level(logging.WARNING,
-                             logger="kghulthen.hulthen_analytic"):
-            labels = branch_labels(reference_system, 1, 0, energies)
-        assert labels == ["lower", "lower", "upper"]
-        assert len(caplog.records) == 1
-        message = caplog.records[0].getMessage()
-        assert all(repr(E) in message for E in energies)
+def _trapezoid(y, x):
+    return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
+
+
+def _charge(system, n, l, E):
+    """(Q, error): the Klein-Gordon charge Q = integral of (E - V) phi**2
+    dr of the normalized state at E, taken as E - integral of V phi**2 dr
+    by the trapezoid rule over wavefunction's samples (an odd count of
+    them), and a bound on its error: the step-doubling difference plus the
+    part of V phi**2 past the grid, at most |V(r_max)| times the norm the
+    grid misses."""
+    wf = wavefunction(system, n, l, E)
+    r = wf.grid.radii()
+    keep = r.size - 1 + r.size % 2
+    r, phi2 = r[:keep], wf.values[:keep] ** 2
+    V = system.potential_at(r)
+    fine = _trapezoid(V * phi2, r)
+    coarse = _trapezoid((V * phi2)[::2], r[::2])
+    missing = abs(1.0 - _trapezoid(phi2, r))
+    return E - fine, abs(fine - coarse) + abs(V[-1]) * missing
+
+
+_CHARGE_DRAWS = {"box_seed_7": lambda: box_draws(7, range(1, 21)),
+                 "box_seed_72": lambda: box_draws(72, range(1, 21)),
+                 "signed": lambda: signed_draws(60, 25, depth=0.6)}
+
+
+class TestChargeSign:
+    @pytest.mark.parametrize("draws", list(_CHARGE_DRAWS))
+    def test_root_solved_label_is_the_charge_sign(self, draws):
+        # every root-solved level (n <= 3, l <= 2) is "upper" exactly when
+        # its charge is positive; a state whose |Q| the quadrature cannot
+        # resolve is skipped, and few may be
+        labels, skipped = [], 0
+        for system in _CHARGE_DRAWS[draws]():
+            for n in range(4):
+                for l in range(3):
+                    try:
+                        levels = energy_root_solve(system, n, l)
+                    except InvalidRegime:
+                        continue
+                    for level in levels:
+                        Q, error = _charge(system, n, l, level.value)
+                        if abs(Q) <= 10.0 * error:
+                            skipped += 1
+                            continue
+                        assert level.branch == (
+                            "upper" if Q > 0 else "lower"), (system, level, Q)
+                        labels.append(level.branch)
+        assert skipped <= 0.05 * len(labels)
+        assert min(labels.count("lower"), labels.count("upper")) >= 10
 
 
 def _bare_norm_mp(system, n, l, E, dps=50):

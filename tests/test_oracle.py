@@ -19,7 +19,7 @@ from kghulthen.errors import GridResolution, InvalidRegime, SolverError
 from kghulthen.model import binding_window, default_grid
 from kghulthen.oracle import approximation_error, ode_coefficient
 
-from conftest import REFERENCE_TRUE
+from conftest import REFERENCE_TRUE, box_draws, signed_draws
 
 
 class TestOdeCoefficient:
@@ -225,13 +225,57 @@ class TestFindBoundStates:
         root = 0.3 + math.pi * 1e-4
         monkeypatch.setattr(
             oracle, "_shoot", lambda ch, E, match_idx: (
-                np.asarray(E) - root, (np.asarray(E) > root).astype(int)))
+                np.asarray(E) - root, (np.asarray(E) > root).astype(int),
+                np.ones(np.size(E))))
         with caplog.at_level(logging.WARNING, logger="kghulthen.oracle"):
             (state,) = find_bound_states(reference_system, 0,
                                          window=(0.1, 0.9))
         assert len(caplog.records) == 1
         assert "still jumps" in caplog.records[0].getMessage()
         assert abs(state.energy - root) < 1e-10
+
+    @pytest.mark.parametrize("slope, glue, branch", [
+        (1.0, 1.0, "lower"), (1.0, -1.0, "upper"), (-1.0, 1.0, "upper"),
+        (-1.0, -1.0, "lower"),
+        # equal mismatches at the ends of a still-jumping piece
+        (0.0, 1.0, "upper")])
+    def test_branch_is_minus_slope_times_glue_sign(
+            self, reference_system, monkeypatch, slope, glue, branch):
+        # sign(Q) = -sign(d mismatch / dE) * sign(out_phi * in_phi): the
+        # slope's sign comes from the bracket's scan ends, the glue sign
+        # from the state's last sweep.  The count jumps by 2 at the root,
+        # so the piece is split down to the tolerance even where the
+        # mismatch does not change sign
+        root = 0.3 + math.pi * 1e-4
+        monkeypatch.setattr(
+            oracle, "_shoot", lambda ch, E, match_idx: (
+                slope * (np.asarray(E) - root) + (slope == 0.0),
+                2 * (np.asarray(E) > root), np.full(np.size(E), glue)))
+        (state,) = find_bound_states(reference_system, 0, window=(0.1, 0.9))
+        assert state.branch == branch
+        assert abs(state.energy - root) < 1e-10
+
+    @pytest.mark.parametrize("draws", [
+        lambda: box_draws(7, range(1, 11)) + box_draws(72, range(1, 11)),
+        lambda: signed_draws(20, 25, depth=0.6)], ids=["box", "signed"])
+    def test_branch_is_the_root_solved_label(self, draws):
+        # each full-window state (l <= 1) meets one root-solved level of
+        # its node count within 1e-6 and carries that level's label, the
+        # sign of its charge; channels the oracle cannot solve are skipped
+        labels = []
+        for system in draws():
+            for l in (0, 1):
+                try:
+                    states = find_bound_states(system, l)
+                except SolverError:
+                    continue
+                for d in states:
+                    (level,) = [lv for lv in energy_root_solve(
+                        system, d.node_count, l)
+                        if abs(lv.value - d.energy) <= 1e-6 * abs(lv.value)]
+                    assert d.branch == level.branch, (system, l, d)
+                    labels.append(d.branch)
+        assert min(labels.count("lower"), labels.count("upper")) >= 10
 
     def test_coarse_grid_raises_grid_resolution(self, shallow_long_system):
         grid = RadialGrid(r_min=1e-6 / 0.02, r_max=40.0 / 0.02, points=160)
@@ -303,7 +347,8 @@ def _stepwise_shoot(system, l, mode, E, grid, match_idx):
     """Reference for oracle._shoot: both sweeps one RK4 step at a time over
     the same cells (origin ladder, then the main grid; the main grid back
     from r_max), counting the sign changes of phi between consecutive
-    steps up to each energy's matching node."""
+    steps up to each energy's matching node, and the sign of
+    out_phi * in_phi at that node."""
     K, h = grid.points, grid.spacing
     cells = min(300, K // 4)
     pts, mark = oracle._ladder(grid.r_min, h, cells)
@@ -347,7 +392,8 @@ def _stepwise_shoot(system, l, mode, E, grid, match_idx):
                            -np.sqrt(np.maximum(Wg[-1], 0.0)), K - 1)
     nodes = n_out + n_in
     wr = o_p * i_phi - i_p * o_phi
-    return wr / (np.abs(o_p * i_phi) + np.abs(i_p * o_phi) + 1e-300), nodes
+    return (wr / (np.abs(o_p * i_phi) + np.abs(i_p * o_phi) + 1e-300), nodes,
+            np.sign(o_phi) * np.sign(i_phi))
 
 
 def _max_step_turn(system, l, mode, E, grid, match_idx):
@@ -626,7 +672,8 @@ class TestChunkedSweep:
                 sel.size)
         if points == 4000:
             assert lengths == {16, 32, 64, 128}
-        want_m, want_n = _stepwise_shoot(system, l, mode, E, grid, match)
+        want_m, want_n, want_g = _stepwise_shoot(system, l, mode, E, grid,
+                                                 match)
         # node counts agree where every main-grid step turns phi by at most
         # 2 rad; the coarse set_a grids reach h**2 |W| of 29-42, and there
         # the chunked count may differ from the stepwise one
@@ -634,10 +681,11 @@ class TestChunkedSweep:
         if points == 4000:
             assert resolved.all()
         for sel in batches:
-            got_m, got_n = oracle._shoot(ch, E[sel], match[sel])
+            got_m, got_n, got_g = oracle._shoot(ch, E[sel], match[sel])
             assert np.max(np.abs(got_m - want_m[sel])) <= 1e-12
             ok = resolved[sel]
             assert np.array_equal(got_n[ok], want_n[sel][ok])
+            assert np.array_equal(got_g, want_g[sel])
 
     @pytest.mark.parametrize("name", ["reference_system", "set_a"])
     def test_truncated_sweeps_match_stepwise_sweep(self, name, request,
@@ -661,7 +709,8 @@ class TestChunkedSweep:
         E = np.linspace(-m_inf + 1e-6, m_inf - 1e-6, 3 * 17)
         match = np.concatenate([np.full(17, 2), np.full(17, K - 2),
                                 np.linspace(lo, hi, 17).astype(int)])
-        want_m, want_n = _stepwise_shoot(system, l, mode, E, grid, match)
+        want_m, want_n, want_g = _stepwise_shoot(system, l, mode, E, grid,
+                                                 match)
 
         chunk_length = oracle._chunk_length
         seen = []
@@ -673,9 +722,10 @@ class TestChunkedSweep:
         monkeypatch.setattr(oracle, "_chunk_length", spy)
         for sel in np.split(np.arange(E.size), 3):
             seen.clear()
-            got_m, got_n = oracle._shoot(ch, E[sel], match[sel])
+            got_m, got_n, got_g = oracle._shoot(ch, E[sel], match[sel])
             assert np.max(np.abs(got_m - want_m[sel])) <= 1e-12
             assert np.array_equal(got_n, want_n[sel])
+            assert np.array_equal(got_g, want_g[sel])
             farthest = [outward.reach[match[sel]].max(),
                         inward.reach[match[sel]].max()]
             assert seen == [128 * (s // 128 + 1) for s in farthest]
@@ -734,10 +784,12 @@ class TestChunkedSweep:
             reject()
         match = np.where(rng.random(width) < 0.5, _turning(ch, E),
                          rng.integers(2, grid.points - 1, width))
-        got_m, got_n = oracle._shoot(ch, E, match)
-        want_m, want_n = _stepwise_shoot(system, l, mode, E, grid, match)
+        got_m, got_n, got_g = oracle._shoot(ch, E, match)
+        want_m, want_n, want_g = _stepwise_shoot(system, l, mode, E, grid,
+                                                 match)
         assert np.max(np.abs(got_m - want_m)) <= 1e-12
         assert np.array_equal(got_n, want_n)
+        assert np.array_equal(got_g, want_g)
 
     @pytest.mark.parametrize("window, widths", [
         # scan, then 5 Illinois points of its one bracket
@@ -784,13 +836,14 @@ class TestChunkedSweep:
 
     @staticmethod
     def _mismatch(monkeypatch, f):
-        """Replace _shoot by the mismatch f(E) at a node count of 0,
-        recording each sweep's width."""
+        """Replace _shoot by the mismatch f(E) at a node count of 0 and a
+        glue sign of +1, recording each sweep's width."""
         seen = []
 
         def shoot(ch, E, match_idx):
             seen.append(np.size(E))
-            return f(np.asarray(E)), np.zeros(np.size(E), dtype=int)
+            return (f(np.asarray(E)), np.zeros(np.size(E), dtype=int),
+                    np.ones(np.size(E)))
 
         monkeypatch.setattr(oracle, "_shoot", shoot)
         return seen
