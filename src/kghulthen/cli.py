@@ -12,8 +12,9 @@ Line endings are '\\n', and no timestamps or environment details are
 written.
 
 Exit status: 0 on success (including an empty result), 1 when `validate`
-finds a failing check, 2 on configuration errors and on an output file
-that cannot be written.
+finds a failing check or `wavefunction` has no state to sample (its
+stderr line names the status token), 2 on configuration errors and on an
+output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -334,31 +335,34 @@ def _spectrum_table(config: RunConfig) -> Table:
 
 
 def _pick_state_energy(config: RunConfig, n: int, l: int):
-    """Energy of the requested (n, l) state under the configured method.
-
-    Returns None when no such bound state exists.
-    """
+    """(energy, status) of the requested (n, l) state under the configured
+    method: the last requested branch whose row is ok, so the upper when
+    both are; else (None, the status of the last requested branch)."""
     rows = _state_rows(config, n, l, {})
-    found = [rows[b][0] for b in _requested_branches(config)
-             if rows[b][1] == "ok" and rows[b][0] is not None]
-    # the branches come lower first, so with both available: the upper
-    return found[-1] if found else None
+    branches = _requested_branches(config)
+    found = [rows[b] for b in branches if rows[b][1] == "ok"]
+    return found[-1] if found else (None, rows[branches[-1]][1])
 
 
 def _wavefunction_table(config: RunConfig) -> Table:
+    """The samples of one state; with nothing to sample, no rows and a
+    stderr line that names the status token (``main`` then exits 1)."""
     n, l = config.n_max, config.l_max
     columns = ("r", "z", "phi", "phi_normalized")
-    energy = _pick_state_energy(config, n, l)
+    energy, status = _pick_state_energy(config, n, l)
     if energy is None:
-        print(f"no bound state for n={n}, l={l} under method "
-              f"{config.method}; nothing to sample", file=sys.stderr)
+        print(f"no state to sample for n={n}, l={l} under method "
+              f"{config.method}: {status}", file=sys.stderr)
         return Table(columns, [])
     try:
         wf = ha.wavefunction(config.system, n, l, energy,
                              grid=config.grid)
     except (NonNormalizable, InvalidRegime, ValueError) as exc:
-        print(f"cannot build wavefunction for n={n}, l={l}: {exc}",
-              file=sys.stderr)
+        # a ValueError: the energy misses the quantization condition
+        status = ("non_normalizable" if isinstance(exc, NonNormalizable)
+                  else getattr(exc, "status", "spurious"))
+        print(f"cannot build wavefunction for n={n}, l={l} ({status}): "
+              f"{exc}", file=sys.stderr)
         return Table(columns, [])
     radii = wf.grid.radii()
     samples = np.column_stack((radii, config.system.z_at(radii),
@@ -650,6 +654,8 @@ def main(argv=None) -> int:
     if config.command == "validate":
         status = table.columns.index("status")
         return int(any(row[status] == "fail" for row in table.rows))
+    if config.command == "wavefunction":
+        return int(len(table.rows) == 0)
     return 0
 
 

@@ -156,12 +156,14 @@ def _check_radius(r):
 class EnergyLevel:
     """One solved energy.
 
-    ``branch`` distinguishes the two roots of the quadratic energy relation
-    ("lower"/"upper" by value); ``method`` records how the number was
-    obtained: "closed_form" or "quantization_root".  ``unbound`` marks
-    values that fall outside the binding window (|E| >= asymptotic rest
-    energy) and are therefore not genuine bound states even though the
-    algebra produced them.
+    ``branch`` is the sign of the state's Klein-Gordon charge Q = integral
+    of (E - V) phi**2 dr: "upper" where it is positive, "lower" where it
+    is negative.  The root solve reads it from the bracket it closes; the
+    closed form names its pair by root order (``hulthen_analytic``).
+    ``method`` records how the number was obtained: "closed_form" or
+    "quantization_root".  ``unbound`` marks values that fall outside the
+    binding window (|E| >= asymptotic rest energy) and are therefore not
+    genuine bound states even though the algebra produced them.
     """
 
     value: float

@@ -19,9 +19,10 @@ transfer matrices, never from phi at every grid node.
 ``find_bound_states`` brackets and refines the eigenvalues in one loop of
 such sweeps; its docstring states the bracket rule, what ``converged``
 means and when the grid is too coarse for the states.  Its first scan row
-shoots no energy inside the channel's no-state band (``_no_state_band``),
-where W + 1/(4 r**2) >= 0 at every sample: Hardy's inequality leaves no
-state there.
+shoots no energy inside the channel's no-state band (``_band``), where
+W - u''/u >= 0 at every sample for a positive trial function u: one of
+the family u = z**a exp(-k r), the shape of the n = 0 eigenfunction, or
+Hardy's u = r**(1/2), the case the family extends.  No state lies there.
 
 Two implementation notes, both measured necessities rather than choices:
 
@@ -58,6 +59,10 @@ _CHUNK_CELLS = 6144         # chunk x energy cells per sweep pass; fewer slow
                             # 60-energy sweeps, more raise peak memory
 _NODE_BLOCK = 256           # grid nodes per block of the turning search
 _MAP_BLOCK = 1024           # steps per block of a step table's build
+_BAND_STRIDE = 512          # samples apart in the search of the band's rates
+_BAND_RATES = 65            # evenly spaced rates the search starts from
+_BAND_STEPS = 4             # golden-section steps of the search
+_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 log = logging.getLogger(__name__)
 
@@ -238,29 +243,133 @@ def _padded(h, w, node, K):
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _no_state_band(r, w):
-    """(lo, hi): the energies E at which W(r, E) + 1/(4 r**2) >= 0 at every
-    sample radius r, w holding W's coefficient rows there; (inf, -inf)
-    when there are none.  At each sample that sum is the downward parabola
-    (w0 + 1/(4 r**2)) + w1 E - E**2/hbar_c**2 in E, non-negative between
-    its roots, so the band is the intersection of those root intervals,
-    shrunk by 1e-9 of its width and kept only if every sample is still
-    non-negative at both its ends in floats.  By Hardy's inequality no
-    bound state lies inside (``find_bound_states``)."""
-    a = w[:, 0] + 0.25 / (r * r)
+def _no_state_band(w, uu):
+    """(lo, hi): the energies E at which W(r, E) - u''/u >= 0 at every
+    sample radius r, w holding W's coefficient rows there and uu the
+    column of u''/u for one positive trial function u; (inf, -inf) when
+    there are none.  At each sample that difference is the downward
+    parabola (w0 - u''/u) + w1 E - E**2/hbar_c**2 in E, non-negative
+    between its roots, so the band is the intersection of those root
+    intervals, shrunk by 1e-9 of its width and kept only if every sample
+    is still non-negative at both its ends in floats.  For a u no steeper
+    than the regular solution at the origin no bound state lies inside
+    (``find_bound_states``); ``_band`` takes the slices of two kinds of u.
+    """
+    a = w[:, 0] - uu
     b, c = w[:, 1], w[:, 2]
-    disc = b * b - 4.0 * a * c
-    if not np.all(disc >= 0.0):
-        return math.inf, -math.inf
-    q = -0.5 * (b + np.copysign(np.sqrt(disc), b))    # stable roots q/c, a/q
-    r1, r2 = q / c, a / q
+    # in place on two work arrays: a fresh sample-long temporary for each
+    # operation doubled the time of this routine inside a solve.  A
+    # negative discriminant makes NaN roots, NaN ends and so no band
+    q, t = b * b, a * c
+    t *= 4.0
+    q -= t                                  # the discriminant
+    np.sqrt(q, out=q)
+    np.copysign(q, b, out=q)
+    q += b
+    q *= -0.5                               # stable roots q/c, a/q
+    r1, r2 = np.divide(q, c, out=t), np.divide(a, q, out=q)
     lo = float(np.max(np.minimum(r1, r2)))
-    hi = float(np.min(np.maximum(r1, r2)))
+    hi = float(np.min(np.maximum(r1, r2, out=r2)))
     lo, hi = lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo)
-    if not (lo < hi and all(np.all(a + b * E + c * (E * E) >= 0.0)
-                            for E in (lo, hi))):
+    if not lo < hi:
         return math.inf, -math.inf
+    for E in (lo, hi):                      # a + E (b + c E) >= 0
+        np.multiply(c, E, out=t)
+        t += b
+        t *= E
+        t += a
+        if not np.all(t >= 0.0):
+            return math.inf, -math.inf
     return lo, hi
+
+
+def _golden_max(f, lo, hi, steps):
+    """(f(x), x) at the best of the points that ``steps`` golden-section
+    steps for the maximum of f on [lo, hi] score (J. Kiefer, Proc. Amer.
+    Math. Soc. 4, 502 (1953))."""
+    x1, x2 = hi - _GOLD * (hi - lo), lo + _GOLD * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    best = max((f1, x1), (f2, x2))
+    for _ in range(steps):
+        if f1 >= f2:                     # the maximum lies in [lo, x2]
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLD * (hi - lo)
+            f1 = f(x1)
+            best = max(best, (f1, x1))
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLD * (hi - lo)
+            f2 = f(x2)
+            best = max(best, (f2, x2))
+    return best
+
+
+@np.errstate(invalid="ignore")
+def _trial_rates(w, c0, t, k_max):
+    """[k_hi, k_lo]: the rates in [0, k_max] at which the slice of u =
+    z**a exp(-k r) on the sample rows w reaches highest and lowest, with
+    u''/u = k**2 - t k + c0 there (``_band``).  At a sample the roots of
+    W - u''/u are mid +- sqrt(p0 + p1 k + p2 k**2), and the slice here is
+    their intersection, unshrunk and unchecked.  For each end: the best
+    of _BAND_RATES evenly spaced rates, then _BAND_STEPS golden-section
+    steps between its two neighbours, keeping the best rate scored.  For
+    fixed a the slice's top is concave and its bottom convex in k where
+    the slice is not empty, so each end has one optimum there."""
+    b, c = w[:, 1], w[:, 2]
+    mid = -0.5 * b / c
+    p0, p1, p2 = mid * mid - (w[:, 0] - c0) / c, -t / c, 1.0 / c
+
+    def ends(k):             # (lo, hi) at k, or per rate of a column k
+        half = np.sqrt(p0 + k * (p1 + k * p2))      # NaN where complex
+        return np.max(mid - half, axis=-1), np.min(mid + half, axis=-1)
+
+    def score(x, end):       # the top, or minus the bottom
+        lo, hi = ends(x)
+        return (hi, -lo)[end] if lo <= hi else -math.inf
+
+    k = np.linspace(0.0, k_max, _BAND_RATES)
+    lo, hi = ends(k[:, None])
+    rates = []
+    for end, f in enumerate(np.where(lo <= hi, [hi, -lo], -math.inf)):
+        j = int(np.argmax(f))
+        rates.append(max((f[j], k[j]), _golden_max(
+            lambda x: score(x, end), k[max(j - 1, 0)],
+            k[min(j + 1, k.size - 1)], _BAND_STEPS))[1])
+    return rates
+
+
+def _band(system, r, w, g):
+    """The no-state band of a channel whose sweeps read W's coefficient
+    rows w at the radii r, g its origin power (``_origin_series``).
+
+    Two kinds of trial function u each give a slice (``_no_state_band``):
+    Hardy's u = r**(1/2), and u = z**a exp(-k r), with z = 1 - exp(-beta
+    r) and a = g (1 - 1e-9), the shape of the ground state that the
+    closed-form treatment writes down.  There u''/u = k**2 - (2 a k + a
+    beta) y + a (a - 1) y**2 with y = beta (1 - z)/z, so W - u''/u is a
+    downward parabola in E at each sample and, for fixed a, jointly
+    concave in (E, k): the energies where some k suits every sample form
+    an interval.  Its two ends come from two rates (``_trial_rates``,
+    searched on every _BAND_STRIDE-th sample and k in [0, m_inf/hbar_c]),
+    each slice computed on every sample; the hull of the two is proven.
+    Hardy's slice joins it where they overlap, else the wider one is kept:
+    its u''/u = -1/(4 r**2) stays negative far out, where the family's
+    falls to k**2, so it often reaches nearer +-m_inf.
+    """
+    beta = system.beta
+    a = g * (1.0 - 1e-9)
+    y = beta / np.expm1(beta * r)
+    c0 = y * (a * (a - 1.0) * y - a * beta)
+    s = slice(None, None, _BAND_STRIDE)
+    rates = _trial_rates(w[s], c0[s], 2.0 * a * y[s],
+                         system.asymptotic_mass / system.hbar_c)
+    (lo1, hi1), (lo2, hi2) = (
+        _no_state_band(w, (c0 + k * k) - (2.0 * a * k) * y) for k in rates)
+    lo, hi = min(lo1, lo2), max(hi1, hi2)
+    h_lo, h_hi = _no_state_band(w, -0.25 / (r * r))
+    if h_lo <= hi and lo <= h_hi:
+        return min(lo, h_lo), max(hi, h_hi)
+    return max((lo, hi), (h_lo, h_hi), key=lambda s: s[1] - s[0])
 
 
 class _Channel(NamedTuple):
@@ -272,7 +381,7 @@ class _Channel(NamedTuple):
     series: tuple        # _origin_series at l: (cm1_const, cm1_lin, g)
     r_min: float
     ladder: int          # grid cells the outward ladder covers
-    band: tuple          # (lo, hi) of _no_state_band over the sweeps' samples
+    band: tuple          # (lo, hi) of _band over the sweeps' samples
 
 
 def _channel(system, l, mode, grid):
@@ -302,8 +411,8 @@ def _channel(system, l, mode, grid):
         raise InvalidRegime(
             f"ODE coefficient not finite at r_min={grid.r_min!r}; "
             "the origin offset is too small for these parameters")
-    band = _no_state_band(np.concatenate([ladder, rr]),
-                          np.concatenate([w_out[:ladder.size], w]))
+    band = _band(system, np.concatenate([ladder, rr]),
+                 np.concatenate([w_out[:ladder.size], w]), series[2])
 
     lnode = np.full(len(pts) - 1, -1)
     lnode[mark[1:] - 1] = np.arange(1, cells + 1)
@@ -549,14 +658,20 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
     every energy matched at its own turning index.  The first row is
     ``scan_points`` energies less each one whose two neighbours lie in the
     channel's no-state band, so every merged piece lies inside the band.
-    There W + 1/(4 r**2) >= 0 at every sample of the sweeps, and with
-    phi = r**(1/2) v, (r v')' = r (W + 1/(4 r**2)) v keeps the regular v
-    of any c2 >= -1/4 free of nodes and from decaying: no state lies there
-    (Hardy's inequality; G. H. Hardy, Math. Z. 6, 314 (1920)).  One
-    bracket rule holds at every level: a flat node count with a mismatch
-    sign change is a bracket; a node-count jump is split 16-fold and
-    scanned again, on the first row always (a root pair can straddle a
-    jump), below it when the mismatch changes sign (it is continuous
+    There W - u''/u >= 0 at every sample of the sweeps for a positive
+    trial function u (``_band``): u = z**a exp(-k r), or Hardy's u =
+    r**(1/2), the case that family extends, with u ~ r**a, a <= g, at the
+    origin, where the regular solution goes like r**g.  A state phi = u v
+    at E would give integral(u**2 v'**2) + integral((W - u''/u) phi**2) =
+    -lim_(r -> 0) phi**2 (phi'/phi - u'/u) <= 0, though the left side is
+    positive (v is not constant): no state lies there (the ground-state
+    representation; for u = r**(1/2), Hardy's inequality, G. H. Hardy,
+    Math. Z. 6, 314 (1920)).
+
+    One bracket rule holds at every level: a flat node count with a
+    mismatch sign change is a bracket; a node-count jump is split 16-fold
+    and scanned again, on the first row always (a root pair can straddle
+    a jump), below it when the mismatch changes sign (it is continuous
     through a jump) or the count jumps by 2 or more (two states can share
     a piece).  A piece still jumping below the tolerance is named in a
     warning and refined as a bracket.

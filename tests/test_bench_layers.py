@@ -21,7 +21,8 @@ def test_one_repeat_writes_every_figure(tmp_path):
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text())
-    assert set(result) == {"machine", "repeat", "serialize", "solvers"}
+    assert set(result) == {"machine", "repeat", "serialize", "solvers",
+                           "shots"}
     assert result["repeat"] == 1
     assert {"nproc", "python", "numpy", "processor",
             "OPENBLAS_NUM_THREADS"} <= set(result["machine"])
@@ -29,8 +30,11 @@ def test_one_repeat_writes_every_figure(tmp_path):
         "block_rows", "slot_rows", "total_s", "decimal_s", "slot_fill_s",
         "transpose_s", "translate_s"}
     assert set(result["solvers"]) == {
-        "energy_root_solve_s", "wavefunction_s", "shoot_B1_s",
-        "shoot_B240_s", "find_bound_states_l0_s"}
+        "energy_root_solve_s", "wavefunction_s", "channel_s", "shoot_B1_s",
+        "shoot_B240_s", "find_bound_states_l0_s", "find_bound_states_l1_s"}
+    # the shots are exact: the reference's full-window solves
+    assert result["shots"] == {"l0_sweeps": 8, "l0_energies": 77,
+                               "l1_sweeps": 7, "l1_energies": 25}
     timings = [v for group in ("serialize", "solvers")
                for k, v in result[group].items() if k.endswith("_s")]
     assert all(isinstance(t, float) and t > 0.0 for t in timings)

@@ -300,7 +300,10 @@ _STATUS_TOKENS = {
     "spectrum": {"ok", "spurious", "unbound", "no_bound_state",
                  "invalid_regime", "grid_resolution"},
     "validate": {"pass", "fail"},
-    "approx-error": {"ok", "unmatched", "invalid_regime", "grid_resolution"}}
+    "approx-error": {"ok", "unmatched", "invalid_regime", "grid_resolution"},
+    # named on stderr when there is nothing to sample
+    "wavefunction": {"no_bound_state", "spurious", "unbound",
+                     "grid_resolution", "invalid_regime", "non_normalizable"}}
 
 
 class TestOracleCommandsEndInRecords:
@@ -313,7 +316,9 @@ class TestOracleCommandsEndInRecords:
         # screening drawn by exponent from 0.01 up, the well relative to
         # it, m0 = 1 (the oracle's random-survey domain, widened): every
         # oracle command ends in rows with a documented status token, or
-        # in a configuration error with exit code 2 and nothing on stdout
+        # in a configuration error with exit code 2 and nothing on stdout;
+        # a wavefunction with nothing to sample exits 1 and names its token
+        # on stderr
         beta = 10.0 ** beta
         flags = [f"--V0={sign * beta * 10.0 ** V0!r}", f"--beta={beta!r}",
                  "--m0=1", f"--m1={m1!r}"]
@@ -321,13 +326,21 @@ class TestOracleCommandsEndInRecords:
                 ("spectrum", ["--method=oracle", "--n-max=2", "--l-max=1"]),
                 ("validate", []),
                 ("approx-error", ["--l-max=0", f"--betas={beta!r},"
-                                  f"{beta / 2.0!r}"])):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
+                                  f"{beta / 2.0!r}"]),
+                ("wavefunction", ["--method=oracle"])):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
                 code = main([command] + flags + extra)
             rows = out.getvalue().splitlines()
             if code == 2:
                 assert rows == []
+                continue
+            if command == "wavefunction":
+                assert (code == 0 and len(rows) > 1) or (
+                    code == 1 and rows == [] and any(
+                        token in err.getvalue()
+                        for token in _STATUS_TOKENS[command]))
                 continue
             assert code in ((0, 1) if command == "validate" else (0,))
             column = rows[0].split(",").index("status")
@@ -546,12 +559,28 @@ class TestWavefunctionRecords:
                   for r in records if abs(r["phi_normalized"]) > 1e-6}
         assert len(ratios) == 1
 
+    @pytest.mark.parametrize("argv, token", [
+        (["--n-max=2"], "no_bound_state"),
+        (["--n-max=2", "--method=closed_form"], "spurious"),
+        (["--V0=300", "--beta=1", "--m0=1000", "--m1=500"],
+         "non_normalizable"),
+        (["--V0=300", "--beta=1", "--m0=1000", "--m1=500",
+          "--method=oracle"], "grid_resolution"),
+        (["--V0=5"], "invalid_regime")])
+    def test_nothing_to_sample_exits_1_naming_the_token(self, capsys, argv,
+                                                       token):
+        # the reference's flags, overridden by argv
+        assert main(["wavefunction", "--V0=0.1", "--beta=0.2", "--m0=1"]
+                    + argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and token in err
+
     def test_missing_state_reports_and_returns_empty(self, capsys):
         cfg = _cfg(command="wavefunction", n_max=2, l_max=0)
         records = _records(execute(cfg))
         assert records == []
         err = capsys.readouterr().err
-        assert "no bound state" in err and "n=2" in err
+        assert "no_bound_state" in err and "n=2" in err
 
 
 class TestValidateRecords:

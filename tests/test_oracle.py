@@ -427,20 +427,49 @@ def _argmin_crossing(W):
 
 
 def _sweep_samples(system, l, mode, grid):
-    """Radii and W's coefficient rows at every sample the sweeps read: the
-    origin ladder's points and midpoints, the main grid's nodes and
-    midpoints."""
+    """Radii and W's coefficient rows at every sample the sweeps read, in
+    the channel's order: the origin ladder's points and midpoints in turn,
+    then the main grid's nodes and midpoints in turn."""
     K, h = grid.points, grid.spacing
     pts, _ = oracle._ladder(grid.r_min, h, min(300, K // 4))
-    r = np.concatenate([pts, 0.5 * (pts[:-1] + pts[1:]),
-                        grid.r_min + 0.5 * h * np.arange(2 * K - 1)])
+    ladder = np.empty(2 * pts.size - 1)
+    ladder[::2], ladder[1::2] = pts, 0.5 * (pts[:-1] + pts[1:])
+    r = np.concatenate([ladder, grid.r_min + 0.5 * h * np.arange(2 * K - 1)])
     return r, oracle._w_coefficients(system, l, mode, r)
 
 
-def _least_hardy_sum(r, w, E):
-    """min over the samples of W(r, E) + 1/(4 r**2), in floats."""
-    return np.min((w[:, 0] + 0.25 / (r * r)) + w[:, 1] * E
-                  + w[:, 2] * (E * E))
+def _family_column(r, a, beta, k):
+    """u''/u of u = z**a exp(-k r) at the radii r, as the band evaluates
+    it: k**2 - t k + c0, with t = 2 a y, c0 = y (a (a - 1) y - a beta) and
+    y = beta (1 - z)/z."""
+    y = beta / np.expm1(beta * r)
+    return (y * (a * (a - 1.0) * y - a * beta) + k * k) - (2.0 * a * k) * y
+
+
+def _band_slices(system, l, r, w):
+    """The slices of the channel's band as (lo, hi, k), and the column of
+    u''/u at the samples r as a function of k: u = z**a exp(-k r) at the
+    two rates that ``_trial_rates`` finds, then Hardy's u = r**(1/2), k =
+    None."""
+    a = oracle._origin_series(system, l)[2] * (1.0 - 1e-9)
+    beta = system.beta
+
+    def column(k):
+        if k is None:
+            return -0.25 / (r * r)
+        return _family_column(r, a, beta, k)
+
+    s = slice(None, None, oracle._BAND_STRIDE)
+    y = beta / np.expm1(beta * r)
+    rates = oracle._trial_rates(w[s], column(0.0)[s], 2.0 * a * y[s],
+                                system.asymptotic_mass / system.hbar_c)
+    return [oracle._no_state_band(w, column(k)) + (k,)
+            for k in rates + [None]], column
+
+
+def _least_difference(w, uu, E):
+    """min over the samples of W(r, E) - u''/u, in floats."""
+    return np.min((w[:, 0] - uu) + w[:, 1] * E + w[:, 2] * (E * E))
 
 
 def _band_cases():
@@ -469,6 +498,14 @@ def _band_cases():
     return cases
 
 
+def _band_or_none(system, l, mode):
+    """The channel's band, or None where the channel raises."""
+    try:
+        return oracle._channel(system, l, mode, default_grid(system)).band
+    except SolverError:
+        return None
+
+
 class TestNoStateBand:
     @pytest.mark.parametrize("system, l, mode", [
         (PhysicalSystem(V0=0.1, beta=0.2, m0=1.0), 0, "approx"),
@@ -479,32 +516,58 @@ class TestNoStateBand:
         (PhysicalSystem(V0=-0.1, beta=0.3, m0=1.0, m1=0.5), 2, "exact")])
     def test_band_is_where_every_sample_is_non_negative(self, system, l,
                                                         mode):
-        # the premise of the band: W + 1/(4 r**2) >= 0 at every sample the
-        # sweeps read, anywhere inside it, and < 0 at some sample just
-        # outside either end
+        # the premise of the band: at every energy inside it, W - u''/u
+        # >= 0 at every sample the sweeps read for the trial function u of
+        # a slice that holds the energy, or between the two family slices
+        # for the family at the rate interpolated between their facing
+        # ends (the difference is jointly concave in (E, k)); and the u of
+        # the slice at either end goes negative just beyond it
         grid = default_grid(system)
         r, w = _sweep_samples(system, l, mode, grid)
         lo, hi = oracle._channel(system, l, mode, grid).band
-        assert (lo, hi) == oracle._no_state_band(r, w)
+        slices, column = _band_slices(system, l, r, w)
         assert lo < hi
+        assert lo == min(s[0] for s in slices)
+        assert hi == max(s[1] for s in slices)
+        (lo1, hi1, k1), (lo2, hi2, k2) = sorted(slices[:2])
         for E in np.linspace(lo, hi, 201):
-            assert _least_hardy_sum(r, w, E) >= 0.0
+            rates = [k for s_lo, s_hi, k in slices if s_lo <= E <= s_hi]
+            if hi1 < E < lo2:
+                rates.append(k1 + (E - hi1) / (lo2 - hi1) * (k2 - k1))
+            assert any(_least_difference(w, column(k), E) >= 0.0
+                       for k in rates), E
         d = 1e-6 * (hi - lo)
-        assert _least_hardy_sum(r, w, lo - d) < 0.0
-        assert _least_hardy_sum(r, w, hi + d) < 0.0
+        for E, end in ((lo - d, 0), (hi + d, 1)):
+            k = next(s[2] for s in slices if s[end] == (lo, hi)[end])
+            assert _least_difference(w, column(k), E) < 0.0
+
+    def test_family_is_the_curvature_of_its_trial_function(self):
+        # u''/u = k**2 - (2 a k + a beta) y + a (a - 1) y**2, y = beta (1 -
+        # z)/z, for u = z**a exp(-k r): against central differences
+        a, beta, k = 1.3, 0.2, 0.6
+        r = np.array([0.05, 0.7, 3.0, 20.0])
+        h = 1e-4 * r
+        z = lambda x: -np.expm1(-beta * x)
+        log_u = lambda x: a * np.log(z(x)) - k * x
+        d1 = (log_u(r + h) - log_u(r - h)) / (2 * h)
+        d2 = (log_u(r + h) - 2 * log_u(r) + log_u(r - h)) / (h * h)
+        assert np.allclose(d2 + d1 * d1, _family_column(r, a, beta, k),
+                           rtol=1e-6)
 
     def test_band_is_empty_where_no_energy_suits_every_sample(
             self, reference_system):
         r, w = _sweep_samples(reference_system, 0, "approx",
                               default_grid(reference_system))
         empty = (math.inf, -math.inf)
+        hardy = -0.25 / (r * r)
         # one row with a negative discriminant: a = -1, b = 0, c = -1
         assert oracle._no_state_band(
-            np.append(r, 1.0), np.vstack([w, [-1.25, 0.0, -1.0]])) == empty
+            np.vstack([w, [-1.25, 0.0, -1.0]]), np.append(hardy, -0.25)) \
+            == empty
         # root intervals that do not meet: (-1, 1) and (2, 4)
         assert oracle._no_state_band(
-            np.array([1.0, 1.0]),
-            np.array([[0.75, 0.0, -1.0], [-8.25, 6.0, -1.0]])) == empty
+            np.array([[0.75, 0.0, -1.0], [-8.25, 6.0, -1.0]]),
+            np.array([-0.25, -0.25])) == empty
 
     @pytest.mark.parametrize("system, l, mode, scan_points", _band_cases())
     def test_band_changes_no_state(self, system, l, mode, scan_points,
@@ -521,7 +584,7 @@ class TestNoStateBand:
 
         states, error = solve()
         monkeypatch.setattr(oracle, "_no_state_band",
-                            lambda r, w: (math.inf, -math.inf))
+                            lambda w, uu: (math.inf, -math.inf))
         every, every_error = solve()
         assert error == every_error
         assert [(d.node_count, d.converged) for d in states] == \
@@ -533,6 +596,47 @@ class TestNoStateBand:
             lo, hi = oracle._channel(system, l, mode,
                                      default_grid(system)).band
             assert not any(lo <= d.energy <= hi for d in states)
+
+    def test_band_holds_no_root_solved_level(self):
+        # the closed form solves the approx equation: no level of either
+        # branch lies inside its band; at l = 0 the exact mode is the same
+        # equation.  (At l >= 1 the exact well is shallower, and its band
+        # may hold an approx level: the reference's l = 1 one, 0.998413,
+        # lies below the exact band's top)
+        checked = 0
+        for system, l, _, _ in _band_cases():
+            for mode in ("approx", "exact") if l == 0 else ("approx",):
+                band = _band_or_none(system, l, mode)
+                if band is None:
+                    continue
+                levels = [lv.value for n in range(8)
+                          for lv in energy_root_solve(system, n, l)]
+                assert not any(band[0] <= E <= band[1] for E in levels)
+                checked += bool(levels)
+        assert checked >= 30
+
+    @pytest.mark.parametrize("systems", [
+        lambda: [PhysicalSystem(V0=0.1, beta=0.2, m0=1.0),
+                 PhysicalSystem(V0=0.2, beta=0.05, m0=1.0, m1=0.2)],
+        lambda: box_draws(72, range(1, 21)) + box_draws(7, range(1, 21))],
+        ids=["fixtures", "box"])
+    def test_band_reaches_the_lowest_upper_level(self, systems):
+        # the family's band climbs to just below the n = 0 level: its top
+        # lies under the lowest upper-branch level by at most one spacing
+        # of a full-window first row
+        gaps = []
+        for system in systems():
+            lo, hi = binding_window(system)
+            for l in range(3):
+                band = _band_or_none(system, l, "approx")
+                upper = [] if band is None else [
+                    lv.value for n in range(8)
+                    for lv in energy_root_solve(system, n, l)
+                    if lv.branch == "upper"]
+                if upper:
+                    gaps.append((min(upper) - band[1]) / ((hi - lo) / 239))
+        assert len(gaps) >= 4
+        assert 0.0 < min(gaps) and max(gaps) <= 1.0
 
 
 class TestTurningIndices:
@@ -792,17 +896,18 @@ class TestChunkedSweep:
         assert np.array_equal(got_g, want_g)
 
     @pytest.mark.parametrize("window, widths", [
-        # scan, then 5 Illinois points of its one bracket
-        ((0.7, 0.8), [60] + [1] * 5),
-        # the 116 of 240 scan energies that the no-state band leaves;
+        # the band reaches 0.755, so the scan keeps 29 of its 60 energies;
+        # then 5 Illinois points of its one bracket
+        ((0.7, 0.8), [29] + [1] * 5),
+        # the 32 of 240 scan energies that the no-state band leaves;
         # both node-count jumps split 16-fold beside the first Illinois
         # points of the scan's two brackets; 3 more points each, then 3
         # more for the bracket still open
-        (None, [116, 34 + 2] + [2] * 3 + [1] * 3),
-        # the same from a 60-point scan of (0.7, 0.999), which the band
-        # does not reach: 3 more points each, then 1 for the bracket
-        # still open
-        ((0.7, 0.999), [60, 34 + 2] + [2] * 3 + [1])])
+        (None, [32, 34 + 2] + [2] * 3 + [1] * 3),
+        # the same from a 60-point scan of (0.7, 0.999), 51 of whose
+        # energies the band leaves: 3 more points each, then 1 for the
+        # bracket still open
+        ((0.7, 0.999), [51, 34 + 2] + [2] * 3 + [1])])
     def test_sweep_count(self, reference_system, monkeypatch, window,
                          widths):
         seen = self._counted(monkeypatch)
@@ -813,13 +918,12 @@ class TestChunkedSweep:
 
     def test_sweep_count_of_a_scan_mostly_in_the_band(self, reference_system,
                                                       monkeypatch):
-        # at l = 1 the band holds all but the top 3 of 240 energies, so the
-        # scan keeps those, the band's two end energies and nothing
-        # between; the jump below the state is split once, then 5
-        # Illinois points
+        # at l = 1 the band holds all but the top energy of 240, so the
+        # scan keeps it, the band's two end energies and nothing between;
+        # the jump below the state is split once, then 5 Illinois points
         seen = self._counted(monkeypatch)
         find_bound_states(reference_system, 1)
-        assert seen == [5, 17] + [1] * 5
+        assert seen == [3, 17] + [1] * 5
 
     @staticmethod
     def _counted(monkeypatch):
@@ -837,7 +941,9 @@ class TestChunkedSweep:
     @staticmethod
     def _mismatch(monkeypatch, f):
         """Replace _shoot by the mismatch f(E) at a node count of 0 and a
-        glue sign of +1, recording each sweep's width."""
+        glue sign of +1, recording each sweep's width.  f's roots are not
+        the channel's states, so the channel's no-state band is emptied
+        too."""
         seen = []
 
         def shoot(ch, E, match_idx):
@@ -846,6 +952,8 @@ class TestChunkedSweep:
                     np.ones(np.size(E)))
 
         monkeypatch.setattr(oracle, "_shoot", shoot)
+        monkeypatch.setattr(oracle, "_no_state_band",
+                            lambda w, uu: (math.inf, -math.inf))
         return seen
 
     def test_exact_zero_mismatch_ends_refinement(self, reference_system,

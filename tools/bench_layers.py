@@ -12,8 +12,11 @@ N timed calls (default 30) after one untimed call, in seconds:
   exponents), the slot fill (the rest of ``_float_slots``), the transpose
   and the ``translate`` that deletes unused slots;
 * ``solvers``: ``energy_root_solve`` and ``wavefunction`` of n = l = 0,
-  the oracle's ``_shoot`` of 1 and of 240 energies over the binding window,
-  and one full-window l = 0 ``find_bound_states``.
+  one l = 0 oracle ``_channel`` build, the oracle's ``_shoot`` of 1 and of
+  240 energies over the binding window, and one full-window l = 0 and
+  l = 1 ``find_bound_states``;
+* ``shots``: the sweeps and energies that those two full-window solves
+  shoot, counted by wrapping ``_shoot`` (exact counts, not timings).
 
 BLAS runs on one thread, as in ``perfbench``; the machine facts and that
 pin are written with the timings.  Not part of the test suite.
@@ -91,12 +94,40 @@ def solver_layers(repeat):
     return {
         "energy_root_solve_s": best(repeat, energy_root_solve, system, 0, 0),
         "wavefunction_s": best(repeat, wavefunction, system, 0, 0, energy),
+        "channel_s": best(repeat, oracle._channel, system, 0, "approx",
+                          default_grid(system)),
         "shoot_B1_s": best(repeat, oracle._shoot, channel, E[120:121],
                            match[120:121]),
         "shoot_B240_s": best(repeat, oracle._shoot, channel, E, match),
         "find_bound_states_l0_s": best(max(1, repeat // 10),
                                        find_bound_states, system, 0),
+        "find_bound_states_l1_s": best(max(1, repeat // 10),
+                                       find_bound_states, system, 1),
     }
+
+
+def shot_counts():
+    """Sweeps and energies of the full-window l = 0 and l = 1 solves."""
+    from kghulthen import PhysicalSystem, find_bound_states, oracle
+
+    system = PhysicalSystem(V0=0.1, beta=0.2, m0=1.0)
+    shoot, widths = oracle._shoot, []
+
+    def counted(ch, E, match_idx):
+        widths.append(len(E))
+        return shoot(ch, E, match_idx)
+
+    counts = {}
+    oracle._shoot = counted
+    try:
+        for l in (0, 1):
+            widths.clear()
+            find_bound_states(system, l)
+            counts[f"l{l}_sweeps"] = len(widths)
+            counts[f"l{l}_energies"] = sum(widths)
+    finally:
+        oracle._shoot = shoot
+    return counts
 
 
 def main(argv=None) -> int:
@@ -122,9 +153,10 @@ def main(argv=None) -> int:
         "repeat": args.repeat,
         "serialize": serialize_layers(cli, table, args.repeat),
         "solvers": solver_layers(args.repeat),
+        "shots": shot_counts(),
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
-    for group in ("serialize", "solvers"):
+    for group in ("serialize", "solvers", "shots"):
         for name, value in result[group].items():
             print(f"{group}.{name}: {value}")
     return 0
