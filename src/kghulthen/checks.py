@@ -131,19 +131,15 @@ def run_validation(system: PhysicalSystem,
     add("bound_states_found", 1.0 if not genuine else 0.0, 0.0)
 
     # 4. closed-form energies sit on the quantization condition
-    #    (or carry the reflected-root signature of the squaring step)
+    #    sqrt(a1_sq) = N + A (or on its reflection |N - A| from the
+    #    squaring step), on the scale of sqrt(a1_sq)
     worst = 0.0
     for level in levels:
-        if level.unbound:
-            continue
-        n = level.n
-        res, s, A = ha._condition(system, n, level.l, level.value)
-        if math.isnan(res):
-            continue
-        scale = ha.residual_scale(n, A, s)
-        direct = abs(res) / scale
-        reflected = abs(res + 2.0 * A * (2.0 * n + 1.0 + 2.0 * s)) / scale
-        worst = max(worst, min(direct, reflected))
+        if not level.unbound:
+            root, N, A = ha._root_terms(system, level.n, level.l,
+                                        level.value)
+            worst = max(worst, min(abs(root - (N + A)),
+                                   abs(root - abs(N - A))) / max(1.0, root))
     add("quantization_at_closed_form", worst, 1e-8)
 
     # 5. closed form vs independent root finding, one solve per (n, l)

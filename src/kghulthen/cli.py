@@ -32,8 +32,7 @@ import numpy as np
 from . import checks as checks_mod
 from . import hulthen_analytic as ha
 from . import oracle
-from .errors import (ConfigError, InvalidRegime, NoBoundState,
-                     NonNormalizable, SolverError)
+from .errors import ConfigError, NoBoundState, SolverError
 from .model import PhysicalSystem, RadialGrid, default_grid
 
 log = logging.getLogger(__name__)
@@ -350,24 +349,22 @@ def _wavefunction_table(config: RunConfig) -> Table:
     n, l = config.n_max, config.l_max
     columns = ("r", "z", "phi", "phi_normalized")
     energy, status = _pick_state_energy(config, n, l)
-    if energy is None:
-        print(f"no state to sample for n={n}, l={l} under method "
-              f"{config.method}: {status}", file=sys.stderr)
-        return Table(columns, [])
-    try:
-        wf = ha.wavefunction(config.system, n, l, energy,
-                             grid=config.grid)
-    except (NonNormalizable, InvalidRegime, ValueError) as exc:
-        # a ValueError: the energy misses the quantization condition
-        status = ("non_normalizable" if isinstance(exc, NonNormalizable)
-                  else getattr(exc, "status", "spurious"))
-        print(f"cannot build wavefunction for n={n}, l={l} ({status}): "
-              f"{exc}", file=sys.stderr)
-        return Table(columns, [])
-    radii = wf.grid.radii()
-    samples = np.column_stack((radii, config.system.z_at(radii),
-                               wf.amplitude * wf.values, wf.values))
-    return Table(columns, samples)
+    reason = f"no state under method {config.method}"
+    if energy is not None:
+        try:
+            wf = ha.wavefunction(config.system, n, l, energy,
+                                 grid=config.grid)
+        except (SolverError, ValueError) as exc:
+            # a ValueError: the energy misses the quantization condition
+            status, reason = getattr(exc, "status", "spurious"), exc
+        else:
+            radii = wf.grid.radii()
+            return Table(columns, np.column_stack(
+                (radii, config.system.z_at(radii), wf.amplitude * wf.values,
+                 wf.values)))
+    print(f"nothing to sample for n={n}, l={l} ({status}): {reason}",
+          file=sys.stderr)
+    return Table(columns, [])
 
 
 def _validate_table(config: RunConfig) -> Table:

@@ -2,7 +2,8 @@
 
 Every failure mode that callers are expected to handle gets its own class so
 that library users (and the command-line layer) can branch on the *kind* of
-failure rather than on message strings.
+failure rather than on message strings.  A failure that a result row
+reports is a ``SolverError``, and its ``status`` is the row's token.
 """
 
 
@@ -27,12 +28,6 @@ class NoAdmissibleBranch(KGHulthenError):
     normalizable weight exponents."""
 
 
-class ComplexRegime(KGHulthenError):
-    """Coefficients leave the real domain (a square root of a negative
-    quantity would be needed), or |E| reaches the asymptotic rest energy,
-    where no tail decays, so real-valued analysis cannot proceed."""
-
-
 class SolverError(KGHulthenError):
     """A solve has no answer for these parameters; each subclass's
     ``status`` is the token that the result rows it leaves empty carry."""
@@ -52,8 +47,10 @@ class NoBoundState(SolverError):
     status = "no_bound_state"
 
 
-class NonNormalizable(KGHulthenError):
+class NonNormalizable(SolverError):
     """The candidate wavefunction is not square-integrable."""
+
+    status = "non_normalizable"
 
 
 class GridResolution(SolverError):

@@ -29,14 +29,18 @@ gets the bits of the array element at E (only ``_tail_power`` branches: a
 float takes math's sqrt, as NumPy's per-call cost dwarfs one energy); the
 tests pin it against the engine's branch-by-branch derivation.  That one
 evaluation (``_condition``) is the only place the solvers take the roots s
-and A: it returns F, s and A together, NaN where a root is complex (s by
-``model.origin_power``).  s does not depend on E, so a complex s is a
+and A (the labels below take A in factored form): it returns F, s and A
+together, NaN where a root is complex (s by ``model.origin_power``).  s does not depend on E, so a complex s is a
 property of the channel: every solver raises InvalidRegime on it.
 
 The quadratic closed form squares the condition once, which introduces
 reflected roots that do not satisfy the original condition.  Use
 ``satisfies_quantization`` to tell genuine eigenvalues from such
-reflections; the root solver never produces them.
+reflections; the root solver never produces them.  It tests the first-order
+condition G = sqrt(a1_sq) - (N + A) = 0, N = s + n + 1/2, where F =
+G*(sqrt(a1_sq) + N + A) and a reflection has sqrt(a1_sq) = |N - A|: G
+rounds like eps*sqrt(a1_sq) where F rounds like eps*a1_sq, so G labels
+deep wells that F cannot.
 
 Because the energy relation is a quadratic, each (n, l) has a "lower" and
 an "upper" branch.  A solved state is "upper" when its Klein-Gordon charge
@@ -54,8 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ComplexRegime, InvalidRegime, NoBoundState,
-                     NonNormalizable)
+from .errors import InvalidRegime, NoBoundState, NonNormalizable
 from .model import (EnergyLevel, PhysicalSystem, RadialGrid, binding_window,
                     default_grid, origin_power)
 # all_candidates, eigen_pair and gauss_jacobi_rule are unused here but stay
@@ -65,7 +68,7 @@ from .nu_engine import NUProblem, all_candidates, eigen_pair
 from .specfun import (JacobiParams, _golub_welsch, endpoint_power_integral,
                       gauss_jacobi_rule, jacobi_eval)
 
-_QUANTIZATION_TOL = 1e-8    # largest |F| / residual_scale of a solution
+_QUANTIZATION_TOL = 1e-8    # largest |G| / max(1, sqrt(a1_sq)) of a solution
 
 
 @dataclass(frozen=True)
@@ -150,12 +153,11 @@ def _condition(system: PhysicalSystem, n: int, l: int, E):
     return F, s, A
 
 
-def _real_origin(system: PhysicalSystem, l: int, s,
-                 error=InvalidRegime) -> float:
-    """The origin power s of ``_condition`` as a float; ``error`` when it
-    is complex (an over-attractive origin)."""
+def _real_origin(system: PhysicalSystem, l: int, s) -> float:
+    """The origin power s of ``_condition`` as a float; InvalidRegime when
+    it is complex (an over-attractive origin)."""
     if math.isnan(s):
-        raise error(
+        raise InvalidRegime(
             "origin exponent is complex (over-attractive singularity): "
             f"1 + 4*a3_sq = {origin_exponent_discriminant(system, l)!r}")
     return float(s)
@@ -166,40 +168,47 @@ def quantization_residual(system: PhysicalSystem, n: int, l: int, E: float) -> f
 
     F is the difference between the reduction eigenvalue lambda(E) and the
     degree-n value lambda_n(E), both taken on the branch that decays at
-    both ends.  Raises ComplexRegime outside the binding range, |E| >=
-    m_inf, where no tail decays (whatever the rounding of A there), and
-    for a complex origin exponent.
+    both ends.  Raises ValueError outside the binding range, |E| >= m_inf,
+    where no tail decays (whatever the rounding of A there), as
+    ``binding_window`` does for a window outside it, and InvalidRegime for
+    a complex origin exponent, as every solver does.
     """
     if n < 0 or l < 0:
         raise ValueError("n and l must be >= 0")
     F, s, A = _condition(system, n, l, E)
     if math.isnan(A) or abs(E) >= system.asymptotic_mass:
-        raise ComplexRegime(
+        raise ValueError(
             f"tail coefficient is not a decay rate at E={E!r} (|E| reaches "
             "the asymptotic rest energy)")
-    _real_origin(system, l, s, ComplexRegime)
+    _real_origin(system, l, s)
     return float(F)
 
 
 def satisfies_quantization(system: PhysicalSystem, n: int, l: int,
                            E: float) -> bool:
-    """True when E actually solves the quantization condition.
-
-    The closed-form quadratic also returns reflected roots (artifacts of
-    squaring) whose residual is finite; they are reported as not satisfying
-    the condition.  Energies at or beyond the binding window, and any E
-    where the condition is complex, are rejected.
+    """True when E actually solves the quantization condition: |G| <=
+    1e-8 * max(1, sqrt(a1_sq)) (module docstring).  The closed form's
+    reflected roots (artifacts of squaring, sqrt(a1_sq) = |N - A|) fail
+    it, as do energies at or beyond the binding window and any E where
+    the origin power is complex.
     """
     if abs(E) >= system.asymptotic_mass:
         return False
-    F, s, A = _condition(system, n, l, E)
-    return bool(abs(F) <= _QUANTIZATION_TOL * residual_scale(n, A, s))
+    root, N, A = _root_terms(system, n, l, E)
+    return abs(root - (N + A)) <= _QUANTIZATION_TOL * max(1.0, root)
 
 
-def residual_scale(n: int, A: float, s: float) -> float:
-    """max(1, |lambda_n|) with lambda_n = 2n(A + s + 1) + n(n - 1): the scale
-    that tolerances on the residual F are relative to."""
-    return max(1.0, abs(2.0 * n * (A + s + 1.0) + n * (n - 1)))
+def _root_terms(system: PhysicalSystem, n: int, l: int, E: float):
+    """(sqrt(a1_sq), N, A) at a float E inside the binding range, with
+    N = s + n + 1/2 (s from ``_condition``) and a1_sq and A**2 in factored
+    form, so G rounds like eps*sqrt(a1_sq).  a1_sq < 0 reads as 0, where
+    G <= -1/2: no root lies there."""
+    q2 = 1.0 / system.screening_energy**2
+    m0, m_inf, d = system.m0, system.asymptotic_mass, E - system.V0
+    a1 = q2 * (m0 - d) * (m0 + d)
+    A = math.sqrt(q2 * (m_inf - E) * (m_inf + E))
+    s = _condition(system, n, l, E)[1]
+    return math.sqrt(max(a1, 0.0)), s + n + 0.5, A
 
 
 def level_midpoint(system: PhysicalSystem, n: int, l: int) -> float:
@@ -279,11 +288,7 @@ def energy_constant_mass_s(system: PhysicalSystem, n: int):
         raise ValueError("n must be >= 0")
     se = system.screening_energy
     qv = system.V0 / se                      # dimensionless well strength
-    s = origin_power(-qv * qv)
-    if math.isnan(s):
-        raise InvalidRegime(
-            f"s-wave origin exponent is complex (4*(V0/se)**2 = "
-            f"{4.0 * qv * qv!r} > 1)")
+    s = _real_origin(system, 0, origin_power(-qv * qv))
     Np = (2.0 * n + 1.0) + 2.0 * s
     inner = system.m0**2 / (4.0 * qv * qv + Np * Np) - se * se / 16.0
     if inner < 0.0:
@@ -370,7 +375,8 @@ def wavefunction(system: PhysicalSystem, n: int, l: int, E: float,
         raise NonNormalizable(
             f"tail exponent A must be positive for a bound state (got {A!r})")
     s = _real_origin(system, l, s)
-    if abs(F) > 1e-6 * residual_scale(n, A, s):
+    # relative to max(1, |lambda_n|), lambda_n = 2n(A + s + 1) + n(n - 1)
+    if abs(F) > 1e-6 * max(1.0, abs(2.0 * n * (A + s + 1.0) + n * (n - 1))):
         raise ValueError(
             f"E={E!r} does not satisfy the quantization condition for "
             f"n={n}, l={l} (residual {F!r})")

@@ -11,6 +11,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# the sweeps and energies of the reference's full-window solves (exact)
+_SHOTS = {"l0_sweeps": 8, "l0_energies": 77, "l1_sweeps": 7,
+          "l1_energies": 25}
 
 
 def test_one_repeat_writes_every_figure(tmp_path):
@@ -30,11 +33,34 @@ def test_one_repeat_writes_every_figure(tmp_path):
         "block_rows", "slot_rows", "total_s", "decimal_s", "slot_fill_s",
         "transpose_s", "translate_s"}
     assert set(result["solvers"]) == {
-        "energy_root_solve_s", "wavefunction_s", "channel_s", "shoot_B1_s",
-        "shoot_B240_s", "find_bound_states_l0_s", "find_bound_states_l1_s"}
+        "energy_root_solve_s", "wavefunction_s", "closed_form_labels_s",
+        "channel_s", "shoot_B1_s", "shoot_B240_s", "find_bound_states_l0_s",
+        "find_bound_states_l1_s"}
     # the shots are exact: the reference's full-window solves
-    assert result["shots"] == {"l0_sweeps": 8, "l0_energies": 77,
-                               "l1_sweeps": 7, "l1_energies": 25}
+    assert result["shots"] == _SHOTS
     timings = [v for group in ("serialize", "solvers")
                for k, v in result[group].items() if k.endswith("_s")]
     assert all(isinstance(t, float) and t > 0.0 for t in timings)
+
+
+def test_pair_with_the_same_checkout(tmp_path):
+    # one ABBA round: both sides are this checkout, timed in fresh
+    # interpreters, with a ratio per layer and both sides' exact shots
+    out = tmp_path / "pair.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_layers.py"),
+         "--pair", str(ROOT), "--rounds", "1", "--repeat", "1",
+         "--out", str(out)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert set(result) == {"machine", "repeat", "rounds", "layers", "shots"}
+    assert (result["repeat"], result["rounds"]) == (1, 1)
+    assert "solvers.closed_form_labels_s" in result["layers"]
+    assert "serialize.total_s" in result["layers"]
+    for layer in result["layers"].values():
+        assert set(layer) == {"change_s", "parent_s", "ratio", "ratio_q1",
+                              "ratio_q3"}
+        assert layer["change_s"] > 0.0 and layer["parent_s"] > 0.0
+        assert 0.0 < layer["ratio_q1"] <= layer["ratio"] <= layer["ratio_q3"]
+    assert result["shots"] == {"change": _SHOTS, "parent": _SHOTS}

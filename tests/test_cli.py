@@ -18,10 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kghulthen import cli, main, parse_config
+from kghulthen import cli, errors, main, parse_config
 from kghulthen.cli import (_FILE_KEYS, _OPTIONS, Table, _build_parser,
                            execute, serialize)
-from kghulthen.errors import ConfigError
+from kghulthen.errors import ConfigError, SolverError
 from kghulthen.oracle import ShootingDiagnostics
 
 from conftest import REFERENCE_TRUE
@@ -306,6 +306,18 @@ _STATUS_TOKENS = {
                      "grid_resolution", "invalid_regime", "non_normalizable"}}
 
 
+def test_every_solver_error_names_a_documented_token():
+    # a failure that a row reports is a SolverError whose status is the
+    # token; the wavefunction's unnormalizable state is one of them
+    solver_errors = [cls for cls in vars(errors).values()
+                     if isinstance(cls, type) and issubclass(cls, SolverError)
+                     and cls is not SolverError]
+    documented = set().union(*_STATUS_TOKENS.values())
+    assert errors.NonNormalizable in solver_errors
+    assert errors.NonNormalizable.status == "non_normalizable"
+    assert all(cls.status in documented for cls in solver_errors)
+
+
 class TestOracleCommandsEndInRecords:
     @settings(max_examples=8, deadline=None, derandomize=True,
               database=None)
@@ -428,6 +440,21 @@ class TestSpectrumRecords:
         assert by_key[(0, 0, "lower")]["status"] == "spurious"
         assert by_key[(2, 0, "upper")]["status"] == "spurious"
         assert by_key[(2, 0, "lower")]["status"] == "spurious"
+
+    def test_deep_well_closed_form_roots_are_ok(self, capsys):
+        # 3748 screening energies deep, where the residual F rounds at
+        # about 4e-8 of its scale: both genuine roots are labelled ok, and
+        # validate prints all 15 rows (m1 != 0) with row 4 passing
+        system = ["--V0", "3225.5912179108122", "--beta", "1", "--m0",
+                  "10000", "--m1", "3748.9751114563664"]
+        assert main(["spectrum", "--n-max", "0", "--l-max", "0", "--method",
+                     "closed_form"] + system) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["ok", "ok"]
+        main(["validate"] + system)
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 15
+        assert rows[4].startswith("quantization_at_closed_form,pass,")
 
     def test_root_solver_reference_table(self):
         records = _records(execute(_cfg()))  # default quantization_root

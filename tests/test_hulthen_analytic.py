@@ -20,9 +20,9 @@ from kghulthen import (PhysicalSystem, RadialGrid, all_candidates,
 from kghulthen.checks import wavefunction_ode_residual
 from kghulthen import hulthen_analytic
 from kghulthen.hulthen_analytic import _condition, build_nu_problem
-from kghulthen.model import binding_window
-from kghulthen.errors import (ComplexRegime, InvalidK, InvalidRegime,
-                              NoBoundState, NonNormalizable, NoRealK)
+from kghulthen.model import _MAX_DEPTH, binding_window
+from kghulthen.errors import (InvalidK, InvalidRegime, NoBoundState,
+                              NonNormalizable, NoRealK)
 
 from conftest import (REFERENCE_ALL_SPURIOUS, REFERENCE_PAIRS, REFERENCE_TRUE,
                       SET_A_TRUE, SET_B_TRUE, SET_C_TRUE, box_draws,
@@ -150,6 +150,37 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             energy_closed_form(reference_system, 0, -1)
 
+    def test_labels_agree_with_the_root_solve_at_the_depth_bound(self):
+        # m0 = 1e4 screening energies, the domain's depth bound, where F's
+        # rounding (about 2e-16 * a1_sq) nears its 1e-8 tolerance: a
+        # closed-form level is ok exactly when a root-solved level lies
+        # within 1e-9 * m0 of it (E may sit near 0, and the root solve
+        # stops at 1e-12 * m0), and every root-solved level has such a match
+        rng = np.random.default_rng(27)
+        m0, ok_levels, roots_found = _MAX_DEPTH, 0, 0
+        for _ in range(15):
+            system = PhysicalSystem(
+                V0=float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1, 4)),
+                beta=1.0, m0=m0, m1=float(rng.uniform(0.0, 0.99)) * m0)
+            for n in range(3):
+                for l in range(2):
+                    try:
+                        pair = energy_closed_form(system, n, l)
+                        roots = [r.value
+                                 for r in energy_root_solve(system, n, l)]
+                    except InvalidRegime:
+                        continue
+                    ok = [lv.value for lv in pair if not lv.unbound
+                          and satisfies_quantization(system, n, l, lv.value)]
+                    for lv in pair:
+                        near = any(abs(r - lv.value) <= 1e-9 * m0
+                                   for r in roots)
+                        assert (lv.value in ok) == near, (system, n, l, lv)
+                    assert len(ok) == len(roots), (system, n, l)
+                    ok_levels += len(ok)
+                    roots_found += len(roots)
+        assert ok_levels == roots_found >= 100
+
 
 class TestConstantMassReduction:
     def test_agrees_with_general_form_branch_by_branch(self):
@@ -218,10 +249,10 @@ class TestQuantizationResidual:
 
     def test_complex_regime_raises(self):
         bad = PhysicalSystem(V0=0.3, beta=0.2, m0=1.0, m1=0.1)
-        with pytest.raises(ComplexRegime, match="origin"):
+        with pytest.raises(InvalidRegime, match="origin"):
             quantization_residual(bad, 0, 0, 0.5)
         ref = PhysicalSystem(V0=0.1, beta=0.2, m0=1.0)
-        with pytest.raises(ComplexRegime, match="tail"):
+        with pytest.raises(ValueError, match="tail"):
             quantization_residual(ref, 0, 0, 1.5)
 
     def test_satisfies_rejects_window_edge_and_complex(self,
@@ -267,7 +298,7 @@ def _scalar_roots(system, n, l):
     def f(E):
         try:
             return quantization_residual(system, n, l, E)
-        except ComplexRegime:
+        except ValueError:
             return None
 
     grid = _lattice(system)
@@ -471,7 +502,7 @@ class TestFloatBisection:
                 for E in (sign * m_inf, sign * 1.5 * m_inf):
                     F, s, A = _condition(system, 0, 0, E)
                     assert math.isnan(F) and math.isnan(A)
-                    with pytest.raises(ComplexRegime, match="tail"):
+                    with pytest.raises(ValueError, match="tail"):
                         quantization_residual(system, 0, 0, E)
 
     def test_residual_raises_from_the_ends_of_the_binding_range(self):
@@ -485,7 +516,7 @@ class TestFloatBisection:
                 for e in (E, -E):
                     real += not math.isnan(_condition(system, 0, 0, e)[2])
                     for n, l in ((0, 0), (2, 1)):
-                        with pytest.raises(ComplexRegime, match="tail"):
+                        with pytest.raises(ValueError, match="tail"):
                             quantization_residual(system, n, l, e)
         assert real >= 100
 

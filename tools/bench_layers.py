@@ -1,6 +1,7 @@
 """Per-layer timings of the reference configuration, written as JSON.
 
     python3 tools/bench_layers.py --out BENCH.json [--src DIR] [--repeat N]
+    python3 tools/bench_layers.py --out BENCH.json --pair DIR [--rounds N]
 
 Run from the root of a source checkout.  ``--src`` imports the package
 from another checkout's ``src`` (to time a parent commit with the same
@@ -12,11 +13,20 @@ N timed calls (default 30) after one untimed call, in seconds:
   exponents), the slot fill (the rest of ``_float_slots``), the transpose
   and the ``translate`` that deletes unused slots;
 * ``solvers``: ``energy_root_solve`` and ``wavefunction`` of n = l = 0,
-  one l = 0 oracle ``_channel`` build, the oracle's ``_shoot`` of 1 and of
+  ``energy_closed_form`` with ``satisfies_quantization`` on each level of
+  n <= 3, l <= 2 (the closed-form spectrum's labels), one l = 0 oracle
+  ``_channel`` build, the oracle's ``_shoot`` of 1 and of
   240 energies over the binding window, and one full-window l = 0 and
   l = 1 ``find_bound_states``;
 * ``shots``: the sweeps and energies that those two full-window solves
   shoot, counted by wrapping ``_shoot`` (exact counts, not timings).
+
+``--pair DIR`` times this checkout's ``src`` (change) against
+``DIR/src`` (parent): each of N rounds (default 5) runs the single-side
+form in fresh interpreters in the order change, parent, parent, change.
+Per layer it writes both sides' median figure and the median of the
+change/parent ratios of the two pairs of each round, with the ratios'
+quartiles; ``shots`` holds both sides' counts.
 
 BLAS runs on one thread, as in ``perfbench``; the machine facts and that
 pin are written with the timings.  Not part of the test suite.
@@ -28,7 +38,10 @@ import argparse
 import json
 import os
 import platform
+import statistics
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -79,6 +92,21 @@ def serialize_layers(cli, table, repeat):
     }
 
 
+def closed_form_labels(system):
+    """The closed-form levels of n <= 3, l <= 2, each labelled."""
+    from kghulthen import energy_closed_form, satisfies_quantization
+    from kghulthen.errors import SolverError
+
+    for n in range(4):
+        for l in range(3):
+            try:
+                pair = energy_closed_form(system, n, l)
+            except SolverError:
+                continue
+            for level in pair:
+                satisfies_quantization(system, n, l, level.value)
+
+
 def solver_layers(repeat):
     import numpy as np
     from kghulthen import (PhysicalSystem, energy_root_solve,
@@ -94,6 +122,7 @@ def solver_layers(repeat):
     return {
         "energy_root_solve_s": best(repeat, energy_root_solve, system, 0, 0),
         "wavefunction_s": best(repeat, wavefunction, system, 0, 0, energy),
+        "closed_form_labels_s": best(repeat, closed_form_labels, system),
         "channel_s": best(repeat, oracle._channel, system, 0, "approx",
                           default_grid(system)),
         "shoot_B1_s": best(repeat, oracle._shoot, channel, E[120:121],
@@ -130,13 +159,67 @@ def shot_counts():
     return counts
 
 
+def one_side(src, repeat):
+    """The single-side result for the package at ``src``, measured in a
+    fresh interpreter."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "side.json"
+        subprocess.run([sys.executable, __file__, "--out", str(out),
+                        "--src", str(src), "--repeat", str(repeat)],
+                       cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
+        return json.loads(out.read_text())
+
+
+def timings(result):
+    """{"group.name": seconds} of one single-side result."""
+    return {f"{group}.{name}": value for group in ("serialize", "solvers")
+            for name, value in result[group].items() if name.endswith("_s")}
+
+
+def paired(parent_src, rounds, repeat):
+    """This checkout against ``parent_src``, in ABBA rounds (module
+    docstring)."""
+    srcs = {"change": ROOT / "src", "parent": Path(parent_src)}
+    runs, shots = {"change": [], "parent": []}, {}
+    for _ in range(rounds):
+        for side in ("change", "parent", "parent", "change"):
+            result = one_side(srcs[side], repeat)
+            runs[side].append(timings(result))
+            shots[side] = result["shots"]       # exact: every run agrees
+    layers = {}
+    for name in runs["change"][0]:
+        change = [run[name] for run in runs["change"]]
+        parent = [run[name] for run in runs["parent"]]
+        q1, ratio, q3 = statistics.quantiles(
+            [c / p for c, p in zip(change, parent)], n=4, method="inclusive")
+        layers[name] = {"change_s": statistics.median(change),
+                        "parent_s": statistics.median(parent),
+                        "ratio": ratio, "ratio_q1": q1, "ratio_q3": q3}
+    return {"machine": result["machine"], "repeat": repeat, "rounds": rounds,
+            "layers": layers, "shots": shots}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--src", default=str(ROOT / "src"),
-                        help="the package's source directory")
+    side = parser.add_mutually_exclusive_group()
+    side.add_argument("--src", default=str(ROOT / "src"),
+                      help="the package's source directory")
+    side.add_argument("--pair", metavar="DIR",
+                      help="a parent checkout to time against this one")
+    parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--repeat", type=int, default=30)
     args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    if args.pair is not None:
+        result = paired(Path(args.pair) / "src", args.rounds, args.repeat)
+        Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
+        for name, layer in result["layers"].items():
+            print(f"{name}: {layer['parent_s']:.3g} -> {layer['change_s']:.3g}"
+                  f" s, ratio {layer['ratio']:.3f} "
+                  f"[{layer['ratio_q1']:.3f}, {layer['ratio_q3']:.3f}]")
+        return 0
     os.environ.update(PIN_THREADS)          # before NumPy loads BLAS
     sys.path.insert(0, str(Path(args.src).resolve()))
     import numpy
