@@ -136,20 +136,22 @@ def run_validation(system: PhysicalSystem,
     worst = 0.0
     for level in levels:
         if not level.unbound:
-            root, N, A = ha._root_terms(system, level.n, level.l,
-                                        level.value)
-            worst = max(worst, min(abs(root - (N + A)),
+            N = ha._origin(system, level.l) + level.n + 0.5
+            G, root, A = ha._condition_terms(system, N, level.value)
+            worst = max(worst, min(abs(G),
                                    abs(root - abs(N - A))) / max(1.0, root))
     add("quantization_at_closed_form", worst, 1e-8)
 
-    # 5. closed form vs independent root finding, one solve per (n, l)
+    # 5. closed form vs independent root finding, one solve per (n, l), on
+    #    the scale max(|E|, 1e-3*m0), where the root solve's 1e-12*m0 stop
+    #    is the tolerance
     roots = {key: ha.energy_root_solve(system, *key)
              for key in dict.fromkeys((lv.n, lv.l) for lv in genuine)}
     worst = 0.0
     for level in genuine:
         best = min((abs(r.value - level.value)
                     for r in roots[level.n, level.l]), default=float("inf"))
-        worst = max(worst, best / max(abs(level.value), 1e-300))
+        worst = max(worst, best / max(abs(level.value), 1e-3 * system.m0))
     add("closed_vs_root_solve", worst, 1e-9)
 
     # 6. constant-mass reduction (only defined for m1 = 0)

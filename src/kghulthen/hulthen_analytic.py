@@ -16,36 +16,39 @@ screening energy beta*hbar_c, squared).  The reduction engine
 * and the bound-state wavefunction built from a Jacobi polynomial
   (``wavefunction``).
 
-The condition is evaluated in closed form on the branch whose factor
+The condition is evaluated on the branch whose factor
 z**(s + 1/2) * (1 - z)**A decays at both ends, with s = sqrt(1/4 + a3_sq)
-and A = sqrt(a1_sq + a2_sq + a3_sq).  There the engine's k, pi and tau
-reduce to
+(``model.origin_power``) and A = sqrt(a1_sq + a2_sq + a3_sq).  There the
+engine's k, pi and tau reduce to
 
-    F(E) = 1/4 + a1_sq - (s+A)**2 - (s+A+1/2) - 2n(1+s+A) - n(n-1),
+    F(E) = a1_sq - (s + n + 1/2 + A)**2
+         = G(E) * (sqrt(a1_sq) + s + n + 1/2 + A),
 
-one expression over a Python float or a NumPy array of trial energies,
-with the same IEEE operations in the same order on either, so a float E
-gets the bits of the array element at E (only ``_tail_power`` branches: a
-float takes math's sqrt, as NumPy's per-call cost dwarfs one energy); the
-tests pin it against the engine's branch-by-branch derivation.  That one
-evaluation (``_condition``) is the only place the solvers take the roots s
-and A (the labels below take A in factored form): it returns F, s and A
-together, NaN where a root is complex (s by ``model.origin_power``).  s does not depend on E, so a complex s is a
-property of the channel: every solver raises InvalidRegime on it.
+and the solvers read its first-order factor
+G = sqrt(a1_sq) - (s + n + 1/2 + A).  a1_sq and A depend on E alone and s
+on l alone, so the condition separates:
+
+    sqrt(a1_sq)(E) - A(E) = s_l + n + 1/2.
+
+One evaluation (``_condition_terms``) gives G from sqrt(a1_sq) and A in
+factored form, a1_sq = (m0 - (E - V0))(m0 + (E - V0)) / (beta*hbar_c)**2
+and A**2 = (m_inf - E)(m_inf + E) / (beta*hbar_c)**2, on a Python float or
+a NumPy array of trial energies with the same bits.  G rounds like
+eps*sqrt(a1_sq) where F rounds like eps*a1_sq, so G resolves deep wells
+that F cannot; F is only ``quantization_residual``, which the tests pin
+against the engine.  A complex s is a property of the channel: every
+solver raises InvalidRegime on it.
 
 The quadratic closed form squares the condition once, which introduces
-reflected roots that do not satisfy the original condition.  Use
-``satisfies_quantization`` to tell genuine eigenvalues from such
-reflections; the root solver never produces them.  It tests the first-order
-condition G = sqrt(a1_sq) - (N + A) = 0, N = s + n + 1/2, where F =
-G*(sqrt(a1_sq) + N + A) and a reflection has sqrt(a1_sq) = |N - A|: G
-rounds like eps*sqrt(a1_sq) where F rounds like eps*a1_sq, so G labels
-deep wells that F cannot.
+reflected roots that do not satisfy the original condition: there
+sqrt(a1_sq) = |N - A|, N = s + n + 1/2.  Use ``satisfies_quantization`` to
+tell genuine eigenvalues from such reflections; the root solver never
+produces them.
 
 Because the energy relation is a quadratic, each (n, l) has a "lower" and
 an "upper" branch.  A solved state is "upper" when its Klein-Gordon charge
 Q = integral of (E - V) phi**2 dr is positive (Feshbach-Villars), and
-each solver reads that sign from the bracket it closes: F rises through
+each solver reads that sign from the bracket it closes: G rises through
 every upper root (here), and ``oracle.find_bound_states`` reads it from
 its sweeps.  Only the closed form's pair is named by root order.
 """
@@ -88,12 +91,10 @@ class CoefficientSet:
 
 
 def _coefficients(system: PhysicalSystem, l: int, E):
-    """(a1_sq, a2_sq, a3_sq) at a scalar or array E; a3_sq is E-free."""
+    """(a1_sq, a2_sq, a3_sq) at a float E; a3_sq is E-free."""
     q2 = 1.0 / system.screening_energy**2
     V0, m0, m1 = system.V0, system.m0, system.m1
     ll = l * (l + 1)
-    # a product, not ** 2: NumPy squares an array by multiplying, while a
-    # float's ** 2 calls libm pow, which may round differently
     d = E - V0
     a1 = q2 * (m0 * m0 - d * d)
     a2 = -q2 * (2.0 * m0 * m1 + 2.0 * E * V0 - 2.0 * V0 * V0) - ll
@@ -101,19 +102,38 @@ def _coefficients(system: PhysicalSystem, l: int, E):
     return a1, a2, a3
 
 
-def _tail_power(system: PhysicalSystem, E, a1, a2, a3):
-    """A = sqrt(a1 + a2 + a3) at a float or array E, NaN where complex.
-    Inside the binding range, |E| < m_inf, the sum is
-    (m_inf**2 - E**2) / beta**2 > 0, but within a few ulps of m_inf it can
-    round below 0; A is 0 there."""
+def _tail_power(system: PhysicalSystem, E: float, a1, a2, a3) -> float:
+    """A = sqrt(a1 + a2 + a3), the engine's sum, NaN where complex.  It is
+    (m_inf**2 - E**2) / beta**2 > 0 for |E| < m_inf, but within a few ulps
+    of m_inf it can round below 0; A is 0 there."""
     total = a1 + a2 + a3
-    inside = abs(E) < system.asymptotic_mass
-    if isinstance(total, np.ndarray):
-        with np.errstate(invalid="ignore"):
-            return np.sqrt(np.where((total < 0.0) & inside, 0.0, total))
     if total < 0.0:
-        return 0.0 if inside else math.nan
+        return 0.0 if abs(E) < system.asymptotic_mass else math.nan
     return math.sqrt(total)
+
+
+def _condition_terms(system: PhysicalSystem, N: float, E):
+    """(G, sqrt(a1_sq), A) at a float or array E, with N = s + n + 1/2 and
+    the terms in factored form (module docstring); a float E gets the bits
+    of the array element at E.  A is NaN beyond +-m_inf, and a1_sq < 0
+    reads as 0, where G <= -1/2: no root lies there."""
+    q2 = 1.0 / system.screening_energy**2
+    m0, m_inf, d = system.m0, system.asymptotic_mass, E - system.V0
+    a1 = q2 * (m0 - d) * (m0 + d)
+    tail = q2 * (m_inf - E) * (m_inf + E)
+    if isinstance(E, np.ndarray):
+        with np.errstate(invalid="ignore"):
+            root, A = np.sqrt(np.maximum(a1, 0.0)), np.sqrt(tail)
+    else:
+        root = math.sqrt(max(a1, 0.0))
+        A = math.sqrt(tail) if tail >= 0.0 else math.nan
+    return root - (N + A), root, A
+
+
+def _origin(system: PhysicalSystem, l: int) -> float:
+    """The origin power s of channel l, NaN where complex; E does not enter
+    it, so a solve takes it once."""
+    return origin_power(_coefficients(system, l, 0.0)[2])
 
 
 def coefficients_at(system: PhysicalSystem, l: int, E: float) -> CoefficientSet:
@@ -141,21 +161,9 @@ def origin_exponent_discriminant(system: PhysicalSystem, l: int) -> float:
     return 1.0 + 4.0 * coefficients_at(system, l, 0.0).a3_sq
 
 
-def _condition(system: PhysicalSystem, n: int, l: int, E):
-    """(F, s, A) at a float or array E: the condition F(E) on the decaying
-    branch (see the module docstring) with its origin power s and tail
-    power A; NaN where a root is complex.  s is E-free, so it is a float
-    at any E."""
-    a1, a2, a3 = _coefficients(system, l, E)
-    s, A = origin_power(a3), _tail_power(system, E, a1, a2, a3)
-    t = s + A
-    F = 0.25 + a1 - t * t - (t + 0.5) - 2.0 * n * (1.0 + t) - n * (n - 1)
-    return F, s, A
-
-
 def _real_origin(system: PhysicalSystem, l: int, s) -> float:
-    """The origin power s of ``_condition`` as a float; InvalidRegime when
-    it is complex (an over-attractive origin)."""
+    """The origin power s as a float; InvalidRegime when it is complex (an
+    over-attractive origin)."""
     if math.isnan(s):
         raise InvalidRegime(
             "origin exponent is complex (over-attractive singularity): "
@@ -168,20 +176,22 @@ def quantization_residual(system: PhysicalSystem, n: int, l: int, E: float) -> f
 
     F is the difference between the reduction eigenvalue lambda(E) and the
     degree-n value lambda_n(E), both taken on the branch that decays at
-    both ends.  Raises ValueError outside the binding range, |E| >= m_inf,
-    where no tail decays (whatever the rounding of A there), as
-    ``binding_window`` does for a window outside it, and InvalidRegime for
-    a complex origin exponent, as every solver does.
+    both ends, with A from the sum a1_sq + a2_sq + a3_sq as the engine
+    takes it.  Raises ValueError at |E| >= m_inf, where no tail decays, as
+    ``binding_window`` does, and InvalidRegime for a complex origin
+    exponent, as every solver does.
     """
     if n < 0 or l < 0:
         raise ValueError("n and l must be >= 0")
-    F, s, A = _condition(system, n, l, E)
+    a1, a2, a3 = _coefficients(system, l, E)
+    A = _tail_power(system, E, a1, a2, a3)
     if math.isnan(A) or abs(E) >= system.asymptotic_mass:
         raise ValueError(
             f"tail coefficient is not a decay rate at E={E!r} (|E| reaches "
             "the asymptotic rest energy)")
-    _real_origin(system, l, s)
-    return float(F)
+    t = _real_origin(system, l, origin_power(a3)) + A
+    return float(0.25 + a1 - t * t - (t + 0.5) - 2.0 * n * (1.0 + t)
+                 - n * (n - 1))
 
 
 def satisfies_quantization(system: PhysicalSystem, n: int, l: int,
@@ -194,21 +204,8 @@ def satisfies_quantization(system: PhysicalSystem, n: int, l: int,
     """
     if abs(E) >= system.asymptotic_mass:
         return False
-    root, N, A = _root_terms(system, n, l, E)
-    return abs(root - (N + A)) <= _QUANTIZATION_TOL * max(1.0, root)
-
-
-def _root_terms(system: PhysicalSystem, n: int, l: int, E: float):
-    """(sqrt(a1_sq), N, A) at a float E inside the binding range, with
-    N = s + n + 1/2 (s from ``_condition``) and a1_sq and A**2 in factored
-    form, so G rounds like eps*sqrt(a1_sq).  a1_sq < 0 reads as 0, where
-    G <= -1/2: no root lies there."""
-    q2 = 1.0 / system.screening_energy**2
-    m0, m_inf, d = system.m0, system.asymptotic_mass, E - system.V0
-    a1 = q2 * (m0 - d) * (m0 + d)
-    A = math.sqrt(q2 * (m_inf - E) * (m_inf + E))
-    s = _condition(system, n, l, E)[1]
-    return math.sqrt(max(a1, 0.0)), s + n + 0.5, A
+    G, root, _ = _condition_terms(system, _origin(system, l) + n + 0.5, E)
+    return abs(G) <= _QUANTIZATION_TOL * max(1.0, root)
 
 
 def level_midpoint(system: PhysicalSystem, n: int, l: int) -> float:
@@ -219,7 +216,7 @@ def level_midpoint(system: PhysicalSystem, n: int, l: int) -> float:
     with se the screening energy — the algebraic statement that the two
     branches are mirror partners.
     """
-    s = _real_origin(system, l, _condition(system, n, l, 0.0)[1])
+    s = _real_origin(system, l, _origin(system, l))
     N = 2.0 * n + 1.0 + 2.0 * s
     q2 = 1.0 / system.screening_energy**2
     V0, m0, m1 = system.V0, system.m0, system.m1
@@ -241,7 +238,7 @@ def energy_closed_form(system: PhysicalSystem, n: int, l: int):
     """
     if n < 0 or l < 0:
         raise ValueError("n and l must be >= 0")
-    s = _real_origin(system, l, _condition(system, n, l, 0.0)[1])
+    s = _real_origin(system, l, _origin(system, l))
     N = 2.0 * n + 1.0 + 2.0 * s
     q2 = 1.0 / system.screening_energy**2
     V0, m0, m1 = system.V0, system.m0, system.m1
@@ -304,21 +301,19 @@ def energy_root_solve(system: PhysicalSystem, n: int, l: int,
     """All roots of the quantization condition inside the energy window.
 
     Scans the window on a uniform 2000-interval lattice, brackets sign
-    changes of the residual F and bisects each bracket alone, in floats,
-    to |dE| <= 1e-12 * m0: the float F has the array's bits, so the roots
-    are those of bisecting all brackets together on arrays.  Windows
+    changes of G (module docstring) and bisects each bracket alone, in
+    floats, to |dE| <= 1e-12 * m0: the float G has the array's bits, so the
+    roots are those of bisecting all brackets together on arrays.  Windows
     default to the full binding range (``binding_window``).  A root is
-    "upper" when F rises through it, else "lower" (module docstring).
-    Raises InvalidRegime when the origin exponent is complex.  Inside the
-    binding range F is defined wherever the origin is regular; only a
-    window end at +-m_inf may round to an undefined (NaN) point, which
-    neither brackets nor counts as a zero.
+    "upper" when G rises through it, else "lower".  Raises InvalidRegime
+    when the origin exponent is complex; elsewhere in the range G is
+    defined.
     """
     lo, hi = binding_window(system, window)
+    N = _real_origin(system, l, _origin(system, l)) + n + 0.5
     grid = np.linspace(lo, hi, 2001)
-    vals, s, _ = _condition(system, n, l, grid)
-    _real_origin(system, l, s)
-    # (root, F rises through it): a zero lattice point reads its neighbours
+    vals = _condition_terms(system, N, grid)[0]
+    # (root, G rises through it): a zero lattice point reads its neighbours
     roots = [(grid.item(j), vals.item(max(j - 1, 0)) < 0.0
               or vals.item(min(j + 1, grid.size - 1)) > 0.0)
              for j in np.flatnonzero(vals == 0.0).tolist()]
@@ -327,7 +322,7 @@ def energy_root_solve(system: PhysicalSystem, n: int, l: int,
         a, b, fa = grid.item(j), grid.item(j + 1), vals.item(j)
         while b - a > tol:
             mid = 0.5 * (a + b)
-            fm = _condition(system, n, l, mid)[0]
+            fm = _condition_terms(system, N, mid)[0]
             if fa * fm <= 0.0:
                 b = mid
             else:
@@ -366,20 +361,21 @@ def wavefunction(system: PhysicalSystem, n: int, l: int, E: float,
 
     phi(r) = z**(s + 1/2) * (1-z)**A * P_n^(2s, 2A)(1 - 2z), z = 1 - e^(-beta r),
     normalized so the integral of phi**2 over r equals one.  E must satisfy
-    the quantization condition (checked to 1e-6 scaled) with a positive
-    tail power A, otherwise ValueError or NonNormalizable is raised;
-    InvalidRegime means an over-attractive origin.
+    the quantization condition, |G| <= 1e-6 * max(1, sqrt(a1_sq)) (module
+    docstring), with a positive tail power A, otherwise ValueError or
+    NonNormalizable is raised; InvalidRegime means an over-attractive
+    origin.
     """
-    F, s, A = map(float, _condition(system, n, l, E))
+    s = _origin(system, l)
+    G, root, A = _condition_terms(system, s + n + 0.5, E)
     if not A > 0.0:
         raise NonNormalizable(
             f"tail exponent A must be positive for a bound state (got {A!r})")
     s = _real_origin(system, l, s)
-    # relative to max(1, |lambda_n|), lambda_n = 2n(A + s + 1) + n(n - 1)
-    if abs(F) > 1e-6 * max(1.0, abs(2.0 * n * (A + s + 1.0) + n * (n - 1))):
+    if abs(G) > 1e-6 * max(1.0, root):
         raise ValueError(
             f"E={E!r} does not satisfy the quantization condition for "
-            f"n={n}, l={l} (residual {F!r})")
+            f"n={n}, l={l} (residual {G!r})")
     if grid is None:
         grid = default_grid(system)
     params = JacobiParams(alpha=2.0 * s, beta=2.0 * A, n=n)

@@ -30,9 +30,9 @@ import numpy as np
 
 # the domain rule's bounds: within _SCALES the squares of beta, hbar_c, m0
 # and beta*hbar_c, and the products of those squares, stay finite and
-# nonzero; near _MAX_DEPTH screening energies the rounding of the
-# quantization residual, about 2e-16 * (m0/(beta*hbar_c))**2, reaches its
-# 1e-8 tolerance
+# nonzero; _MAX_DEPTH screening energies is the depth up to which the
+# solvers are tested (there the squared residual F rounds at about
+# 2e-16 * (m0/(beta*hbar_c))**2, near 1e-8)
 _SCALES = (1e-100, 1e100)
 _MAX_DEPTH = 1e4
 

@@ -1,7 +1,12 @@
 """Validation battery: how oracle states meet the closed-form levels."""
 
+import dataclasses
+
+import pytest
+
 from kghulthen import (PhysicalSystem, energy_root_solve, find_bound_states,
                        main, oracle)
+from kghulthen import hulthen_analytic as ha
 from kghulthen.checks import run_validation
 from kghulthen.model import binding_window
 
@@ -82,3 +87,26 @@ def test_mode_agreement_fails_on_a_broken_l0_term(reference_system,
     rows = {c.name: c for c in run_validation(reference_system)}
     assert not rows["mode_agreement_l0"].passed
     assert rows["mode_agreement_l0"].value > 1e-9
+
+
+def test_root_gap_near_zero_energy_is_read_on_the_solve_scale():
+    # a genuine level at E = -3.11 of m0 = 1e4: the root solve stops within
+    # an absolute 1e-12*m0, so the row divides the gap by 1e-3*m0, not by
+    # |E| (against |E| it read 1.33e-9)
+    system = PhysicalSystem(V0=189.9176304301875, beta=1.0, m0=10000.0,
+                            m1=7638.992928766975)
+    rows = {c.name: c for c in run_validation(system)}
+    assert rows["closed_vs_root_solve"].passed
+
+
+def test_root_gap_of_2e_9_fails(reference_system, monkeypatch):
+    # every reference level sits at |E| >= 1e-3*m0, where the row is the
+    # gap relative to |E|: roots moved by 2e-9 of their value fail it
+    solve = ha.energy_root_solve
+    monkeypatch.setattr(ha, "energy_root_solve", lambda *args: [
+        dataclasses.replace(lv, value=lv.value * (1.0 + 2e-9))
+        for lv in solve(*args)])
+    row = {c.name: c for c in run_validation(reference_system)}[
+        "closed_vs_root_solve"]
+    assert not row.passed
+    assert row.value == pytest.approx(2e-9, rel=1e-3)

@@ -569,6 +569,18 @@ class TestSpectrumRecords:
         assert e_scaled == pytest.approx(e_raw / 2.0, rel=1e-15)
 
 
+def _shallow_wells(seed, count):
+    """(V0, beta, m1) of seeded wells with m0 = 1, beta in [0.01, 0.05],
+    |V0| up to beta/2 and m1 up to 2*beta."""
+    rng = np.random.default_rng(seed)
+    wells = []
+    for _ in range(count):
+        beta = float(rng.uniform(0.01, 0.05))
+        wells.append((float(rng.uniform(-0.5, 0.5)) * beta, beta,
+                      float(rng.uniform(0.0, 2.0)) * beta))
+    return wells
+
+
 class TestWavefunctionRecords:
     def test_reference_ground_state(self):
         cfg = _cfg(command="wavefunction", grid_points=300)
@@ -601,6 +613,30 @@ class TestWavefunctionRecords:
                     + argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and token in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--V0=0.0133", "--beta=0.036", "--m0=1", "--m1=0.034"]] + [
+        [f"--V0={V0!r}", f"--beta={beta!r}", "--m0=1", f"--m1={m1!r}"]
+        for V0, beta, m1 in _shallow_wells(28, 6)],
+        ids=["n0_pair"] + [f"well_{i}" for i in range(6)])
+    def test_every_ok_oracle_state_has_samples(self, capsys, flags):
+        # m0 at 20-100 screening energies, where the condition's scale
+        # sqrt(a1_sq) reaches 100: every state that the oracle's spectrum
+        # prints ok (n <= 1, l = 0) is one that wavefunction samples, on
+        # either branch
+        assert main(["spectrum", "--method=oracle", "--n-max=1",
+                     "--l-max=0"] + flags) == 0
+        rows = [row.split(",") for row in
+                capsys.readouterr().out.splitlines()[1:]]
+        ok = [(n, branch) for n, _, branch, _, _, status in rows
+              if status == "ok"]
+        assert ok
+        for n, branch in ok:
+            code = main(["wavefunction", "--method=oracle", f"--n-max={n}",
+                         "--l-max=0", f"--branch={branch}"] + flags)
+            out, err = capsys.readouterr()
+            assert (code, err) == (0, ""), (n, branch)
+            assert len(out.splitlines()) == 4001
 
     def test_missing_state_reports_and_returns_empty(self, capsys):
         cfg = _cfg(command="wavefunction", n_max=2, l_max=0)

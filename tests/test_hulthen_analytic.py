@@ -19,7 +19,8 @@ from kghulthen import (PhysicalSystem, RadialGrid, all_candidates,
                        wavefunction)
 from kghulthen.checks import wavefunction_ode_residual
 from kghulthen import hulthen_analytic
-from kghulthen.hulthen_analytic import _condition, build_nu_problem
+from kghulthen.hulthen_analytic import (_condition_terms, _origin,
+                                        build_nu_problem)
 from kghulthen.model import _MAX_DEPTH, binding_window
 from kghulthen.errors import (InvalidK, InvalidRegime, NoBoundState,
                               NonNormalizable, NoRealK)
@@ -292,9 +293,10 @@ def _lattice(system):
 
 
 def _scalar_roots(system, n, l):
-    """Point-by-point scan and bisection over quantization_residual: the
-    root solver's rule, one scalar residual call at a time.  It shares the
-    solver's float path; ``_joint_bisection`` is the array reference."""
+    """Point-by-point scan and bisection over quantization_residual, one
+    scalar call at a time: the root solver's rule on the engine-checked F
+    = G * (sqrt(a1_sq) + N + A) instead of G.  (root, F rises through it)
+    pairs; ``_joint_bisection`` is the bitwise reference over G."""
     def f(E):
         try:
             return quantization_residual(system, n, l, E)
@@ -310,7 +312,7 @@ def _scalar_roots(system, n, l):
         if fa is None or fb is None:
             continue
         if fa == 0.0:
-            roots.append(float(grid[i]))
+            roots.append((float(grid[i]), fb > 0.0))
             continue
         if fa * fb < 0.0:
             a, b = float(grid[i]), float(grid[i + 1])
@@ -323,9 +325,9 @@ def _scalar_roots(system, n, l):
                     b = mid
                 else:
                     a, fa = mid, fm
-            roots.append(0.5 * (a + b))
+            roots.append((0.5 * (a + b), fa < 0.0))
     if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
+        roots.append((float(grid[-1]), vals[-2] < 0.0))
     return sorted(roots)
 
 
@@ -377,33 +379,42 @@ class TestResidualAgainstEngine:
                 assert abs(roots[branch] - E) <= 1e-9 * abs(E)
 
     @pytest.mark.parametrize("fixture", ["reference_system", "set_a",
-                                         "set_b", "set_c"])
-    def test_root_solve_matches_scalar_scan_bitwise(self, fixture, request):
+                                         "set_b", "set_c", "fixture_system",
+                                         "shallow_long_system"])
+    def test_roots_near_the_f_scan(self, fixture, request):
+        # G and F share their sign, so the solve over G finds the roots of
+        # the F scan, each within the bisection's 1e-12*m0, with the same
+        # labels: F rises where G does
         system = request.getfixturevalue(fixture)
         for n in range(3):
             for l in range(2):
-                got = [r.value for r in energy_root_solve(system, n, l)]
-                assert got == _scalar_roots(system, n, l), (n, l)
+                got = energy_root_solve(system, n, l)
+                want = _scalar_roots(system, n, l)
+                assert [level.branch for level in got] == [
+                    "upper" if rise else "lower" for _, rise in want]
+                for level, (E, _) in zip(got, want):
+                    assert abs(level.value - E) <= 1e-12 * system.m0, (n, l)
 
 
 def _joint_bisection(system, n, l, window=None):
     """energy_root_solve's roots from a NumPy bisection that moves every
-    bracket of the lattice together, each step one array evaluation of the
-    residual with np.where updates: the reference the solver's per-bracket
-    float loop must match bit for bit (TestBranchLabel checks the
-    labels)."""
+    bracket of the lattice together, each step one array evaluation of G
+    with np.where updates: the reference the solver's per-bracket float
+    loop must match bit for bit (TestBranchLabel checks the labels)."""
     lo, hi = binding_window(system, window)
-    grid = np.linspace(lo, hi, 2001)
-    vals, s, _ = _condition(system, n, l, grid)
+    s = _origin(system, l)
     if math.isnan(s):
         raise InvalidRegime("origin exponent is complex")
+    N = s + n + 0.5
+    grid = np.linspace(lo, hi, 2001)
+    vals = _condition_terms(system, N, grid)[0]
     j = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
     a, b, fa = grid[j], grid[j + 1], vals[j]
     tol = 1e-12 * system.m0
     active = b - a > tol
     while active.any():
         mid = 0.5 * (a + b)
-        fm = _condition(system, n, l, mid)[0]
+        fm = _condition_terms(system, N, mid)[0]
         left = fa * fm <= 0.0
         b = np.where(active & left, mid, b)
         a = np.where(active & ~left, mid, a)
@@ -432,7 +443,7 @@ def _same_bits(x, y):
 
 
 # the sum a1 + a2 + a3 rounds below 0 one ulp inside both ends of the
-# binding range, so the tail clamp sets A = 0 there
+# binding range, so the sum-based tail power of the residual clamps to 0
 _CLAMP_EDGE = dict(V0=0.0, beta=0.5625, m0=1.0, m1=0.34086066369310736)
 
 
@@ -478,59 +489,74 @@ class TestFloatBisection:
                                 edges, np.negative(edges)])
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                for n, l in ((0, 0), (1, 1), (2, 2), (3, 0)):
-                    F, s, A = _condition(system, n, l, E)
+                for N in (0.5, 2.75, _origin(system, 1) + 3.5):
+                    terms = _condition_terms(system, N, E)
                     for i, e in enumerate(E.tolist()):
-                        got = _condition(system, n, l, e)
+                        got = _condition_terms(system, N, e)
                         assert all(type(v) is float for v in got)
-                        assert _same_bits(got[0], F[i]), (system, n, l, e)
-                        assert _same_bits(got[1], s), (system, n, l, e)
-                        assert _same_bits(got[2], A[i]), (system, n, l, e)
+                        for x, y in zip(got, terms):
+                            assert _same_bits(x, y[i]), (system, N, e)
 
     def test_float_condition_at_the_ends_of_the_binding_range(self):
+        # A is 0.0 at +-m_inf, real one ulp inside and NaN one ulp beyond,
+        # with the same bits on both paths and no math domain error, while
+        # the residual raises from the end outwards
         system = PhysicalSystem(**_CLAMP_EDGE)
         m_inf = system.asymptotic_mass
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for sign in (1.0, -1.0):
-                # one ulp inside: the clamp, a real residual
-                E = sign * float(np.nextafter(m_inf, 0.0))
-                F, s, A = _condition(system, 0, 0, E)
-                assert A == 0.0
-                assert quantization_residual(system, 0, 0, E) == F
-                # at the end and beyond: NaN, never a math domain error
-                for E in (sign * m_inf, sign * 1.5 * m_inf):
-                    F, s, A = _condition(system, 0, 0, E)
-                    assert math.isnan(F) and math.isnan(A)
+                inside = sign * float(np.nextafter(m_inf, 0.0))
+                beyond = sign * float(np.nextafter(m_inf, 2.0))
+                E = np.array([inside, sign * m_inf, beyond])
+                terms = _condition_terms(system, 0.5, E)
+                for i, e in enumerate(E.tolist()):
+                    got = _condition_terms(system, 0.5, e)
+                    for x, y in zip(got, terms):
+                        assert _same_bits(x, y[i])
+                G, root, A = terms
+                assert A[0] > 0.0 and _same_bits(A[1], 0.0)
+                assert math.isnan(A[2]) and math.isnan(G[2]) and root[2] > 0.0
+                # the residual's sum-based A clamps one ulp inside
+                assert coefficients_at(system, 0, inside).A == 0.0
+                quantization_residual(system, 0, 0, inside)
+                for e in (sign * m_inf, beyond):
                     with pytest.raises(ValueError, match="tail"):
-                        quantization_residual(system, 0, 0, E)
+                        quantization_residual(system, 0, 0, e)
 
     def test_residual_raises_from_the_ends_of_the_binding_range(self):
-        # at +-m_inf and one ulp beyond, A of many systems rounds to 0 or
-        # to a real 1e-7 where no tail decays: the residual raises all the
-        # same, while _condition keeps its clamp for the root solve
+        # at +-m_inf and one ulp beyond, the summed A of many systems rounds
+        # to 0 or to a real 1e-7 where no tail decays: the residual raises
+        # all the same
         real = 0
         for system in signed_draws(200, 1):
             m_inf = system.asymptotic_mass
             for E in (m_inf, float(np.nextafter(m_inf, 2.0))):
                 for e in (E, -E):
-                    real += not math.isnan(_condition(system, 0, 0, e)[2])
+                    real += coefficients_at(system, 0, e).A is not None
                     for n, l in ((0, 0), (2, 1)):
                         with pytest.raises(ValueError, match="tail"):
                             quantization_residual(system, n, l, e)
         assert real >= 100
 
     def test_over_attractive_origin_is_nan_on_both_paths(self):
+        # s is NaN, so G is NaN on the float and the array path, and every
+        # solver raises
         bad = PhysicalSystem(V0=0.3, beta=0.2, m0=1.0, m1=0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            F, s, A = _condition(bad, 0, 0, 0.5)
-            assert math.isnan(F) and math.isnan(s) and A > 0.0
-            assert math.isnan(_condition(bad, 0, 0, np.array([0.5]))[1])
-            with pytest.raises(InvalidRegime, match="origin"):
-                level_midpoint(bad, 0, 0)
-            with pytest.raises(InvalidRegime, match="origin"):
-                energy_root_solve(bad, 0, 0)
+            N = _origin(bad, 0) + 0.5
+            G, _, A = _condition_terms(bad, N, 0.5)
+            assert math.isnan(G) and A > 0.0
+            assert math.isnan(_condition_terms(bad, N, np.array([0.5]))[0][0])
+            assert not satisfies_quantization(bad, 0, 0, 0.5)
+            for solve in (level_midpoint, energy_closed_form,
+                          energy_root_solve):
+                with pytest.raises(InvalidRegime, match="origin"):
+                    solve(bad, 0, 0)
+            for call in (quantization_residual, wavefunction):
+                with pytest.raises(InvalidRegime, match="origin"):
+                    call(bad, 0, 0, 0.5)
 
 
 class TestMidpoint:
@@ -636,8 +662,8 @@ class TestRootSolve:
 
 
 class TestBranchLabel:
-    # a root is "upper" when F rises through it: read from its bracket's
-    # left lattice point, or from the neighbours of a lattice point where F
+    # a root is "upper" when G rises through it: read from its bracket's
+    # left lattice point, or from the neighbours of a lattice point where G
     # is exactly 0 (at either end of the lattice, from the one there is)
     @pytest.mark.parametrize("where", [0, 700, 2000, 700.5])
     @pytest.mark.parametrize("slope, label", [(1.0, "upper"),
@@ -646,9 +672,9 @@ class TestBranchLabel:
                                        where, slope, label):
         lattice = np.linspace(*binding_window(reference_system), 2001)
         root = 0.5 * (lattice[int(where)] + lattice[math.ceil(where)])
-        monkeypatch.setattr(hulthen_analytic, "_condition",
-                            lambda system, n, l, E: (slope * (E - root),
-                                                     0.0, 1.0))
+        monkeypatch.setattr(hulthen_analytic, "_condition_terms",
+                            lambda system, N, E: (slope * (E - root), 1.0,
+                                                  1.0))
         (level,) = energy_root_solve(reference_system, 0, 0)
         assert level.branch == label
         assert abs(level.value - root) <= 1e-12
@@ -785,6 +811,19 @@ class TestWavefunction:
         assert wf.norm == pytest.approx(1.0, abs=1e-11)
         assert wf.amplitude ** 2 == pytest.approx(
             _bare_norm_mp(system, n, l, level.value), rel=1e-11)
+
+    def test_spurious_closed_form_roots_miss_the_condition(self,
+                                                           reference_system):
+        # criterion 2's nine reflected roots (n <= 2, l <= 1) fail the
+        # precondition |G| <= 1e-6 * max(1, sqrt(a1_sq))
+        spurious = [(n, l, lv.value) for n in range(3) for l in range(2)
+                    for lv in energy_closed_form(reference_system, n, l)
+                    if not satisfies_quantization(reference_system, n, l,
+                                                  lv.value)]
+        assert len(spurious) == 9
+        for n, l, E in spurious:
+            with pytest.raises(ValueError, match="quantization"):
+                wavefunction(reference_system, n, l, E)
 
     def test_amplitude_restores_bare_construction(self, reference_system):
         from kghulthen import JacobiParams, jacobi_eval
