@@ -21,7 +21,7 @@ from . import nu_engine as nu
 from . import oracle
 from .errors import NonNormalizable, SolverError
 from .model import (PhysicalSystem, RadialGrid, binding_window,
-                    default_grid, origin_power)
+                    default_grid, origin_power, real_origin_power)
 from .specfun import JacobiParams, jacobi_derivative, jacobi_eval
 
 _N_MAX, _L_MAX = 2, 1      # quantum-number range the battery sweeps
@@ -45,7 +45,12 @@ def wavefunction_ode_residual(system, n, l, E, points: int = 50) -> float:
     z = 1 - exp(-beta*r)), normalized by the largest term entering the
     balance at each point.
     """
-    wf = ha.wavefunction(system, n, l, E)
+    return _ode_residual(system, l, E, ha.wavefunction(system, n, l, E),
+                         points)
+
+
+def _ode_residual(system, l, E, wf, points=50):
+    """``wavefunction_ode_residual`` of the built wavefunction wf."""
     s_half, A = wf.exponents          # z-power at origin, tail power
     s = s_half - 0.5
     params = wf.jacobi_params
@@ -136,7 +141,7 @@ def run_validation(system: PhysicalSystem,
     worst = 0.0
     for level in levels:
         if not level.unbound:
-            N = ha._origin(system, level.l) + level.n + 0.5
+            N = real_origin_power(system, level.l) + level.n + 0.5
             G, root, A = ha._condition_terms(system, N, level.value)
             worst = max(worst, min(abs(G),
                                    abs(root - abs(N - A))) / max(1.0, root))
@@ -222,8 +227,7 @@ def run_validation(system: PhysicalSystem,
     for level in genuine:
         try:
             wf = ha.wavefunction(system, level.n, level.l, level.value)
-            resid = wavefunction_ode_residual(system, level.n, level.l,
-                                              level.value)
+            resid = _ode_residual(system, level.l, level.value, wf)
         except NonNormalizable:
             norm_worst = resid_worst = float("inf")
             node_bad += 1.0

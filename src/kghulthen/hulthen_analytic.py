@@ -18,8 +18,8 @@ screening energy beta*hbar_c, squared).  The reduction engine
 
 The condition is evaluated on the branch whose factor
 z**(s + 1/2) * (1 - z)**A decays at both ends, with s = sqrt(1/4 + a3_sq)
-(``model.origin_power``) and A = sqrt(a1_sq + a2_sq + a3_sq).  There the
-engine's k, pi and tau reduce to
+and A = sqrt(a1_sq + a2_sq + a3_sq).  There the engine's k, pi and tau
+reduce to
 
     F(E) = a1_sq - (s + n + 1/2 + A)**2
          = G(E) * (sqrt(a1_sq) + s + n + 1/2 + A),
@@ -36,8 +36,8 @@ and A**2 = (m_inf - E)(m_inf + E) / (beta*hbar_c)**2, on a Python float or
 a NumPy array of trial energies with the same bits.  G rounds like
 eps*sqrt(a1_sq) where F rounds like eps*a1_sq, so G resolves deep wells
 that F cannot; F is only ``quantization_residual``, which the tests pin
-against the engine.  A complex s is a property of the channel: every
-solver raises InvalidRegime on it.
+against the engine.  Every solver takes s, or the InvalidRegime of a
+complex s, from ``model.real_origin_power`` (a3_sq in product form).
 
 The quadratic closed form squares the condition once, which introduces
 reflected roots that do not satisfy the original condition: there
@@ -61,9 +61,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidRegime, NoBoundState, NonNormalizable
+from .errors import NoBoundState, NonNormalizable
 from .model import (EnergyLevel, PhysicalSystem, RadialGrid, binding_window,
-                    default_grid, origin_power)
+                    default_grid, origin_power, origin_strength,
+                    real_origin_power)
 # all_candidates, eigen_pair and gauss_jacobi_rule are unused here but stay
 # importable from this module: the benchmark's tracer wraps them at these
 # names
@@ -91,15 +92,13 @@ class CoefficientSet:
 
 
 def _coefficients(system: PhysicalSystem, l: int, E):
-    """(a1_sq, a2_sq, a3_sq) at a float E; a3_sq is E-free."""
+    """(a1_sq, a2_sq, a3_sq) at a float E; a3_sq is ``origin_strength``."""
     q2 = 1.0 / system.screening_energy**2
     V0, m0, m1 = system.V0, system.m0, system.m1
-    ll = l * (l + 1)
     d = E - V0
     a1 = q2 * (m0 * m0 - d * d)
-    a2 = -q2 * (2.0 * m0 * m1 + 2.0 * E * V0 - 2.0 * V0 * V0) - ll
-    a3 = q2 * (m1 * m1 - V0 * V0) + ll
-    return a1, a2, a3
+    a2 = -q2 * (2.0 * m0 * m1 + 2.0 * E * V0 - 2.0 * V0 * V0) - l * (l + 1)
+    return a1, a2, origin_strength(system, l)
 
 
 def _tail_power(system: PhysicalSystem, E: float, a1, a2, a3) -> float:
@@ -130,16 +129,8 @@ def _condition_terms(system: PhysicalSystem, N: float, E):
     return root - (N + A), root, A
 
 
-def _origin(system: PhysicalSystem, l: int) -> float:
-    """The origin power s of channel l, NaN where complex; E does not enter
-    it, so a solve takes it once."""
-    return origin_power(_coefficients(system, l, 0.0)[2])
-
-
 def coefficients_at(system: PhysicalSystem, l: int, E: float) -> CoefficientSet:
     """Evaluate the quadratic-form coefficients for one trial energy."""
-    if l < 0:
-        raise ValueError("angular momentum l must be >= 0")
     a1, a2, a3 = _coefficients(system, l, E)
     A = _tail_power(system, E, a1, a2, a3)
     return CoefficientSet(a1_sq=a1, a2_sq=a2, a3_sq=a3,
@@ -153,22 +144,10 @@ def build_nu_problem(coeffs: CoefficientSet) -> NUProblem:
 
 
 def origin_exponent_discriminant(system: PhysicalSystem, l: int) -> float:
-    """1 + 4*a3_sq: the origin exponent is real where this is >= 0, or below
-    0 only within the rounding band of ``origin_power`` (there s = 0).
-    Below the band the origin is over-attractive (complex exponents) and no
-    real-parameter bound-state analysis applies.  a3_sq does not depend on
-    E, so neither does this."""
-    return 1.0 + 4.0 * coefficients_at(system, l, 0.0).a3_sq
-
-
-def _real_origin(system: PhysicalSystem, l: int, s) -> float:
-    """The origin power s as a float; InvalidRegime when it is complex (an
-    over-attractive origin)."""
-    if math.isnan(s):
-        raise InvalidRegime(
-            "origin exponent is complex (over-attractive singularity): "
-            f"1 + 4*a3_sq = {origin_exponent_discriminant(system, l)!r}")
-    return float(s)
+    """1 + 4*a3_sq, E-free (``origin_strength``): s is real where this is >=
+    0, or below 0 only within ``origin_power``'s rounding band (s = 0);
+    below the band the origin is over-attractive (complex exponents)."""
+    return 1.0 + 4.0 * origin_strength(system, l)
 
 
 def quantization_residual(system: PhysicalSystem, n: int, l: int, E: float) -> float:
@@ -189,7 +168,7 @@ def quantization_residual(system: PhysicalSystem, n: int, l: int, E: float) -> f
         raise ValueError(
             f"tail coefficient is not a decay rate at E={E!r} (|E| reaches "
             "the asymptotic rest energy)")
-    t = _real_origin(system, l, origin_power(a3)) + A
+    t = real_origin_power(system, l) + A
     return float(0.25 + a1 - t * t - (t + 0.5) - 2.0 * n * (1.0 + t)
                  - n * (n - 1))
 
@@ -204,7 +183,8 @@ def satisfies_quantization(system: PhysicalSystem, n: int, l: int,
     """
     if abs(E) >= system.asymptotic_mass:
         return False
-    G, root, _ = _condition_terms(system, _origin(system, l) + n + 0.5, E)
+    N = origin_power(origin_strength(system, l)) + n + 0.5  # NaN: False
+    G, root, _ = _condition_terms(system, N, E)
     return abs(G) <= _QUANTIZATION_TOL * max(1.0, root)
 
 
@@ -216,8 +196,7 @@ def level_midpoint(system: PhysicalSystem, n: int, l: int) -> float:
     with se the screening energy — the algebraic statement that the two
     branches are mirror partners.
     """
-    s = _real_origin(system, l, _origin(system, l))
-    N = 2.0 * n + 1.0 + 2.0 * s
+    N = 2.0 * n + 1.0 + 2.0 * real_origin_power(system, l)
     q2 = 1.0 / system.screening_energy**2
     V0, m0, m1 = system.V0, system.m0, system.m1
     D = N * N + 4.0 * q2 * V0 * V0
@@ -238,8 +217,7 @@ def energy_closed_form(system: PhysicalSystem, n: int, l: int):
     """
     if n < 0 or l < 0:
         raise ValueError("n and l must be >= 0")
-    s = _real_origin(system, l, _origin(system, l))
-    N = 2.0 * n + 1.0 + 2.0 * s
+    N = 2.0 * n + 1.0 + 2.0 * real_origin_power(system, l)
     q2 = 1.0 / system.screening_energy**2
     V0, m0, m1 = system.V0, system.m0, system.m1
     P0 = q2 * (m1 * m1 - 2.0 * m0 * m1 + V0 * V0)
@@ -285,8 +263,7 @@ def energy_constant_mass_s(system: PhysicalSystem, n: int):
         raise ValueError("n must be >= 0")
     se = system.screening_energy
     qv = system.V0 / se                      # dimensionless well strength
-    s = _real_origin(system, 0, origin_power(-qv * qv))
-    Np = (2.0 * n + 1.0) + 2.0 * s
+    Np = (2.0 * n + 1.0) + 2.0 * real_origin_power(system, 0)
     inner = system.m0**2 / (4.0 * qv * qv + Np * Np) - se * se / 16.0
     if inner < 0.0:
         raise NoBoundState(
@@ -310,7 +287,7 @@ def energy_root_solve(system: PhysicalSystem, n: int, l: int,
     defined.
     """
     lo, hi = binding_window(system, window)
-    N = _real_origin(system, l, _origin(system, l)) + n + 0.5
+    N = real_origin_power(system, l) + n + 0.5
     grid = np.linspace(lo, hi, 2001)
     vals = _condition_terms(system, N, grid)[0]
     # (root, G rises through it): a zero lattice point reads its neighbours
@@ -366,12 +343,11 @@ def wavefunction(system: PhysicalSystem, n: int, l: int, E: float,
     NonNormalizable is raised; InvalidRegime means an over-attractive
     origin.
     """
-    s = _origin(system, l)
+    s = real_origin_power(system, l)
     G, root, A = _condition_terms(system, s + n + 0.5, E)
     if not A > 0.0:
         raise NonNormalizable(
             f"tail exponent A must be positive for a bound state (got {A!r})")
-    s = _real_origin(system, l, s)
     if abs(G) > 1e-6 * max(1.0, root):
         raise ValueError(
             f"E={E!r} does not satisfy the quantization condition for "

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidRegime
+
 
 # the domain rule's bounds: within _SCALES the squares of beta, hbar_c, m0
 # and beta*hbar_c, and the products of those squares, stay finite and
@@ -143,6 +145,28 @@ def origin_power(c: float) -> float:
     disc = 0.25 + c
     regular = disc >= -1e-12 * max(1.0, abs(c))
     return math.sqrt(max(disc, 0.0)) if regular else math.nan
+
+
+def origin_strength(system: PhysicalSystem, l: int) -> float:
+    """a3 = l(l+1) + (m1 - V0)(m1 + V0)/(beta*hbar_c)**2, the E-free strength
+    of W's 1/r**2 term.  The product rounds like eps*|m1**2 - V0**2|, where
+    a difference of squares rounds like eps*V0**2."""
+    if l < 0:
+        raise ValueError("angular momentum l must be >= 0")
+    q2, m1, V0 = 1.0 / system.screening_energy**2, system.m1, system.V0
+    return q2 * ((m1 - V0) * (m1 + V0)) + l * (l + 1)
+
+
+def real_origin_power(system: PhysicalSystem, l: int) -> float:
+    """s = origin_power(origin_strength(system, l)), every solver's origin
+    rule: InvalidRegime (an over-attractive origin) where s is complex."""
+    a3 = origin_strength(system, l)
+    s = origin_power(a3)
+    if math.isnan(s):
+        raise InvalidRegime(
+            f"over-attractive origin at l={l}: inverse-square strength "
+            f"{a3!r} < -1/4, origin exponents complex")
+    return s
 
 
 def _check_radius(r):

@@ -27,16 +27,16 @@ Hardy's u = r**(1/2), the case the family extends.  No state lies there.
 Two implementation notes, both measured necessities rather than choices:
 
 * Near the origin the regular solution behaves like r**g with fractional
-  g = 1/2 + sqrt(1/4 + c2) (``model.origin_power``); the sweep therefore
-  starts on the two-term series phi = r**g * (1 + c1*r) at r_min instead
-  of the naive (phi, phi') = (0, 1), and the first few hundred grid cells
-  are internally subdivided on a geometric ladder.  A (0, 1) start
-  contaminates the sweep with the subdominant power and, for the
-  parameter ranges exercised here, leaves an energy error floor well
+  g = 1/2 + sqrt(1/4 + c2) (``model.origin_strength``, product form); the
+  sweep therefore starts on the two-term series phi = r**g * (1 + c1*r) at
+  r_min instead of the naive (phi, phi') = (0, 1), and the first few
+  hundred grid cells are internally subdivided on a geometric ladder.  A
+  (0, 1) start contaminates the sweep with the subdominant power and, for
+  the parameter ranges exercised here, leaves an energy error floor well
   above the tolerances this solver must meet.
-* Beyond that rule's rounding band the origin exponents are complex (the
-  singularity is over-attractive), no self-adjoint bound-state problem
-  remains, and such runs raise InvalidRegime instead of returning numbers.
+* Beyond ``origin_power``'s rounding band the origin exponents are complex
+  (the singularity is over-attractive), no self-adjoint bound-state problem
+  remains, and ``model.real_origin_power`` raises InvalidRegime.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import GridResolution, InvalidRegime, SolverError
 from .model import (PhysicalSystem, RadialGrid, binding_window, default_grid,
-                    origin_power)
+                    real_origin_power)
 
 _LADDER_RATIO = 1.006       # geometric refinement ratio of the origin ladder
 _MISMATCH_TOL = 1e-3        # converged roots must have |tail_mismatch| below
@@ -127,19 +127,14 @@ def _origin_series(system, l):
     """Series data of the regular solution phi ~ r**g * (1 + c1 r) at r -> 0.
 
     Returns (cm1_const, cm1_lin, g) where the ODE coefficient behaves like
-    c2/r**2 + (cm1_const + cm1_lin*E)/r + O(1) and g = 1/2 +
-    origin_power(c2).  Raises InvalidRegime when that is complex.
+    c2/r**2 + (cm1_const + cm1_lin*E)/r + O(1), c2 = ``origin_strength``
+    (product form); g = 1/2 + s, s = ``real_origin_power`` or InvalidRegime.
     """
     se = system.screening_energy
     q2 = 1.0 / (se * se)
-    c2 = l * (l + 1) + q2 * (system.m1**2 - system.V0**2)
     P0 = q2 * (system.m1**2 - 2.0 * system.m0 * system.m1 + system.V0**2)
-    s = origin_power(c2)
-    if math.isnan(s):
-        raise InvalidRegime(
-            "over-attractive origin: effective inverse-square strength "
-            f"{c2!r} < -1/4, origin exponents complex")
-    return system.beta * P0, -system.beta * 2.0 * q2 * system.V0, 0.5 + s
+    return (system.beta * P0, -system.beta * 2.0 * q2 * system.V0,
+            0.5 + real_origin_power(system, l))
 
 
 def _ladder(r_min, h, cells):

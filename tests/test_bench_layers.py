@@ -30,8 +30,12 @@ def test_one_repeat_writes_every_figure(tmp_path):
     assert {"nproc", "python", "numpy", "processor",
             "OPENBLAS_NUM_THREADS"} <= set(result["machine"])
     assert set(result["serialize"]) == {
-        "block_rows", "slot_rows", "total_s", "decimal_s", "slot_fill_s",
-        "transpose_s", "translate_s"}
+        "block_rows", "slot_rows", "slot_addr_mod_4096", "total_s",
+        "decimal_s", "slot_fill_s", "transpose_s", "translate_s"}
+    # one address per block, as the heap placed it
+    addrs = result["serialize"]["slot_addr_mod_4096"]
+    assert len(addrs) == len(result["serialize"]["slot_rows"]) == 4
+    assert all(isinstance(a, int) and 0 <= a < 4096 for a in addrs)
     assert set(result["solvers"]) == {
         "energy_root_solve_s", "wavefunction_s", "closed_form_labels_s",
         "channel_s", "shoot_B1_s", "shoot_B240_s", "find_bound_states_l0_s",
@@ -54,7 +58,8 @@ def test_pair_with_the_same_checkout(tmp_path):
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text())
-    assert set(result) == {"machine", "repeat", "rounds", "layers", "shots"}
+    assert set(result) == {"machine", "repeat", "rounds", "layers", "shots",
+                           "slot_addr_mod_4096"}
     assert (result["repeat"], result["rounds"]) == (1, 1)
     assert "solvers.closed_form_labels_s" in result["layers"]
     assert "serialize.total_s" in result["layers"]
@@ -64,3 +69,7 @@ def test_pair_with_the_same_checkout(tmp_path):
         assert layer["change_s"] > 0.0 and layer["parent_s"] > 0.0
         assert 0.0 < layer["ratio_q1"] <= layer["ratio"] <= layer["ratio_q3"]
     assert result["shots"] == {"change": _SHOTS, "parent": _SHOTS}
+    # both runs of each side, each with one address per block
+    for side in ("change", "parent"):
+        runs = result["slot_addr_mod_4096"][side]
+        assert len(runs) == 2 and all(len(run) == 4 for run in runs)

@@ -283,6 +283,14 @@ _EQUAL_POWERS = {"V0": 0.4394609, "beta": 0.5, "m0": 1.0, "m1": 0.3}
 # origin power is 0
 _CRITICAL = {"V0": 0.2529802663774083, "beta": 0.49597989949748744,
              "m0": 1.0, "m1": 0.05}
+# deep wells near critical coupling in the l = 1 channel, where m1**2 - V0**2
+# rounds like 1e-13 but the origin rule's band is 1e-12 wide: in exact
+# arithmetic on these inputs 1/4 + a3_sq is -9.4e-13 (inside the band:
+# regular) and -1.27e-12 (beyond it: over-attractive)
+_INSIDE_BAND = {"V0": 49.85057255438498, "beta": 1.0, "m0": 81.899,
+                "m1": 49.828}
+_BEYOND_BAND = {"V0": 52.41146916467808, "beta": 1.0, "m0": 67.144,
+                "m1": 52.39}
 # the validate battery's rows, in order; all but constant_mass_reduction
 # when m1 != 0
 _BATTERY = ("coefficient_energy_independence", "reduction_discriminant_zero",
@@ -547,6 +555,33 @@ class TestSpectrumRecords:
         records = _records(execute(_cfg(json.dumps(deeper), method=method,
                                         n_max=0, l_max=0)))
         assert [r["status"] for r in records] == ["invalid_regime"] * 2
+
+    @staticmethod
+    def _by_method(system):
+        """Each method's records of n = 0, l <= 1, keyed by (l, branch)."""
+        return {method: {(r["l"], r["branch"]): r for r in _records(execute(
+                    _cfg(json.dumps(system), method=method, n_max=0,
+                         l_max=1)))}
+                for method in ("closed_form", "quantization_root", "oracle")}
+
+    def test_inside_the_rounding_band_every_method_solves_l1(self):
+        tables = self._by_method(_INSIDE_BAND)
+        regimes = {method: {key: r["status"] == "invalid_regime"
+                            for key, r in rows.items()}
+                   for method, rows in tables.items()}
+        for regime in regimes.values():
+            assert regime == {(0, "lower"): True, (0, "upper"): True,
+                              (1, "lower"): False, (1, "upper"): False}
+        root = tables["quantization_root"][1, "upper"]
+        shot = tables["oracle"][1, "upper"]
+        assert root["status"] == shot["status"] == "ok"
+        assert abs(root["energy"] - shot["energy"]) \
+            <= 1e-9 * abs(shot["energy"])
+
+    def test_beyond_the_rounding_band_every_method_refuses_l1(self):
+        for rows in self._by_method(_BEYOND_BAND).values():
+            assert {key: r["status"] for key, r in rows.items()} \
+                == dict.fromkeys(rows, "invalid_regime")
 
     def test_unbound_status(self):
         cfg = parse_config('{"V0": 0.2, "beta": 0.1, "m0": 1.0}',

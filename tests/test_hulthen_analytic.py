@@ -19,15 +19,20 @@ from kghulthen import (PhysicalSystem, RadialGrid, all_candidates,
                        wavefunction)
 from kghulthen.checks import wavefunction_ode_residual
 from kghulthen import hulthen_analytic
-from kghulthen.hulthen_analytic import (_condition_terms, _origin,
-                                        build_nu_problem)
-from kghulthen.model import _MAX_DEPTH, binding_window
+from kghulthen.hulthen_analytic import _condition_terms, build_nu_problem
+from kghulthen.model import (_MAX_DEPTH, binding_window, origin_power,
+                             origin_strength)
 from kghulthen.errors import (InvalidK, InvalidRegime, NoBoundState,
                               NonNormalizable, NoRealK)
 
 from conftest import (REFERENCE_ALL_SPURIOUS, REFERENCE_PAIRS, REFERENCE_TRUE,
                       SET_A_TRUE, SET_B_TRUE, SET_C_TRUE, box_draws,
                       signed_draws)
+
+
+def _origin(system, l):
+    """The origin power s of channel l, NaN where complex."""
+    return origin_power(origin_strength(system, l))
 
 
 class TestCoefficients:
@@ -77,6 +82,8 @@ class TestCoefficients:
     def test_rejects_negative_l(self, reference_system):
         with pytest.raises(ValueError, match="l"):
             coefficients_at(reference_system, -1, 0.5)
+        with pytest.raises(ValueError, match="l"):
+            origin_exponent_discriminant(reference_system, -1)
 
 
 class TestOriginExponent:

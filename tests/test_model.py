@@ -1,12 +1,18 @@
-"""Model layer: parameter validation, coordinate map, profile evaluation."""
+"""Model layer: parameter validation, coordinate map, profile evaluation,
+and the origin rule every solver shares."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from kghulthen import PhysicalSystem, RadialGrid, default_grid
-from kghulthen.model import EnergyLevel, origin_power
+from kghulthen import (PhysicalSystem, RadialGrid, coefficients_at,
+                       default_grid, energy_closed_form, energy_root_solve,
+                       level_midpoint, oracle, quantization_residual,
+                       satisfies_quantization, wavefunction)
+from kghulthen.errors import InvalidRegime, SolverError
+from kghulthen.model import _MAX_DEPTH, EnergyLevel, origin_power
 
 
 class TestPhysicalSystemValidation:
@@ -131,6 +137,96 @@ class TestOriginPower:
         assert origin_power(-0.25 - 0.9e-12) == 0.0
         assert math.isnan(origin_power(-0.25 - 1.1e-12))
         assert math.isnan(origin_power(-7.0))
+
+
+def _near_critical_wells(seed, count):
+    """Seeded deep wells (V0/beta*hbar_c from 10 to 8000, inside the domain
+    rule) with m1 just short of V0: the channel l, drawn from 0-2, is put
+    within a few 1e-12 of critical coupling, 1/4 + a3_sq = 0, before the
+    inputs round to doubles."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        beta = 10.0 ** rng.uniform(-3.0, 3.0)
+        hbar_c = 1.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-1.0, 1.0)
+        se = beta * hbar_c
+        V0 = se * 10.0 ** rng.uniform(1.0, math.log10(8000.0))
+        l = int(rng.integers(3))
+        edge = (l + 0.5) ** 2 + 1e-12 * rng.uniform(-1.0, 3.0)
+        yield PhysicalSystem(
+            V0=V0, beta=beta, hbar_c=hbar_c,
+            m0=min(_MAX_DEPTH * se, V0 * rng.uniform(1.05, 2.0)),
+            m1=math.sqrt(V0 * V0 - edge * se * se))
+
+
+def _exactly_over_attractive(system, l):
+    """The origin rule (1/4 + a3_sq below -1e-12*max(1, |a3_sq|)) decided in
+    exact arithmetic on the double inputs, or None within 1e-13*max(1,
+    |a3_sq|) of the band edge."""
+    se = Fraction(system.beta) * Fraction(system.hbar_c)
+    a3 = l * (l + 1) + (Fraction(system.m1) ** 2
+                        - Fraction(system.V0) ** 2) / (se * se)
+    scale = max(1, abs(a3))
+    above_edge = Fraction(1, 4) + a3 + Fraction(1, 10**12) * scale
+    if abs(above_edge) <= Fraction(1, 10**13) * scale:
+        return None
+    return above_edge < 0
+
+
+def _raises_invalid_regime(call, *args):
+    try:
+        call(*args)
+    except InvalidRegime:
+        return True
+    except (ValueError, SolverError):
+        pass
+    return False
+
+
+def _roots_satisfy_the_condition(system, l):
+    """satisfies_quantization holds at each n = 0 root of a regular channel
+    that the root solve finds again on a lattice 2001 times finer; the roots
+    below tail power 2 are skipped, because there the rounding of m_inf + E
+    alone can exceed the condition's tolerance.  Returns the roots checked."""
+    checked = 0
+    for level in energy_root_solve(system, 0, l):
+        if coefficients_at(system, l, level.value).A < 2.0:
+            continue
+        pad = 1e-12 * system.m0
+        [fine] = energy_root_solve(system, 0, l,
+                                   (level.value - pad, level.value + pad))
+        assert satisfies_quantization(system, 0, l, fine.value), fine
+        checked += 1
+    return checked
+
+
+class TestOneOriginDecision:
+    def test_every_solver_decides_each_channel_alike_and_exactly(self):
+        # near critical coupling the rounding of a3_sq decides the regime
+        # unless it rounds like a3_sq itself; every path must reach one
+        # decision, and off the band edge the exact one
+        calls = (
+            lambda system, l: oracle._origin_series(system, l),
+            lambda system, l: energy_closed_form(system, 0, l),
+            lambda system, l: energy_root_solve(system, 0, l),
+            lambda system, l: level_midpoint(system, 0, l),
+            lambda system, l: quantization_residual(system, 0, l, 0.0),
+            lambda system, l: wavefunction(system, 0, l, 0.0))
+        decided = wrong = roots = 0
+        for system in _near_critical_wells(29, 2000):
+            for l in range(3):
+                raised = {_raises_invalid_regime(call, system, l)
+                          for call in calls}
+                assert len(raised) == 1, (system, l)
+                [invalid] = raised
+                if invalid:
+                    assert not satisfies_quantization(system, 0, l, 0.0)
+                else:
+                    roots += _roots_satisfy_the_condition(system, l)
+                exact = _exactly_over_attractive(system, l)
+                if exact is not None:
+                    decided += 1
+                    wrong += invalid != exact
+        assert wrong == 0 and decided >= 5000 and roots >= 1000
 
 
 class TestEnergyLevel:

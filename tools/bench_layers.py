@@ -11,7 +11,10 @@ N timed calls (default 30) after one untimed call, in seconds:
 * ``serialize``: the CSV of the reference ``wavefunction`` table (4000 x 4
   floats), whole and split per block of rows into ``_decimal`` (digits and
   exponents), the slot fill (the rest of ``_float_slots``), the transpose
-  and the ``translate`` that deletes unused slots;
+  and the ``translate`` that deletes unused slots, with the address mod
+  4096 of each block's slot array (``slot_addr_mod_4096``): the transpose
+  slows with 4 KiB aliasing, so a ratio that moves with these addresses
+  and no serialize code is heap placement;
 * ``solvers``: ``energy_root_solve`` and ``wavefunction`` of n = l = 0,
   ``energy_closed_form`` with ``satisfies_quantization`` on each level of
   n <= 3, l <= 2 (the closed-form spectrum's labels), one l = 0 oracle
@@ -26,7 +29,8 @@ N timed calls (default 30) after one untimed call, in seconds:
 form in fresh interpreters in the order change, parent, parent, change.
 Per layer it writes both sides' median figure and the median of the
 change/parent ratios of the two pairs of each round, with the ratios'
-quartiles; ``shots`` holds both sides' counts.
+quartiles; ``shots`` holds both sides' counts and ``slot_addr_mod_4096``
+each side's addresses, one list per run.
 
 BLAS runs on one thread, as in ``perfbench``; the machine facts and that
 pin are written with the timings.  Not part of the test suite.
@@ -83,6 +87,7 @@ def serialize_layers(cli, table, repeat):
     return {
         "block_rows": cli._BLOCK_ROWS,
         "slot_rows": [s.shape[0] for s in slots],
+        "slot_addr_mod_4096": [s.ctypes.data % 4096 for s in slots],
         "total_s": best(repeat, cli.serialize, table, "csv"),
         "decimal_s": best(repeat, lambda: [decimal(x) for x in blocks]),
         "slot_fill_s": fill,
@@ -181,11 +186,13 @@ def paired(parent_src, rounds, repeat):
     docstring)."""
     srcs = {"change": ROOT / "src", "parent": Path(parent_src)}
     runs, shots = {"change": [], "parent": []}, {}
+    addrs = {"change": [], "parent": []}
     for _ in range(rounds):
         for side in ("change", "parent", "parent", "change"):
             result = one_side(srcs[side], repeat)
             runs[side].append(timings(result))
             shots[side] = result["shots"]       # exact: every run agrees
+            addrs[side].append(result["serialize"]["slot_addr_mod_4096"])
     layers = {}
     for name in runs["change"][0]:
         change = [run[name] for run in runs["change"]]
@@ -196,7 +203,7 @@ def paired(parent_src, rounds, repeat):
                         "parent_s": statistics.median(parent),
                         "ratio": ratio, "ratio_q1": q1, "ratio_q3": q3}
     return {"machine": result["machine"], "repeat": repeat, "rounds": rounds,
-            "layers": layers, "shots": shots}
+            "layers": layers, "shots": shots, "slot_addr_mod_4096": addrs}
 
 
 def main(argv=None) -> int:
