@@ -23,6 +23,8 @@ shoots no energy inside the channel's no-state band (``_band``), where
 W - u''/u >= 0 at every sample for a positive trial function u: one of
 the family u = z**a exp(-k r), the shape of the n = 0 eigenfunction, or
 Hardy's u = r**(1/2), the case the family extends.  No state lies there.
+One routine (``_no_state_band``) both scores an even scan of the
+family's rates and proves the slices of the two rates it picks.
 
 Two implementation notes, both measured necessities rather than choices:
 
@@ -59,10 +61,8 @@ _CHUNK_CELLS = 6144         # chunk x energy cells per sweep pass; fewer slow
                             # 60-energy sweeps, more raise peak memory
 _NODE_BLOCK = 256           # grid nodes per block of the turning search
 _MAP_BLOCK = 1024           # steps per block of a step table's build
-_BAND_STRIDE = 512          # samples apart in the search of the band's rates
-_BAND_RATES = 65            # evenly spaced rates the search starts from
-_BAND_STEPS = 4             # golden-section steps of the search
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+_BAND_STRIDE = 512          # samples apart in the scan of the band's rates
+_BAND_RATES = 257           # evenly spaced rates the scan scores
 
 log = logging.getLogger(__name__)
 
@@ -83,8 +83,10 @@ class ShootingDiagnostics:
 class ApproxErrorRow:
     """One row of the centrifugal-approximation error table.
 
-    ``status`` is "ok" when both modes produced the requested state,
-    "unmatched" when one side is missing or ambiguous, "invalid_regime"
+    ``status`` is "ok" when both modes produced the requested state, the
+    n-node state of the upper branch where either mode has one, else of
+    the lower (``approximation_error``); "unmatched" when one side lacks
+    that state or finds several of it, "invalid_regime"
     when the parameters admit no analysis at that beta, and
     "grid_resolution" when the default grid cannot resolve the states at
     that beta.  Energy and error fields are None for non-"ok" rows.
@@ -242,20 +244,22 @@ def _no_state_band(w, uu):
     """(lo, hi): the energies E at which W(r, E) - u''/u >= 0 at every
     sample radius r, w holding W's coefficient rows there and uu the
     column of u''/u for one positive trial function u; (inf, -inf) when
-    there are none.  At each sample that difference is the downward
-    parabola (w0 - u''/u) + w1 E - E**2/hbar_c**2 in E, non-negative
-    between its roots, so the band is the intersection of those root
-    intervals, shrunk by 1e-9 of its width and kept only if every sample
-    is still non-negative at both its ends in floats.  For a u no steeper
-    than the regular solution at the origin no bound state lies inside
-    (``find_bound_states``); ``_band`` takes the slices of two kinds of u.
+    there are none.  A stack uu of shape (rates, samples) gives arrays lo
+    and hi, each entry the bits of its row's own call.  At each sample the
+    difference is the downward parabola (w0 - u''/u) + w1 E -
+    E**2/hbar_c**2 in E, non-negative between its roots, so the band is
+    the intersection of those root intervals, shrunk by 1e-9 of its width
+    and kept only if every sample is still non-negative at both its ends
+    in floats.  For a u no steeper than the regular solution at the origin
+    no bound state lies inside (``find_bound_states``); ``_band`` takes
+    the slices of two kinds of u.
     """
     a = w[:, 0] - uu
     b, c = w[:, 1], w[:, 2]
     # in place on two work arrays: a fresh sample-long temporary for each
     # operation doubled the time of this routine inside a solve.  A
     # negative discriminant makes NaN roots, NaN ends and so no band
-    q, t = b * b, a * c
+    q, t = np.multiply(b, b, out=np.empty_like(a)), a * c
     t *= 4.0
     q -= t                                  # the discriminant
     np.sqrt(q, out=q)
@@ -263,103 +267,50 @@ def _no_state_band(w, uu):
     q += b
     q *= -0.5                               # stable roots q/c, a/q
     r1, r2 = np.divide(q, c, out=t), np.divide(a, q, out=q)
-    lo = float(np.max(np.minimum(r1, r2)))
-    hi = float(np.min(np.maximum(r1, r2, out=r2)))
+    lo = np.max(np.minimum(r1, r2), axis=-1)
+    hi = np.min(np.maximum(r1, r2, out=r2), axis=-1)
     lo, hi = lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo)
-    if not lo < hi:
-        return math.inf, -math.inf
+    ok = lo < hi
     for E in (lo, hi):                      # a + E (b + c E) >= 0
-        np.multiply(c, E, out=t)
+        np.multiply(c, E[..., None], out=t)
         t += b
-        t *= E
+        t *= E[..., None]
         t += a
-        if not np.all(t >= 0.0):
-            return math.inf, -math.inf
-    return lo, hi
-
-
-def _golden_max(f, lo, hi, steps):
-    """(f(x), x) at the best of the points that ``steps`` golden-section
-    steps for the maximum of f on [lo, hi] score (J. Kiefer, Proc. Amer.
-    Math. Soc. 4, 502 (1953))."""
-    x1, x2 = hi - _GOLD * (hi - lo), lo + _GOLD * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    best = max((f1, x1), (f2, x2))
-    for _ in range(steps):
-        if f1 >= f2:                     # the maximum lies in [lo, x2]
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLD * (hi - lo)
-            f1 = f(x1)
-            best = max(best, (f1, x1))
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLD * (hi - lo)
-            f2 = f(x2)
-            best = max(best, (f2, x2))
-    return best
-
-
-@np.errstate(invalid="ignore")
-def _trial_rates(w, c0, t, k_max):
-    """[k_hi, k_lo]: the rates in [0, k_max] at which the slice of u =
-    z**a exp(-k r) on the sample rows w reaches highest and lowest, with
-    u''/u = k**2 - t k + c0 there (``_band``).  At a sample the roots of
-    W - u''/u are mid +- sqrt(p0 + p1 k + p2 k**2), and the slice here is
-    their intersection, unshrunk and unchecked.  For each end: the best
-    of _BAND_RATES evenly spaced rates, then _BAND_STEPS golden-section
-    steps between its two neighbours, keeping the best rate scored.  For
-    fixed a the slice's top is concave and its bottom convex in k where
-    the slice is not empty, so each end has one optimum there."""
-    b, c = w[:, 1], w[:, 2]
-    mid = -0.5 * b / c
-    p0, p1, p2 = mid * mid - (w[:, 0] - c0) / c, -t / c, 1.0 / c
-
-    def ends(k):             # (lo, hi) at k, or per rate of a column k
-        half = np.sqrt(p0 + k * (p1 + k * p2))      # NaN where complex
-        return np.max(mid - half, axis=-1), np.min(mid + half, axis=-1)
-
-    def score(x, end):       # the top, or minus the bottom
-        lo, hi = ends(x)
-        return (hi, -lo)[end] if lo <= hi else -math.inf
-
-    k = np.linspace(0.0, k_max, _BAND_RATES)
-    lo, hi = ends(k[:, None])
-    rates = []
-    for end, f in enumerate(np.where(lo <= hi, [hi, -lo], -math.inf)):
-        j = int(np.argmax(f))
-        rates.append(max((f[j], k[j]), _golden_max(
-            lambda x: score(x, end), k[max(j - 1, 0)],
-            k[min(j + 1, k.size - 1)], _BAND_STEPS))[1])
-    return rates
+        ok &= np.all(t >= 0.0, axis=-1)
+    lo, hi = np.where(ok, lo, math.inf), np.where(ok, hi, -math.inf)
+    return (float(lo), float(hi)) if lo.ndim == 0 else (lo, hi)
 
 
 def _band(system, r, w, g):
     """The no-state band of a channel whose sweeps read W's coefficient
     rows w at the radii r, g its origin power (``_origin_series``).
 
-    Two kinds of trial function u each give a slice (``_no_state_band``):
-    Hardy's u = r**(1/2), and u = z**a exp(-k r), with z = 1 - exp(-beta
-    r) and a = g (1 - 1e-9), the shape of the ground state that the
-    closed-form treatment writes down.  There u''/u = k**2 - (2 a k + a
-    beta) y + a (a - 1) y**2 with y = beta (1 - z)/z, so W - u''/u is a
-    downward parabola in E at each sample and, for fixed a, jointly
-    concave in (E, k): the energies where some k suits every sample form
-    an interval.  Its two ends come from two rates (``_trial_rates``,
-    searched on every _BAND_STRIDE-th sample and k in [0, m_inf/hbar_c]),
-    each slice computed on every sample; the hull of the two is proven.
-    Hardy's slice joins it where they overlap, else the wider one is kept:
-    its u''/u = -1/(4 r**2) stays negative far out, where the family's
-    falls to k**2, so it often reaches nearer +-m_inf.
+    Two kinds of trial function u give slices (``_no_state_band``):
+    Hardy's u = r**(1/2), and u = z**a exp(-k r), z = 1 - exp(-beta r),
+    a = g (1 - 1e-9), the shape of the closed-form ground state.  There
+    u''/u = k**2 - (2 a k + a beta) y + a (a - 1) y**2, y = beta (1 -
+    z)/z, so for fixed a W - u''/u is jointly concave in (E, k), and the
+    hull of two of the family's slices holds no state either.  An even
+    scan of _BAND_RATES rates k in [0, m_inf/hbar_c], scored in one
+    stacked call on every _BAND_STRIDE-th sample, picks the rate whose
+    slice reaches highest and the one whose slice reaches lowest; both
+    slices are proven on every sample.  Hardy's slice joins their hull
+    where they overlap, else the wider one is kept: its u''/u = -1/(4
+    r**2) stays negative far out, where the family's falls to k**2.
     """
     beta = system.beta
     a = g * (1.0 - 1e-9)
     y = beta / np.expm1(beta * r)
     c0 = y * (a * (a - 1.0) * y - a * beta)
+
+    def family(k, s=slice(None)):       # u''/u of the family at the rate k
+        return (c0[s] + k * k) - (2.0 * a * k) * y[s]
+
+    k = np.linspace(0.0, system.asymptotic_mass / system.hbar_c, _BAND_RATES)
     s = slice(None, None, _BAND_STRIDE)
-    rates = _trial_rates(w[s], c0[s], 2.0 * a * y[s],
-                         system.asymptotic_mass / system.hbar_c)
-    (lo1, hi1), (lo2, hi2) = (
-        _no_state_band(w, (c0 + k * k) - (2.0 * a * k) * y) for k in rates)
+    lo, hi = _no_state_band(w[s], family(k[:, None], s))
+    (lo1, hi1), (lo2, hi2) = (_no_state_band(w, family(x))
+                              for x in k[[np.argmax(hi), np.argmin(lo)]])
     lo, hi = min(lo1, lo2), max(hi1, hi2)
     h_lo, h_hi = _no_state_band(w, -0.25 / (r * r))
     if h_lo <= hi and lo <= h_hi:
@@ -797,12 +748,15 @@ def approximation_error(system: PhysicalSystem, n: int, l: int, betas):
     """Quality of the screened-centrifugal surrogate across screening rates.
 
     For each beta the (n, l) state is solved in both modes and the energies
-    are compared.  Rows where either mode lacks a unique n-node state are
-    flagged "unmatched"; betas whose parameters admit no analysis at all
-    are flagged "invalid_regime", and betas whose states the default grid
-    cannot resolve "grid_resolution".  Rows are never dropped.  For l = 0
-    the two modes are the same equation, so each beta is solved once and
-    both columns share that solve: the error there is 0 by construction.
+    are compared.  A state is keyed by (node count, branch), as the
+    spectrum's rows are: the upper n-node state where either mode has
+    one, else the lower.  Rows where either mode lacks a unique state of
+    that key are flagged "unmatched"; betas whose parameters admit no
+    analysis at all are flagged "invalid_regime", and betas whose states
+    the default grid cannot resolve "grid_resolution".  Rows are never
+    dropped.  For l = 0 the two modes are the same equation, so each beta
+    is solved once and both columns share that solve: the error there is
+    0 by construction.
     """
     if n < 0 or l < 0:
         raise ValueError("n and l must be >= 0")
@@ -811,11 +765,15 @@ def approximation_error(system: PhysicalSystem, n: int, l: int, betas):
         variant = replace(system, beta=float(beta))
         try:
             modes = ("approx", "exact") if l else ("approx",)
-            found = [[d.energy for d in find_bound_states(variant, l, mode=m)
+            found = [[d for d in find_bound_states(variant, l, mode=m)
                       if d.node_count == n] for m in modes]
         except SolverError as exc:
             status = exc.status
         else:
+            branch = "upper" if any(d.branch == "upper" for f in found
+                                    for d in f) else "lower"
+            found = [[d.energy for d in f if d.branch == branch]
+                     for f in found]
             status = "ok" if all(len(f) == 1 for f in found) else "unmatched"
         if status != "ok":
             rows.append(ApproxErrorRow(beta=float(beta), E_approx=None,

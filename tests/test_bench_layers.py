@@ -11,9 +11,16 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# the sweeps and energies of the reference's full-window solves (exact)
-_SHOTS = {"l0_sweeps": 8, "l0_energies": 77, "l1_sweeps": 7,
-          "l1_energies": 25}
+# the sweeps, energies and first-row energies (exact) of the reference's
+# full-window solves, of the seed-72 oracle_survey systems' full-window
+# l <= 1 solves at beta and beta/2, and of the seed-72 validate_battery
+# systems' narrow l = 0 scans
+_SHOTS = {"l0_sweeps": 8, "l0_energies": 77, "l0_first_row": 32,
+          "l1_sweeps": 7, "l1_energies": 25, "l1_first_row": 3,
+          "oracle_survey_sweeps": 44, "oracle_survey_energies": 416,
+          "oracle_survey_first_row": 112, "validate_battery_sweeps": 27,
+          "validate_battery_energies": 307,
+          "validate_battery_first_row": 162}
 
 
 def test_one_repeat_writes_every_figure(tmp_path):
@@ -40,8 +47,11 @@ def test_one_repeat_writes_every_figure(tmp_path):
         "energy_root_solve_s", "wavefunction_s", "closed_form_labels_s",
         "channel_s", "shoot_B1_s", "shoot_B240_s", "find_bound_states_l0_s",
         "find_bound_states_l1_s"}
-    # the shots are exact: the reference's full-window solves
-    assert result["shots"] == _SHOTS
+    # the shots are exact; the first rows are some of the energies
+    shots = result["shots"]
+    assert shots == _SHOTS
+    for name in ("l0", "l1", "oracle_survey", "validate_battery"):
+        assert 0 < shots[f"{name}_first_row"] < shots[f"{name}_energies"]
     timings = [v for group in ("serialize", "solvers")
                for k, v in result[group].items() if k.endswith("_s")]
     assert all(isinstance(t, float) and t > 0.0 for t in timings)

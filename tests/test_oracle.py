@@ -17,7 +17,8 @@ from kghulthen import (PhysicalSystem, RadialGrid, coefficients_at,
                        find_bound_states, oracle)
 from kghulthen.errors import GridResolution, InvalidRegime, SolverError
 from kghulthen.model import binding_window, default_grid
-from kghulthen.oracle import approximation_error, ode_coefficient
+from kghulthen.oracle import (ShootingDiagnostics, approximation_error,
+                             ode_coefficient)
 
 from conftest import REFERENCE_TRUE, box_draws, signed_draws
 
@@ -449,8 +450,9 @@ def _family_column(r, a, beta, k):
 def _band_slices(system, l, r, w):
     """The slices of the channel's band as (lo, hi, k), and the column of
     u''/u at the samples r as a function of k: u = z**a exp(-k r) at the
-    two rates that ``_trial_rates`` finds, then Hardy's u = r**(1/2), k =
-    None."""
+    two rates of the evenly spaced scan whose slices, scored in one
+    stacked ``_no_state_band`` call on every _BAND_STRIDE-th sample, reach
+    highest and lowest, then Hardy's u = r**(1/2), k = None."""
     a = oracle._origin_series(system, l)[2] * (1.0 - 1e-9)
     beta = system.beta
 
@@ -459,10 +461,12 @@ def _band_slices(system, l, r, w):
             return -0.25 / (r * r)
         return _family_column(r, a, beta, k)
 
+    k = np.linspace(0.0, system.asymptotic_mass / system.hbar_c,
+                    oracle._BAND_RATES)
     s = slice(None, None, oracle._BAND_STRIDE)
-    y = beta / np.expm1(beta * r)
-    rates = oracle._trial_rates(w[s], column(0.0)[s], 2.0 * a * y[s],
-                                system.asymptotic_mass / system.hbar_c)
+    lo, hi = oracle._no_state_band(w[s], _family_column(r[s], a, beta,
+                                                         k[:, None]))
+    rates = [k[np.argmax(hi)], k[np.argmin(lo)]]
     return [oracle._no_state_band(w, column(k)) + (k,)
             for k in rates + [None]], column
 
@@ -568,6 +572,29 @@ class TestNoStateBand:
         assert oracle._no_state_band(
             np.array([[0.75, 0.0, -1.0], [-8.25, 6.0, -1.0]]),
             np.array([-0.25, -0.25])) == empty
+
+    @pytest.mark.parametrize("stride", [oracle._BAND_STRIDE, 1])
+    def test_stacked_call_is_one_call_per_row(self, reference_system,
+                                              stride):
+        # a stack of trial functions gives, row by row, the bits of one
+        # call per row, on the scan's samples and on all of them; the rates
+        # run past the band's, so some rows are empty
+        system = reference_system
+        r, w = _sweep_samples(system, 0, "approx", default_grid(system))
+        s = slice(None, None, stride)
+        a = oracle._origin_series(system, 0)[2] * (1.0 - 1e-9)
+        k = np.linspace(0.0, 4.0 * system.asymptotic_mass / system.hbar_c,
+                        33)
+        uu = np.vstack([_family_column(r[s], a, system.beta, k[:, None]),
+                        -0.25 / (r[s] * r[s])])
+        lo, hi = oracle._no_state_band(w[s], uu)
+        rows = [oracle._no_state_band(w[s], row) for row in uu]
+        assert lo.shape == hi.shape == (34,)
+        assert [(x.tobytes(), y.tobytes()) for x, y in zip(lo, hi)] == \
+            [(np.float64(x).tobytes(), np.float64(y).tobytes())
+             for x, y in rows]
+        empty = (math.inf, -math.inf)
+        assert empty in rows and any(row != empty for row in rows)
 
     @pytest.mark.parametrize("system, l, mode, scan_points", _band_cases())
     def test_band_changes_no_state(self, system, l, mode, scan_points,
@@ -1111,6 +1138,41 @@ class TestApproximationError:
         rows = approximation_error(reference_system, 0, l, [0.4, 0.2])
         assert calls == [(b, m) for b in (0.4, 0.2) for m in modes]
         assert [row.status for row in rows] == ["unmatched"] * 2
+
+    def test_klein_gordon_pair_compares_the_upper_state(self):
+        # at beta = 0.1835 the n = 0 channel holds a lower state (-0.87985)
+        # and an upper one (0.60270): each is the only n = 0 state of its
+        # branch, so the row is ok and compares the upper one
+        system = PhysicalSystem(V0=0.087, beta=0.367, m0=1.0, m1=0.1192)
+        (row,) = approximation_error(system, 0, 0, [0.1835])
+        assert row.status == "ok"
+        assert row.E_approx == row.E_exact == pytest.approx(
+            0.60269997194061076, rel=1e-9)
+
+    @pytest.mark.parametrize("approx, exact, status, energy", [
+        (["lower", "upper"], ["upper", "lower"], "ok", 2.0),
+        (["lower"], ["lower"], "ok", 1.0),
+        (["lower", "upper"], ["lower"], "unmatched", None),
+        (["upper", "upper"], ["upper"], "unmatched", None)])
+    def test_states_are_keyed_by_node_count_and_branch(
+            self, reference_system, monkeypatch, approx, exact, status,
+            energy):
+        # the upper n-node state where either mode has one, else the
+        # lower; a state of another node count never counts
+        def states(branches):
+            return [ShootingDiagnostics(
+                energy={"lower": 1.0, "upper": 2.0}[b], node_count=0,
+                tail_mismatch=0.0, converged=True, branch=b)
+                for b in branches] + [ShootingDiagnostics(
+                    energy=3.0, node_count=1, tail_mismatch=0.0,
+                    converged=True, branch="upper")]
+
+        by_mode = {"approx": states(approx), "exact": states(exact)}
+        monkeypatch.setattr(oracle, "find_bound_states",
+                            lambda system, l, *, mode: by_mode[mode])
+        (row,) = approximation_error(reference_system, 0, 1, [0.2])
+        assert row.status == status
+        assert row.E_approx == row.E_exact == energy
 
     def test_input_validation(self, reference_system):
         with pytest.raises(ValueError):

@@ -21,8 +21,16 @@ N timed calls (default 30) after one untimed call, in seconds:
   ``_channel`` build, the oracle's ``_shoot`` of 1 and of
   240 energies over the binding window, and one full-window l = 0 and
   l = 1 ``find_bound_states``;
-* ``shots``: the sweeps and energies that those two full-window solves
-  shoot, counted by wrapping ``_shoot`` (exact counts, not timings).
+* ``shots``: the sweeps, the energies and the first-row energies that
+  the oracle shoots (exact counts, not timings), counted by wrapping
+  ``_shoot`` and ``find_bound_states``: per solve, the first sweep is its
+  first scan row.  ``l0_*`` and ``l1_*`` count those two full-window
+  solves; ``oracle_survey_*`` the full-window l <= 1 solves at beta and
+  beta/2 of that workload's seed-72 systems (the reference and its
+  design points, read with ``perfbench/workloads.draw_systems``), a
+  failing solve counted up to its failure; ``validate_battery_*`` the
+  narrow l = 0 scans of the validate battery on that workload's seed-72
+  systems.
 
 ``--pair DIR`` times this checkout's ``src`` (change) against
 ``DIR/src`` (parent): each of N rounds (default 5) runs the single-side
@@ -141,26 +149,64 @@ def solver_layers(repeat):
 
 
 def shot_counts():
-    """Sweeps and energies of the full-window l = 0 and l = 1 solves."""
-    from kghulthen import PhysicalSystem, find_bound_states, oracle
+    """Sweeps, energies and first-row energies of the oracle solves that
+    the module docstring names under ``shots``."""
+    from dataclasses import replace
 
-    system = PhysicalSystem(V0=0.1, beta=0.2, m0=1.0)
-    shoot, widths = oracle._shoot, []
+    from kghulthen import PhysicalSystem, oracle
+    from kghulthen.checks import run_validation
+    from kghulthen.errors import SolverError
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import DESIGN, draw_systems
+
+    reference = PhysicalSystem(V0=0.1, beta=0.2, m0=1.0)
+
+    def systems(workload):
+        return [reference] + [PhysicalSystem(**d) for d in
+                              draw_systems(72, DESIGN[workload])]
+
+    def survey():
+        for system in systems("oracle_survey"):
+            for beta in (system.beta, system.beta / 2.0):
+                for l in (0, 1):
+                    try:
+                        oracle.find_bound_states(replace(system, beta=beta),
+                                                 l)
+                    except SolverError:
+                        pass            # its sweeps up to the failure count
+
+    def battery():
+        for system in systems("validate_battery"):
+            run_validation(system)
+
+    shoot, solve, widths = oracle._shoot, oracle.find_bound_states, []
 
     def counted(ch, E, match_idx):
         widths.append(len(E))
         return shoot(ch, E, match_idx)
 
+    def marked(*args, **kwargs):
+        widths.append(None)             # the next sweep is a first row
+        return solve(*args, **kwargs)
+
     counts = {}
-    oracle._shoot = counted
+    oracle._shoot, oracle.find_bound_states = counted, marked
     try:
-        for l in (0, 1):
+        for name, run in (
+                ("l0", lambda: oracle.find_bound_states(reference, 0)),
+                ("l1", lambda: oracle.find_bound_states(reference, 1)),
+                ("oracle_survey", survey), ("validate_battery", battery)):
             widths.clear()
-            find_bound_states(system, l)
-            counts[f"l{l}_sweeps"] = len(widths)
-            counts[f"l{l}_energies"] = sum(widths)
+            run()
+            sweeps = [x for x in widths if x is not None]
+            counts[f"{name}_sweeps"] = len(sweeps)
+            counts[f"{name}_energies"] = sum(sweeps)
+            counts[f"{name}_first_row"] = sum(
+                b for a, b in zip(widths, widths[1:])
+                if a is None and b is not None)
     finally:
-        oracle._shoot = shoot
+        oracle._shoot, oracle.find_bound_states = shoot, solve
     return counts
 
 
