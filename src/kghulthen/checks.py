@@ -185,9 +185,9 @@ def run_validation(system: PhysicalSystem,
 
     # 8-10. shooting oracle: agreement and node counts of one l=0 scan (0
     # with no genuine l=0 level, inf when the scan fails), and the modes'
-    # l=0 W at E=0 on the main grid's nodes and midpoints (inf where not
-    # finite); a state meets the level of its node count and branch (each
-    # solver's own label), so a Klein-Gordon pair sharing n meets both
+    # l=0 W at E=0 at 2K - 1 radii evenly spaced over the grid (inf where
+    # not finite); a state meets the level of its node count and branch
+    # (each solver's own label), so a Klein-Gordon pair sharing n meets both
     targets = sorted((lv for lv in genuine if lv.l == 0),
                      key=lambda lv: lv.value)
     worst = node_bad = 0.0

@@ -211,7 +211,9 @@ class EnergyLevel:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial grid on [r_min, r_max] with a given number of points."""
+    """Radial span [r_min, r_max] with a given number of points: even in r
+    for a wavefunction's samples (``radii``), even in x = ln r + r/L for
+    the oracle's mesh nodes (``oracle._mesh``)."""
 
     r_min: float
     r_max: float
@@ -225,10 +227,6 @@ class RadialGrid:
 
     def radii(self) -> np.ndarray:
         return np.linspace(self.r_min, self.r_max, self.points)
-
-    @property
-    def spacing(self) -> float:
-        return (self.r_max - self.r_min) / (self.points - 1)
 
 
 def binding_window(system: PhysicalSystem, window=None):

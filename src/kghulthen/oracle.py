@@ -10,12 +10,14 @@ beta*r -> 0, and for l = 0 they are the same equation, so
 
 Method, in outline: fourth-order Runge-Kutta sweeps outward from r_min
 and inward from r_max, each energy matched at its classical turning point
-nearest r_max/3 (``_nearest_crossing``).  A solve builds its channel once
-(``_channel``).  Each RK4 step is a 2x2 linear map whose entries are
-polynomials in E (``_map_table``), so a sweep (``_sweep``) forms the maps
-for a batch of energies as matrix products of the channel's step table
-with the powers of E, never W itself, and counts nodes from its chunk
-transfer matrices, never from phi at every grid node.
+(a sign change of W) nearest r_max/3 (``_nearest_crossing``), on one mesh
+uniform in x = ln r + r/L (``_mesh``; geometric at the origin, even in
+the tail; as L -> infinity, Langer's transformation, R. E. Langer, Phys.
+Rev. 51, 669 (1937)).  A solve builds its channel once (``_channel``).
+Each RK4 step is a 2x2 linear map whose entries are polynomials in E
+(``_map_table``), so a sweep (``_sweep``) forms the maps for a batch of
+energies as matrix products of the channel's step table with the powers
+of E, never W itself, and counts nodes from its chunk transfer matrices.
 ``find_bound_states`` brackets and refines the eigenvalues in one loop of
 such sweeps; its docstring states the bracket rule, what ``converged``
 means and when the grid is too coarse for the states.  Its first scan row
@@ -31,11 +33,10 @@ Two implementation notes, both measured necessities rather than choices:
 * Near the origin the regular solution behaves like r**g with fractional
   g = 1/2 + sqrt(1/4 + c2) (``model.origin_strength``, product form); the
   sweep therefore starts on the two-term series phi = r**g * (1 + c1*r) at
-  r_min instead of the naive (phi, phi') = (0, 1), and the first few
-  hundred grid cells are internally subdivided on a geometric ladder.  A
-  (0, 1) start contaminates the sweep with the subdominant power and, for
-  the parameter ranges exercised here, leaves an energy error floor well
-  above the tolerances this solver must meet.
+  r_min instead of the naive (phi, phi') = (0, 1).  A (0, 1) start
+  contaminates the sweep with the subdominant power and, for the parameter
+  ranges exercised here, leaves an energy error floor well above the
+  tolerances this solver must meet.
 * Beyond ``origin_power``'s rounding band the origin exponents are complex
   (the singularity is over-attractive), no self-adjoint bound-state problem
   remains, and ``model.real_origin_power`` raises InvalidRegime.
@@ -54,12 +55,12 @@ from .errors import GridResolution, InvalidRegime, SolverError
 from .model import (PhysicalSystem, RadialGrid, binding_window, default_grid,
                     real_origin_power)
 
-_LADDER_RATIO = 1.006       # geometric refinement ratio of the origin ladder
+_MAP_LENGTH = 3.0           # L * beta of the mesh map x = ln r + r/L
 _MISMATCH_TOL = 1e-3        # converged roots must have |tail_mismatch| below
 _MAX_CHUNK = 128            # longest sweep chunk; step tables pad to it
 _CHUNK_CELLS = 6144         # chunk x energy cells per sweep pass; fewer slow
                             # 60-energy sweeps, more raise peak memory
-_NODE_BLOCK = 256           # grid nodes per block of the turning search
+_NODE_BLOCK = 256           # mesh nodes per block of the turning search
 _MAP_BLOCK = 1024           # steps per block of a step table's build
 _BAND_STRIDE = 512          # samples apart in the scan of the band's rates
 _BAND_RATES = 257           # evenly spaced rates the scan scores
@@ -139,27 +140,24 @@ def _origin_series(system, l):
             0.5 + real_origin_power(system, l))
 
 
-def _ladder(r_min, h, cells):
-    """Geometric node ladder covering the first ``cells`` grid cells.
-
-    Steps grow by _LADDER_RATIO until they reach the main spacing h; every
-    main-grid node is kept, and mark[j] gives its index in the ladder.
-    """
-    pts = [r_min]
-    mark = np.empty(cells + 1, dtype=np.int64)
-    mark[0] = 0
-    for j in range(1, cells + 1):
-        edge = r_min + j * h
-        cur = pts[-1]
-        while True:
-            step = (_LADDER_RATIO - 1.0) * cur
-            if step >= h or cur + 1.5 * step >= edge:
-                break
-            cur += step
-            pts.append(cur)
-        pts.append(edge)
-        mark[j] = len(pts) - 1
-    return np.asarray(pts), mark
+def _mesh(r_min, r_max, K, L):
+    """The 2K - 1 samples of the mesh x = ln r + r/L, uniform in x from
+    x(r_min) to x(r_max), its K nodes at the even ones: their radii r, r' =
+    dr/dx = rL/(r + L), r''/r' = L**2/(r + L)**2 and the Schwarzian {r; x}
+    = -L**3 (L + 4r)/(2 (r + L)**4), as (r, r', r''/r', {r; x}), with the
+    node spacing h in x.  With rho = r/L, ln rho + rho = y is solved by
+    Newton steps on t = ln rho from min(y, ln(1 + max(y, 0))), which lies
+    at or above the root, so the steps fall monotonically onto it."""
+    y0, y1 = (math.log(r / L) + r / L for r in (r_min, r_max))
+    y = np.linspace(y0, y1, 2 * K - 1)
+    t = np.minimum(y, np.log1p(np.maximum(y, 0.0)))
+    for _ in range(6):                  # to rounding for every y
+        e = np.exp(t)
+        t -= (t + e - y) / (1.0 + e)
+    rho = np.exp(t)
+    u = 1.0 / (1.0 + rho)
+    return ((L * rho, L * rho * u, u * u, -0.5 * u**4 * (1.0 + 4.0 * rho)),
+            (y1 - y0) / (K - 1))
 
 
 class _Steps(NamedTuple):
@@ -226,17 +224,17 @@ def _map_block(h, c):
     return m
 
 
-def _padded(h, w, node, K):
-    """_Steps from flat arrays: h (S,), w (2S + 1, 3) W's coefficients
-    (``_w_coefficients``) at the start, midpoint, end, midpoint, end, ...
-    of the steps, node (S,) the grid node each step reaches or -1, on a
-    grid of K nodes."""
-    pad = -h.size % _MAX_CHUNK
-    reach = np.full(K, -1)
-    reach[node[node >= 0]] = np.flatnonzero(node >= 0)
-    return _Steps(_map_table(np.concatenate([h, np.zeros(pad)]),
+def _padded(h, w):
+    """_Steps of the K - 1 steps of length h across a mesh of K nodes, w
+    (2K - 1, 3) the coefficient rows at the start, midpoint, end,
+    midpoint, end, ... of the steps: outward (h > 0) step j reaches node j
+    + 1, inward node K - 2 - j."""
+    K = (len(w) + 1) // 2
+    pad = -(K - 1) % _MAX_CHUNK
+    reach = np.arange(-1, K - 1) if h > 0 else np.arange(K - 2, -2, -1)
+    return _Steps(_map_table(np.r_[np.full(K - 1, h), np.zeros(pad)],
                              np.pad(w, ((0, 2 * pad), (0, 0)))),
-                  reach, float(np.sign(h[0])))
+                  reach, math.copysign(1.0, h))
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -323,52 +321,44 @@ class _Channel(NamedTuple):
 
     outward: _Steps
     inward: _Steps
-    w: np.ndarray        # (K, 3) W's coefficients at the grid nodes
+    w: np.ndarray        # (K, 3) W's coefficients at the mesh nodes
+    turn: np.ndarray     # (K, 3) h**2 W~'s coefficients at the mesh nodes
+    r: np.ndarray        # (K,) the mesh nodes' radii
+    target: int          # the node nearest r_max/3, where matching aims
+    ends: np.ndarray     # (2, 2) r' and r''/(2 r') at r_min and at r_max
     series: tuple        # _origin_series at l: (cm1_const, cm1_lin, g)
-    r_min: float
-    ladder: int          # grid cells the outward ladder covers
     band: tuple          # (lo, hi) of _band over the sweeps' samples
 
 
 def _channel(system, l, mode, grid):
-    """Step tables of one channel, W at its nodes, its origin series and
-    its no-state band.
+    """Step tables, start data, origin series and no-state band of one
+    channel on its mesh.
 
-    Outward runs the geometric origin ladder over the first grid cells and
-    then the main grid; inward runs the main grid down from r_max, on the
-    same samples of W, and the band is taken over all of them.  Row k of w
-    is W's coefficients at grid node k, so that ``w @ (1, E, E**2)`` is W
-    there.  The origin series comes first, so an over-attractive origin
-    raises before W's finiteness check.
+    The sweeps integrate chi'' = W~ chi on grid.points nodes uniform in x =
+    ln r + r/L, L = _MAP_LENGTH/beta (``_mesh``), phi = sqrt(r') chi and W~
+    = r'**2 W - {r; x}/2, quadratic in E as W is (the Schwarzian holds no
+    E).  Outward and inward read the same samples of W~; the band reads W
+    itself at their radii.  Row k of w is W's coefficients at node k, so
+    that ``w @ (1, E, E**2)`` is W there, and row k of turn is h**2 W~'s.
+    The origin series comes first, so an over-attractive origin raises
+    before W~'s finiteness check.
     """
     series = _origin_series(system, l)
-    K = grid.points
-    h = grid.spacing
-    cells = min(300, K // 4)
-    pts, mark = _ladder(grid.r_min, h, cells)
-    rr = grid.r_min + 0.5 * h * np.arange(2 * K - 1)
-    ladder = np.empty(2 * pts.size - 1)
-    ladder[::2] = pts
-    ladder[1::2] = 0.5 * (pts[:-1] + pts[1:])
-    w = _w_coefficients(system, l, mode, rr)
-    w_out = np.concatenate([_w_coefficients(system, l, mode, ladder),
-                            w[2 * cells + 1:]])
-    if not np.all(np.isfinite(w_out[:, 0])):
+    (r, slope, curve, schwarz), h = _mesh(grid.r_min, grid.r_max, grid.points,
+                                          _MAP_LENGTH / system.beta)
+    w = _w_coefficients(system, l, mode, r)
+    wt = slope[:, None]**2 * w
+    wt[:, 0] -= 0.5 * schwarz
+    if not np.all(np.isfinite(wt[:, 0])):
         raise InvalidRegime(
             f"ODE coefficient not finite at r_min={grid.r_min!r}; "
             "the origin offset is too small for these parameters")
-    band = _band(system, np.concatenate([ladder, rr]),
-                 np.concatenate([w_out[:ladder.size], w]), series[2])
-
-    lnode = np.full(len(pts) - 1, -1)
-    lnode[mark[1:] - 1] = np.arange(1, cells + 1)
-    outward = _padded(
-        np.concatenate([np.diff(pts), np.full(K - 1 - cells, h)]), w_out,
-        np.concatenate([lnode, np.arange(cells + 1, K)]), K)
-    inward = _padded(np.full(K - 1, -h), w[::-1], np.arange(K - 2, -1, -1),
-                     K)
-    return _Channel(outward, inward, w[::2].copy(), series, grid.r_min,
-                    cells, band)
+    nodes = r[::2]
+    return _Channel(_padded(h, wt), _padded(-h, wt[::-1]), w[::2].copy(),
+                    h * h * wt[::2], nodes,
+                    int(np.argmin(np.abs(nodes - nodes[-1] / 3.0))),
+                    np.stack([slope, 0.5 * curve])[:, [0, -1]].T, series,
+                    _band(system, r, w, series[2]))
 
 
 def _rescale(phi, p, axes=()):
@@ -424,12 +414,11 @@ def _sweep(steps, phi, p, EP, match_idx):
     chunk ends at the matched state, counted up to the match row.
 
     Returns (nodes, phi_m, p_m): the sign changes of phi at every step
-    from the start up to each energy's matching node, ladder steps
-    included, and the state there, known up to a positive factor (each
-    chunk carries its own scale); the count holds while no step turns phi
-    by more than about 2 rad.  Raises GridResolution when a chunk matrix,
-    a chunk start state or the matched state overflows between
-    rescalings.
+    from the start up to each energy's matching node, and the state there,
+    known up to a positive factor (each chunk carries its own scale); the
+    count holds while no step turns phi by more than about 2 rad.  Raises
+    GridResolution when a chunk matrix, a chunk start state or the matched
+    state overflows between rescalings.
     """
     B = EP.shape[1]
     s = steps.reach[match_idx]
@@ -527,16 +516,20 @@ def _shoot(ch, E, match_idx):
 
     cm1c, cm1l, g = ch.series
     c1 = (cm1c + cm1l * E) / (2.0 * g)
+    (s0, k0), (s1, k1) = ch.ends
 
-    # ---- outward sweep: series start at r_min
-    phi, p = _rescale(1.0 + c1 * ch.r_min, g / ch.r_min + c1 * (g + 1.0))
+    # ---- outward sweep: series start at r_min, carried to chi = phi /
+    # sqrt(r') by chi'/chi = r' phi'/phi - r''/(2 r')
+    r0 = ch.r[0]
+    phi = 1.0 + c1 * r0
+    phi, p = _rescale(phi, s0 * (g / r0 + c1 * (g + 1.0)) - k0 * phi)
     nodes, out_phi, out_p = _sweep(ch.outward, phi, p, EP, match_idx)
 
-    # ---- inward sweep: exponentially decaying start at r_max, where the
-    # first inward step starts
+    # ---- inward sweep: exponentially decaying start at r_max, phi'/phi
+    # = -sqrt(W) from W itself, where the first inward step starts
     W_end = np.maximum(ch.w[-1] @ EP[:3], 0.0)
-    n_in, in_phi, in_p = _sweep(ch.inward, np.ones(B), -np.sqrt(W_end), EP,
-                                match_idx)
+    n_in, in_phi, in_p = _sweep(ch.inward, np.ones(B),
+                                -s1 * np.sqrt(W_end) - k1, EP, match_idx)
 
     # Wronskian-form mismatch: zero exactly when log-derivatives agree,
     # free of poles at nodes of either sweep
@@ -545,17 +538,17 @@ def _shoot(ch, E, match_idx):
     return mism, nodes + n_in, np.sign(out_phi) * np.sign(in_phi)
 
 
-def _nearest_crossing(w, EP):
+def _nearest_crossing(w, EP, target):
     """Per column of the finite w @ EP (K, B), with w holding W's
-    coefficient rows at the grid nodes and EP the powers of each energy:
-    the index i of the sign change between nodes i and i + 1 nearest K//3,
-    the lower one on a tie, K//2 where none is found, clipped to
-    [2, K - 2].  A zero sample is a sign change with both its neighbours.
+    coefficient rows at the mesh nodes and EP the powers of each energy:
+    the index i of the sign change between nodes i and i + 1 nearest the
+    node ``target``, the lower one on a tie, K//2 where none is found,
+    clipped to [2, K - 2].  A zero sample is a sign change with both its
+    neighbours.
     The product is formed a block of nodes at a time, at least _NODE_BLOCK
     nodes and about _NODE_BLOCK**2 node x energy cells, so that only the
     boolean mask of sign changes is whole."""
     K, B = len(w), EP.shape[1]
-    target = K // 3
     cross = np.empty((K - 1, B), dtype=bool)
     n = _NODE_BLOCK * max(1, _NODE_BLOCK // B)
     for lo in range(0, K - 1, n):
@@ -574,23 +567,23 @@ def _nearest_crossing(w, EP):
     return np.clip(im, 2, K - 2)
 
 
-def _check_phase(ch, grid, E, match_idx):
-    """Raise GridResolution unless every main-grid step that the sweeps of
-    the energies E take turns phi by at most 2 rad: h**2 |W(r_k, E)| <= 4
-    at the nodes k >= min(match, ladder cells).  Beyond that the grid
-    cannot resolve a state, and its node count need not be the one a finer
-    grid gives.  The message names the state with the largest turn."""
-    k = np.arange(len(ch.w))[:, None]
-    turn = grid.spacing**2 * np.abs(ch.w @ np.vander(E, 3, increasing=True).T)
-    worst = np.max(turn, axis=0, where=k >= np.minimum(match_idx, ch.ladder),
+def _check_phase(ch, E):
+    """Raise GridResolution unless no mesh step in the allowed region of
+    the energies E turns chi by more than 2 rad: h**2 (-W~) <= 4 at every
+    node where W~ < 0.  Beyond that the mesh cannot resolve a state, and
+    its node count need not be the one a finer mesh gives.  In a forbidden
+    region RK4 multiplies the two modes by P(+-h sqrt(W~)), P the positive
+    4th-order Taylor polynomial of exp, so a step there adds no node,
+    however large.  The message names the state with the largest turn."""
+    worst = np.max(-(ch.turn @ np.vander(E, 3, increasing=True).T), axis=0,
                    initial=0.0)
     if np.any(worst > 4.0):
         i = int(np.argmax(worst))
         raise GridResolution(
             f"the state near E={float(E[i])!r} turns phi by "
-            f"{math.sqrt(worst[i]):.3g} rad in one grid step, more than 2: "
+            f"{math.sqrt(worst[i]):.3g} rad in one mesh step, more than 2: "
             f"the grid is too coarse to resolve these states; increase "
-            f"grid.points (currently {grid.points})")
+            f"grid.points (currently {len(ch.w)})")
 
 
 def find_bound_states(system: PhysicalSystem, l: int, window=None,
@@ -641,23 +634,25 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
 
     A state is "upper" where its Klein-Gordon charge Q = integral of
     (E - V) phi**2 dr is positive.  The mismatch's slope in E is the
-    integral of dW/dE phi**2 = -2 (E - V) phi**2 / hbar_c**2 times a
-    positive factor and sign(out_phi * in_phi) at the match, so sign(Q) =
-    -sign(fb - fa) * sign(out_phi * in_phi), "upper" where fb == fa.
+    integral of dW~/dE chi**2 dx = dW/dE phi**2 dr = -2 (E - V) phi**2 /
+    hbar_c**2 dr times a positive factor and sign(out_chi * in_chi) at the
+    match, so sign(Q) = -sign(fb - fa) * sign(out_chi * in_chi), "upper"
+    where fb == fa.
 
-    Node counts are sign changes of phi at every RK4 step (``_sweep``),
-    and two rules guard the grid.  The count may not drop between scan
-    energies above max V(r) over the grid nodes (there dW/dE = -2(E -
-    V)/hbar_c**2 < 0 at every node, so the count cannot fall unless the
-    grid fails to resolve the states; below it the count need not be
-    monotone, and a drop is split like any other jump).  And no returned
-    state's sweeps may take a main-grid step that turns phi by more than
-    2 rad (``_check_phase``).
+    Node counts are sign changes of chi, which has phi's sign, at every
+    RK4 step (``_sweep``), and two rules guard the mesh.  The count may
+    not drop between scan energies above max V(r) over the mesh nodes
+    (there dW/dE = -2(E - V)/hbar_c**2 < 0 at every node, so the count
+    cannot fall unless the mesh fails to resolve the states; below it the
+    count need not be monotone, and a drop is split like any other jump).
+    And no returned state may take an allowed-region mesh step (W~ < 0)
+    that turns chi by more than 2 rad (``_check_phase``); a
+    forbidden-region step adds no node, however large.
 
     Raises ValueError for a window outside the binding range or fewer than
-    2 scan points, InvalidRegime for an over-attractive origin (or W not
-    finite at r_min), GridResolution when a sweep overflows or either grid
-    rule fails, and returns an empty list when nothing brackets.
+    2 scan points, InvalidRegime for an over-attractive origin (or W~ not
+    finite on the mesh), GridResolution when a sweep overflows or either
+    mesh rule fails, and returns an empty list when nothing brackets.
     """
     lo, hi = binding_window(system, window)
     if scan_points < 2:
@@ -667,8 +662,8 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
     ch = _channel(system, l, mode, grid)
 
     tol = 1e-10 * system.m0
-    v_max = np.max(system.potential_at(grid.radii()))
-    states, matched = [], []
+    v_max = np.max(system.potential_at(ch.r))
+    states = []
     # open brackets: ends, their mismatches, the end last kept (-1 for a,
     # +1 for b, 0 at the start) and the Illinois steps taken
     a, b, fa, fb = np.empty((4, 0))
@@ -684,9 +679,10 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
         d = np.minimum(0.01 * (b - a), 0.5 * tol)
         c = np.clip(c, a + d, b - d)
         batch = np.concatenate([E.ravel(), c])
-        match = _nearest_crossing(ch.w, np.vander(batch, 3, increasing=True).T)
+        match = _nearest_crossing(ch.w, np.vander(batch, 3, increasing=True).T,
+                                  ch.target)
         mism, nodes, glue = _shoot(ch, batch, match)
-        fc, nc, mc, gc = (x[E.size:] for x in (mism, nodes, match, glue))
+        fc, nc, gc = (x[E.size:] for x in (mism, nodes, glue))
         mism, nodes = (x[:E.size].reshape(E.shape) for x in (mism, nodes))
 
         # one Illinois step on every open bracket; an exact zero is the
@@ -707,7 +703,6 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
             branch="lower" if q > 0 else "upper")
             for e, n, f, w, q in zip(c[done], nc[done], fc[done],
                                      (b - a)[done], (rise * gc)[done])]
-        matched += mc[done].tolist()
 
         if first:
             drops = (np.diff(nodes[0]) < 0) & (E[0, :-1] > v_max)
@@ -738,8 +733,7 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
                  np.zeros_like(dn))))
         split ^= stuck
         E, first = np.linspace(lo_e[split], hi_e[split], 17, axis=1), False
-    _check_phase(ch, grid, np.array([d.energy for d in states]),
-                 np.array(matched, dtype=int))
+    _check_phase(ch, np.array([d.energy for d in states]))
     states.sort(key=lambda d: d.energy)
     return states
 

@@ -14,13 +14,15 @@ ROOT = Path(__file__).resolve().parents[1]
 # the sweeps, energies and first-row energies (exact) of the reference's
 # full-window solves, of the seed-72 oracle_survey systems' full-window
 # l <= 1 solves at beta and beta/2, and of the seed-72 validate_battery
-# systems' narrow l = 0 scans
-_SHOTS = {"l0_sweeps": 8, "l0_energies": 77, "l0_first_row": 32,
+# systems' narrow l = 0 scans; and the padded step counts of the
+# reference's l = 0 channel on its 4000-node mesh
+_SHOTS = {"l0_sweeps": 8, "l0_energies": 78, "l0_first_row": 32,
           "l1_sweeps": 7, "l1_energies": 25, "l1_first_row": 3,
-          "oracle_survey_sweeps": 44, "oracle_survey_energies": 416,
-          "oracle_survey_first_row": 112, "validate_battery_sweeps": 27,
-          "validate_battery_energies": 307,
-          "validate_battery_first_row": 162}
+          "oracle_survey_sweeps": 46, "oracle_survey_energies": 422,
+          "oracle_survey_first_row": 112, "validate_battery_sweeps": 29,
+          "validate_battery_energies": 311,
+          "validate_battery_first_row": 162,
+          "reference_outward_steps": 4096, "reference_inward_steps": 4096}
 
 
 def test_one_repeat_writes_every_figure(tmp_path):

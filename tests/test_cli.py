@@ -10,6 +10,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -278,6 +279,10 @@ class TestDomainRule:
 
 
 _DEEP_WELL = {"V0": 3e5, "beta": 1e3, "m0": 1e7, "m1": 5e6}
+# a deep system (1026 root-solved l = 0 levels) whose oracle sweeps
+# overflow on the default mesh
+_UNRESOLVED = {"V0": -0.00361685, "beta": 0.00350693, "m0": 9.49202,
+               "m1": 0.216751}
 _EQUAL_POWERS = {"V0": 0.4394609, "beta": 0.5, "m0": 1.0, "m1": 0.3}
 # critical coupling, V0 = sqrt(m1**2 + (beta*hbar_c)**2/4): the s-wave
 # origin power is 0
@@ -428,6 +433,19 @@ class TestOracleCommandsEndInRecords:
                     + argv) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert rows and all(r.endswith(",grid_resolution") for r in rows)
+
+    def test_unresolved_deep_system_fails_fast(self, capsys):
+        # its l=0 scan swept about 83,000 energies on the uniform grid and
+        # took 146 s; on the mesh its first sweep overflows, so the command
+        # ends in well under 10 s with the same 12 rows
+        argv = [f"--{k}={v!r}" for k, v in _UNRESOLVED.items()]
+        start = time.perf_counter()
+        assert main(["spectrum", "--method", "oracle", "--n-max", "2",
+                     "--l-max", "1"] + argv) == 0
+        assert time.perf_counter() - start < 10.0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 12
+        assert all(r.endswith(",grid_resolution") for r in rows)
 
 
 class TestSpectrumRecords:
@@ -698,19 +716,42 @@ class TestValidateRecords:
         assert ",fail," not in capsys.readouterr().out
 
     def test_unresolved_oracle_grid_is_a_failing_row(self, capsys):
-        # the default grid cannot resolve this system's l=0 oracle states
-        # (GridResolution): the battery reports the scan's two rows as
-        # failing instead of dying with a traceback, and still compares
-        # the step tables
-        system = ["--V0", "0.0005", "--beta", "0.001", "--m0", "1"]
-        records = _records(execute(_cfg("", command="validate", V0=0.0005,
-                                        beta=0.001, m0=1.0)))
+        # the default mesh cannot resolve this deep system's l=0 oracle
+        # states (its sweeps overflow, GridResolution): the battery reports
+        # the scan's two rows as failing instead of dying with a traceback,
+        # and still compares the modes' W
+        records = _records(execute(_cfg(json.dumps(_UNRESOLVED),
+                                        command="validate")))
         rows = {r["check"]: (r["status"], r["value"]) for r in records}
         assert rows["oracle_agreement_l0"] == ("fail", float("inf"))
         assert rows["oracle_node_counts"] == ("fail", float("inf"))
         assert rows["mode_agreement_l0"] == ("pass", 0.0)
-        assert main(["validate"] + system) == 1
+        argv = [f"--{k}={v!r}" for k, v in _UNRESOLVED.items()]
+        assert main(["validate"] + argv) == 1
         assert "oracle_agreement_l0,fail,inf" in capsys.readouterr().out
+
+    def test_shallow_fixture_battery_passes(self, capsys):
+        # its oracle row read 2.67e-6 against 1e-6 on the uniform grid
+        # with its origin ladder; on the mesh it reads 1.8e-10
+        assert main(["validate", "--V0", "0.0098", "--beta", "0.02",
+                     "--m0", "1"]) == 0
+        rows = _rows(capsys.readouterr().out)
+        assert all(status == "pass" for status, _ in rows.values())
+        assert float(rows["oracle_agreement_l0"][1]) <= 1e-9
+
+    def test_small_screening_oracle_rows_pass(self, capsys):
+        # the uniform grid could not resolve this Coulomb-like well's l=0
+        # states (GridResolution); on the mesh they meet the closed form
+        main(["validate", "--V0", "0.0005", "--beta", "0.001", "--m0", "1"])
+        rows = _rows(capsys.readouterr().out)
+        assert rows["oracle_agreement_l0"][0] == "pass"
+        assert rows["oracle_node_counts"] == ("pass", "0")
+
+
+def _rows(csv):
+    """The validate CSV's rows as {check: (status, value)}."""
+    return {check: (status, value) for check, status, value, _ in
+            (line.split(",") for line in csv.splitlines()[1:])}
 
 
 def _reference_cell(value) -> str:
@@ -853,8 +894,8 @@ class TestSerialize:
                          "json") == text
 
     def test_unresolved_validate_json_is_strict(self, capsys):
-        assert main(["validate", "--V0", "0.0005", "--beta", "0.001",
-                     "--m0", "1", "--format", "json"]) == 1
+        argv = [f"--{k}={v!r}" for k, v in _UNRESOLVED.items()]
+        assert main(["validate", "--format", "json"] + argv) == 1
         rows = json.loads(capsys.readouterr().out, parse_constant=_reject)
         values = {r["check"]: r["value"] for r in rows}
         assert values["oracle_agreement_l0"] == "inf"

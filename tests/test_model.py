@@ -251,7 +251,7 @@ class TestRadialGrid:
         grid = RadialGrid(r_min=0.5, r_max=10.5, points=101)
         r = grid.radii()
         assert r[0] == 0.5 and r[-1] == 10.5 and r.size == 101
-        assert grid.spacing == pytest.approx(0.1, rel=1e-14)
+        assert np.allclose(np.diff(r), 0.1, rtol=1e-12, atol=0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,18 @@
 """Shooting oracle: ODE coefficient, bound-state search, error table."""
 
+import functools
 import logging
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.optimize
+import scipy.special
+import sympy
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -278,11 +282,16 @@ class TestFindBoundStates:
                     labels.append(d.branch)
         assert min(labels.count("lower"), labels.count("upper")) >= 10
 
-    def test_coarse_grid_raises_grid_resolution(self, shallow_long_system):
-        grid = RadialGrid(r_min=1e-6 / 0.02, r_max=40.0 / 0.02, points=160)
+    def test_coarse_grid_raises_grid_resolution(self):
+        # a deep Coulomb-like well (V0/beta = m1/beta = 150) on 160 points:
+        # the first row's node count falls above max V, and the message
+        # names the grid's points
+        system = PhysicalSystem(V0=0.3, beta=0.002, m0=1.0, m1=0.3)
+        grid = RadialGrid(r_min=1e-6 / 0.002, r_max=40.0 / 0.002, points=160)
         with pytest.raises(GridResolution) as exc:
-            find_bound_states(shallow_long_system, 0, grid=grid)
+            find_bound_states(system, 0, grid=grid)
         msg = str(exc.value)
+        assert "node count drops" in msg
         assert "grid.points" in msg and "160" in msg
 
     def test_sweep_overflow_raises_grid_resolution(self):
@@ -295,26 +304,35 @@ class TestFindBoundStates:
         assert "grid.points (currently 4000)" in str(exc.value)
 
     def test_grid_resolution_names_a_plain_energy(self):
-        # the default grid cannot resolve this small-screening system: the
-        # sweeps of its n=0 state take grid steps that turn phi by 7 rad;
-        # the message names that state's energy as a plain float
-        system = PhysicalSystem(V0=0.0005, beta=0.001, m0=1.0)
+        # the default mesh cannot resolve this deep Coulomb-like well: a
+        # returned state's allowed-region steps turn phi by 2.03 rad; the
+        # message names that state's energy as a plain float
+        system = PhysicalSystem(V0=0.3, beta=0.002, m0=1.0, m1=0.3)
         with pytest.raises(GridResolution) as exc:
             find_bound_states(system, 0)
         msg = str(exc.value)
-        assert re.search(r"near E=0\.70735638\d* turns", msg)
+        assert re.search(r"near E=0\.69999849\d* turns", msg)
         assert "np.float64" not in msg
 
-    @pytest.mark.parametrize("V0, beta, m1, points, turn", [
-        # the largest h**2 |W| over the returned states' main-grid steps:
-        # above 4 (2 rad of phase per step) the solve raises and names it
-        (0.0098, 0.02, 0.0, 160, 62.2),     # the shallow fixture, coarse
-        (0.0005, 0.001, 0.0, 4000, 50.0),   # Coulomb-like, default grid
-        # below 4 the states are returned: the approximation_error row at
-        # beta = 0.002 and the benchmark box's worst corner
-        (0.0005, 0.002, 0.0, 4000, 1.66),
-        (0.2, 0.1, 0.3, 4000, 0.0049)])
-    def test_phase_rule_margins(self, V0, beta, m1, points, turn):
+    @pytest.mark.parametrize("V0, beta, m1, points, turn, found, tol", [
+        # the largest h**2 (-W~) over the returned states' allowed-region
+        # mesh steps: above 4 (2 rad of phase per step) the solve raises
+        # and names it
+        (0.2, 0.05, 0.2, 120, 5.62, None, None),     # set_a, coarse
+        (0.3, 0.002, 0.3, 4000, 4.12, None, None),   # deep, default mesh
+        # below 4 the states are returned and meet the root-solved levels
+        # of their node counts and branches: the shallow fixture on a
+        # coarse mesh, two Coulomb-like wells (at beta = 0.001 the scan
+        # misses the top 2 of 32 levels, direction 4 of the roadmap) and
+        # the benchmark box's worst corner
+        (0.0098, 0.02, 0.0, 160, 0.597, 7, 1e-5),
+        (0.0005, 0.001, 0.0, 4000, 0.0195, 30, 1e-6),
+        (0.0005, 0.002, 0.0, 4000, 0.00485, 15, 1e-6),
+        (0.2, 0.1, 0.3, 4000, 0.00126, 8, 1e-6)],
+        ids=["set_a-coarse", "deep", "shallow-coarse", "coulomb-0.001",
+             "coulomb-0.002", "box-corner"])
+    def test_phase_rule_margins(self, V0, beta, m1, points, turn, found,
+                                tol):
         system = PhysicalSystem(V0=V0, beta=beta, m0=1.0, m1=m1)
         grid = RadialGrid(r_min=1e-6 / beta, r_max=40.0 / beta, points=points)
         if turn > 4.0:
@@ -325,10 +343,14 @@ class TestFindBoundStates:
             assert phase == pytest.approx(math.sqrt(turn), rel=1e-2)
             assert f"grid.points (currently {points})" in msg
             return
-        E = np.array([d.energy for d in find_bound_states(system, 0,
-                                                          grid=grid)])
-        match = _turning(oracle._channel(system, 0, "approx", grid), E)
-        worst = _max_step_turn(system, 0, "approx", E, grid, match).max()
+        states = find_bound_states(system, 0, grid=grid)
+        assert len(states) == found and all(d.converged for d in states)
+        for d in states:
+            (level,) = [lv for lv in energy_root_solve(system, d.node_count, 0)
+                        if lv.branch == d.branch]
+            assert abs(d.energy - level.value) <= tol * abs(level.value)
+        E = np.array([d.energy for d in states])
+        worst = _max_step_turn(system, 0, "approx", E, grid).max()
         assert worst == pytest.approx(turn, rel=2e-2)
 
 
@@ -344,28 +366,55 @@ def _rk4(phi, p, h, Wa, Wm, Wb):
             p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
+@functools.lru_cache(maxsize=None)
+def _map_terms():
+    """r' = dr/dx, r''/r' and {r; x} = r'''/r' - 3/2 (r''/r')**2 of the
+    map x = ln r + r/L as functions of (r, L), derived by sympy from r' =
+    1/(dx/dr) and the chain rule d/dx = r' d/dr."""
+    r, L = sympy.symbols("r L", positive=True)
+    d1 = 1 / sympy.diff(sympy.log(r) + r / L, r)
+    d2 = sympy.diff(d1, r) * d1
+    d3 = sympy.diff(d2, r) * d1
+    return sympy.lambdify((r, L), (d1, d2 / d1, d3 / d1 - sympy.Rational(
+        3, 2) * (d2 / d1)**2), "numpy")
+
+
+def _mesh_samples(system, grid):
+    """The oracle mesh's 2K - 1 samples, uniform in x = ln r + r/L, L =
+    _MAP_LENGTH/beta, from x(r_min) to x(r_max), its nodes at the even
+    ones: (h, r, r', r''/r', {r; x}), h the node spacing in x, with r from
+    the Lambert W function, r = L W0(exp(x)/L), and the rest from
+    ``_map_terms``.  The samples are spaced in x - ln L, as the solver's
+    are, so that both read one set of radii to rounding."""
+    L = oracle._MAP_LENGTH / system.beta
+    x0, x1 = (math.log(r / L) + r / L for r in (grid.r_min, grid.r_max))
+    x = np.linspace(x0, x1, 2 * grid.points - 1)       # x - ln L
+    r = L * scipy.special.lambertw(np.exp(x)).real
+    return ((x1 - x0) / (grid.points - 1), r) + tuple(_map_terms()(r, L))
+
+
+def _mesh_w(system, l, mode, E, grid):
+    """W~ = r'**2 W - {r; x}/2 at the mesh samples for the energies E,
+    (2K - 1, E.size), and (h, r, r', r''/r', W) with the first four of
+    ``_mesh_samples``."""
+    h, r, d1, c, schwarz = _mesh_samples(system, grid)
+    W = ode_coefficient(system, l, E[None], r[:, None], mode)
+    return d1[:, None]**2 * W - 0.5 * schwarz[:, None], (h, r, d1, c, W)
+
+
 def _stepwise_shoot(system, l, mode, E, grid, match_idx):
-    """Reference for oracle._shoot: both sweeps one RK4 step at a time over
-    the same cells (origin ladder, then the main grid; the main grid back
-    from r_max), counting the sign changes of phi between consecutive
-    steps up to each energy's matching node, and the sign of
-    out_phi * in_phi at that node."""
-    K, h = grid.points, grid.spacing
-    cells = min(300, K // 4)
-    pts, mark = oracle._ladder(grid.r_min, h, cells)
-
-    def W(r):
-        return oracle._w_coefficients(system, l, mode, r) @ [
-            np.ones_like(E), E, E * E]
-
-    Wl, Wlm = W(pts), W(0.5 * (pts[:-1] + pts[1:]))
-    Wg = W(grid.r_min + 0.5 * h * np.arange(2 * K - 1))
-    node_at = dict(zip(mark[1:].tolist(), range(1, cells + 1)))
-    outward = [(pts[k + 1] - pts[k], Wl[k], Wlm[k], Wl[k + 1],
-                node_at.get(k + 1, -1)) for k in range(len(pts) - 1)]
-    outward += [(h, Wg[2 * i], Wg[2 * i + 1], Wg[2 * i + 2], i + 1)
-                for i in range(cells, K - 1)]
-    inward = [(-h, Wg[2 * i], Wg[2 * i - 1], Wg[2 * i - 2], i - 1)
+    """Reference for oracle._shoot: both sweeps of chi'' = W~ chi
+    (``_mesh_w``) one RK4 step at a time over the mesh, outward from r_min
+    and back from r_max, counting the sign changes of chi between
+    consecutive steps up to each energy's matching node, and the sign of
+    out_chi * in_chi at that node.  Each start is the one of phi = sqrt(r')
+    chi, (chi, chi') = (phi, r' phi' - r''/(2 r') phi)/sqrt(r'): the
+    origin series outward, phi'/phi = -sqrt(W) at r_max inward."""
+    K = grid.points
+    Wt, (h, r, d1, c, W) = _mesh_w(system, l, mode, E, grid)
+    outward = [(h, Wt[2 * i], Wt[2 * i + 1], Wt[2 * i + 2], i + 1)
+               for i in range(K - 1)]
+    inward = [(-h, Wt[2 * i], Wt[2 * i - 1], Wt[2 * i - 2], i - 1)
               for i in range(K - 1, 0, -1)]
 
     def run(steps, phi, p, start):
@@ -385,57 +434,54 @@ def _stepwise_shoot(system, l, mode, E, grid, match_idx):
                 phi, p = phi / scale, p / scale
         return nodes, m_phi, m_p
 
+    def chi(i, phi, dphi):
+        return (phi / math.sqrt(d1[i]),
+                (d1[i] * dphi - 0.5 * c[i] * phi) / math.sqrt(d1[i]))
+
     cm1c, cm1l, g = oracle._origin_series(system, l)
     c1 = (cm1c + cm1l * E) / (2.0 * g)
-    n_out, o_phi, o_p = run(outward, 1.0 + c1 * grid.r_min,
-                            g / grid.r_min + c1 * (g + 1.0), 0)
-    n_in, i_phi, i_p = run(inward, np.ones(E.size),
-                           -np.sqrt(np.maximum(Wg[-1], 0.0)), K - 1)
+    n_out, o_phi, o_p = run(outward, *chi(0, 1.0 + c1 * r[0],
+                                          g / r[0] + c1 * (g + 1.0)), 0)
+    n_in, i_phi, i_p = run(inward, *chi(-1, np.ones(E.size),
+                                        -np.sqrt(np.maximum(W[-1], 0.0))),
+                           K - 1)
     nodes = n_out + n_in
     wr = o_p * i_phi - i_p * o_phi
     return (wr / (np.abs(o_p * i_phi) + np.abs(i_p * o_phi) + 1e-300), nodes,
             np.sign(o_phi) * np.sign(i_phi))
 
 
-def _max_step_turn(system, l, mode, E, grid, match_idx):
-    """Per energy, the largest h**2 |W(r_k, E)| over the main-grid nodes
-    k >= min(match, ladder cells) that its two sweeps cross: a step with
-    more than 4 turns phi by more than 2 rad and is not resolved."""
-    K = grid.points
-    W = ode_coefficient(system, l, E[None], grid.radii()[:, None], mode)
-    k = np.arange(K)[:, None]
-    crossed = k >= np.minimum(match_idx, min(300, K // 4))
-    return grid.spacing**2 * np.max(np.abs(W), axis=0, where=crossed,
-                                     initial=0.0)
+def _max_step_turn(system, l, mode, E, grid):
+    """Per energy, the largest h**2 (-W~) over the mesh nodes where W~ < 0,
+    0 where there are none: an allowed-region step with more than 4 turns
+    chi by more than 2 rad and is not resolved."""
+    Wt, (h, *_) = _mesh_w(system, l, mode, E, grid)
+    return h * h * np.max(-Wt[::2], axis=0, initial=0.0)
 
 
 def _turning(ch, E):
     """The solver's matching index per energy on the channel ``ch``."""
-    return oracle._nearest_crossing(ch.w, np.vander(E, 3, increasing=True).T)
+    return oracle._nearest_crossing(ch.w, np.vander(E, 3, increasing=True).T,
+                                    ch.target)
 
 
-def _argmin_crossing(W):
+def _argmin_crossing(W, target):
     """Reference for oracle._nearest_crossing: the argmin over a distance
     score, which the search replaced."""
     K = W.shape[0]
     S = np.sign(W)
     cross = S[:-1, :] * S[1:, :] <= 0
     idx = np.arange(K - 1)
-    score = np.where(cross, np.abs(idx[:, None] - K // 3), 10 * K)
+    score = np.where(cross, np.abs(idx[:, None] - target), 10 * K)
     im = np.argmin(score, axis=0)
     im[~cross.any(axis=0)] = K // 2
     return np.clip(im, 2, K - 2)
 
 
 def _sweep_samples(system, l, mode, grid):
-    """Radii and W's coefficient rows at every sample the sweeps read, in
-    the channel's order: the origin ladder's points and midpoints in turn,
-    then the main grid's nodes and midpoints in turn."""
-    K, h = grid.points, grid.spacing
-    pts, _ = oracle._ladder(grid.r_min, h, min(300, K // 4))
-    ladder = np.empty(2 * pts.size - 1)
-    ladder[::2], ladder[1::2] = pts, 0.5 * (pts[:-1] + pts[1:])
-    r = np.concatenate([ladder, grid.r_min + 0.5 * h * np.arange(2 * K - 1)])
+    """Radii and W's coefficient rows at every sample the sweeps read: the
+    mesh's nodes and midpoints in turn (``_mesh_samples``)."""
+    r = _mesh_samples(system, grid)[1]
     return r, oracle._w_coefficients(system, l, mode, r)
 
 
@@ -525,14 +571,16 @@ class TestNoStateBand:
         # a slice that holds the energy, or between the two family slices
         # for the family at the rate interpolated between their facing
         # ends (the difference is jointly concave in (E, k)); and the u of
-        # the slice at either end goes negative just beyond it
+        # the slice at either end goes negative just beyond it.  These
+        # samples' radii agree with the solver's to about 1e-15 relative,
+        # not bitwise, so the band's ends agree with theirs to 1e-12
         grid = default_grid(system)
         r, w = _sweep_samples(system, l, mode, grid)
-        lo, hi = oracle._channel(system, l, mode, grid).band
+        band = oracle._channel(system, l, mode, grid).band
         slices, column = _band_slices(system, l, r, w)
+        lo, hi = min(s[0] for s in slices), max(s[1] for s in slices)
         assert lo < hi
-        assert lo == min(s[0] for s in slices)
-        assert hi == max(s[1] for s in slices)
+        assert band == pytest.approx((lo, hi), rel=0.0, abs=1e-12)
         (lo1, hi1, k1), (lo2, hi2, k2) = sorted(slices[:2])
         for E in np.linspace(lo, hi, 201):
             rates = [k for s_lo, s_hi, k in slices if s_lo <= E <= s_hi]
@@ -697,8 +745,9 @@ class TestTurningIndices:
         W = np.column_stack(cols)
         # an identity product of a finite W is exact (a zero may turn
         # into -0, which is neither > 0 nor < 0 either)
-        assert np.array_equal(oracle._nearest_crossing(W, np.eye(W.shape[1])),
-                              _argmin_crossing(W))
+        assert np.array_equal(
+            oracle._nearest_crossing(W, np.eye(W.shape[1]), t),
+            _argmin_crossing(W, t))
 
     @pytest.mark.parametrize("name, l, mode", [
         ("reference_system", 0, "approx"), ("set_a", 1, "exact")])
@@ -706,10 +755,14 @@ class TestTurningIndices:
         system = request.getfixturevalue(name)
         grid = default_grid(system)
         E = np.linspace(*binding_window(system), 240)
-        W = ode_coefficient(system, l, E[None], grid.radii()[:, None], mode)
+        # W's sign changes at the mesh nodes, the r problem's turning
+        # points, nearest the node nearest r_max/3
+        _, (_, r, _, _, W) = _mesh_w(system, l, mode, E, grid)
+        nodes = r[::2]
+        target = int(np.argmin(np.abs(nodes - grid.r_max / 3.0)))
         assert np.array_equal(
             _turning(oracle._channel(system, l, mode, grid), E),
-            _argmin_crossing(W))
+            _argmin_crossing(W[::2], target))
 
     def test_search_memory(self, reference_system):
         # W at the grid nodes for 240 energies would be 7.7 MB; it is
@@ -726,6 +779,25 @@ class TestTurningIndices:
         finally:
             tracemalloc.stop()
         assert peak < 3e6
+
+
+class TestMesh:
+    @pytest.mark.parametrize("r_min, r_max", [
+        (1e-6, 40.0), (1e-300, 1e6), (0.5, 0.6), (1e-3, 1e30)])
+    def test_radii_invert_the_map(self, r_min, r_max):
+        # six Newton steps put every sample's ln(r/L) + r/L on its even
+        # spacing to rounding, from the origin's power-law end to spans
+        # far past the tail's; the radii rise from r_min to r_max
+        L, K = 3.0, 500
+        (r, *_), h = oracle._mesh(r_min, r_max, K, L)
+        y0, y1 = (math.log(x / L) + x / L for x in (r_min, r_max))
+        y = np.linspace(y0, y1, 2 * K - 1)
+        assert h == (y1 - y0) / (K - 1)
+        assert np.all(np.abs(np.log(r / L) + r / L - y)
+                      <= 1e-14 * np.maximum(1.0, np.abs(y)))
+        assert np.all(np.diff(r) > 0.0)
+        assert r[0] == pytest.approx(r_min, rel=1e-13)
+        assert r[-1] == pytest.approx(r_max, rel=1e-13)
 
 
 class TestChunkedSweep:
@@ -805,10 +877,11 @@ class TestChunkedSweep:
             assert lengths == {16, 32, 64, 128}
         want_m, want_n, want_g = _stepwise_shoot(system, l, mode, E, grid,
                                                  match)
-        # node counts agree where every main-grid step turns phi by at most
-        # 2 rad; the coarse set_a grids reach h**2 |W| of 29-42, and there
-        # the chunked count may differ from the stepwise one
-        resolved = _max_step_turn(system, l, mode, E, grid, match) <= 4.0
+        # node counts agree where no allowed-region mesh step turns chi by
+        # more than 2 rad; the coarse set_a meshes reach h**2 (-W~) of
+        # 5.6-8.0, and there the chunked count may differ from the
+        # stepwise one
+        resolved = _max_step_turn(system, l, mode, E, grid) <= 4.0
         if points == 4000:
             assert resolved.all()
         for sel in batches:
@@ -924,17 +997,17 @@ class TestChunkedSweep:
 
     @pytest.mark.parametrize("window, widths", [
         # the band reaches 0.755, so the scan keeps 29 of its 60 energies;
-        # then 5 Illinois points of its one bracket
-        ((0.7, 0.8), [29] + [1] * 5),
+        # then 4 Illinois points of its one bracket
+        ((0.7, 0.8), [29] + [1] * 4),
         # the 32 of 240 scan energies that the no-state band leaves;
         # both node-count jumps split 16-fold beside the first Illinois
-        # points of the scan's two brackets; 3 more points each, then 3
+        # points of the scan's two brackets; 4 more points each, then 2
         # more for the bracket still open
-        (None, [32, 34 + 2] + [2] * 3 + [1] * 3),
+        (None, [32, 34 + 2] + [2] * 4 + [1] * 2),
         # the same from a 60-point scan of (0.7, 0.999), 51 of whose
-        # energies the band leaves: 3 more points each, then 1 for the
+        # energies the band leaves: 3 more points each, then 3 for the
         # bracket still open
-        ((0.7, 0.999), [51, 34 + 2] + [2] * 3 + [1])])
+        ((0.7, 0.999), [51, 34 + 2] + [2] * 3 + [1] * 3)])
     def test_sweep_count(self, reference_system, monkeypatch, window,
                          widths):
         seen = self._counted(monkeypatch)
@@ -1110,16 +1183,27 @@ class TestApproximationError:
                                            rel=1e-12)
 
     def test_unresolved_beta_reports_grid_resolution(self):
-        # halving beta stretches the states until the default grid no
-        # longer resolves the node ladder
-        system = PhysicalSystem(V0=0.0005, beta=0.002, m0=1.0)
-        rows = approximation_error(system, 0, 0, [0.002, 0.001])
+        # halving beta deepens this Coulomb-like well (V0/beta = m1/beta)
+        # until the default mesh no longer resolves its node ladder
+        system = PhysicalSystem(V0=0.3, beta=0.004, m0=1.0, m1=0.3)
+        rows = approximation_error(system, 0, 0, [0.004, 0.002])
         assert [row.status for row in rows] == ["ok", "grid_resolution"]
         assert rows[0].abs_err <= 1e-12
         last = rows[1]
-        assert last.beta == 0.001
+        assert last.beta == 0.002
         assert last.E_approx is None and last.E_exact is None
         assert last.abs_err is None and last.rel_err is None
+
+    def test_small_beta_rows_meet_the_root_solve(self):
+        # at V0 = 0.0005 the mesh resolves beta = 0.002 and 0.001 alike:
+        # each row's state is the root-solved upper n = 0 level
+        system = PhysicalSystem(V0=0.0005, beta=0.002, m0=1.0)
+        rows = approximation_error(system, 0, 0, [0.002, 0.001])
+        assert [row.status for row in rows] == ["ok", "ok"]
+        for row in rows:
+            (level,) = [lv for lv in energy_root_solve(
+                replace(system, beta=row.beta), 0, 0) if lv.branch == "upper"]
+            assert abs(row.E_approx - level.value) <= 1e-6 * level.value
 
     def test_s_channel_error_is_solver_noise(self, reference_system):
         # at l = 0 the two modes are one equation: one solve fills both

@@ -30,7 +30,8 @@ N timed calls (default 30) after one untimed call, in seconds:
   design points, read with ``perfbench/workloads.draw_systems``), a
   failing solve counted up to its failure; ``validate_battery_*`` the
   narrow l = 0 scans of the validate battery on that workload's seed-72
-  systems.
+  systems; ``reference_outward_steps`` and ``reference_inward_steps``
+  are the padded step counts of the reference's l = 0 channel.
 
 ``--pair DIR`` times this checkout's ``src`` (change) against
 ``DIR/src`` (parent): each of N rounds (default 5) runs the single-side
@@ -130,8 +131,11 @@ def solver_layers(repeat):
     energy = max(level.value for level in energy_root_solve(system, 0, 0))
     channel = oracle._channel(system, 0, "approx", default_grid(system))
     E = np.linspace(*binding_window(system), 240)
-    match = oracle._nearest_crossing(channel.w,
-                                     np.vander(E, 3, increasing=True).T)
+    powers = np.vander(E, 3, increasing=True).T
+    try:        # a mesh channel names the node its search aims at
+        match = oracle._nearest_crossing(channel.w, powers, channel.target)
+    except AttributeError:      # a uniform grid's search aims at K//3
+        match = oracle._nearest_crossing(channel.w, powers)
     return {
         "energy_root_solve_s": best(repeat, energy_root_solve, system, 0, 0),
         "wavefunction_s": best(repeat, wavefunction, system, 0, 0, energy),
@@ -156,6 +160,7 @@ def shot_counts():
     from kghulthen import PhysicalSystem, oracle
     from kghulthen.checks import run_validation
     from kghulthen.errors import SolverError
+    from kghulthen.model import default_grid
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import DESIGN, draw_systems
@@ -207,6 +212,9 @@ def shot_counts():
                 if a is None and b is not None)
     finally:
         oracle._shoot, oracle.find_bound_states = shoot, solve
+    channel = oracle._channel(reference, 0, "approx", default_grid(reference))
+    counts["reference_outward_steps"] = len(channel.outward.table)
+    counts["reference_inward_steps"] = len(channel.inward.table)
     return counts
 
 
