@@ -15,9 +15,15 @@ uniform in x = ln r + r/L (``_mesh``; geometric at the origin, even in
 the tail; as L -> infinity, Langer's transformation, R. E. Langer, Phys.
 Rev. 51, 669 (1937)).  A solve builds its channel once (``_channel``).
 Each RK4 step is a 2x2 linear map whose entries are polynomials in E
-(``_map_table``), so a sweep (``_sweep``) forms the maps for a batch of
-energies as matrix products of the channel's step table with the powers
-of E, never W itself, and counts nodes from its chunk transfer matrices.
+(``_map_table``), built once per channel for the outward direction: the
+inward step over the same interval is its adjugate, and carried as psi =
+(phi, -p) it is the outward map with its diagonal swapped, so the inward
+table is the outward one's rows reversed and permuted (``_padded``).  One
+sweep (``_sweep``) runs both directions of a shot end to end on one chunk
+axis: it forms the maps for a batch of energies as matrix products of the
+step tables with the powers of E, never W itself, chains each direction's
+chunk transfer matrices by a recursive doubling that stops at the
+boundary between the two, and counts nodes from the chunk matrices.
 ``find_bound_states`` brackets and refines the eigenvalues in one loop of
 such sweeps; its docstring states the bracket rule, what ``converged``
 means and when the grid is too coarse for the states.  Its first scan row
@@ -160,19 +166,6 @@ def _mesh(r_min, r_max, K, L):
             (y1 - y0) / (K - 1))
 
 
-class _Steps(NamedTuple):
-    """One sweep direction as a flat list of S RK4 steps, padded with
-    identity steps (h = 0) to a multiple of _MAX_CHUNK, so that every
-    power-of-two chunk length up to _MAX_CHUNK splits it into whole chunks
-    by reshaping alone.  Each step's RK4 map is a polynomial in E
-    (_map_table): row j of ``table`` times (1, E, E**2, E**3, E**4) is its
-    (m11, m12, m21, m22)."""
-
-    table: np.ndarray    # (S, 4, 5) map coefficients in powers of E
-    reach: np.ndarray    # (K,) index of the step reaching each node, or -1
-    sense: float         # sign of the steps' h: +1 outward, -1 inward
-
-
 def _map_table(h, c):
     """One RK4 step of (phi, p)' = (p, W phi) per entry of h, as the
     coefficients of its 2x2 matrix (m11, m12, m21, m22) in powers of E,
@@ -186,7 +179,10 @@ def _map_table(h, c):
 
     and each W is the quadratic c[i] @ (1, E, E**2) at sample i, step j
     running over samples 2j, 2j + 1, 2j + 2, so each entry has degree at
-    most 4.  A step with h = 0 is exactly the identity.  The table is built
+    most 4.  A step with h = 0 is exactly the identity.  The step back over
+    the same interval (h -> -h, Wa <-> Wb) is the adjugate [[m22, -m12],
+    [-m21, m11]] of these formulas, so one table serves both sweep
+    directions (``_padded``).  The table is built
     _MAP_BLOCK steps at a time: a block's entries accumulate in contiguous
     (5, n) arrays, then are written into its rows."""
     table = np.empty((len(h), 4, 5))
@@ -225,16 +221,33 @@ def _map_block(h, c):
 
 
 def _padded(h, w):
-    """_Steps of the K - 1 steps of length h across a mesh of K nodes, w
-    (2K - 1, 3) the coefficient rows at the start, midpoint, end,
-    midpoint, end, ... of the steps: outward (h > 0) step j reaches node j
-    + 1, inward node K - 2 - j."""
+    """The step table and reach of both sweep directions across a mesh of
+    K nodes, h the node spacing and w (2K - 1, 3) W~'s coefficient rows at
+    the start, midpoint, end, midpoint, end, ... of the outward steps.
+
+    table holds each direction's K - 1 RK4 steps as map coefficients in
+    powers of E, (S, 4, 5) (``_map_table``), padded with identity steps (h
+    = 0) to S, a multiple of _MAX_CHUNK, so that every power-of-two chunk
+    length up to _MAX_CHUNK splits it into whole chunks by reshaping
+    alone.  The outward table is built once: its step j goes from node j
+    to j + 1.  Inward step j goes back from node K - 1 - j to K - 2 - j,
+    over the interval of outward step K - 2 - j, and its map is that
+    step's adjugate [[m22, -m12], [-m21, m11]].  Carried in the frame psi
+    = (phi, -p), a sweep in -x, it is [[m22, m12], [m21, m11]] with no
+    sign flip, so the inward table is the outward one's real rows in
+    reverse order with the entries (m22, m12, m21, m11).  reach[d, k] is
+    the index of direction d's step that reaches node k, -1 at the
+    direction's start node."""
     K = (len(w) + 1) // 2
     pad = -(K - 1) % _MAX_CHUNK
-    reach = np.arange(-1, K - 1) if h > 0 else np.arange(K - 2, -2, -1)
-    return _Steps(_map_table(np.r_[np.full(K - 1, h), np.zeros(pad)],
-                             np.pad(w, ((0, 2 * pad), (0, 0)))),
-                  reach, math.copysign(1.0, h))
+    out = _map_table(np.r_[np.full(K - 1, h), np.zeros(pad)],
+                     np.pad(w, ((0, 2 * pad), (0, 0))))
+    back = np.empty_like(out)
+    for i, j in enumerate((3, 1, 2, 0)):
+        back[:K - 1, i] = out[K - 2::-1, j]
+    back[K - 1:] = out[K - 1:]
+    return (out, back), np.stack([np.arange(-1, K - 1),
+                                  np.arange(K - 2, -2, -1)])
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -319,8 +332,8 @@ def _band(system, r, w, g):
 class _Channel(NamedTuple):
     """One (system, l, mode, grid) channel as a solve reads it."""
 
-    outward: _Steps
-    inward: _Steps
+    table: tuple         # outward and inward steps, (S, 4, 5) each (_padded)
+    reach: np.ndarray    # (2, K) each direction's step reaching each node
     w: np.ndarray        # (K, 3) W's coefficients at the mesh nodes
     turn: np.ndarray     # (K, 3) h**2 W~'s coefficients at the mesh nodes
     r: np.ndarray        # (K,) the mesh nodes' radii
@@ -337,9 +350,10 @@ def _channel(system, l, mode, grid):
     The sweeps integrate chi'' = W~ chi on grid.points nodes uniform in x =
     ln r + r/L, L = _MAP_LENGTH/beta (``_mesh``), phi = sqrt(r') chi and W~
     = r'**2 W - {r; x}/2, quadratic in E as W is (the Schwarzian holds no
-    E).  Outward and inward read the same samples of W~; the band reads W
-    itself at their radii.  Row k of w is W's coefficients at node k, so
-    that ``w @ (1, E, E**2)`` is W there, and row k of turn is h**2 W~'s.
+    E).  One step table serves both directions (``_padded``); the band
+    reads W itself at the samples' radii.  Row k of w is W's coefficients
+    at node k, so that ``w @ (1, E, E**2)`` is W there, and row k of turn
+    is h**2 W~'s.
     The origin series comes first, so an over-attractive origin raises
     before W~'s finiteness check.
     """
@@ -354,20 +368,21 @@ def _channel(system, l, mode, grid):
             f"ODE coefficient not finite at r_min={grid.r_min!r}; "
             "the origin offset is too small for these parameters")
     nodes = r[::2]
-    return _Channel(_padded(h, wt), _padded(-h, wt[::-1]), w[::2].copy(),
+    return _Channel(*_padded(h, wt), w[::2].copy(),
                     h * h * wt[::2], nodes,
                     int(np.argmin(np.abs(nodes - nodes[-1] / 3.0))),
                     np.stack([slope, 0.5 * curve])[:, [0, -1]].T, series,
                     _band(system, r, w, series[2]))
 
 
-def _rescale(phi, p, axes=()):
-    """Divide (phi, p) by the positive factor max(|phi|, |p|), reduced over
-    ``axes`` (the columns of a transfer matrix share one factor).  Signs
-    and the log-derivative are unchanged."""
-    scale = np.maximum(np.abs(phi), np.abs(p)).max(axis=axes)
-    scale = np.where(scale > 0.0, scale, 1.0)
-    return phi / scale, p / scale
+def _rescale(m, axes=()):
+    """Divide the states m, (phi, p) along its first axis, in place by the
+    positive factor max(|phi|, |p|), reduced over ``axes`` (the columns of
+    a transfer matrix share one factor), and return m.  Signs and the
+    log-derivative are unchanged."""
+    scale = np.abs(m).max(axis=axes)
+    m /= np.where(scale > 0.0, scale, 1.0)
+    return m
 
 
 def _chunk_length(S, B):
@@ -381,128 +396,157 @@ def _chunk_length(S, B):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _sweep(steps, phi, p, EP, match_idx):
-    """Run one direction for a batch of energies from the start state
-    (phi, p), as a two-level scan over chunks of ``steps``; EP holds the
-    powers (1, E, E**2, E**3, E**4) of the batch's energies.
+def _sweep(ch, start, EP, match_idx):
+    """Run both directions of the channel ``ch`` for a batch of energies
+    from the start states start[:, d], (phi, p) of shape (2, B), of
+    direction d (0 outward, 1 inward in the frame psi = (phi, -p) of
+    ``_padded``), as one two-level scan over chunks of its step table; EP
+    holds the powers (1, E, E**2, E**3, E**4) of the batch's energies.
 
-    It runs the S steps up to the one reaching the batch's farthest
-    matching node, S rounded up to a multiple of _MAX_CHUNK.  The chunk
-    length L comes from the batch width B (_chunk_length): a narrow batch
-    runs 16 rows over many chunks, a wide one longer, fewer chunks.  Every
-    chunk's transfer matrix is built in L row passes, taken in blocks of R
-    rows: the RK4 maps of a block, about _CHUNK_CELLS chunk x energy cells
-    per entry, are one matrix product of the block's table rows with EP,
-    read in place from the step table (a stack of (C, 5) x (5, B)
-    products, one per row and map entry).  The chunk start states come
-    from the inclusive prefix products M_c ... M_0 of the chunk matrices,
-    by recursive doubling (log2 C passes over C chunks, each rescaled per
-    chunk).  How the arithmetic is grouped depends on B (the BLAS path of
-    the map products, L and R) and on S, so an energy's result depends on
-    the batch it shares, at rounding level only.
+    Each direction runs the S_d steps up to the one reaching the batch's
+    farthest matching node, S_d rounded up to a multiple of _MAX_CHUNK,
+    and the two runs lie end to end on one chunk axis: the C_o outward
+    chunks, then the C_i inward ones.  The chunk length L comes from S_o +
+    S_i and the batch width B (_chunk_length): a narrow batch runs 16 rows
+    over many chunks, a wide one longer, fewer chunks.  Every chunk's
+    transfer matrix is built in L row passes, taken in blocks of R rows:
+    the RK4 maps of a block, about _CHUNK_CELLS chunk x energy cells per
+    entry, are two matrix products, one per direction, of the block's
+    table rows with EP into one buffer, read in place from the step table
+    (a stack of (C, 5) x (5, B) products, one per row and map entry).  The
+    chunk start states come from the inclusive prefix products M_c ... M_0
+    of each direction's chunk matrices, by recursive doubling (P_c <- P_c
+    P_(c-n) for n = 1, 2, 4, ..., each pass rescaled per chunk) that never
+    crosses from one direction into the other: at each pass the inward
+    run's first n chunks keep their products.  How the arithmetic is
+    grouped depends on B (the BLAS path of the map products, L and R) and
+    on S_o + S_i, so an energy's result depends on the batch it shares, at
+    rounding level only.
 
     Nodes are counted from the chunk matrices: the row passes count n_u,
     the sign changes of phi along each chunk's first column u (the image
     of (phi, p) = (1, 0)) at every step.  Two solutions of one equation
-    turn the same way through phi = 0 (clockwise in the (phi, p) plane
-    for h > 0) and never pass each other, so the solution from the
-    chunk's start state (x, y), flipped to x > 0, changes sign n_u times
-    when its end sign has the parity of n_u (u starts at phi = 1), else
-    n_u + 1 if it starts ahead of u (y < 0 for h > 0, y > 0 for h < 0)
-    and n_u - 1 if behind (Sturm separation; H. Prüfer, Math. Ann. 95,
-    499 (1926)).  A chunk ends at the next one's start state; the match
-    chunk ends at the matched state, counted up to the match row.
+    turn the same way through phi = 0 (clockwise in the (phi, p) plane,
+    and in the (phi, -p) plane of a sweep in -x) and never pass each
+    other, so the solution from the chunk's start state (x, y), flipped to
+    x > 0, changes sign n_u times when its end sign has the parity of n_u
+    (u starts at phi = 1), else n_u + 1 if it starts ahead of u (y < 0)
+    and n_u - 1 if behind (Sturm separation; H. Prüfer, Math. Ann. 95, 499
+    (1926)).  A chunk ends at the next one's start state; the match chunk
+    ends at the matched state, counted up to the match row, and the chunks
+    past it in its direction are dropped.
 
-    Returns (nodes, phi_m, p_m): the sign changes of phi at every step
-    from the start up to each energy's matching node, and the state there,
-    known up to a positive factor (each chunk carries its own scale); the
-    count holds while no step turns phi by more than about 2 rad.  Raises
-    GridResolution when a chunk matrix, a chunk start state or the matched
+    Returns (nodes, matched): the sign changes of phi at every step of
+    both directions from their starts up to each energy's matching node,
+    and each direction's state there, matched[:, d] in the frame of
+    start[:, d], known up to a positive factor (each chunk carries its own
+    scale); the count holds while no step turns phi by more than about 2
+    rad.  Raises
+    GridResolution when a chunk matrix, a chunk start state or a matched
     state overflows between rescalings.
     """
     B = EP.shape[1]
-    s = steps.reach[match_idx]
-    S = (max(s.max(), 0) // _MAX_CHUNK + 1) * _MAX_CHUNK   # whole blocks
-    L = _chunk_length(S, B)
-    C = S // L
+    s = ch.reach[:, match_idx]
+    S = (np.maximum(s.max(axis=1), 0) // _MAX_CHUNK + 1) * _MAX_CHUNK
+    L = _chunk_length(int(S.sum()), B)
+    Co, Ci = S // L
+    C = Co + Ci
     R = max(1, min(L, _CHUNK_CELLS // (C * B)))
-    table = steps.table[:S].reshape(C, L, 4, 5).transpose(1, 2, 0, 3)
+    tables = [t[:n].reshape(-1, L, 4, 5).transpose(1, 2, 0, 3)
+              for t, n in zip(ch.table, S)]
 
-    # 1. transfer matrix of every chunk, its columns the images of (1, 0)
-    # and (0, 1), over blocks of R rows: the RK4 maps of a block in one
-    # product, then the rows in order, counting the sign changes n_u of
-    # the first column's phi.  The matrix and n_u are kept at each
-    # energy's match step
-    mphi = np.zeros((2, C, B))
-    mp = np.zeros((2, C, B))
-    mphi[0] = 1.0
-    mp[1] = 1.0
+    # 1. transfer matrix m[:, :, c] of every chunk c, its rows phi and p,
+    # its columns the images of (1, 0) and (0, 1), over blocks of R rows:
+    # the RK4 maps of a block in two products, then the rows in order,
+    # counting the sign changes n_u of the first column's phi.  The matrix
+    # and n_u are kept at each energy's match step in each direction,
+    # column d*B + b of the captures for direction d and energy b
+    m = np.zeros((2, 2, C, B))
+    m[0, 0] = m[1, 1] = 1.0
+    nxt, tmp = np.empty_like(m), np.empty((2, C, B))
     nu = np.zeros((C, B), dtype=np.uint8)    # at most L <= 128 a chunk
-    neg = np.zeros((C, B), dtype=bool)
-    col = np.arange(B)
-    mc = np.where(s < 0, 0, s // L)
+    neg, was = np.zeros((2, C, B), dtype=bool)
+    turned = np.empty((C, B), dtype=bool)
+    s = s.ravel()
+    col = np.tile(np.arange(B), 2)
+    mc = np.where(s < 0, 0, s // L) + np.repeat([0, Co], B)
     mj = np.where(s < 0, -1, s % L)
     cap = {j: np.flatnonzero(mj == j) for j in set(mj.tolist())}
-    cphi = np.zeros((2, B))
-    cp = np.zeros((2, B))
-    cphi[0] = 1.0
-    cp[1] = 1.0
-    cn = np.zeros(B, dtype=np.uint8)
+    cm = np.zeros((2, 2, 2 * B))
+    cm[0, 0] = cm[1, 1] = 1.0
+    cn = np.zeros(2 * B, dtype=np.uint8)
+    maps = np.empty((R, 4, C, B))
     for j0 in range(0, L, R):
-        maps = np.matmul(table[j0:j0 + R], EP)
-        for j, (m11, m12, m21, m22) in enumerate(maps, j0):
-            mphi, mp = m11 * mphi + m12 * mp, m21 * mphi + m22 * mp
+        rows = maps[:min(R, L - j0)]
+        np.matmul(tables[0][j0:j0 + R], EP, out=rows[:, :, :Co])
+        np.matmul(tables[1][j0:j0 + R], EP, out=rows[:, :, Co:])
+        for j, (m11, m12, m21, m22) in enumerate(rows, j0):
+            # in place: fresh chunk-sized temporaries at every row cost a
+            # quarter of a wide sweep
+            np.multiply(m11, m[0], out=nxt[0])
+            nxt[0] += np.multiply(m12, m[1], out=tmp)
+            np.multiply(m21, m[0], out=nxt[1])
+            nxt[1] += np.multiply(m22, m[1], out=tmp)
+            m, nxt = nxt, m
             if (j & 63) == 63:
-                mphi, mp = _rescale(mphi, mp, 0)
-            was, neg = neg, mphi[0] < 0.0
-            nu += (was ^ neg).view(np.uint8)
+                _rescale(m, (0, 1))
+            was, neg = neg, was
+            np.less(m[0, 0], 0.0, out=neg)
+            nu += np.not_equal(was, neg, out=turned).view(np.uint8)
             if j in cap:
                 cols = cap[j]
-                cphi[:, cols] = mphi[:, mc[cols], cols]
-                cp[:, cols] = mp[:, mc[cols], cols]
-                cn[cols] = nu[mc[cols], cols]
-    finite = np.isfinite(mphi).all() and np.isfinite(mp).all()
+                cm[..., cols] = m[..., mc[cols], col[cols]]
+                cn[cols] = nu[mc[cols], col[cols]]
+    finite = np.isfinite(m).all()
+    del nxt, tmp, maps      # free before the doubling's temporaries
 
-    # 2. start state of every chunk: the products P_c = M_c ... M_0 of the
-    # chunk matrices by recursive doubling, P_c <- P_c P_(c-n) for n = 1,
-    # 2, 4, ..., each pass rescaled per chunk
+    # 2. start state of every chunk: the products P_c = M_c ... M_0 of
+    # each direction's chunk matrices by recursive doubling, the inward
+    # run's first n chunks kept as they were at pass n
     n = 1
-    while n < C:
-        top, bot = mphi[:, n:], mp[:, n:]
-        mphi[:, n:], mp[:, n:] = _rescale(
-            top[0] * mphi[:, :-n] + top[1] * mp[:, :-n],
-            bot[0] * mphi[:, :-n] + bot[1] * mp[:, :-n], 0)
+    while n < max(Co, Ci):
+        keep = m[:, :, Co:Co + n].copy()
+        top, prev = m[:, :, n:], m[:, :, :-n]
+        m[:, :, n:] = _rescale(top[:, :1] * prev[:1] + top[:, 1:] * prev[1:],
+                               (0, 1))
+        m[:, :, Co:Co + n] = keep
         n *= 2
-    sphi = np.empty((C, B))
-    sp = np.empty((C, B))
-    sphi[0], sp[0] = phi, p
-    sphi[1:] = mphi[0, :-1] * phi + mphi[1, :-1] * p
-    sp[1:] = mp[0, :-1] * phi + mp[1, :-1] * p
-    phi, p = sphi[mc, col], sp[mc, col]
-    phi, p = cphi[0] * phi + cphi[1] * p, cp[0] * phi + cp[1] * p
-    if not (finite and np.isfinite([sphi, sp]).all()
-            and np.isfinite([phi, p]).all()):
+    d = np.repeat([0, 1], [Co - 1, Ci])     # direction of chunks 1 ... C - 1
+    st = np.empty((2, C, B))
+    st[:, 1:] = m[:, 0, :-1] * start[0, d] + m[:, 1, :-1] * start[1, d]
+    st[:, [0, Co]] = start                  # each direction's own start
+    matched = st[:, mc, col]
+    matched = cm[:, 0] * matched[0] + cm[:, 1] * matched[1]
+    if not (finite and np.isfinite(st).all()
+            and np.isfinite(matched).all()):
         raise GridResolution(
             "oracle sweep overflowed: phi is not finite; the grid is too "
             "coarse for these parameters; increase grid.points "
-            f"(currently {steps.reach.size})")
+            f"(currently {ch.reach.shape[1]})")
 
     # 3. the solution's sign changes in every chunk from u's: a chunk ends
     # at the next one's start state, the match chunk at the matched state
-    # with u's count at the match row, and the chunks past it are dropped
-    end = np.concatenate([sphi[1:], sphi[-1:]])     # last row: a filler
-    end[mc, col] = phi
+    # with u's count at the match row, and the chunks past each
+    # direction's match are dropped
+    sphi, sp = st
+    end = np.concatenate([sphi[1:], sphi[-1:]])     # each last: a filler
+    end[mc, col] = matched[0]
     nu[mc, col] = cn
     flip = np.where(sphi < 0.0, -1.0, 1.0)          # start with x > 0
     odd = (flip * end < 0.0) != ((nu & 1) == 1)     # parities differ
-    ahead = np.where(steps.sense * flip * sp < 0.0, 1, -1)
+    ahead = np.where(flip * sp < 0.0, 1, -1)
+    c = np.arange(C)[:, None]
     nodes = np.sum(nu + odd * ahead, axis=0,
-                   where=np.arange(C)[:, None] <= mc)
-    return nodes, phi, p
+                   where=(c <= mc[:B]) | ((c >= Co) & (c <= mc[B:])))
+    return nodes, matched.reshape(2, 2, B)
 
 
 def _shoot(ch, E, match_idx):
-    """Two-sided sweep of the channel ``ch`` for a batch of energies.
+    """Two-sided sweep of the channel ``ch`` for a batch of energies, both
+    directions in one ``_sweep``: outward from the origin series at r_min,
+    inward from the decaying start at r_max given as psi = (chi, -chi'),
+    the frame of the inward step table (``_padded``), whose second entry
+    is negated back at the match.
 
     Returns (mismatch, nodes, glue): the Wronskian-normalized
     log-derivative defect at each energy's matching index (of the same
@@ -511,31 +555,32 @@ def _shoot(ch, E, match_idx):
     """
     E = np.atleast_1d(np.asarray(E, dtype=float))
     B = E.size
-    match_idx = np.broadcast_to(np.asarray(match_idx, int), (B,)).copy()
+    match_idx = np.broadcast_to(np.asarray(match_idx, int), (B,))
     EP = np.vander(E, 5, increasing=True).T.copy()
 
     cm1c, cm1l, g = ch.series
     c1 = (cm1c + cm1l * E) / (2.0 * g)
     (s0, k0), (s1, k1) = ch.ends
 
-    # ---- outward sweep: series start at r_min, carried to chi = phi /
-    # sqrt(r') by chi'/chi = r' phi'/phi - r''/(2 r')
+    # outward: series start at r_min, carried to chi = phi / sqrt(r') by
+    # chi'/chi = r' phi'/phi - r''/(2 r').  Inward: exponentially decaying
+    # start at r_max, phi'/phi = -sqrt(W) from W itself, where the first
+    # inward step starts, as psi = (chi, -chi')
     r0 = ch.r[0]
     phi = 1.0 + c1 * r0
-    phi, p = _rescale(phi, s0 * (g / r0 + c1 * (g + 1.0)) - k0 * phi)
-    nodes, out_phi, out_p = _sweep(ch.outward, phi, p, EP, match_idx)
-
-    # ---- inward sweep: exponentially decaying start at r_max, phi'/phi
-    # = -sqrt(W) from W itself, where the first inward step starts
+    out = _rescale(np.stack([phi, s0 * (g / r0 + c1 * (g + 1.0)) - k0 * phi]),
+                   0)
     W_end = np.maximum(ch.w[-1] @ EP[:3], 0.0)
-    n_in, in_phi, in_p = _sweep(ch.inward, np.ones(B),
-                                -s1 * np.sqrt(W_end) - k1, EP, match_idx)
+    back = np.stack([np.ones(B), s1 * np.sqrt(W_end) + k1])
+    nodes, ((out_phi, in_phi), (out_p, in_p)) = _sweep(
+        ch, np.stack([out, back], axis=1), EP, match_idx)
+    in_p = -in_p
 
     # Wronskian-form mismatch: zero exactly when log-derivatives agree,
     # free of poles at nodes of either sweep
     wr = out_p * in_phi - in_p * out_phi
     mism = wr / (np.abs(out_p * in_phi) + np.abs(in_p * out_phi) + 1e-300)
-    return mism, nodes + n_in, np.sign(out_phi) * np.sign(in_phi)
+    return mism, nodes, np.sign(out_phi) * np.sign(in_phi)
 
 
 def _nearest_crossing(w, EP, target):

@@ -47,8 +47,8 @@ def test_one_repeat_writes_every_figure(tmp_path):
     assert all(isinstance(a, int) and 0 <= a < 4096 for a in addrs)
     assert set(result["solvers"]) == {
         "energy_root_solve_s", "wavefunction_s", "closed_form_labels_s",
-        "channel_s", "shoot_B1_s", "shoot_B240_s", "find_bound_states_l0_s",
-        "find_bound_states_l1_s"}
+        "channel_s", "shoot_B1_s", "shoot_B2_s", "shoot_B17_s", "shoot_B60_s",
+        "shoot_B240_s", "find_bound_states_l0_s", "find_bound_states_l1_s"}
     # the shots are exact; the first rows are some of the energies
     shots = result["shots"]
     assert shots == _SHOTS

@@ -832,6 +832,51 @@ class TestChunkedSweep:
         assert np.all(table[:20] == identity)
 
     @pytest.mark.parametrize("name", ["reference_system", "set_a"])
+    @pytest.mark.parametrize("points", [120, None])
+    def test_inward_steps_are_the_outward_adjugates(self, name, points,
+                                                   request, monkeypatch):
+        # the inward RK4 step over an interval, built as the outward ones
+        # are with h -> -h over the reversed samples, is the adjugate
+        # [[m22, -m12], [-m21, m11]] of the outward step over the same
+        # interval, to 1e-14 of each entry's scale.  A channel builds one
+        # table and carries the inward steps in psi = (phi, -p), where each
+        # is [[m22, m12], [m21, m11]]
+        system = request.getfixturevalue(name)
+        grid = default_grid(system)
+        if points is not None:
+            grid = replace(grid, points=points)
+        l, mode = (0, "approx") if name == "reference_system" else (1, "exact")
+        map_table, calls = oracle._map_table, []
+
+        def spy(h, c):
+            calls.append((h, c))
+            return map_table(h, c)
+
+        monkeypatch.setattr(oracle, "_map_table", spy)
+        ch = oracle._channel(system, l, mode, grid)
+        assert len(calls) == 1
+        (h, c), = calls
+        K = grid.points
+        pad = len(h) - (K - 1)
+        assert np.all(h[:K - 1] == h[0]) and h[0] > 0.0
+        assert np.all(h[K - 1:] == 0.0)
+        old = map_table(np.r_[np.full(K - 1, -h[0]), np.zeros(pad)],
+                        np.pad(c[:2 * K - 1][::-1], ((0, 2 * pad), (0, 0))))
+        outward, inward = ch.table
+        flip = np.array([1.0, -1.0, -1.0, 1.0])[:, None]
+        adjugate = outward[K - 2::-1][:, [3, 1, 2, 0]] * flip
+        for got, want in ((old[:K - 1], adjugate),
+                          (inward[:K - 1], old[:K - 1] * flip)):
+            scale = np.maximum(np.abs(got), np.abs(want)).max(
+                axis=-1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-14 * scale)
+        # the padding steps are the identity in both tables
+        identity = np.zeros((4, 5))
+        identity[[0, 3], 0] = 1.0
+        assert np.all(inward[K - 1:] == identity)
+        assert np.all(outward[K - 1:] == identity)
+
+    @pytest.mark.parametrize("name", ["reference_system", "set_a"])
     @pytest.mark.parametrize("points", [100, 120, 4000])
     def test_matches_stepwise_sweep(self, name, points, request):
         system = request.getfixturevalue(name)
@@ -840,18 +885,18 @@ class TestChunkedSweep:
         l, mode = (0, "approx") if name == "reference_system" else (1, "exact")
         K = grid.points
         ch = oracle._channel(system, l, mode, grid)
-        outward, inward = ch.outward, ch.inward
+        outward, inward = ch.table
         # K - 1 inward steps are not a multiple of the chunk length: the
         # last is a padding step, the identity
-        assert len(inward.table) > K - 1
-        assert np.array_equal(inward.table[-1] @ [1.0, 2.0, 4.0, 8.0, 16.0],
+        assert len(inward) > K - 1
+        assert np.array_equal(inward[-1] @ [1.0, 2.0, 4.0, 8.0, 16.0],
                               [1.0, 0.0, 0.0, 1.0])
         # widths that make the chunk-length rule pick each of its lengths on
         # the 4000-point grid; each batch matches at node 2 (the inward
         # sweep, turning the other way, then counts nearly all nodes), at
-        # the last node of an outward and of an inward chunk of its own
-        # length (the chunk's last step, where that reaches a node), and at
-        # node K - 2
+        # the last node of an outward and of an inward chunk (the chunk's
+        # last step, where that reaches a node), and at node K - 2, so it
+        # runs both whole tables end to end in chunks of one length
         widths = [240, 60, 34, 17, 1]
         m_inf = system.asymptotic_mass
         E = np.linspace(-m_inf + 1e-6, m_inf - 1e-6, sum(widths))
@@ -860,19 +905,15 @@ class TestChunkedSweep:
         match = np.empty(E.size, dtype=int)
         lengths = set()
         # the grid node each step reaches, or -1
-        out_node, in_node = (np.full(len(s.table), -1)
-                             for s in (outward, inward))
-        for nodes, steps in ((out_node, outward), (in_node, inward)):
-            nodes[steps.reach[steps.reach >= 0]] = np.flatnonzero(
-                steps.reach >= 0)
+        out_node, in_node = (np.full(len(t), -1) for t in ch.table)
+        for nodes, reach in zip((out_node, in_node), ch.reach):
+            nodes[reach[reach >= 0]] = np.flatnonzero(reach >= 0)
         for sel in batches:
-            L_out = oracle._chunk_length(len(outward.table), sel.size)
-            L_in = oracle._chunk_length(len(inward.table), sel.size)
-            lengths |= {L_out, L_in}
-            ends = out_node.reshape(-1, L_out).max(axis=1)
+            L = oracle._chunk_length(len(outward) + len(inward), sel.size)
+            lengths.add(L)
+            ends = out_node.reshape(-1, L).max(axis=1)
             match[sel] = np.resize(
-                [2, ends[ends >= 0][-2], in_node[L_in - 1], K - 2],
-                sel.size)
+                [2, ends[ends >= 0][-2], in_node[L - 1], K - 2], sel.size)
         if points == 4000:
             assert lengths == {16, 32, 64, 128}
         want_m, want_n, want_g = _stepwise_shoot(system, l, mode, E, grid,
@@ -894,50 +935,100 @@ class TestChunkedSweep:
     @pytest.mark.parametrize("name", ["reference_system", "set_a"])
     def test_truncated_sweeps_match_stepwise_sweep(self, name, request,
                                                    monkeypatch):
-        # a sweep runs the steps up to the one reaching its batch's
+        # each direction runs the steps up to the one reaching its batch's
         # farthest matching node, rounded up to whole 128-step blocks:
         # batches matching at node 2 or at node K - 2 cut one direction
-        # to a block or a few, and a batch matching between two nodes whose
-        # steps fall mid-block cuts both inside the grid
+        # to a block, and a batch matching between two nodes whose steps
+        # fall mid-block cuts both inside the grid.  Every step past a
+        # direction's cut is NaN in a copy of its table, which a sweep
+        # reading it would carry into its result, and the chunk length
+        # sees the sum of the two cuts
         system = request.getfixturevalue(name)
         span = default_grid(system)
         grid = RadialGrid(r_min=span.r_min, r_max=span.r_max, points=4000)
         l, mode = (0, "approx") if name == "reference_system" else (1, "exact")
         K = grid.points
         ch = oracle._channel(system, l, mode, grid)
-        outward, inward = ch.outward, ch.inward
+        reach = ch.reach
         node = np.arange(K)
-        hi = node[(outward.reach % 128 == 64) & (node < 2 * K // 3)][-1]
-        lo = node[(inward.reach % 128 == 64) & (node > K // 3)][0]
+        hi = node[(reach[0] % 128 == 64) & (node < 2 * K // 3)][-1]
+        lo = node[(reach[1] % 128 == 64) & (node > K // 3)][0]
         m_inf = system.asymptotic_mass
         E = np.linspace(-m_inf + 1e-6, m_inf - 1e-6, 3 * 17)
         match = np.concatenate([np.full(17, 2), np.full(17, K - 2),
                                 np.linspace(lo, hi, 17).astype(int)])
         want_m, want_n, want_g = _stepwise_shoot(system, l, mode, E, grid,
                                                  match)
-
-        chunk_length = oracle._chunk_length
-        seen = []
-
-        def spy(S, B):
-            seen.append(S)
-            return chunk_length(S, B)
-
-        monkeypatch.setattr(oracle, "_chunk_length", spy)
+        seen = self._chunk_lengths(monkeypatch)
         for sel in np.split(np.arange(E.size), 3):
+            cut = [128 * (r[match[sel]].max() // 128 + 1) for r in reach]
+            step = np.arange(len(ch.table[0]))[:, None, None]
+            cut_off = ch._replace(table=tuple(
+                np.where(step < n, t, np.nan) for t, n in zip(ch.table, cut)))
             seen.clear()
-            got_m, got_n, got_g = oracle._shoot(ch, E[sel], match[sel])
+            got_m, got_n, got_g = oracle._shoot(cut_off, E[sel], match[sel])
             assert np.max(np.abs(got_m - want_m[sel])) <= 1e-12
             assert np.array_equal(got_n, want_n[sel])
             assert np.array_equal(got_g, want_g[sel])
-            farthest = [outward.reach[match[sel]].max(),
-                        inward.reach[match[sel]].max()]
-            assert seen == [128 * (s // 128 + 1) for s in farthest]
+            assert seen == [(sum(cut), 17)]
         # the last batch's farthest steps lie mid-block, well inside the
         # tables
-        assert seen == [outward.reach[hi] + 64, inward.reach[lo] + 64]
-        assert seen[0] < 0.8 * len(outward.table)
-        assert seen[1] < 0.8 * len(inward.table)
+        assert cut == [reach[0, hi] + 64, reach[1, lo] + 64]
+        assert all(n < 0.8 * len(t) for n, t in zip(cut, ch.table))
+
+    @pytest.mark.parametrize("name", ["reference_system", "set_a"])
+    def test_segment_edges_match_stepwise_sweep(self, name, request,
+                                                monkeypatch):
+        # the recursive doubling runs over both directions' chunks at once
+        # and must not carry a product across from one into the other.  On
+        # the 4000-node mesh (32 blocks a direction), 120 energies matched
+        # at node 2 run a one-chunk outward segment beside 32 inward
+        # chunks of 128 steps, and matched at node K - 2 the reverse; at
+        # node K/2 both directions run 16 blocks, in 16 chunks each for
+        # 120 energies and in 128 each for one.  On a 120-node mesh (one
+        # block a direction) 1600 energies, half matched at node 2 and
+        # half at node K - 2, run one chunk in each direction
+        system = request.getfixturevalue(name)
+        span = default_grid(system)
+        l, mode = (0, "approx") if name == "reference_system" else (1, "exact")
+        m_inf = system.asymptotic_mass
+        seen = self._chunk_lengths(monkeypatch)
+        for points, width, nodes, chunks in (
+                (4000, 120, [2], (1, 32)), (4000, 120, [-2], (32, 1)),
+                (4000, 120, [2000], (16, 16)), (4000, 1, [2000], (128, 128)),
+                (120, 1600, [2, -2], (1, 1))):
+            grid = RadialGrid(r_min=span.r_min, r_max=span.r_max,
+                              points=points)
+            ch = oracle._channel(system, l, mode, grid)
+            E = np.linspace(-m_inf + 1e-6, m_inf - 1e-6, width)
+            match = np.resize(nodes, width) % points
+            seen.clear()
+            got_m, got_n, got_g = oracle._shoot(ch, E, match)
+            (S, B), = seen
+            S_o, S_i = (128 * (r[match].max() // 128 + 1) for r in ch.reach)
+            L = oracle._chunk_length(S, B)
+            assert (S, B) == (S_o + S_i, width)
+            assert (S_o // L, S_i // L) == chunks
+            want_m, want_n, want_g = _stepwise_shoot(system, l, mode, E,
+                                                     grid, match)
+            assert np.max(np.abs(got_m - want_m)) <= 1e-12
+            resolved = _max_step_turn(system, l, mode, E, grid) <= 4.0
+            assert resolved.all() or points == 120
+            assert np.array_equal(got_n[resolved], want_n[resolved])
+            assert np.array_equal(got_g, want_g)
+
+    @staticmethod
+    def _chunk_lengths(monkeypatch):
+        """Record the (S, B) of each chunk-length choice, the choice left
+        as it is."""
+        chunk_length, seen = oracle._chunk_length, []
+
+        def spy(S, B):
+            seen.append((S, B))
+            return chunk_length(S, B)
+
+        monkeypatch.setattr(oracle, "_chunk_length", spy)
+        return seen
 
     def test_shoot_memory(self, reference_system):
         # the node count comes from (chunks, energies) arrays: one

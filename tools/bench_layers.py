@@ -18,9 +18,11 @@ N timed calls (default 30) after one untimed call, in seconds:
 * ``solvers``: ``energy_root_solve`` and ``wavefunction`` of n = l = 0,
   ``energy_closed_form`` with ``satisfies_quantization`` on each level of
   n <= 3, l <= 2 (the closed-form spectrum's labels), one l = 0 oracle
-  ``_channel`` build, the oracle's ``_shoot`` of 1 and of
-  240 energies over the binding window, and one full-window l = 0 and
-  l = 1 ``find_bound_states``;
+  ``_channel`` build, the oracle's ``_shoot`` of 1, 2 and 240 energies
+  over the binding window (the middle one, two and all of 240 evenly
+  spaced), of 17 over (0.7, 0.8) and of 60 over (0.7, 0.999), each energy
+  matched at its turning index, and one full-window l = 0 and l = 1
+  ``find_bound_states``;
 * ``shots``: the sweeps, the energies and the first-row energies that
   the oracle shoots (exact counts, not timings), counted by wrapping
   ``_shoot`` and ``find_bound_states``: per solve, the first sweep is its
@@ -130,21 +132,28 @@ def solver_layers(repeat):
     system = PhysicalSystem(V0=0.1, beta=0.2, m0=1.0)
     energy = max(level.value for level in energy_root_solve(system, 0, 0))
     channel = oracle._channel(system, 0, "approx", default_grid(system))
-    E = np.linspace(*binding_window(system), 240)
-    powers = np.vander(E, 3, increasing=True).T
-    try:        # a mesh channel names the node its search aims at
-        match = oracle._nearest_crossing(channel.w, powers, channel.target)
-    except AttributeError:      # a uniform grid's search aims at K//3
-        match = oracle._nearest_crossing(channel.w, powers)
+    window = np.linspace(*binding_window(system), 240)
+
+    def shot(E):
+        powers = np.vander(E, 3, increasing=True).T
+        try:        # a mesh channel names the node its search aims at
+            match = oracle._nearest_crossing(channel.w, powers,
+                                             channel.target)
+        except AttributeError:      # a uniform grid's search aims at K//3
+            match = oracle._nearest_crossing(channel.w, powers)
+        return best(repeat, oracle._shoot, channel, E, match)
+
     return {
         "energy_root_solve_s": best(repeat, energy_root_solve, system, 0, 0),
         "wavefunction_s": best(repeat, wavefunction, system, 0, 0, energy),
         "closed_form_labels_s": best(repeat, closed_form_labels, system),
         "channel_s": best(repeat, oracle._channel, system, 0, "approx",
                           default_grid(system)),
-        "shoot_B1_s": best(repeat, oracle._shoot, channel, E[120:121],
-                           match[120:121]),
-        "shoot_B240_s": best(repeat, oracle._shoot, channel, E, match),
+        "shoot_B1_s": shot(window[120:121]),
+        "shoot_B2_s": shot(window[120:122]),
+        "shoot_B17_s": shot(np.linspace(0.7, 0.8, 17)),
+        "shoot_B60_s": shot(np.linspace(0.7, 0.999, 60)),
+        "shoot_B240_s": shot(window),
         "find_bound_states_l0_s": best(max(1, repeat // 10),
                                        find_bound_states, system, 0),
         "find_bound_states_l1_s": best(max(1, repeat // 10),
@@ -213,8 +222,12 @@ def shot_counts():
     finally:
         oracle._shoot, oracle.find_bound_states = shoot, solve
     channel = oracle._channel(reference, 0, "approx", default_grid(reference))
-    counts["reference_outward_steps"] = len(channel.outward.table)
-    counts["reference_inward_steps"] = len(channel.inward.table)
+    try:        # the outward table and the inward one derived from it
+        outward, inward = channel.table
+    except AttributeError:      # each direction's table built on its own
+        outward, inward = channel.outward.table, channel.inward.table
+    counts["reference_outward_steps"] = len(outward)
+    counts["reference_inward_steps"] = len(inward)
     return counts
 
 
