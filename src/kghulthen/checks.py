@@ -159,7 +159,9 @@ def run_validation(system: PhysicalSystem,
         worst = max(worst, best / max(abs(level.value), 1e-3 * system.m0))
     add("closed_vs_root_solve", worst, 1e-9)
 
-    # 6. constant-mass reduction (only defined for m1 = 0)
+    # 6. constant-mass reduction (only defined for m1 = 0), on row 5's
+    #    scale max(|E|, 1e-3*m0): two closed forms of a root near E = 0
+    #    differ by rounding of the levels' own size, not of |E|
     if system.m1 == 0.0:
         worst = 0.0
         for (n, l), general in pairs.items():
@@ -171,7 +173,7 @@ def run_validation(system: PhysicalSystem,
                 continue
             for g, sp in zip(general, special):
                 worst = max(worst, abs(g.value - sp.value)
-                            / max(abs(sp.value), 1e-300))
+                            / max(abs(sp.value), 1e-3 * system.m0))
         add("constant_mass_reduction", worst, 1e-12)
 
     # 7. the two branches are mirror partners about the closed form's

@@ -14,16 +14,17 @@ and inward from r_max, each energy matched at its classical turning point
 uniform in x = ln r + r/L (``_mesh``; geometric at the origin, even in
 the tail; as L -> infinity, Langer's transformation, R. E. Langer, Phys.
 Rev. 51, 669 (1937)).  A solve builds its channel once (``_channel``).
-Each RK4 step is a 2x2 linear map whose entries are polynomials in E
-(``_map_table``), built once per channel for the outward direction: the
-inward step over the same interval is its adjugate, and carried as psi =
-(phi, -p) it is the outward map with its diagonal swapped, so the inward
-table is the outward one's rows reversed and permuted (``_padded``).  One
-sweep (``_sweep``) runs both directions of a shot end to end on one chunk
-axis: it forms the maps for a batch of energies as matrix products of the
-step tables with the powers of E, never W itself, chains each direction's
-chunk transfer matrices by a recursive doubling that stops at the
-boundary between the two, and counts nodes from the chunk matrices.
+Each RK4 step is a 2x2 linear map whose entries are polynomials in E,
+and one table holds both directions' maps (``_map_table``), built once
+per channel from the outward steps: the inward step over the same
+interval is its adjugate, and carried as psi = (phi, -p) it is the
+outward map with its diagonal swapped, so the inward rows are the
+outward ones reversed and permuted.  One sweep (``_sweep``) runs both
+directions of a shot end to end on one chunk axis: it forms the maps
+for a batch of energies as matrix products of the step tables with the
+powers of E, never W itself, chains each direction's chunk transfer
+matrices by a recursive doubling that stops at the boundary between the
+two, and counts nodes from the chunk matrices.
 ``find_bound_states`` brackets and refines the eigenvalues in one loop of
 such sweeps; its docstring states the bracket rule, what ``converged``
 means and when the grid is too coarse for the states.  Its first scan row
@@ -166,40 +167,39 @@ def _mesh(r_min, r_max, K, L):
             (y1 - y0) / (K - 1))
 
 
-def _map_table(h, c):
-    """One RK4 step of (phi, p)' = (p, W phi) per entry of h, as the
-    coefficients of its 2x2 matrix (m11, m12, m21, m22) in powers of E,
-    shape (S, 4, 5) for E**0 ... E**4.  With W sampled at the step's
-    start, midpoint and end,
+def _map_table(h, w):
+    """The RK4 steps of (phi, p)' = (p, W phi) across a mesh of K nodes
+    for both sweep directions, h the node spacing and w (2K - 1, 3) W~'s
+    coefficient rows at the start, midpoint, end, midpoint, end, ... of
+    the outward steps: each step as the coefficients of its 2x2 matrix
+    (m11, m12, m21, m22) in powers of E, shape (2, S, 4, 5) for the two
+    directions and E**0 ... E**4.  With W sampled at the step's start,
+    midpoint and end,
 
         m11 = 1 + h^2/6 (Wa + 2 Wm) + h^4/24 Wm Wa
         m12 = h + h^3/6 Wm
         m21 = h/6 [Wa + 4 Wm + Wb + h^2/2 Wm (Wa + Wb)]
         m22 = 1 + h^2/6 (2 Wm + Wb) + h^4/24 Wb Wm
 
-    and each W is the quadratic c[i] @ (1, E, E**2) at sample i, step j
-    running over samples 2j, 2j + 1, 2j + 2, so each entry has degree at
-    most 4.  A step with h = 0 is exactly the identity.  The step back over
-    the same interval (h -> -h, Wa <-> Wb) is the adjugate [[m22, -m12],
-    [-m21, m11]] of these formulas, so one table serves both sweep
-    directions (``_padded``).  The table is built
-    _MAP_BLOCK steps at a time: a block's entries accumulate in contiguous
-    (5, n) arrays, then are written into its rows."""
-    table = np.empty((len(h), 4, 5))
-    for j0 in range(0, len(h), _MAP_BLOCK):
-        hb = h[j0:j0 + _MAP_BLOCK]
-        table[j0:j0 + hb.size] = _map_block(
-            hb, c[2 * j0:2 * (j0 + hb.size) + 1].T.copy()).transpose(2, 0, 1)
-    return table
-
-
-def _map_block(h, c):
-    """_map_table's entries for the n steps h, (4, 5, n), from the W
-    coefficients c, (3, 2n + 1), at their samples."""
-    m = np.zeros((4, 5, h.size))
-    m11, m12, m21, m22 = m
+    and each W is the quadratic w[i] @ (1, E, E**2) at sample i, outward
+    step j going from node j to j + 1 over samples 2j, 2j + 1, 2j + 2, so
+    each entry has degree at most 4.  Inward step j goes back from node K
+    - 1 - j to K - 2 - j, over the interval of outward step K - 2 - j, and
+    the step back over an interval (h -> -h, Wa <-> Wb) is the adjugate
+    [[m22, -m12], [-m21, m11]] of these formulas.  Carried in the frame
+    psi = (phi, -p), a sweep in -x, it is [[m22, m12], [m21, m11]] with no
+    sign flip, so the inward table is the outward one's rows in reverse
+    order with the entries (m22, m12, m21, m11).  Each direction's K - 1
+    steps are padded with identity steps to S, a multiple of _MAX_CHUNK,
+    so that every power-of-two chunk length up to _MAX_CHUNK splits it
+    into whole chunks by reshaping alone.  The outward steps are built
+    _MAP_BLOCK at a time: a block's entries accumulate in contiguous (5,
+    n) arrays, then are written into its rows."""
+    K = (len(w) + 1) // 2
+    table = np.zeros((2, K - 1 + (1 - K) % _MAX_CHUNK, 4, 5))
+    out, back = table
+    c = w.T.copy()
     q = h * h / 6.0
-    Wa, Wm, Wb = c[:, :-1:2], c[:, 1::2], c[:, 2::2]
 
     def add(m, f, a, b=None):        # m += f * a, or f * a * b
         if b is None:
@@ -208,46 +208,25 @@ def _map_block(h, c):
             for i in range(3):
                 m[i:i + 3] += (f * a[i]) * b
 
-    m11[0] = m22[0] = 1.0
-    m12[0] = h
-    add(m11, q, Wa + 2.0 * Wm)
-    add(m11, 1.5 * q * q, Wm, Wa)
-    add(m12, h * q, Wm)
-    add(m21, h / 6.0, Wa + 4.0 * Wm + Wb)
-    add(m21, h * q / 2.0, Wm, Wa + Wb)
-    add(m22, q, 2.0 * Wm + Wb)
-    add(m22, 1.5 * q * q, Wb, Wm)
-    return m
-
-
-def _padded(h, w):
-    """The step table and reach of both sweep directions across a mesh of
-    K nodes, h the node spacing and w (2K - 1, 3) W~'s coefficient rows at
-    the start, midpoint, end, midpoint, end, ... of the outward steps.
-
-    table holds each direction's K - 1 RK4 steps as map coefficients in
-    powers of E, (S, 4, 5) (``_map_table``), padded with identity steps (h
-    = 0) to S, a multiple of _MAX_CHUNK, so that every power-of-two chunk
-    length up to _MAX_CHUNK splits it into whole chunks by reshaping
-    alone.  The outward table is built once: its step j goes from node j
-    to j + 1.  Inward step j goes back from node K - 1 - j to K - 2 - j,
-    over the interval of outward step K - 2 - j, and its map is that
-    step's adjugate [[m22, -m12], [-m21, m11]].  Carried in the frame psi
-    = (phi, -p), a sweep in -x, it is [[m22, m12], [m21, m11]] with no
-    sign flip, so the inward table is the outward one's real rows in
-    reverse order with the entries (m22, m12, m21, m11).  reach[d, k] is
-    the index of direction d's step that reaches node k, -1 at the
-    direction's start node."""
-    K = (len(w) + 1) // 2
-    pad = -(K - 1) % _MAX_CHUNK
-    out = _map_table(np.r_[np.full(K - 1, h), np.zeros(pad)],
-                     np.pad(w, ((0, 2 * pad), (0, 0))))
-    back = np.empty_like(out)
+    for j0 in range(0, K - 1, _MAP_BLOCK):
+        n = min(_MAP_BLOCK, K - 1 - j0)
+        Wa, Wm, Wb = (c[:, 2 * j0 + i:2 * (j0 + n) + i:2] for i in range(3))
+        m = np.zeros((4, 5, n))
+        m11, m12, m21, m22 = m
+        m11[0] = m22[0] = 1.0
+        m12[0] = h
+        add(m11, q, Wa + 2.0 * Wm)
+        add(m11, 1.5 * q * q, Wm, Wa)
+        add(m12, h * q, Wm)
+        add(m21, h / 6.0, Wa + 4.0 * Wm + Wb)
+        add(m21, h * q / 2.0, Wm, Wa + Wb)
+        add(m22, q, 2.0 * Wm + Wb)
+        add(m22, 1.5 * q * q, Wb, Wm)
+        out[j0:j0 + n] = m.transpose(2, 0, 1)
     for i, j in enumerate((3, 1, 2, 0)):
         back[:K - 1, i] = out[K - 2::-1, j]
-    back[K - 1:] = out[K - 1:]
-    return (out, back), np.stack([np.arange(-1, K - 1),
-                                  np.arange(K - 2, -2, -1)])
+    table[:, K - 1:, [0, 3], 0] = 1.0
+    return table
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -332,8 +311,7 @@ def _band(system, r, w, g):
 class _Channel(NamedTuple):
     """One (system, l, mode, grid) channel as a solve reads it."""
 
-    table: tuple         # outward and inward steps, (S, 4, 5) each (_padded)
-    reach: np.ndarray    # (2, K) each direction's step reaching each node
+    table: np.ndarray    # (2, S, 4, 5) outward, inward steps (_map_table)
     w: np.ndarray        # (K, 3) W's coefficients at the mesh nodes
     turn: np.ndarray     # (K, 3) h**2 W~'s coefficients at the mesh nodes
     r: np.ndarray        # (K,) the mesh nodes' radii
@@ -344,16 +322,16 @@ class _Channel(NamedTuple):
 
 
 def _channel(system, l, mode, grid):
-    """Step tables, start data, origin series and no-state band of one
+    """Step table, start data, origin series and no-state band of one
     channel on its mesh.
 
     The sweeps integrate chi'' = W~ chi on grid.points nodes uniform in x =
     ln r + r/L, L = _MAP_LENGTH/beta (``_mesh``), phi = sqrt(r') chi and W~
     = r'**2 W - {r; x}/2, quadratic in E as W is (the Schwarzian holds no
-    E).  One step table serves both directions (``_padded``); the band
-    reads W itself at the samples' radii.  Row k of w is W's coefficients
-    at node k, so that ``w @ (1, E, E**2)`` is W there, and row k of turn
-    is h**2 W~'s.
+    E).  One step table, built from the mesh's one spacing h, serves both
+    directions (``_map_table``); the band reads W itself at the samples'
+    radii.  Row k of w is W's coefficients at node k, so that ``w @ (1, E,
+    E**2)`` is W there, and row k of turn is h**2 W~'s.
     The origin series comes first, so an over-attractive origin raises
     before W~'s finiteness check.
     """
@@ -368,7 +346,7 @@ def _channel(system, l, mode, grid):
             f"ODE coefficient not finite at r_min={grid.r_min!r}; "
             "the origin offset is too small for these parameters")
     nodes = r[::2]
-    return _Channel(*_padded(h, wt), w[::2].copy(),
+    return _Channel(_map_table(h, wt), w[::2].copy(),
                     h * h * wt[::2], nodes,
                     int(np.argmin(np.abs(nodes - nodes[-1] / 3.0))),
                     np.stack([slope, 0.5 * curve])[:, [0, -1]].T, series,
@@ -400,15 +378,17 @@ def _sweep(ch, start, EP, match_idx):
     """Run both directions of the channel ``ch`` for a batch of energies
     from the start states start[:, d], (phi, p) of shape (2, B), of
     direction d (0 outward, 1 inward in the frame psi = (phi, -p) of
-    ``_padded``), as one two-level scan over chunks of its step table; EP
-    holds the powers (1, E, E**2, E**3, E**4) of the batch's energies.
+    ``_map_table``), as one two-level scan over chunks of its step table;
+    EP holds the powers (1, E, E**2, E**3, E**4) of the batch's energies.
 
     Each direction runs the S_d steps up to the one reaching the batch's
     farthest matching node, S_d rounded up to a multiple of _MAX_CHUNK,
     and the two runs lie end to end on one chunk axis: the C_o outward
-    chunks, then the C_i inward ones.  The chunk length L comes from S_o +
-    S_i and the batch width B (_chunk_length): a narrow batch runs 16 rows
-    over many chunks, a wide one longer, fewer chunks.  Every chunk's
+    chunks, then the C_i inward ones.  On a mesh of K nodes, match node m
+    is reached by outward step m - 1 and by inward step K - 2 - m
+    (``_shoot`` keeps 1 <= m <= K - 2).  The chunk length L comes from S_o
+    + S_i and the batch width B (_chunk_length): a narrow batch runs 16
+    rows over many chunks, a wide one longer, fewer chunks.  Every chunk's
     transfer matrix is built in L row passes, taken in blocks of R rows:
     the RK4 maps of a block, about _CHUNK_CELLS chunk x energy cells per
     entry, are two matrix products, one per direction, of the block's
@@ -445,9 +425,9 @@ def _sweep(ch, start, EP, match_idx):
     GridResolution when a chunk matrix, a chunk start state or a matched
     state overflows between rescalings.
     """
-    B = EP.shape[1]
-    s = ch.reach[:, match_idx]
-    S = (np.maximum(s.max(axis=1), 0) // _MAX_CHUNK + 1) * _MAX_CHUNK
+    B, K = EP.shape[1], len(ch.r)
+    s = np.stack([match_idx - 1, K - 2 - match_idx])
+    S = (s.max(axis=1) // _MAX_CHUNK + 1) * _MAX_CHUNK
     L = _chunk_length(int(S.sum()), B)
     Co, Ci = S // L
     C = Co + Ci
@@ -469,12 +449,11 @@ def _sweep(ch, start, EP, match_idx):
     turned = np.empty((C, B), dtype=bool)
     s = s.ravel()
     col = np.tile(np.arange(B), 2)
-    mc = np.where(s < 0, 0, s // L) + np.repeat([0, Co], B)
-    mj = np.where(s < 0, -1, s % L)
+    mc = s // L + np.repeat([0, Co], B)
+    mj = s % L
     cap = {j: np.flatnonzero(mj == j) for j in set(mj.tolist())}
-    cm = np.zeros((2, 2, 2 * B))
-    cm[0, 0] = cm[1, 1] = 1.0
-    cn = np.zeros(2 * B, dtype=np.uint8)
+    cm = np.empty((2, 2, 2 * B))        # every column has its match row
+    cn = np.empty(2 * B, dtype=np.uint8)
     maps = np.empty((R, 4, C, B))
     for j0 in range(0, L, R):
         rows = maps[:min(R, L - j0)]
@@ -522,7 +501,7 @@ def _sweep(ch, start, EP, match_idx):
         raise GridResolution(
             "oracle sweep overflowed: phi is not finite; the grid is too "
             "coarse for these parameters; increase grid.points "
-            f"(currently {ch.reach.shape[1]})")
+            f"(currently {K})")
 
     # 3. the solution's sign changes in every chunk from u's: a chunk ends
     # at the next one's start state, the match chunk at the matched state
@@ -545,8 +524,10 @@ def _shoot(ch, E, match_idx):
     """Two-sided sweep of the channel ``ch`` for a batch of energies, both
     directions in one ``_sweep``: outward from the origin series at r_min,
     inward from the decaying start at r_max given as psi = (chi, -chi'),
-    the frame of the inward step table (``_padded``), whose second entry
-    is negated back at the match.
+    the frame of the inward step table (``_map_table``), whose second
+    entry is negated back at the match.  Each match_idx is a mesh node
+    with 1 <= match_idx <= K - 2, so that both directions take at least
+    one step; ``_nearest_crossing`` clips its indices to [2, K - 2].
 
     Returns (mismatch, nodes, glue): the Wronskian-normalized
     log-derivative defect at each energy's matching index (of the same

@@ -110,3 +110,27 @@ def test_root_gap_of_2e_9_fails(reference_system, monkeypatch):
         "closed_vs_root_solve"]
     assert not row.passed
     assert row.value == pytest.approx(2e-9, rel=1e-3)
+
+
+def test_reduction_gap_near_zero_energy_is_read_on_the_solve_scale(capsys):
+    # the n = 2 lower roots of the two closed forms, 1.3e-15 and 8.5e-16,
+    # differ by 4.7e-16: against |E| the row read 0.553 and failed, on
+    # the scale 1e-3*m0 it reads 4.7e-13
+    assert main(["validate", "--V0", "0.24282957427032842", "--beta", "0.69",
+                 "--m0", "1"]) == 0
+    row, = (r for r in capsys.readouterr().out.splitlines()
+            if r.startswith("constant_mass_reduction,"))
+    assert row.split(",")[1] == "pass"
+
+
+def test_reduction_gap_of_2e_12_fails(reference_system, monkeypatch):
+    # every reference level sits at |E| >= 1e-3*m0, where the row is the
+    # gap relative to |E|: reduced roots moved by 2e-12 of their value fail
+    reduced = ha.energy_constant_mass_s
+    monkeypatch.setattr(ha, "energy_constant_mass_s", lambda *args: [
+        dataclasses.replace(lv, value=lv.value * (1.0 + 2e-12))
+        for lv in reduced(*args)])
+    row = {c.name: c for c in run_validation(reference_system)}[
+        "constant_mass_reduction"]
+    assert not row.passed
+    assert row.value == pytest.approx(2e-12, rel=1e-2)

@@ -465,6 +465,14 @@ def _turning(ch, E):
                                     ch.target)
 
 
+def _steps_to(K, node):
+    """The index of the step of each sweep direction that reaches each of
+    the nodes ``node`` of a K-node channel, (2, node.size): outward step
+    node - 1 and inward step K - 2 - node, -1 at a direction's start."""
+    node = np.asarray(node)
+    return np.stack([node - 1, K - 2 - node])
+
+
 def _argmin_crossing(W, target):
     """Reference for oracle._nearest_crossing: the argmin over a distance
     score, which the search replaced."""
@@ -802,34 +810,38 @@ class TestMesh:
 
 class TestChunkedSweep:
     def test_rk4_map_is_one_rk4_step(self):
-        # the step table's coefficients times the powers of a random E are
-        # the images of (1, 0) and (0, 1) under one reference RK4 step, W
-        # sampled from the same quadratics, to 1e-14 of each entry's scale
+        # the outward rows of the step table times the powers of a random E
+        # are the images of (1, 0) and (0, 1) under one reference RK4 step,
+        # W sampled from the same quadratics, to 1e-14 of each entry's
+        # scale, at spacings of either sign and 0.  The 2000 steps span two
+        # blocks of the build, and the 48 padding rows of each direction
+        # are exactly the identity
         rng = np.random.default_rng(7)
-        h = rng.uniform(-0.5, 0.5, 2000)
-        h[:20] = 0.0
-        c = np.column_stack([rng.uniform(-20.0, 20.0, 2 * h.size + 1),
-                             rng.uniform(-5.0, 5.0, 2 * h.size + 1),
-                             np.full(2 * h.size + 1, -1.0 / 0.9**2)])
-        table = oracle._map_table(h, c)
-        assert table.shape == (h.size, 4, 5)
-        E = rng.uniform(-1.2, 1.2, h.size)
+        K = 2001
+        c = np.column_stack([rng.uniform(-20.0, 20.0, 2 * K - 1),
+                             rng.uniform(-5.0, 5.0, 2 * K - 1),
+                             np.full(2 * K - 1, -1.0 / 0.9**2)])
+        E = rng.uniform(-1.2, 1.2, K - 1)
         powers = np.vander(E, 5, increasing=True)
-        got = np.einsum("sij,sj->is", table, powers)
-        Wa, Wm, Wb = (np.sum(c[i:i + 2 * h.size:2] * powers[:, :3], axis=1)
+        Wa, Wm, Wb = (np.sum(c[i:i + 2 * (K - 1):2] * powers[:, :3], axis=1)
                       for i in range(3))
-        one, zero = np.ones(h.size), np.zeros(h.size)
-        (m11, m21), (m12, m22) = (_rk4(one, zero, h, Wa, Wm, Wb),
-                                  _rk4(zero, one, h, Wa, Wm, Wb))
-        scale = (1.0, np.abs(h),
-                 np.abs(h) * (np.abs(Wa) + 4.0 * np.abs(Wm) + np.abs(Wb))
-                 / 6.0, 1.0)
-        for g, want, sc in zip(got, (m11, m12, m21, m22), scale):
-            assert np.all(np.abs(g - want) <= 1e-14 * sc)
-        # h = 0 is the identity, exactly, at every energy
+        one, zero = np.ones(K - 1), np.zeros(K - 1)
         identity = np.zeros((4, 5))
         identity[[0, 3], 0] = 1.0
-        assert np.all(table[:20] == identity)
+        for h in (0.5, 0.137, 1e-3, -0.25, -0.5, 0.0):
+            table = oracle._map_table(h, c)
+            assert table.shape == (2, 2048, 4, 5)
+            got = np.einsum("sij,sj->is", table[0, :K - 1], powers)
+            (m11, m21), (m12, m22) = (_rk4(one, zero, h, Wa, Wm, Wb),
+                                      _rk4(zero, one, h, Wa, Wm, Wb))
+            scale = (1.0, abs(h),
+                     abs(h) * (np.abs(Wa) + 4.0 * np.abs(Wm) + np.abs(Wb))
+                     / 6.0, 1.0)
+            for g, want, sc in zip(got, (m11, m12, m21, m22), scale):
+                assert np.all(np.abs(g - want) <= 1e-14 * sc)
+            assert np.all(table[:, K - 1:] == identity)
+        # h = 0 is the identity, exactly, at every step and energy
+        assert np.all(table == identity)
 
     @pytest.mark.parametrize("name", ["reference_system", "set_a"])
     @pytest.mark.parametrize("points", [120, None])
@@ -839,8 +851,10 @@ class TestChunkedSweep:
         # are with h -> -h over the reversed samples, is the adjugate
         # [[m22, -m12], [-m21, m11]] of the outward step over the same
         # interval, to 1e-14 of each entry's scale.  A channel builds one
-        # table and carries the inward steps in psi = (phi, -p), where each
-        # is [[m22, m12], [m21, m11]]
+        # table from the mesh's one spacing and carries the inward steps
+        # in psi = (phi, -p), where each is [[m22, m12], [m21, m11]]: its
+        # inward rows are the outward rows reversed and permuted, bit for
+        # bit
         system = request.getfixturevalue(name)
         grid = default_grid(system)
         if points is not None:
@@ -848,33 +862,28 @@ class TestChunkedSweep:
         l, mode = (0, "approx") if name == "reference_system" else (1, "exact")
         map_table, calls = oracle._map_table, []
 
-        def spy(h, c):
-            calls.append((h, c))
-            return map_table(h, c)
+        def spy(h, w):
+            calls.append((h, w))
+            return map_table(h, w)
 
         monkeypatch.setattr(oracle, "_map_table", spy)
         ch = oracle._channel(system, l, mode, grid)
         assert len(calls) == 1
-        (h, c), = calls
+        (h, w), = calls
         K = grid.points
-        pad = len(h) - (K - 1)
-        assert np.all(h[:K - 1] == h[0]) and h[0] > 0.0
-        assert np.all(h[K - 1:] == 0.0)
-        old = map_table(np.r_[np.full(K - 1, -h[0]), np.zeros(pad)],
-                        np.pad(c[:2 * K - 1][::-1], ((0, 2 * pad), (0, 0))))
+        assert np.ndim(h) == 0 and h > 0.0 and len(w) == 2 * K - 1
+        back = map_table(-h, w[::-1])[0]
         outward, inward = ch.table
-        flip = np.array([1.0, -1.0, -1.0, 1.0])[:, None]
-        adjugate = outward[K - 2::-1][:, [3, 1, 2, 0]] * flip
-        for got, want in ((old[:K - 1], adjugate),
-                          (inward[:K - 1], old[:K - 1] * flip)):
-            scale = np.maximum(np.abs(got), np.abs(want)).max(
-                axis=-1, keepdims=True)
-            assert np.all(np.abs(got - want) <= 1e-14 * scale)
-        # the padding steps are the identity in both tables
+        permuted = outward[K - 2::-1][:, [3, 1, 2, 0]]
+        adjugate = permuted * np.array([1.0, -1.0, -1.0, 1.0])[:, None]
+        scale = np.maximum(np.abs(back[:K - 1]), np.abs(adjugate)).max(
+            axis=-1, keepdims=True)
+        assert np.all(np.abs(back[:K - 1] - adjugate) <= 1e-14 * scale)
+        assert np.array_equal(inward[:K - 1], permuted)
+        # the padding steps are the identity in both directions
         identity = np.zeros((4, 5))
         identity[[0, 3], 0] = 1.0
-        assert np.all(inward[K - 1:] == identity)
-        assert np.all(outward[K - 1:] == identity)
+        assert np.all(ch.table[:, K - 1:] == identity)
 
     @pytest.mark.parametrize("name", ["reference_system", "set_a"])
     @pytest.mark.parametrize("points", [100, 120, 4000])
@@ -906,7 +915,8 @@ class TestChunkedSweep:
         lengths = set()
         # the grid node each step reaches, or -1
         out_node, in_node = (np.full(len(t), -1) for t in ch.table)
-        for nodes, reach in zip((out_node, in_node), ch.reach):
+        for nodes, reach in zip((out_node, in_node),
+                                _steps_to(K, np.arange(K))):
             nodes[reach[reach >= 0]] = np.flatnonzero(reach >= 0)
         for sel in batches:
             L = oracle._chunk_length(len(outward) + len(inward), sel.size)
@@ -949,8 +959,8 @@ class TestChunkedSweep:
         l, mode = (0, "approx") if name == "reference_system" else (1, "exact")
         K = grid.points
         ch = oracle._channel(system, l, mode, grid)
-        reach = ch.reach
         node = np.arange(K)
+        reach = _steps_to(K, node)
         hi = node[(reach[0] % 128 == 64) & (node < 2 * K // 3)][-1]
         lo = node[(reach[1] % 128 == 64) & (node > K // 3)][0]
         m_inf = system.asymptotic_mass
@@ -963,8 +973,8 @@ class TestChunkedSweep:
         for sel in np.split(np.arange(E.size), 3):
             cut = [128 * (r[match[sel]].max() // 128 + 1) for r in reach]
             step = np.arange(len(ch.table[0]))[:, None, None]
-            cut_off = ch._replace(table=tuple(
-                np.where(step < n, t, np.nan) for t, n in zip(ch.table, cut)))
+            cut_off = ch._replace(table=np.stack([
+                np.where(step < n, t, np.nan) for t, n in zip(ch.table, cut)]))
             seen.clear()
             got_m, got_n, got_g = oracle._shoot(cut_off, E[sel], match[sel])
             assert np.max(np.abs(got_m - want_m[sel])) <= 1e-12
@@ -1005,7 +1015,8 @@ class TestChunkedSweep:
             seen.clear()
             got_m, got_n, got_g = oracle._shoot(ch, E, match)
             (S, B), = seen
-            S_o, S_i = (128 * (r[match].max() // 128 + 1) for r in ch.reach)
+            S_o, S_i = (128 * (r.max() // 128 + 1)
+                        for r in _steps_to(points, match))
             L = oracle._chunk_length(S, B)
             assert (S, B) == (S_o + S_i, width)
             assert (S_o // L, S_i // L) == chunks

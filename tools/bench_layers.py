@@ -136,11 +136,7 @@ def solver_layers(repeat):
 
     def shot(E):
         powers = np.vander(E, 3, increasing=True).T
-        try:        # a mesh channel names the node its search aims at
-            match = oracle._nearest_crossing(channel.w, powers,
-                                             channel.target)
-        except AttributeError:      # a uniform grid's search aims at K//3
-            match = oracle._nearest_crossing(channel.w, powers)
+        match = oracle._nearest_crossing(channel.w, powers, channel.target)
         return best(repeat, oracle._shoot, channel, E, match)
 
     return {
@@ -222,10 +218,7 @@ def shot_counts():
     finally:
         oracle._shoot, oracle.find_bound_states = shoot, solve
     channel = oracle._channel(reference, 0, "approx", default_grid(reference))
-    try:        # the outward table and the inward one derived from it
-        outward, inward = channel.table
-    except AttributeError:      # each direction's table built on its own
-        outward, inward = channel.outward.table, channel.inward.table
+    outward, inward = channel.table
     counts["reference_outward_steps"] = len(outward)
     counts["reference_inward_steps"] = len(inward)
     return counts
