@@ -185,11 +185,13 @@ def run_validation(system: PhysicalSystem,
         worst = max(worst, abs(total - 2.0 * mid) / max(1.0, abs(total)))
     add("branch_midpoint_identity", worst, 1e-12)
 
-    # 8-10. shooting oracle: agreement and node counts of one l=0 scan (0
-    # with no genuine l=0 level, inf when the scan fails), and the modes'
-    # l=0 W at E=0 at 2K - 1 radii evenly spaced over the grid (inf where
-    # not finite); a state meets the level of its node count and branch
-    # (each solver's own label), so a Klein-Gordon pair sharing n meets both
+    # 8-10. shooting oracle: agreement, on row 5's scale max(|E|, 1e-3*m0)
+    # (the oracle stops within an absolute 1e-10*m0), and node counts of
+    # one l=0 scan (0 with no genuine l=0 level, inf when the scan fails),
+    # and the modes' l=0 W at E=0 at 2K - 1 radii evenly spaced over the
+    # grid (inf where not finite); a state meets the level of its node
+    # count and branch (each solver's own label), so a Klein-Gordon pair
+    # sharing n meets both
     targets = sorted((lv for lv in genuine if lv.l == 0),
                      key=lambda lv: lv.value)
     worst = node_bad = 0.0
@@ -209,7 +211,7 @@ def run_validation(system: PhysicalSystem,
                     node_bad += 1.0
                     continue
                 worst = max(worst, abs(match[0] - level.value)
-                            / max(abs(level.value), 1e-300))
+                            / max(abs(level.value), 1e-3 * system.m0))
         except SolverError:
             worst = node_bad = float("inf")
     add("oracle_agreement_l0", worst, 1e-6)

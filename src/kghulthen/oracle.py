@@ -25,13 +25,15 @@ for a batch of energies as matrix products of the step tables with the
 powers of E, never W itself, chains each direction's chunk transfer
 matrices by a recursive doubling that stops at the boundary between the
 two, and counts nodes from the chunk matrices.
-``find_bound_states`` brackets and refines the eigenvalues in one loop of
-such sweeps; its docstring states the bracket rule, what ``converged``
-means and when the grid is too coarse for the states.  Its first scan row
-shoots no energy inside the channel's no-state band (``_band``), where
-W - u''/u >= 0 at every sample for a positive trial function u: one of
-the family u = z**a exp(-k r), the shape of the n = 0 eigenfunction, or
-Hardy's u = r**(1/2), the case the family extends.  No state lies there.
+``find_bound_states`` brackets the eigenvalues in one loop of such sweeps
+and refines each bracket by inverse quadratic steps that end in a
+three-point closing stencil; its docstring states the bracket and
+refinement rules, what ``converged`` means and when the grid is too
+coarse for the states.  Its first scan row shoots no energy inside the
+channel's no-state band (``_band``), where W - u''/u >= 0 at every sample
+for a positive trial function u: one of the family u = z**a exp(-k r),
+the shape of the n = 0 eigenfunction, or Hardy's u = r**(1/2), the case
+the family extends.  No state lies there.
 One routine (``_no_state_band``) both scores an even scan of the
 family's rates and proves the slices of the two rates it picks.
 
@@ -612,6 +614,78 @@ def _check_phase(ch, E):
             f"grid.points (currently {len(ch.w)})")
 
 
+class _Bracket:
+    """One open bracket of ``find_bound_states``: its ends a < b with their
+    mismatches, the point e dropped by its last step with its mismatch
+    (None before the first), the sign of fb - fa at the scan ends, the
+    steps taken and whether the last one at least halved it."""
+
+    __slots__ = ("a", "b", "fa", "fb", "e", "fe", "rise", "steps", "halved")
+
+    def __init__(self, a, b, fa, fb):
+        self.a, self.b, self.fa, self.fb = a, b, fa, fb
+        self.e = self.fe = None
+        self.rise = (fb > fa) - (fb < fa)
+        self.steps, self.halved = 0, True
+
+    def points(self, tol):
+        """The ascending energies of the bracket's next step
+        (``find_bound_states``).  Every quotient is of two mismatches or
+        of two energy gaps, so no product of tiny mismatches underflows."""
+        a, b, fa, fb, e, fe = self.a, self.b, self.fa, self.fb, self.e, self.fe
+        mid = 0.5 * (a + b)
+        c = mid if fa == fb else a + (b - a) * (fa / (fa - fb))
+        three = e is not None and fa != fb
+        if three and fe != fa and fe != fb:     # inverse quadratic
+            q = (a * (fb / (fa - fb)) * (fe / (fa - fe))
+                 + b * (fa / (fb - fa)) * (fe / (fb - fe))
+                 + e * (fa / (fe - fa)) * (fb / (fe - fb)))
+            if a < q < b:
+                c = q
+        d = min(0.01 * (b - a), 0.5 * tol)
+        c = min(max(c, a + d), b - d)
+        x = [c]
+        if three:           # kappa = |f[a, b, e] / f[a, b]|
+            ratio = (fe - fb) / (fb - fa) * ((b - a) / (e - b))
+            kappa = abs((ratio - 1.0) / (e - a))
+            s = min(c - a, b - c)
+            if kappa * s * s < 0.1 * tol:       # the closing stencil
+                x = [c - min(0.45 * tol, 0.5 * (c - a)), c,
+                     c + min(0.45 * tol, 0.5 * (b - c))]
+        if not self.halved and not x[0] <= mid <= x[-1]:
+            x.insert(0 if mid < x[0] else len(x), mid)
+        return x
+
+    def narrow(self, x, f, tol):
+        """Narrow onto the first zero or sign change of the mismatch along
+        a, x, b (its top piece if none), x the step's energies and f their
+        mismatches; return None while the bracket is open, else the index
+        in x of the energy it reports."""
+        xs, fs = [self.a, *x, self.b], [self.fa, *f, self.fb]
+        last = len(xs) - 1
+        k = last
+        for i in range(1, last + 1):
+            if i < last and fs[i] == 0.0:
+                self.a = self.b = xs[i]
+                return i - 1
+            if (fs[i - 1] < 0.0) != (fs[i] < 0.0):
+                k = i
+                break
+        width = self.b - self.a
+        self.a, self.b, self.fa, self.fb = xs[k - 1], xs[k], fs[k - 1], fs[k]
+        below, above = k - 2, k + 1     # the nearest dropped on each side
+        if below < 0 or (above <= last
+                         and xs[above] - xs[k] < xs[k - 1] - xs[below]):
+            below = above
+        self.e, self.fe = xs[below], fs[below]
+        self.halved = self.b - self.a <= 0.5 * width
+        self.steps += 1
+        if self.b - self.a >= tol and self.steps < 120:
+            return None
+        ends = [i for i in (k - 1, k) if 0 < i < last]
+        return min(ends, key=lambda i: abs(fs[i])) - 1
+
+
 def find_bound_states(system: PhysicalSystem, l: int, window=None,
                       mode: str = "approx",
                       grid: Optional[RadialGrid] = None,
@@ -619,10 +693,11 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
     """All bound states of one (l, mode) channel inside the energy window.
 
     One loop of sweeps.  Each sweep shoots the current row(s) of scan
-    energies together with one false-position point per open bracket,
-    every energy matched at its own turning index.  The first row is
-    ``scan_points`` energies less each one whose two neighbours lie in the
-    channel's no-state band, so every merged piece lies inside the band.
+    energies together with the next step of every open bracket, one to
+    four energies, every energy matched at its own turning index.  The
+    first row is ``scan_points`` energies less each one whose two
+    neighbours lie in the channel's no-state band, so every merged piece
+    lies inside the band.
     There W - u''/u >= 0 at every sample of the sweeps for a positive
     trial function u (``_band``): u = z**a exp(-k r), or Hardy's u =
     r**(1/2), the case that family extends, with u ~ r**a, a <= g, at the
@@ -638,24 +713,39 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
     and scanned again, on the first row always (a root pair can straddle
     a jump), below it when the mismatch changes sign (it is continuous
     through a jump) or the count jumps by 2 or more (two states can share
-    a piece).  A piece still jumping below the tolerance is named in a
-    warning and refined as a bracket.
+    a piece).  A split row shoots its 15 new energies; its ends keep the
+    mismatches and counts of the row that shot them.  A piece still
+    jumping below the tolerance is named in a warning and refined as a
+    bracket.
 
     A bracket (a, b) starts from the mismatches its ends have from the
-    scan and is refined by Illinois false position (each point kept
-    min(0.01 * (b - a), tol/2) inside the bracket, a retained end's
-    mismatch halved when it is kept twice, an exact zero collapsing the
-    bracket) until it is narrower than tol = 1e-10 * m0 or has taken 120
-    steps.  The tol/2 bound is Brent's minimum step: an estimate already
-    within tol of the root closes its bracket on the next sweep instead
-    of being pushed past the root by 1% of a wide bracket.  On a bracket
-    wider than 50 * tol the clip is tol/2 and does not narrow it, so a
-    point moves off a retained end by Illinois halving alone; the 1% term
-    acts only below 50 * tol, where it keeps the last point near its
-    estimate (a tol/2 clip there moves it up to tol/2 off a steep root's
-    estimate, which can leave its mismatch above 1e-3).  A bracket
-    reports its last point, with that sweep's node count and mismatch;
-    ``converged`` says it was refined below tol with |mismatch| <= 1e-3.
+    scan, and each sweep takes one step on it after R. P. Brent (Comput.
+    J. 14, 422 (1971)): inverse quadratic interpolation through its ends
+    and the point its last step dropped (the nearer one when it dropped
+    two), false position before the first step and where the three
+    mismatches are not distinct or the interpolation leaves (a, b) (the
+    midpoint where the ends' mismatches are equal), the estimate kept
+    Brent's minimum step min(0.01 * (b - a), tol/2) inside the bracket.  The same three
+    points' divided differences give kappa = |f''/2f'| and predict the
+    estimate's error as kappa * s**2, s its distance to the nearer end.
+    Once that is below 0.1 * tol the step is a closing stencil: the
+    estimate, left where it is, and one point on each side, min(0.45 *
+    tol, half the distance to that end) away, so that a root that near
+    the estimate closes the bracket in the same sweep.  A step after one
+    that did not halve its bracket also shoots the bracket's midpoint, a
+    bisection safeguard as in G. E. Alefeld, F. A. Potra and Y. Shi
+    (ACM Trans. Math. Softw. 21, 327 (1995)): on any mismatch, a
+    discontinuous one too, where interpolation can land beside an end
+    and a stencil can miss the root, a bracket at least halves every two
+    sweeps.  The bracket narrows onto the first exact zero, which
+    collapses it, or sign change along its ends and the step's points
+    (its top piece where none changes sign), until it is narrower than
+    tol = 1e-10 * m0 or has taken 120 steps.  It reports whichever of
+    its ends its last step shot with the smaller |mismatch|, with that
+    sweep's node count and mismatch; ``converged`` says it was refined
+    below tol with |mismatch| <= 1e-3.  A step compares the signs of
+    mismatches rather than multiply them: a product of two mismatches of
+    1e-300 underflows to 0.
     Results are sorted by energy.
 
     A state is "upper" where its Klein-Gordon charge Q = integral of
@@ -689,47 +779,39 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
 
     tol = 1e-10 * system.m0
     v_max = np.max(system.potential_at(ch.r))
-    states = []
-    # open brackets: ends, their mismatches, the end last kept (-1 for a,
-    # +1 for b, 0 at the start) and the Illinois steps taken
-    a, b, fa, fb = np.empty((4, 0))
-    side, steps = np.empty((2, 0), dtype=int)
+    states, brackets = [], []
     # the first row keeps both ends of every piece that can hold a state:
-    # an energy goes when both its neighbours lie in the no-state band
+    # an energy goes when both its neighbours lie in the no-state band.
+    # Each later row's two ends were shot by the row above, which keeps
+    # their mismatches and counts in ends
     E = np.linspace(lo, hi, scan_points)
     inside = (E >= ch.band[0]) & (E <= ch.band[1])
     E, first = E[np.r_[True, ~(inside[:-2] & inside[2:]), True]][None], True
-    while E.size or a.size:            # one row of scan energies per piece
-        c = np.divide(fa * b - fb * a, fa - fb, out=0.5 * (a + b),
-                      where=fa != fb)
-        d = np.minimum(0.01 * (b - a), 0.5 * tol)
-        c = np.clip(c, a + d, b - d)
-        batch = np.concatenate([E.ravel(), c])
+    while E.size or brackets:          # one row of scan energies per piece
+        row = E if first else E[:, 1:-1]
+        steps = [br.points(tol) for br in brackets]
+        batch = np.concatenate([row.ravel(), *steps])
         match = _nearest_crossing(ch.w, np.vander(batch, 3, increasing=True).T,
                                   ch.target)
         mism, nodes, glue = _shoot(ch, batch, match)
-        fc, nc, gc = (x[E.size:] for x in (mism, nodes, glue))
-        mism, nodes = (x[:E.size].reshape(E.shape) for x in (mism, nodes))
 
-        # one Illinois step on every open bracket; an exact zero is the
-        # root, so the bracket collapses onto it.  The step keeps the signs
-        # of the ends, so the slope's sign is still that of the scan ends
-        rise = np.sign(fb - fa)
-        neg = fa * fc < 0
-        fa = np.where(neg & (side < 0), 0.5 * fa, fa)
-        fb = np.where(~neg & (side > 0), 0.5 * fb, fb)
-        a, fa = np.where(neg, (a, fa), (c, fc))
-        b, fb = np.where(neg | (fc == 0.0), (c, fc), (b, fb))
-        side = np.where(neg, -1, 1)
-        steps += 1
-        done = (b - a < tol) | (steps == 120)
-        states += [ShootingDiagnostics(
-            energy=float(e), node_count=int(n), tail_mismatch=float(f),
-            converged=bool(w < tol and abs(f) <= _MISMATCH_TOL),
-            branch="lower" if q > 0 else "upper")
-            for e, n, f, w, q in zip(c[done], nc[done], fc[done],
-                                     (b - a)[done], (rise * gc)[done])]
-
+        # one step on every open bracket; a closed one reports a point of
+        # its last step
+        k, f, still = row.size, mism.tolist(), []
+        for br, x in zip(brackets, steps):
+            i = br.narrow(x, f[k:k + len(x)], tol)
+            if i is None:
+                still.append(br)
+            else:
+                i += k
+                states.append(ShootingDiagnostics(
+                    energy=batch[i].item(), node_count=int(nodes[i]),
+                    tail_mismatch=f[i],
+                    converged=br.b - br.a < tol and abs(f[i]) <= _MISMATCH_TOL,
+                    branch="lower" if br.rise * glue[i] > 0 else "upper"))
+            k += len(x)
+        brackets = still
+        mism, nodes = (x[:row.size].reshape(row.shape) for x in (mism, nodes))
         if first:
             drops = (np.diff(nodes[0]) < 0) & (E[0, :-1] > v_max)
             if drops.any():
@@ -740,6 +822,9 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
                     f"E={float(E[0, where])!r}: the grid is too coarse to "
                     f"resolve these states; increase grid.points "
                     f"(currently {grid.points})")
+        else:
+            mism, nodes = (np.column_stack([lo_x, x, hi_x]) for x, (lo_x, hi_x)
+                           in zip((mism, nodes), ends))
         lo_e, hi_e = E[:, :-1], E[:, 1:]
         sign = mism[:, :-1] * mism[:, 1:] < 0
         dn = np.abs(np.diff(nodes, axis=1))
@@ -749,15 +834,12 @@ def find_bound_states(system: PhysicalSystem, l: int, window=None,
             log.warning("node count still jumps in pieces narrower than %g, "
                         "refined as brackets: %s", tol,
                         list(zip(lo_e[stuck].tolist(), hi_e[stuck].tolist())))
-        # the closed brackets leave, the new ones join with the scan's
-        # mismatches at their ends
+        # the new brackets join with the scan's mismatches at their ends
         new = sign & (dn == 0) | stuck
-        a, b, fa, fb, side, steps = (
-            np.append(x[~done], y[new]) for x, y in zip(
-                (a, b, fa, fb, side, steps),
-                (lo_e, hi_e, mism[:, :-1], mism[:, 1:], np.zeros_like(dn),
-                 np.zeros_like(dn))))
+        brackets += map(_Bracket, lo_e[new].tolist(), hi_e[new].tolist(),
+                        mism[:, :-1][new].tolist(), mism[:, 1:][new].tolist())
         split ^= stuck
+        ends = [(x[:, :-1][split], x[:, 1:][split]) for x in (mism, nodes)]
         E, first = np.linspace(lo_e[split], hi_e[split], 17, axis=1), False
     _check_phase(ch, np.array([d.energy for d in states]))
     states.sort(key=lambda d: d.energy)

@@ -11,17 +11,21 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# the sweeps, energies and first-row energies (exact) of the reference's
-# full-window solves, of the seed-72 oracle_survey systems' full-window
-# l <= 1 solves at beta and beta/2, and of the seed-72 validate_battery
-# systems' narrow l = 0 scans; and the padded step counts of the
-# reference's l = 0 channel on its 4000-node mesh
-_SHOTS = {"l0_sweeps": 8, "l0_energies": 78, "l0_first_row": 32,
-          "l1_sweeps": 7, "l1_energies": 25, "l1_first_row": 3,
-          "oracle_survey_sweeps": 46, "oracle_survey_energies": 422,
-          "oracle_survey_first_row": 112, "validate_battery_sweeps": 29,
-          "validate_battery_energies": 311,
+# the sweeps, energies, first-row energies and refinement sweeps (exact)
+# of the reference's full-window solves, of the seed-72 oracle_survey
+# systems' full-window l <= 1 solves at beta and beta/2, and of the
+# seed-72 validate_battery systems' narrow l = 0 scans; and the padded
+# step counts of the reference's l = 0 channel on its 4000-node mesh
+_SHOTS = {"l0_sweeps": 5, "l0_energies": 74, "l0_first_row": 32,
+          "l0_refinement_sweeps": 3,
+          "l1_sweeps": 5, "l1_energies": 24, "l1_first_row": 3,
+          "l1_refinement_sweeps": 3,
+          "oracle_survey_sweeps": 32, "oracle_survey_energies": 420,
+          "oracle_survey_first_row": 112,
+          "oracle_survey_refinement_sweeps": 18,
+          "validate_battery_sweeps": 18, "validate_battery_energies": 305,
           "validate_battery_first_row": 162,
+          "validate_battery_refinement_sweeps": 10,
           "reference_outward_steps": 4096, "reference_inward_steps": 4096}
 
 
@@ -49,11 +53,14 @@ def test_one_repeat_writes_every_figure(tmp_path):
         "energy_root_solve_s", "wavefunction_s", "closed_form_labels_s",
         "channel_s", "shoot_B1_s", "shoot_B2_s", "shoot_B17_s", "shoot_B60_s",
         "shoot_B240_s", "find_bound_states_l0_s", "find_bound_states_l1_s"}
-    # the shots are exact; the first rows are some of the energies
+    # the shots are exact; the first rows are some of the energies, and
+    # the refinement sweeps some of the sweeps
     shots = result["shots"]
     assert shots == _SHOTS
     for name in ("l0", "l1", "oracle_survey", "validate_battery"):
         assert 0 < shots[f"{name}_first_row"] < shots[f"{name}_energies"]
+        assert 0 < shots[f"{name}_refinement_sweeps"] < shots[
+            f"{name}_sweeps"]
     timings = [v for group in ("serialize", "solvers")
                for k, v in result[group].items() if k.endswith("_s")]
     assert all(isinstance(t, float) and t > 0.0 for t in timings)

@@ -134,3 +134,27 @@ def test_reduction_gap_of_2e_12_fails(reference_system, monkeypatch):
         "constant_mass_reduction"]
     assert not row.passed
     assert row.value == pytest.approx(2e-12, rel=1e-2)
+
+
+def test_oracle_gap_near_zero_energy_is_read_on_the_solve_scale(capsys):
+    # the l = 0 upper n = 0 level lies at 8.8e-17 and the oracle meets it to
+    # 5.2e-11 absolute, inside its 1e-10*m0 stop: against |E| the row read
+    # 5.99e5 and failed, on the scale 1e-3*m0 it passes
+    assert main(["validate", "--V0", "0.37161178185849897", "--m1",
+                 "0.37161178185849897", "--beta", "0.3", "--m0", "1"]) == 0
+    row, = (r for r in capsys.readouterr().out.splitlines()
+            if r.startswith("oracle_agreement_l0,"))
+    assert row.split(",")[1] == "pass"
+
+
+def test_oracle_gap_of_2e_6_fails(reference_system, monkeypatch):
+    # every reference level sits at |E| >= 1e-3*m0, where the row is the
+    # gap relative to |E|: oracle states moved by 2e-6 of their value fail
+    solve = oracle.find_bound_states
+    monkeypatch.setattr(oracle, "find_bound_states", lambda *a, **k: [
+        dataclasses.replace(d, energy=d.energy * (1.0 + 2e-6))
+        for d in solve(*a, **k)])
+    row = {c.name: c for c in run_validation(reference_system)}[
+        "oracle_agreement_l0"]
+    assert not row.passed
+    assert row.value == pytest.approx(2e-6, rel=1e-3)

@@ -1099,17 +1099,22 @@ class TestChunkedSweep:
 
     @pytest.mark.parametrize("window, widths", [
         # the band reaches 0.755, so the scan keeps 29 of its 60 energies;
-        # then 4 Illinois points of its one bracket
-        ((0.7, 0.8), [29] + [1] * 4),
-        # the 32 of 240 scan energies that the no-state band leaves;
-        # both node-count jumps split 16-fold beside the first Illinois
-        # points of the scan's two brackets; 4 more points each, then 2
-        # more for the bracket still open
-        (None, [32, 34 + 2] + [2] * 4 + [1] * 2),
+        # then a false-position and an inverse-quadratic point of its one
+        # bracket, and the closing stencil
+        ((0.7, 0.8), [29, 1, 1, 3]),
+        # the 32 of 240 scan energies that the no-state band leaves; both
+        # node-count jumps split 16-fold, 15 new energies each, beside the
+        # false-position points of the scan's two brackets; an
+        # inverse-quadratic point each, with the midpoint of the upper
+        # bracket, which its first point did not halve; the lower
+        # bracket's closing stencil beside the upper one's next point,
+        # then the upper one's stencil
+        (None, [32, 30 + 2, 1 + 2, 3 + 1, 3]),
         # the same from a 60-point scan of (0.7, 0.999), 51 of whose
-        # energies the band leaves: 3 more points each, then 3 for the
-        # bracket still open
-        ((0.7, 0.999), [51, 34 + 2] + [2] * 3 + [1] * 3)])
+        # energies the band leaves: both brackets' second points, then
+        # both stencils, the upper one with its bracket's midpoint, and
+        # the upper one's second stencil
+        ((0.7, 0.999), [51, 30 + 2, 1 + 1, 3 + 4, 3])])
     def test_sweep_count(self, reference_system, monkeypatch, window,
                          widths):
         seen = self._counted(monkeypatch)
@@ -1122,10 +1127,31 @@ class TestChunkedSweep:
                                                       monkeypatch):
         # at l = 1 the band holds all but the top energy of 240, so the
         # scan keeps it, the band's two end energies and nothing between;
-        # the jump below the state is split once, then 5 Illinois points
+        # the jump below the state is split once, 15 new energies, then a
+        # false-position and an inverse-quadratic point, and the closing
+        # stencil with the midpoint of a bracket its last point did not
+        # halve
         seen = self._counted(monkeypatch)
         find_bound_states(reference_system, 1)
-        assert seen == [3, 17] + [1] * 5
+        assert seen == [3, 15, 1, 1, 4]
+
+    @pytest.mark.parametrize("l, window, scan", [
+        (0, None, 240), (1, None, 240), (0, (0.7, 0.999), 60)])
+    def test_no_energy_is_shot_twice(self, reference_system, monkeypatch, l,
+                                     window, scan):
+        # a split row takes its ends' mismatches and counts from the row
+        # that shot them, and every refinement point lies strictly inside
+        # its bracket, whose ends are the nearest energies shot around it
+        shoot, shot = oracle._shoot, []
+
+        def spy(ch, E, match_idx):
+            shot.extend(np.atleast_1d(E).tolist())
+            return shoot(ch, E, match_idx)
+
+        monkeypatch.setattr(oracle, "_shoot", spy)
+        assert find_bound_states(reference_system, l, window=window,
+                                 scan_points=scan)
+        assert len(shot) == len(set(shot))
 
     @staticmethod
     def _counted(monkeypatch):
@@ -1141,15 +1167,15 @@ class TestChunkedSweep:
         return seen
 
     @staticmethod
-    def _mismatch(monkeypatch, f):
+    def _mismatch(monkeypatch, f, record=np.size):
         """Replace _shoot by the mismatch f(E) at a node count of 0 and a
-        glue sign of +1, recording each sweep's width.  f's roots are not
-        the channel's states, so the channel's no-state band is emptied
-        too."""
+        glue sign of +1, recording each sweep's width (or another record
+        of its energies).  f's roots are not the channel's states, so the
+        channel's no-state band is emptied too."""
         seen = []
 
         def shoot(ch, E, match_idx):
-            seen.append(np.size(E))
+            seen.append(record(E))
             return (f(np.asarray(E)), np.zeros(np.size(E), dtype=int),
                     np.ones(np.size(E)))
 
@@ -1182,33 +1208,86 @@ class TestChunkedSweep:
 
     def test_estimate_inside_the_tolerance_closes_its_bracket(
             self, reference_system, monkeypatch):
-        # false position on a convex mismatch creeps up on the root from
-        # one side; once its estimate lies within the tolerance, a point
-        # tol/2 past the kept end closes the bracket, where a 1% clip of
-        # the bracket pushed it past the root and took 8 points
+        # false position on a convex mismatch lands on one side of the
+        # root; the inverse-quadratic point through the dropped end brings
+        # the predicted error below the tolerance, and the closing stencil
+        # around the next estimate closes the bracket in its own sweep
         root = 0.3 + math.pi * 1e-4
         seen = self._mismatch(monkeypatch,
                               lambda E: np.expm1(5.0 * (E - root)))
         (state,) = find_bound_states(reference_system, 0, window=(0.1, 0.9),
                                      scan_points=60)
-        assert seen == [60] + [1] * 5
+        assert seen == [60, 1, 1, 3]
         assert abs(state.energy - root) <= 1e-10 * reference_system.m0
         assert state.converged
 
-    def test_refinement_stops_at_the_step_cap(self, reference_system,
-                                              monkeypatch):
-        # a mismatch of -1e-300 below the root pins every false-position
-        # point to the clip tol/2 above the lower end of a bracket far
-        # wider than the tolerance: halving the upper end's mismatch 119
-        # times never outweighs it, so the bracket narrows by tol/2 a step
-        # and closes unconverged after 120 steps
+    @pytest.mark.parametrize("f", [
+        lambda E, root: np.expm1(5.0 * (E - root)),
+        lambda E, root: -np.sin(3.0 * (E - root)),
+        lambda E, root: np.tanh(20.0 * (E - root)),
+        lambda E, root: (E - root) + 4.0 * (E - root)**3,
+        lambda E, root: np.log((1.0 + E) / (1.0 + root))],
+        ids=["expm1", "sin", "tanh", "cubic", "log"])
+    @pytest.mark.parametrize("scan_points", [60, 240])
+    def test_smooth_root_closes_within_three_sweeps(
+            self, reference_system, monkeypatch, f, scan_points):
+        # wherever the root falls in its scan piece: false position, an
+        # inverse-quadratic point and the closing stencil at most
+        for root in 0.3 + np.linspace(0.0, 0.02, 12)[1:] + math.pi * 1e-5:
+            seen = self._mismatch(monkeypatch, lambda E: f(E, root))
+            (state,) = find_bound_states(reference_system, 0,
+                                         window=(0.1, 0.9),
+                                         scan_points=scan_points)
+            assert len(seen) <= 1 + 3, root
+            assert abs(state.energy - root) <= 1e-10 * reference_system.m0
+            assert state.converged
+
+    @pytest.mark.parametrize("f", [
+        lambda E, root: np.where(E < root, -1e-300, 1.0),
+        lambda E, root: np.sign(E - root),
+        lambda E, root: np.where(E < root, E - root, 0.5 + (E - root)),
+        lambda E, root: np.where(E < root, -0.7 + 3.0 * (E - root),
+                                 1e-6 + (E - root)**2),
+        lambda E, root: np.where(E < root, -1e-9 - (E - root)**2,
+                                 1.0 + 100.0 * (E - root))],
+        ids=["tiny", "sign", "jump", "jump-curved", "jump-flat"])
+    def test_bracket_halves_every_two_sweeps(self, reference_system,
+                                             monkeypatch, f):
+        # on a discontinuous mismatch interpolation can land beside an end
+        # and a closing stencil can miss the root, but the midpoint joins
+        # every sweep after one that did not halve the bracket.  Its width
+        # after each sweep is the gap between the nearest energies shot
+        # below and above the root
+        for root in 0.3 + np.linspace(0.0, 0.02, 6)[1:] + math.pi * 1e-5:
+            seen = self._mismatch(monkeypatch, lambda E: f(E, root),
+                                  record=np.array)
+            (state,) = find_bound_states(reference_system, 0,
+                                         window=(0.1, 0.9))
+            shot, width = np.empty(0), []
+            for E in seen:
+                shot = np.append(shot, E)
+                width.append(shot[shot > root].min()
+                             - shot[shot < root].max())
+            assert all(w2 <= 0.5 * w0 for w0, w2 in zip(width, width[2:]))
+            assert width[-1] < 1e-10 * reference_system.m0
+            assert abs(state.energy - root) < 1e-10 * reference_system.m0
+
+    def test_pathological_mismatch_ends_within_the_step_cap(
+            self, reference_system, monkeypatch):
+        # a mismatch of -1e-300 below the root defeats interpolation: every
+        # estimate lands the minimum step above the lower end and every
+        # closing stencil misses the root.  The midpoints that join the
+        # sweeps after those that did not halve the bracket close it in 44
+        # sweeps, well inside the 120-step cap, and it reports its lower
+        # end, whose mismatch is -1e-300
         root = 0.3 + math.pi * 1e-4
         seen = self._mismatch(
             monkeypatch, lambda E: np.where(E < root, -1e-300, 1.0))
         (state,) = find_bound_states(reference_system, 0, window=(0.1, 0.9))
-        assert seen == [240] + [1] * 120
-        assert state.energy < root
-        assert not state.converged
+        assert len(seen) == 1 + 44 <= 1 + 120
+        assert seen[:2] == [240, 1] and set(seen[2:]) == {3, 4}
+        assert 0.0 < root - state.energy < 1e-10
+        assert state.converged
 
     def test_refined_energy_does_not_depend_on_the_batch(self):
         # the sweep's rounding depends on the batch width, and false

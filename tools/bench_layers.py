@@ -24,9 +24,12 @@ N timed calls (default 30) after one untimed call, in seconds:
   matched at its turning index, and one full-window l = 0 and l = 1
   ``find_bound_states``;
 * ``shots``: the sweeps, the energies and the first-row energies that
-  the oracle shoots (exact counts, not timings), counted by wrapping
-  ``_shoot`` and ``find_bound_states``: per solve, the first sweep is its
-  first scan row.  ``l0_*`` and ``l1_*`` count those two full-window
+  the oracle shoots, and its refinement sweeps (exact counts, not
+  timings), counted by wrapping ``_shoot`` and ``find_bound_states``:
+  per solve, the first sweep is its first scan row, and a later sweep of
+  fewer than 15 energies holds no split row (a split row shoots 15 new
+  energies, 17 before its ends were kept), so it only refines brackets.
+  ``l0_*`` and ``l1_*`` count those two full-window
   solves; ``oracle_survey_*`` the full-window l <= 1 solves at beta and
   beta/2 of that workload's seed-72 systems (the reference and its
   design points, read with ``perfbench/workloads.draw_systems``), a
@@ -158,8 +161,8 @@ def solver_layers(repeat):
 
 
 def shot_counts():
-    """Sweeps, energies and first-row energies of the oracle solves that
-    the module docstring names under ``shots``."""
+    """Sweeps, energies, first-row energies and refinement sweeps of the
+    oracle solves that the module docstring names under ``shots``."""
     from dataclasses import replace
 
     from kghulthen import PhysicalSystem, oracle
@@ -215,6 +218,9 @@ def shot_counts():
             counts[f"{name}_first_row"] = sum(
                 b for a, b in zip(widths, widths[1:])
                 if a is None and b is not None)
+            counts[f"{name}_refinement_sweeps"] = sum(
+                None not in (a, b) and b < 15
+                for a, b in zip(widths, widths[1:]))
     finally:
         oracle._shoot, oracle.find_bound_states = shoot, solve
     channel = oracle._channel(reference, 0, "approx", default_grid(reference))
